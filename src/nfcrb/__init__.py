@@ -5,20 +5,14 @@ estimators for empirical verification."""
 
 from .closedform import (
     AsymptoticRegime,
-    IntermediateParams,
     bistatic_range_crb_minimizer,
     boresight_range_crb,
     crb_asymptotic,
-    crb_bistatic_mimo,
-    crb_bistatic_phased,
     crb_closed,
     crb_farfield_upw,
-    crb_mono_mimo,
-    crb_mono_phased,
     crb_taylor,
     intermediates_closed,
     intermediates_exact,
-    xi_correction,
 )
 from .errors import (
     ConfigError,
@@ -55,6 +49,7 @@ from .fim import (
     CrbMethod,
     CrbResult,
     FimMatrix,
+    IntermediateParams,
     NoiseAndPowerConfig,
     crb_exact_sum,
     crb_from_fim,
@@ -71,12 +66,7 @@ from .geometry import (
     TargetLocation,
     Topology,
     amplitude_model_valid,
-    angular_span,
-    bistatic_transform,
     epsilon_tx,
-    exact_rx_range,
-    exact_tx_range,
-    taylor_tx_range,
 )
 from .signalsim import (
     Snapshot,
@@ -94,9 +84,7 @@ from .steering import (
     build_observation,
     direction_sine_derivs,
     observation_from_scenario,
-    rx_steering_far,
-    rx_steering_near,
-    tx_steering,
+    steering_factors,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, SingularGeometryError
 from .geometry import (
@@ -22,38 +21,12 @@ from .geometry import (
 from .fim import (
     CrbMethod,
     CrbResult,
+    IntermediateParams,
     NoiseAndPowerConfig,
     _crb_from_intermediates,
     receive_sums,
     transmit_sums,
 )
-
-
-@dataclass(frozen=True)
-class IntermediateParams:
-    """The quadratic/overlap sums that the closed-form CRBs are built from.
-
-    angle_power and range_power are sums of squared phase derivatives with
-    respect to angle and range; cross_power is their mixed sum; the two
-    overlap terms (response vs derivative) are purely imaginary. The rx_*
-    fields carry the receive-side counterparts for the bistatic topology
-    (zero for monostatic; the rx overlap terms vanish by index symmetry).
-    """
-
-    angle_power: float
-    angle_overlap: complex
-    cross_power: float
-    range_power: float
-    range_overlap: complex
-    rx_angle_power: float = 0.0
-    rx_range_power: float = 0.0
-    rx_cross_power: float = 0.0
-    rx_angle_overlap: complex = 0.0j
-    rx_range_overlap: complex = 0.0j
-
-    def __post_init__(self):
-        if self.angle_power < 0 or self.range_power < 0:
-            raise DomainError("power sums must be nonnegative")
 
 
 def _stable_terms(u: float, th: float):
@@ -152,72 +125,29 @@ def _model_warnings(geom: ArrayGeometry, tgt: TargetLocation) -> tuple:
     return tuple(w)
 
 
-def _closed_crb(geom, tgt, carrier, cfg, mode, topology) -> CrbResult:
-    ip = intermediates_closed(geom, tgt, carrier)
-    pref = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
-    return _crb_from_intermediates(
-        geom.num_tx, geom.num_rx,
-        ip.angle_power, ip.angle_overlap, ip.cross_power, ip.range_power, ip.range_overlap,
-        ip.rx_angle_power, ip.rx_range_power, ip.rx_cross_power,
-        pref, mode, topology, CrbMethod.CLOSED_FORM, _model_warnings(geom, tgt),
-    )
-
-
-def crb_mono_mimo(geom, tgt, carrier, cfg: NoiseAndPowerConfig) -> CrbResult:
-    """Closed-form bounds for the monostatic orthogonal-waveform mode."""
-    return _closed_crb(geom, tgt, carrier, cfg, Mode.MIMO, Topology.MONOSTATIC)
-
-
-def crb_mono_phased(geom, tgt, carrier, cfg: NoiseAndPowerConfig) -> CrbResult:
-    """Closed-form bounds for the monostatic beamformed mode; exactly 2/M
-    times the orthogonal-waveform bounds."""
-    return _closed_crb(geom, tgt, carrier, cfg, Mode.PHASED, Topology.MONOSTATIC)
-
-
-def crb_bistatic_mimo(geom, tgt, carrier, cfg: NoiseAndPowerConfig) -> CrbResult:
-    """Closed-form bounds with near-field transmit and far-field receive."""
-    if geom.array_separation <= 0.0:
-        raise DomainError("bistatic bounds require array_separation > 0")
-    return _closed_crb(geom, tgt, carrier, cfg, Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)
-
-
-def crb_bistatic_phased(geom, tgt, carrier, cfg: NoiseAndPowerConfig) -> CrbResult:
-    """Beamformed bistatic sensing with a far-field receive array: the
-    angle/range information block is rank one, so nothing is identifiable."""
-    if geom.array_separation <= 0.0:
-        raise DomainError("bistatic bounds require array_separation > 0")
-    return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM)
-
-
 def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topology: Topology) -> CrbResult:
-    """Dispatch to the closed-form bound for any mode/topology pair."""
-    if topology is Topology.MONOSTATIC:
-        if mode is Mode.MIMO:
-            return crb_mono_mimo(geom, tgt, carrier, cfg)
-        return crb_mono_phased(geom, tgt, carrier, cfg)
-    if mode is Mode.MIMO:
-        return crb_bistatic_mimo(geom, tgt, carrier, cfg)
-    return crb_bistatic_phased(geom, tgt, carrier, cfg)
+    """Closed-form bounds for any mode/topology pair.
+
+    Monostatic beamformed bounds are exactly 2/M times the
+    orthogonal-waveform ones. Bistatic bounds (near-field transmit,
+    far-field receive) need array_separation > 0; beamformed bistatic data
+    leave a rank-one angle/range information block, so nothing is
+    identifiable there.
+    """
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        if geom.array_separation <= 0.0:
+            raise DomainError("bistatic bounds require array_separation > 0")
+        if mode is Mode.PHASED:
+            return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM)
+    ip = intermediates_closed(geom, tgt, carrier)
+    return _crb_from_intermediates(
+        ip, geom, cfg, mode, topology, CrbMethod.CLOSED_FORM, _model_warnings(geom, tgt))
 
 
 class AsymptoticRegime(enum.Enum):
     LARGE_APERTURE = "LargeAperture"
     INFINITE_APERTURE = "InfiniteAperture"
     SMALL_APERTURE = "SmallAperture"
-
-
-def xi_correction(theta: float) -> float:
-    """Small-aperture limit of the angle bound over the continuum plane-wave
-    bound: 1 at every angle.
-
-    As aperture/range -> 0 the angle derivative of the exact steering vector
-    tends to the plane-wave one, and the Schur complement over range and
-    amplitude only removes information, so no angle factor below 1 exists in
-    this model.
-    """
-    if abs(theta) > math.pi / 2:
-        raise DomainError("theta outside [-pi/2, pi/2]")
-    return 1.0
 
 
 def _guarded(crb_t, crb_r, method, warnings) -> CrbResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import crb_closed
-from .errors import ConfigError, CovarianceLoadingError, DomainError
+from .errors import ConfigError, CovarianceLoadingError
 from .fim import NoiseAndPowerConfig
 from .geometry import (
     ArrayGeometry,
@@ -25,7 +25,7 @@ from .geometry import (
     Topology,
 )
 from .signalsim import Snapshot, synth_snapshot
-from .steering import ObservationVector, build_observation, observation_from_scenario
+from .steering import observation_from_scenario, steering_factors
 
 # Cells within AMBIGUITY_REL_TOL of the peak form the near-peak set. A
 # healthy mainlobe keeps that set compact and interior; a ridge or aliased
@@ -134,12 +134,11 @@ class RmseReport:
 
 
 class ObservationGridBuilder:
-    """Observation vectors for one scenario at trial target locations.
+    """Steering factor matrices for one scenario at trial target locations.
 
-    Callable as builder(theta, range_m) for a single ObservationVector, and
-    exposes vectorized factor matrices so grid searches can evaluate
-    thousands of candidate locations with one matrix product. Factors follow
-    the g = b (x) a layout: y.reshape(rx_len, tx_len) pairs with (B, A).
+    Grid searches evaluate thousands of candidate locations with one matrix
+    product. Factors follow the g = b (x) a layout: y.reshape(rx_len,
+    tx_len) pairs with (B, A).
     """
 
     def __init__(
@@ -149,42 +148,17 @@ class ObservationGridBuilder:
         mode: Mode,
         topology: Topology,
     ):
-        if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
-            raise DomainError("bistatic search requires array_separation > 0")
         self.geom = geom
         self.carrier = carrier
         self.mode = mode
         self.topology = topology
-        mono = topology is Topology.MONOSTATIC
-        has_tx = mode is Mode.MIMO or mono
-        self.tx_len = geom.num_tx if has_tx else 1
-        if mono:
-            self.rx_len = geom.num_tx if mode is Mode.MIMO else 1
-        else:
-            self.rx_len = geom.num_rx
+        # an empty evaluation runs the kernel's guards and fixes the layout
+        a, b = steering_factors(geom, carrier, mode, topology, (), ())
+        self.tx_len, self.rx_len = a.length, b.length
 
     @classmethod
     def from_scenario(cls, scn: SensingScenario) -> "ObservationGridBuilder":
         return cls(scn.geometry, scn.carrier, scn.mode, scn.topology)
-
-    def __call__(self, theta: float, range_m: float) -> ObservationVector:
-        tgt = TargetLocation(range_m=range_m, angle_rad=theta)
-        return build_observation(self.geom, tgt, self.carrier, self.mode, self.topology)
-
-    def _tx_factor(self, thetas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        lam = self.carrier.wavelength
-        md = (self.geom.tx_indices() * self.geom.tx_spacing)[:, None]
-        r = ranges[None, :]
-        rm = np.sqrt(r * r - 2.0 * r * md * np.sin(thetas)[None, :] + md * md)
-        return np.exp((-2j * math.pi / lam) * rm)
-
-    def _rx_factor_far(self, thetas: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-        lam = self.carrier.wavelength
-        R = self.geom.array_separation
-        l2 = R * R + ranges * ranges - 2.0 * R * ranges * np.cos(thetas)
-        sin_phi = ranges * np.sin(thetas) / np.sqrt(l2)
-        nd = (self.geom.rx_indices() * self.geom.rx_spacing)[:, None]
-        return np.exp((2j * math.pi / lam) * nd * sin_phi[None, :])
 
     def factor_matrices(self, thetas, ranges):
         """(A, B) steering factor matrices at paired candidate locations.
@@ -192,18 +166,9 @@ class ObservationGridBuilder:
         A is (tx_len, P), B is (rx_len, P); an absent factor is a row of
         ones. Monostatic orthogonal-waveform sensing returns B aliased to A.
         """
-        thetas = np.asarray(thetas, dtype=float)
-        ranges = np.asarray(ranges, dtype=float)
-        p = thetas.size
-        if self.topology is Topology.MONOSTATIC:
-            a = self._tx_factor(thetas, ranges)
-            if self.mode is Mode.MIMO:
-                return a, a
-            return a, np.ones((1, p))
-        b = self._rx_factor_far(thetas, ranges)
-        if self.mode is Mode.MIMO:
-            return self._tx_factor(thetas, ranges), b
-        return np.ones((1, p)), b
+        a, b = steering_factors(
+            self.geom, self.carrier, self.mode, self.topology, thetas, ranges)
+        return a.values, b.values
 
 
 def _paired_grid(thetas_axis: np.ndarray, ranges_axis: np.ndarray):
@@ -213,30 +178,24 @@ def _paired_grid(thetas_axis: np.ndarray, ranges_axis: np.ndarray):
     return th, ra
 
 
+def _require_builder(builder, caller: str):
+    if not hasattr(builder, "factor_matrices"):
+        raise ConfigError(f"{caller} needs an ObservationGridBuilder")
+
+
 def _ml_stat_factory(builder, y: np.ndarray):
     """stat(thetas, ranges) -> |g^H y|^2 / ||g||^2 at paired locations."""
-    if hasattr(builder, "factor_matrices"):
-        ymat = y.reshape(builder.rx_len, builder.tx_len)
-
-        def stat(th, ra):
-            out = np.empty(th.size)
-            norm = builder.rx_len * builder.tx_len
-            for s in range(0, th.size, _CHUNK):
-                sl = slice(s, min(s + _CHUNK, th.size))
-                a, b = builder.factor_matrices(th[sl], ra[sl])
-                c = ymat @ a.conj()
-                val = np.einsum("nj,nj->j", b.conj(), c)
-                out[sl] = (val.real**2 + val.imag**2) / norm
-            return out
-
-        return stat
+    ymat = y.reshape(builder.rx_len, builder.tx_len)
 
     def stat(th, ra):
         out = np.empty(th.size)
-        for j in range(th.size):
-            g = builder(th[j], ra[j]).g
-            v = g.conj() @ y
-            out[j] = (v.real**2 + v.imag**2) / g.size
+        norm = builder.rx_len * builder.tx_len
+        for s in range(0, th.size, _CHUNK):
+            sl = slice(s, min(s + _CHUNK, th.size))
+            a, b = builder.factor_matrices(th[sl], ra[sl])
+            c = ymat @ a.conj()
+            val = np.einsum("nj,nj->j", b.conj(), c)
+            out[sl] = (val.real**2 + val.imag**2) / norm
         return out
 
     return stat
@@ -291,9 +250,9 @@ def matched_field_ml(y, builder, grid: GridSpec) -> EstimateResult:
     """Maximize the matched-field statistic over the grid.
 
     y may be a Snapshot or a raw observation vector; builder is an
-    ObservationGridBuilder (fast path) or any callable
-    (theta, range_m) -> ObservationVector.
+    ObservationGridBuilder.
     """
+    _require_builder(builder, "matched_field_ml")
     yv = y.y if isinstance(y, Snapshot) else np.asarray(y)
     est, _ = _grid_search(_ml_stat_factory(builder, yv), grid)
     return est
@@ -340,8 +299,7 @@ def capon_spectrum(
     raises CovarianceLoadingError (increase the loading or snapshot count).
     """
     ys = np.stack([s.y if isinstance(s, Snapshot) else np.asarray(s) for s in snapshots])
-    if not hasattr(builder, "factor_matrices"):
-        raise ConfigError("capon_spectrum needs an ObservationGridBuilder")
+    _require_builder(builder, "capon_spectrum")
     cov = _loaded_covariance(ys, loading)
     try:
         chol = np.linalg.cholesky(cov)

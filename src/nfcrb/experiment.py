@@ -21,7 +21,7 @@ from .closedform import (
 )
 from .errors import ConfigError, NfcrbError
 from .estimator import EstimatorKind, GridSpec, monte_carlo_rmse
-from .fim import NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
+from .fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
 from .geometry import (
     ArrayGeometry,
     CarrierConfig,
@@ -32,14 +32,7 @@ from .geometry import (
 )
 from .steering import build_observation
 
-METHOD_NAMES = (
-    "ClosedForm",
-    "ExactSum",
-    "NumericalFim",
-    "Asymptotic",
-    "Taylor",
-    "FarFieldUPW",
-)
+METHOD_NAMES = tuple(m.value for m in CrbMethod)
 SWEEP_AXES = ("M", "theta", "r", "snr_db")
 REGIME_NAMES = tuple(r.value for r in AsymptoticRegime)
 ESTIMATOR_NAMES = tuple(k.value for k in EstimatorKind)
@@ -165,7 +158,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"asymptotic_regime must be one of {', '.join(REGIME_NAMES)}"
             )
-        if "Taylor" in self.methods and self.topology is not Topology.MONOSTATIC:
+        if CrbMethod.TAYLOR.value in self.methods and self.topology is not Topology.MONOSTATIC:
             raise ConfigError("the Taylor method applies to monostatic sensing only")
         if self.topology is Topology.MONOSTATIC and self.separation_m != 0.0:
             raise ConfigError("monostatic topology requires separation_m = 0")
@@ -231,18 +224,20 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError(f"sweep point {cfg.sweep.axis}={v!r}: {exc}") from exc
 
 
-def _eval_method(name: str, scn: SensingScenario, ncfg: NoiseAndPowerConfig, regime: str):
+def _eval_method(method: CrbMethod, scn: SensingScenario, ncfg: NoiseAndPowerConfig, regime: str):
+    # evaluators are looked up as module globals at call time, so that a
+    # wrapper installed on a module binding (a tracer) sees every call
     g, t, c = scn.geometry, scn.target, scn.carrier
-    if name == "ClosedForm":
+    if method is CrbMethod.CLOSED_FORM:
         return crb_closed(g, t, c, ncfg, scn.mode, scn.topology)
-    if name == "ExactSum":
+    if method is CrbMethod.EXACT_SUM:
         return crb_exact_sum(g, t, c, ncfg, scn.mode, scn.topology)
-    if name == "NumericalFim":
+    if method is CrbMethod.NUMERICAL_FIM:
         obs = build_observation(g, t, c, scn.mode, scn.topology)
         return crb_from_fim(fim_numeric(obs, ncfg))
-    if name == "Asymptotic":
+    if method is CrbMethod.ASYMPTOTIC:
         return crb_asymptotic(g, t, c, ncfg, AsymptoticRegime(regime), scn.mode, scn.topology)
-    if name == "Taylor":
+    if method is CrbMethod.TAYLOR:
         return crb_taylor(g, t, c, ncfg, scn.mode)
     return crb_farfield_upw(g, t, c, ncfg, scn.mode, scn.topology)
 
@@ -272,12 +267,13 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     single flat table.
     """
     validate_config(cfg)
+    methods = [CrbMethod(name) for name in cfg.methods]
     rows = []
     for point in cfg.sweep.points():
         scn, ncfg, warns = materialize(cfg, point)
         report = _run_point_mc(cfg, scn, ncfg) if cfg.montecarlo else None
-        for name in cfg.methods:
-            res = _eval_method(name, scn, ncfg, cfg.asymptotic_regime)
+        for name, method in zip(cfg.methods, methods):
+            res = _eval_method(method, scn, ncfg, cfg.asymptotic_regime)
             row = {
                 "method": name,
                 "mode": cfg.mode.value,

@@ -40,15 +40,15 @@ class NoiseAndPowerConfig:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not self.snr_linear > 0:
-            raise ConfigError(f"snr_linear must be > 0, got {self.snr_linear}")
-        if not self.time_bandwidth >= 1.0:
-            raise ConfigError(f"time_bandwidth must be >= 1, got {self.time_bandwidth}")
-        if not (self.noise_psd > 0 and self.bandwidth > 0):
-            raise ConfigError("noise_psd and bandwidth must be positive")
+        if not 0.0 < self.snr_linear < math.inf:
+            raise ConfigError(f"snr_linear must be finite and > 0, got {self.snr_linear}")
+        if not 1.0 <= self.time_bandwidth < math.inf:
+            raise ConfigError(f"time_bandwidth must be finite and >= 1, got {self.time_bandwidth}")
+        if not (0.0 < self.noise_psd < math.inf and 0.0 < self.bandwidth < math.inf):
+            raise ConfigError("noise_psd and bandwidth must be positive and finite")
         k2 = abs(self.reflection_coeff) ** 2
-        if k2 == 0.0:
-            raise ConfigError("reflection_coeff must be nonzero")
+        if not 0.0 < k2 < math.inf:
+            raise ConfigError("reflection_coeff must be nonzero and finite")
         if self.total_power is None:
             object.__setattr__(
                 self, "total_power",
@@ -56,7 +56,7 @@ class NoiseAndPowerConfig:
             )
         else:
             implied = self.total_power * k2 / (self.noise_psd * self.bandwidth)
-            if abs(implied - self.snr_linear) > 1e-9 * self.snr_linear:
+            if not abs(implied - self.snr_linear) <= 1e-9 * self.snr_linear:
                 raise ConfigError(
                     "inconsistent power/noise fields: "
                     f"P|kappa|^2/(N0 B) = {implied}, snr_linear = {self.snr_linear}"
@@ -114,12 +114,40 @@ class FimMatrix:
 
 
 class CrbMethod(enum.Enum):
-    NUMERICAL_FIM = "NumericalFim"
-    EXACT_SUM = "ExactSumQ"
+    """Bound evaluators; the values are the method names of configs and CSVs."""
+
     CLOSED_FORM = "ClosedForm"
+    EXACT_SUM = "ExactSum"
+    NUMERICAL_FIM = "NumericalFim"
     ASYMPTOTIC = "Asymptotic"
     TAYLOR = "Taylor"
     FARFIELD_UPW = "FarFieldUPW"
+
+
+@dataclass(frozen=True)
+class IntermediateParams:
+    """The quadratic/overlap sums that the CRBs are built from.
+
+    angle_power and range_power are sums of squared phase derivatives with
+    respect to angle and range; cross_power is their mixed sum; the two
+    overlap terms (response vs derivative) are purely imaginary. The rx_*
+    fields carry the receive-side counterparts for the bistatic topology
+    (zero for monostatic; the receive overlap terms vanish by index
+    symmetry).
+    """
+
+    angle_power: float
+    angle_overlap: complex
+    cross_power: float
+    range_power: float
+    range_overlap: complex
+    rx_angle_power: float = 0.0
+    rx_range_power: float = 0.0
+    rx_cross_power: float = 0.0
+
+    def __post_init__(self):
+        if self.angle_power < 0 or self.range_power < 0:
+            raise DomainError("power sums must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -229,24 +257,17 @@ def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
     quadratic terms (angle power, range power, cross power) are returned.
     """
     lam = carrier.wavelength
-    g_th, g_r = direction_sine_derivs(geom.array_separation, tgt.range_m, tgt.angle_rad)
+    g_th, g_r = map(float, direction_sine_derivs(
+        geom.array_separation, tgt.range_m, tgt.angle_rad))
     nd = geom.rx_indices() * geom.rx_spacing
     base = (2.0 * math.pi / lam) ** 2 * float(np.sum(nd * nd))
     return base * g_th * g_th, base * g_r * g_r, base * g_th * g_r
 
 
 def _crb_from_intermediates(
-    num_tx: int,
-    num_rx: int,
-    angle_power: float,
-    angle_overlap: complex,
-    cross_power: float,
-    range_power: float,
-    range_overlap: complex,
-    rx_angle_power: float,
-    rx_range_power: float,
-    rx_cross_power: float,
-    prefactor: float,
+    ip: IntermediateParams,
+    geom: ArrayGeometry,
+    cfg: NoiseAndPowerConfig,
     mode: Mode,
     topology: Topology,
     method: CrbMethod,
@@ -254,13 +275,14 @@ def _crb_from_intermediates(
 ) -> CrbResult:
     """Shared determinant algebra turning intermediate sums into CRBs.
 
-    prefactor is 1/(2 gamma L). Used by both the exact-summation and the
-    closed-form paths, which differ only in how the sums are produced.
+    Used by both the exact-summation and the closed-form paths, which
+    differ only in how the sums are produced.
     """
-    m = float(num_tx)
-    cross_ov = (angle_overlap.conjugate() * range_overlap).real
+    prefactor = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
+    m = float(geom.num_tx)
+    cross_ov = (ip.angle_overlap.conjugate() * ip.range_overlap).real
 
-    if num_tx < 2:
+    if geom.num_tx < 2:
         # no transmit baseline: monostatic information vanishes and the
         # receive-only bistatic block is rank one, exactly in both cases
         return CrbResult.unidentifiable(method, warnings)
@@ -270,10 +292,10 @@ def _crb_from_intermediates(
             # receive-only data: theta and r enter through the single
             # direction sine, so the information block is rank one
             return CrbResult.unidentifiable(method, warnings)
-        n = float(num_rx)
-        aa = m * rx_angle_power + n * angle_power - (n / m) * abs(angle_overlap) ** 2
-        pp = m * rx_range_power + n * range_power - (n / m) * abs(range_overlap) ** 2
-        ee = m * rx_cross_power + n * cross_power - (n / m) * cross_ov
+        n = float(geom.num_rx)
+        aa = m * ip.rx_angle_power + n * ip.angle_power - (n / m) * abs(ip.angle_overlap) ** 2
+        pp = m * ip.rx_range_power + n * ip.range_power - (n / m) * abs(ip.range_overlap) ** 2
+        ee = m * ip.rx_cross_power + n * ip.cross_power - (n / m) * cross_ov
         det = aa * pp - ee * ee
         if not det > DET_REL_TOL * aa * pp:
             return CrbResult.unidentifiable(method, warnings)
@@ -283,9 +305,9 @@ def _crb_from_intermediates(
             identifiable=True, method=method, warnings=warnings,
         )
 
-    aa = m * angle_power - abs(angle_overlap) ** 2
-    pp = m * range_power - abs(range_overlap) ** 2
-    ee = m * cross_power - cross_ov
+    aa = m * ip.angle_power - abs(ip.angle_overlap) ** 2
+    pp = m * ip.range_power - abs(ip.range_overlap) ** 2
+    ee = m * ip.cross_power - cross_ov
     det = aa * pp - ee * ee
     if not det > DET_REL_TOL * aa * pp:
         return CrbResult.unidentifiable(method, warnings)
@@ -311,13 +333,7 @@ def crb_exact_sum(
 ) -> CrbResult:
     """CRBs with every intermediate accumulated by exact summation over the
     array elements; algebraically identical to the numerical FIM path."""
-    pref = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
-    a_s, c_ov, e_s, p_s, q_ov = transmit_sums(geom, tgt, carrier)
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        i_s, s_s, k_s = receive_sums(geom, tgt, carrier)
-    else:
-        i_s = s_s = k_s = 0.0
-    return _crb_from_intermediates(
-        geom.num_tx, geom.num_rx, a_s, c_ov, e_s, p_s, q_ov,
-        i_s, s_s, k_s, pref, mode, topology, CrbMethod.EXACT_SUM,
-    )
+    tx = transmit_sums(geom, tgt, carrier)
+    rx = receive_sums(geom, tgt, carrier) if topology is Topology.BISTATIC_NEAR_FAR_TX else ()
+    ip = IntermediateParams(*tx, *rx)
+    return _crb_from_intermediates(ip, geom, cfg, mode, topology, CrbMethod.EXACT_SUM)

@@ -1,8 +1,10 @@
-"""Array/target geometry: element placement, exact and approximate distances,
-and the bistatic (l, phi) transform.
+"""Array/target geometry: element placement, target location, carrier, and
+the validity guards of the steering model.
 
 Angles are radians everywhere; degrees exist only at the CLI boundary.
 Element indices are signed integers centered at 0: m in {-(M-1)/2, ..., (M-1)/2}.
+Every length, angle and frequency must be finite. Distances and phases are
+computed by the steering kernel (steering.steering_factors).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError, SingularGeometryError
+from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -59,10 +61,10 @@ class ArrayGeometry:
             raise DomainError(f"num_tx must be a positive odd integer, got {self.num_tx}")
         if self.num_rx < 1:
             raise DomainError(f"num_rx must be a positive integer, got {self.num_rx}")
-        if self.tx_spacing <= 0 or self.rx_spacing <= 0:
-            raise DomainError("element spacings must be positive")
-        if self.array_separation < 0:
-            raise DomainError("array separation must be >= 0")
+        if not (0.0 < self.tx_spacing < math.inf and 0.0 < self.rx_spacing < math.inf):
+            raise DomainError("element spacings must be positive and finite")
+        if not 0.0 <= self.array_separation < math.inf:
+            raise DomainError("array separation must be finite and >= 0")
 
     @property
     def tx_aperture(self) -> float:
@@ -93,9 +95,9 @@ class TargetLocation:
     angle_rad: float
 
     def __post_init__(self):
-        if not self.range_m > 0:
-            raise DomainError(f"target range must be > 0, got {self.range_m}")
-        if abs(self.angle_rad) > math.pi / 2:
+        if not 0.0 < self.range_m < math.inf:
+            raise DomainError(f"target range must be finite and > 0, got {self.range_m}")
+        if not abs(self.angle_rad) <= math.pi / 2:
             raise DomainError(f"target angle must lie in [-pi/2, pi/2], got {self.angle_rad}")
 
 
@@ -106,8 +108,9 @@ class CarrierConfig:
     carrier_freq: float
 
     def __post_init__(self):
-        if not self.carrier_freq > 0:
-            raise DomainError("carrier frequency must be positive")
+        if not 0.0 < self.carrier_freq < math.inf:
+            raise DomainError(
+                f"carrier frequency must be positive and finite, got {self.carrier_freq}")
 
     @property
     def wavelength(self) -> float:
@@ -142,81 +145,6 @@ class SensingScenario:
 def epsilon_tx(geom: ArrayGeometry, tgt: TargetLocation) -> float:
     """Spacing-to-range ratio eps = d_tx / r for the transmit side."""
     return geom.tx_spacing / tgt.range_m
-
-
-def _check_tx_index(geom: ArrayGeometry, m: int):
-    half = (geom.num_tx - 1) // 2
-    if not -half <= m <= half:
-        raise DomainError(f"tx element index {m} outside [-{half}, {half}]")
-
-
-def _check_rx_index(geom: ArrayGeometry, n: float):
-    half = (geom.num_rx - 1) / 2.0
-    if not -half <= n <= half:
-        raise DomainError(f"rx element index {n} outside [-{half}, {half}]")
-
-
-def exact_tx_range(geom: ArrayGeometry, tgt: TargetLocation, m: int) -> float:
-    """Exact distance from transmit element m to the target.
-
-    Equals the planar Euclidean distance between (0, m*d_tx) and
-    (r*cos(theta), r*sin(theta)); the array lies along the y axis.
-    """
-    _check_tx_index(geom, m)
-    r, th = tgt.range_m, tgt.angle_rad
-    eps = m * geom.tx_spacing / r
-    return r * math.sqrt(1.0 - 2.0 * eps * math.sin(th) + eps * eps)
-
-
-def taylor_tx_range(geom: ArrayGeometry, tgt: TargetLocation, m: int) -> float:
-    """Second-order (Fresnel) approximation of exact_tx_range."""
-    _check_tx_index(geom, m)
-    r, th = tgt.range_m, tgt.angle_rad
-    md = m * geom.tx_spacing
-    return r + (md * math.cos(th)) ** 2 / (2.0 * r) - md * math.sin(th)
-
-
-def bistatic_transform(geom: ArrayGeometry, tgt: TargetLocation) -> tuple[float, float]:
-    """Receive-side polar coordinates (l, phi) of the target.
-
-    l is the distance from the receive-array center at (R, 0); phi is the
-    direction angle seen from there, phi in [-pi/2, pi/2].
-    """
-    R = geom.array_separation
-    r, th = tgt.range_m, tgt.angle_rad
-    l2 = R * R + r * r - 2.0 * R * r * math.cos(th)
-    l = math.sqrt(max(l2, 0.0))
-    if l <= 0.0:
-        raise DegenerateGeometryError("target coincides with the receive-array center")
-    s = r * math.sin(th) / l
-    # guard rounding excursions just past +-1 before arcsin
-    s = min(1.0, max(-1.0, s))
-    return l, math.asin(s)
-
-
-def exact_rx_range(geom: ArrayGeometry, tgt: TargetLocation, n: float) -> float:
-    """Exact distance from receive element n at (R, n*d_rx) to the target.
-
-    R = 0 is accepted so the monostatic degeneration (rx == tx array) holds.
-    """
-    _check_rx_index(geom, n)
-    R = geom.array_separation
-    r, th = tgt.range_m, tgt.angle_rad
-    nd = n * geom.rx_spacing
-    d2 = R * R + r * r - 2.0 * R * r * math.cos(th) - 2.0 * nd * r * math.sin(th) + nd * nd
-    return math.sqrt(max(d2, 0.0))
-
-
-def angular_span(geom: ArrayGeometry, tgt: TargetLocation) -> float:
-    """Angle subtended by the transmit aperture at the target, in (0, pi)."""
-    r, th = tgt.range_m, tgt.angle_rad
-    # cos(pi/2) is ~6e-17 in floats, so test the angle, not its cosine
-    if abs(th) >= math.pi / 2:
-        raise SingularGeometryError("angular span undefined at theta = +-pi/2")
-    c = math.cos(th)
-    half = geom.tx_aperture / (2.0 * r * c)
-    t = math.tan(th)
-    return math.atan(half - t) + math.atan(half + t)
 
 
 def amplitude_model_valid(geom: ArrayGeometry, tgt: TargetLocation) -> bool:

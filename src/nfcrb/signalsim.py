@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fim import NoiseAndPowerConfig, mode_energy_scale
 from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
-from .steering import ObservationVector, rx_steering_far, tx_steering
+from .steering import ObservationVector, steering_factors
 
 DEMO_MAX_ELEMENTS = 16
 
@@ -199,10 +199,12 @@ def _demo_scale_check(geom: ArrayGeometry):
         )
 
 
-def _rx_factor(geom, tgt, carrier):
-    if geom.is_monostatic:
-        return tx_steering(geom, tgt, carrier).values
-    return rx_steering_far(geom, tgt, carrier).values
+def _physical_factors(geom, tgt, carrier):
+    # transmit and receive responses of the physical arrays, in the
+    # orthogonal-waveform layout (monostatic: b is a)
+    topology = Topology.MONOSTATIC if geom.is_monostatic else Topology.BISTATIC_NEAR_FAR_TX
+    a, b = steering_factors(geom, carrier, Mode.MIMO, topology, [tgt.angle_rad], [tgt.range_m])
+    return a.values[:, 0], b.values[:, 0]
 
 
 def mimo_chain_demo(
@@ -230,8 +232,7 @@ def mimo_chain_demo(
         raise ConfigError("the orthogonal-waveform chain needs OrthogonalCodes")
     codes = orthogonal_codes(geom.num_tx, waveforms.num_samples_per_cpi)
 
-    a = tx_steering(geom, tgt, carrier).values
-    b = _rx_factor(geom, tgt, carrier)
+    a, b = _physical_factors(geom, tgt, carrier)
     kap = complex(cfg.reflection_coeff)
     amp = kap * math.sqrt(cfg.total_power / geom.num_tx)
 
@@ -271,9 +272,11 @@ def phased_chain_demo(
     _demo_scale_check(geom)
     pulse = np.ones(waveforms.num_samples_per_cpi)
 
-    a_true = tx_steering(geom, tgt, carrier).values
-    a_steer = tx_steering(geom, steer_at, carrier).values
-    b = _rx_factor(geom, tgt, carrier)
+    a_true, b = _physical_factors(geom, tgt, carrier)
+    # the beam weights need the transmit response alone: the beamformed
+    # monostatic layout carries a only
+    a_steer = steering_factors(geom, carrier, Mode.PHASED, Topology.MONOSTATIC,
+                               [steer_at.angle_rad], [steer_at.range_m])[0].values[:, 0]
     kap = complex(cfg.reflection_coeff)
     # ||a|| = sqrt(M) normalizes the beamformer to unit total power
     gain = a_true @ a_steer.conj() / math.sqrt(geom.num_tx)

@@ -1,5 +1,13 @@
-"""Spherical-wave and far-field steering vectors with analytic derivatives,
-and their composition into the unified observation vector."""
+"""The steering model g = b (x) a in one kernel, and its assembly into the
+unified observation vector.
+
+a(theta, r) is the spherical-wave transmit response over the exact
+element-to-target distances; b is the far-field receive response, a
+function of the direction sine sin(phi) seen from the receive-array centre
+(b := a when the arrays are co-located). steering_factors evaluates both at
+any number of paired locations, with analytic partials on request; the
+bounds, the simulator and the grid search all draw on it.
+"""
 
 from __future__ import annotations
 
@@ -23,13 +31,14 @@ from .geometry import (
 class SteeringVector:
     """Complex array response with its analytic partials.
 
-    values has unit-modulus entries; d_theta and d_range are elementwise
-    derivatives of values with respect to the target angle and range.
+    values has unit-modulus entries, one row per element and one column per
+    location; d_theta and d_range are elementwise derivatives of values with
+    respect to the target angle and range (None when not requested).
     """
 
     values: np.ndarray
-    d_theta: np.ndarray
-    d_range: np.ndarray
+    d_theta: np.ndarray | None
+    d_range: np.ndarray | None
 
     @property
     def length(self) -> int:
@@ -57,89 +66,86 @@ class ObservationVector:
     tx_array_size: int
 
 
-def tx_steering(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> SteeringVector:
-    """Transmit-side spherical-wave steering vector.
-
-    values[m] = exp(-j 2 pi r_m / lambda) with r_m the exact element-to-target
-    distance; derivatives follow from d r_m/d theta = -m d_tx r cos(theta)/r_m
-    and d r_m/d r = (r - m d_tx sin(theta))/r_m.
-    """
-    lam = carrier.wavelength
-    r, th = tgt.range_m, tgt.angle_rad
-    md = geom.tx_indices() * geom.tx_spacing
-    rm = np.sqrt(r * r - 2.0 * r * md * math.sin(th) + md * md)
-    vals = np.exp(-2j * math.pi / lam * rm)
-    drm_dth = -r * md * math.cos(th) / rm
-    drm_dr = (r - md * math.sin(th)) / rm
-    k = -2j * math.pi / lam
-    return SteeringVector(values=vals, d_theta=k * drm_dth * vals, d_range=k * drm_dr * vals)
-
-
-def rx_steering_near(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> SteeringVector:
-    """Receive-side spherical-wave steering vector using exact distances l_n.
-
-    R = 0 degenerates to the transmit geometry (same formula, R dropped).
-    """
-    lam = carrier.wavelength
-    R = geom.array_separation
-    r, th = tgt.range_m, tgt.angle_rad
-    nd = geom.rx_indices() * geom.rx_spacing
-    ln2 = R * R + r * r - 2.0 * R * r * math.cos(th) - 2.0 * nd * r * math.sin(th) + nd * nd
-    if np.any(ln2 <= 0.0):
-        raise DegenerateGeometryError("target coincides with a receive element")
-    ln = np.sqrt(ln2)
-    vals = np.exp(-2j * math.pi / lam * ln)
-    dln_dth = (R * r * math.sin(th) - nd * r * math.cos(th)) / ln
-    dln_dr = (r - R * math.cos(th) - nd * math.sin(th)) / ln
-    k = -2j * math.pi / lam
-    return SteeringVector(values=vals, d_theta=k * dln_dth * vals, d_range=k * dln_dr * vals)
-
-
-def direction_sine_derivs(separation: float, range_m: float, angle_rad: float) -> tuple[float, float]:
-    """Derivatives of the receive direction sine sin(phi) = r sin(theta)/l
-    with respect to theta and r. Index-independent factors of the far-field
-    receive steering derivatives."""
-    R, r, th = separation, range_m, angle_rad
-    l2 = R * R + r * r - 2.0 * R * r * math.cos(th)
-    if l2 <= 0.0:
+def _receive_path_sq(separation, range_m, angle_rad):
+    # squared distance l^2 from the receive-array centre at (R, 0)
+    R, r = separation, range_m
+    l2 = R * R + r * r - 2.0 * R * r * np.cos(angle_rad)
+    if np.any(l2 <= 0.0):
         raise DegenerateGeometryError("target coincides with the receive-array center")
-    l3 = l2 * math.sqrt(l2)
-    g_th = (r * math.cos(th) * (R * R + r * r - R * r * math.cos(th)) - R * r * r) / l3
-    g_r = R * math.sin(th) * (R - r * math.cos(th)) / l3
+    return l2
+
+
+def direction_sine_derivs(separation, range_m, angle_rad):
+    """Derivatives of the receive direction sine sin(phi) = r sin(theta)/l
+    with respect to theta and r, elementwise over array inputs.
+    Index-independent factors of the far-field receive steering derivatives."""
+    R, r, th = separation, range_m, angle_rad
+    l2 = _receive_path_sq(R, r, th)
+    l3 = l2 * np.sqrt(l2)
+    g_th = (r * np.cos(th) * (R * R + r * r - R * r * np.cos(th)) - R * r * r) / l3
+    g_r = R * np.sin(th) * (R - r * np.cos(th)) / l3
     return g_th, g_r
 
 
-def rx_steering_far(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> SteeringVector:
-    """Far-field receive steering vector in transmit-side coordinates.
+def _absent(p: int, derivs: bool) -> SteeringVector:
+    zeros = np.zeros((1, p)) if derivs else None
+    return SteeringVector(np.ones((1, p)), zeros, zeros)
 
-    values[n] = exp(+j 2 pi n d_rx sin(phi)/lambda) with the constant bulk
-    phase exp(-j 2 pi l/lambda) dropped (absorbed into the reflection
-    coefficient). Derivatives use the index-independent factors
-    Gamma_theta = d sin(phi)/d theta and Gamma_r = d sin(phi)/d r.
+
+def steering_factors(
+    geom: ArrayGeometry,
+    carrier: CarrierConfig,
+    mode: Mode,
+    topology: Topology,
+    thetas,
+    ranges,
+    derivs: bool = False,
+) -> tuple[SteeringVector, SteeringVector]:
+    """Factors (a, b) of g = b (x) a at P paired locations (thetas[j], ranges[j]).
+
+    a[m, j] = exp(-j 2 pi r_m / lambda) with r_m the exact distance from
+    transmit element m; d r_m/d theta = -m d_tx r cos(theta)/r_m and
+    d r_m/d r = (r - m d_tx sin(theta))/r_m. b[n, j] = exp(+j 2 pi n d_rx
+    sin(phi)/lambda), its bulk phase exp(-j 2 pi l/lambda) absorbed into the
+    reflection coefficient; its partials use d sin(phi)/d theta and
+    d sin(phi)/d r.
+
+    Each factor is a SteeringVector of (len, P) arrays, with partials only
+    when derivs is set. Orthogonal waveforms observe both factors, with b
+    aliased to a for monostatic sensing; beamformed data keep a alone
+    (monostatic) or b alone (bistatic). An absent factor is a row of ones.
     """
+    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
+        raise DomainError("bistatic observation requires array_separation > 0")
     lam = carrier.wavelength
-    R = geom.array_separation
-    r, th = tgt.range_m, tgt.angle_rad
-    l2 = R * R + r * r - 2.0 * R * r * math.cos(th)
-    if l2 <= 0.0:
-        raise DegenerateGeometryError("target coincides with the receive-array center")
-    sin_phi = r * math.sin(th) / math.sqrt(l2)
-    g_th, g_r = direction_sine_derivs(R, r, th)
-    nd = geom.rx_indices() * geom.rx_spacing
-    k = 2.0 * math.pi / lam
-    vals = np.exp(1j * k * nd * sin_phi)
-    return SteeringVector(
-        values=vals,
-        d_theta=1j * k * nd * g_th * vals,
-        d_range=1j * k * nd * g_r * vals,
-    )
+    th = np.asarray(thetas, dtype=float)
+    r = np.asarray(ranges, dtype=float)
 
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        R = geom.array_separation
+        nd = (geom.rx_indices() * geom.rx_spacing)[:, None]
+        k_rx = 2j * math.pi / lam
+        # sin(phi) = r sin(theta) / l
+        vals = np.exp(k_rx * nd * (r * np.sin(th) / np.sqrt(_receive_path_sq(R, r, th))))
+        b = SteeringVector(vals, None, None)
+        if derivs:
+            g_th, g_r = direction_sine_derivs(R, r, th)
+            b = SteeringVector(vals, k_rx * nd * g_th * vals, k_rx * nd * g_r * vals)
+        if mode is Mode.PHASED:
+            return _absent(th.size, derivs), b
 
-def _kron_with_derivs(b: SteeringVector, a: SteeringVector):
-    g = np.kron(b.values, a.values)
-    g_th = np.kron(b.d_theta, a.values) + np.kron(b.values, a.d_theta)
-    g_r = np.kron(b.d_range, a.values) + np.kron(b.values, a.d_range)
-    return g, g_th, g_r
+    md = (geom.tx_indices() * geom.tx_spacing)[:, None]
+    rm = np.sqrt(r * r - 2.0 * r * md * np.sin(th) + md * md)
+    k_tx = -2j * math.pi / lam
+    vals = np.exp(k_tx * rm)
+    a = SteeringVector(vals, None, None)
+    if derivs:
+        drm_dth = -r * md * np.cos(th) / rm
+        drm_dr = (r - md * np.sin(th)) / rm
+        a = SteeringVector(vals, k_tx * drm_dth * vals, k_tx * drm_dr * vals)
+    if mode is Mode.PHASED:
+        return a, _absent(th.size, derivs)
+    return a, (a if topology is Topology.MONOSTATIC else b)
 
 
 def build_observation(
@@ -149,38 +155,15 @@ def build_observation(
     mode: Mode,
     topology: Topology,
 ) -> ObservationVector:
-    """Assemble the unified observation vector for a mode/topology pair.
-
-    MIMO: g = b (x) a (monostatic uses b := a). Phased: g = a for monostatic
-    and g = b (far-field receive) for bistatic.
-    """
-    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
-        raise DomainError("bistatic observation requires array_separation > 0")
-
-    if topology is Topology.MONOSTATIC:
-        a = tx_steering(geom, tgt, carrier)
-        if mode is Mode.PHASED:
-            return ObservationVector(
-                g=a.values, g_theta=a.d_theta, g_range=a.d_range,
-                mode=mode, topology=topology, num_tx=a.length, num_rx=1,
-                tx_array_size=geom.num_tx,
-            )
-        g, g_th, g_r = _kron_with_derivs(a, a)
-        return ObservationVector(
-            g=g, g_theta=g_th, g_range=g_r,
-            mode=mode, topology=topology, num_tx=a.length, num_rx=a.length,
-            tx_array_size=geom.num_tx,
-        )
-
-    b = rx_steering_far(geom, tgt, carrier)
-    if mode is Mode.PHASED:
-        return ObservationVector(
-            g=b.values, g_theta=b.d_theta, g_range=b.d_range,
-            mode=mode, topology=topology, num_tx=1, num_rx=b.length,
-            tx_array_size=geom.num_tx,
-        )
-    a = tx_steering(geom, tgt, carrier)
-    g, g_th, g_r = _kron_with_derivs(b, a)
+    """Assemble the unified observation vector g = b (x) a for a mode/topology
+    pair, with its derivatives by the product rule."""
+    a, b = steering_factors(
+        geom, carrier, mode, topology, [tgt.angle_rad], [tgt.range_m], derivs=True)
+    a_v, a_th, a_r = a.values[:, 0], a.d_theta[:, 0], a.d_range[:, 0]
+    b_v, b_th, b_r = b.values[:, 0], b.d_theta[:, 0], b.d_range[:, 0]
+    g = np.kron(b_v, a_v)
+    g_th = np.kron(b_th, a_v) + np.kron(b_v, a_th)
+    g_r = np.kron(b_r, a_v) + np.kron(b_v, a_r)
     return ObservationVector(
         g=g, g_theta=g_th, g_range=g_r,
         mode=mode, topology=topology, num_tx=a.length, num_rx=b.length,

@@ -2,7 +2,8 @@
 
 import math
 
-from nfcrb.geometry import ArrayGeometry, CarrierConfig, TargetLocation
+from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
+from nfcrb.steering import SteeringVector, steering_factors
 
 # reference carrier used by most oracle values (wavelength pinned, not freq)
 WAVELENGTH = 0.1265
@@ -81,3 +82,30 @@ def intermediate_rel_errors(closed, exact, num_tx, floor=0.0):
 
 def target(range_m, angle_rad):
     return TargetLocation(range_m=range_m, angle_rad=angle_rad)
+
+
+def _one_point(factor):
+    return SteeringVector(factor.values[:, 0], factor.d_theta[:, 0], factor.d_range[:, 0])
+
+
+def transmit_response(geom, tgt, carrier=CARRIER):
+    """The kernel's transmit factor a at one location, with partials, as
+    1-D arrays (beamformed monostatic data carry a alone)."""
+    a, _ = steering_factors(geom, carrier, Mode.PHASED, Topology.MONOSTATIC,
+                            [tgt.angle_rad], [tgt.range_m], derivs=True)
+    return _one_point(a)
+
+
+def receive_response(geom, tgt, carrier=CARRIER):
+    """The kernel's far-field receive factor b at one location, with
+    partials, as 1-D arrays (beamformed bistatic data carry b alone)."""
+    _, b = steering_factors(geom, carrier, Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX,
+                            [tgt.angle_rad], [tgt.range_m], derivs=True)
+    return _one_point(b)
+
+
+def fresnel_distance(md, tgt):
+    """Second-order (Fresnel) approximation of the distance from the
+    transmit element at offset md to the target."""
+    r, th = tgt.range_m, tgt.angle_rad
+    return r + (md * math.cos(th)) ** 2 / (2.0 * r) - md * math.sin(th)

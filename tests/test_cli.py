@@ -1,10 +1,12 @@
 """CLI behaviors: subcommands, exit codes, output routing, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import nfcrb
 from nfcrb.cli import main
 
 SMALL_INI = """
@@ -106,6 +108,22 @@ def test_config_errors_exit_2(small_config, tmp_path, capsys):
     assert errs.count("config error:") == 4
 
 
+@pytest.mark.parametrize("override", [
+    "scenario.target_angle_deg=nan",
+    "scenario.tx_spacing_m=nan",
+    "scenario.time_bandwidth=inf",
+    "scenario.carrier_freq_hz=inf",
+    "scenario.target_range_m=inf",
+])
+def test_non_finite_inputs_exit_2(override, capsys):
+    # a non-finite scalar must fail validation, never emit nan/inf/zero bounds
+    code = main(["preset", "fig2", "--set", "sweep.values=9",
+                 "--set", "methods.use=ClosedForm,ExactSum", "--set", override])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error:" in captured.err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # separation equal to the target range passes config validation but the
     # asymptotic bistatic bound is singular there
@@ -135,7 +153,11 @@ def test_preset_runs_and_is_byte_deterministic(tmp_path):
 
 
 def test_console_script_entry_point():
+    # the child imports the same nfcrb as this process, installed or not
+    src = os.path.dirname(os.path.dirname(nfcrb.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "nfcrb.cli", "list-presets"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 8

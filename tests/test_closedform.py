@@ -10,6 +10,7 @@ from conftest import (
     CARRIER,
     SPACING,
     bi_geom,
+    fresnel_distance,
     intermediate_rel_errors,
     mono_geom,
     rel_err,
@@ -21,22 +22,18 @@ from nfcrb.closedform import (
     bistatic_range_crb_minimizer,
     boresight_range_crb,
     crb_asymptotic,
-    crb_bistatic_mimo,
-    crb_bistatic_phased,
     crb_closed,
     crb_farfield_upw,
-    crb_mono_mimo,
-    crb_mono_phased,
     crb_taylor,
     intermediates_closed,
     intermediates_exact,
-    xi_correction,
 )
 from nfcrb.errors import DomainError, SingularGeometryError
 from nfcrb.fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, mode_energy_scale
-from nfcrb.geometry import Mode, Topology, taylor_tx_range
+from nfcrb.geometry import Mode, Topology
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
+MONO, BI = Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX
 
 
 # --- intermediates ---------------------------------------------------------------
@@ -92,7 +89,7 @@ def test_intermediates_guards():
 # --- theorem-level bounds ---------------------------------------------------------
 
 def test_mono_mimo_frozen_values():
-    res = crb_mono_mimo(mono_geom(65), target(18.0, 0.3), CARRIER, CFG)
+    res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, MONO)
     assert res.identifiable and res.method is CrbMethod.CLOSED_FORM
     assert rel_err(res.crb_theta, 1.2478904911405165e-06) < 1e-12
     assert rel_err(res.crb_range, 0.5152209329023044) < 1e-12
@@ -102,7 +99,7 @@ def test_closed_tracks_exact_sum():
     caps = {17: (5e-3, 2.5e-2), 65: (5e-4, 2.5e-3), 1025: (2e-6, 3e-6)}
     for m, (cap_t, cap_r) in caps.items():
         geom, tgt = mono_geom(m), target(5.0, -0.9)
-        c = crb_mono_mimo(geom, tgt, CARRIER, CFG)
+        c = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, MONO)
         e = crb_exact_sum(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
         assert rel_err(c.crb_theta, e.crb_theta) < cap_t
         assert rel_err(c.crb_range, e.crb_range) < cap_r
@@ -110,25 +107,25 @@ def test_closed_tracks_exact_sum():
 
 def test_phased_is_two_over_m_times_mimo():
     geom, tgt = mono_geom(129), target(10.0, 0.5)
-    mimo = crb_mono_mimo(geom, tgt, CARRIER, CFG)
-    phased = crb_mono_phased(geom, tgt, CARRIER, CFG)
+    mimo = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, MONO)
+    phased = crb_closed(geom, tgt, CARRIER, CFG, Mode.PHASED, MONO)
     assert phased.crb_theta == pytest.approx(mimo.crb_theta * 2.0 / 129.0, rel=1e-14)
     assert phased.crb_range == pytest.approx(mimo.crb_range * 2.0 / 129.0, rel=1e-14)
 
 
 def test_bistatic_mimo_frozen_values_and_guard():
-    res = crb_bistatic_mimo(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG)
+    res = crb_closed(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, BI)
     assert rel_err(res.crb_theta, 2.0230877314595216e-05) < 1e-12
     assert rel_err(res.crb_range, 1.2803914978927584) < 1e-12
     with pytest.raises(DomainError):
-        crb_bistatic_mimo(mono_geom(9), target(10.0, 0.0), CARRIER, CFG)
+        crb_closed(mono_geom(9), target(10.0, 0.0), CARRIER, CFG, Mode.MIMO, BI)
 
 
 def test_bistatic_phased_never_identifiable():
-    res = crb_bistatic_phased(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG)
+    res = crb_closed(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG, Mode.PHASED, BI)
     assert not res.identifiable
     with pytest.raises(DomainError):
-        crb_bistatic_phased(mono_geom(9), target(10.0, 0.0), CARRIER, CFG)
+        crb_closed(mono_geom(9), target(10.0, 0.0), CARRIER, CFG, Mode.PHASED, BI)
 
 
 def test_dispatcher_covers_all_pairs():
@@ -151,13 +148,14 @@ def test_closed_form_single_element_unidentifiable():
 
 def test_model_warnings():
     # spacing close to range
-    res = crb_mono_mimo(mono_geom(9), target(0.5, 0.0), CARRIER, CFG)
+    res = crb_closed(mono_geom(9), target(0.5, 0.0), CARRIER, CFG, Mode.MIMO, MONO)
     assert any("lose accuracy" in w for w in res.warnings)
     # range close to the aperture
-    res = crb_mono_mimo(mono_geom(65), target(3.0, 0.0), CARRIER, CFG)
+    res = crb_closed(mono_geom(65), target(3.0, 0.0), CARRIER, CFG, Mode.MIMO, MONO)
     assert any("strained" in w for w in res.warnings)
     # regular scenario carries none
-    assert crb_mono_mimo(mono_geom(65), target(18.0, 0.3), CARRIER, CFG).warnings == ()
+    res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, MONO)
+    assert res.warnings == ()
 
 
 # --- asymptotic regimes ------------------------------------------------------------
@@ -195,7 +193,7 @@ def test_small_aperture_matches_scaled_plane_wave():
                            Mode.MIMO, Topology.MONOSTATIC)
     upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
     # identical up to the discrete-vs-continuum factor (1 - 1/M^2)
-    want = xi_correction(tgt.angle_rad) * (1.0 - 1.0 / (m * m))
+    want = 1.0 - 1.0 / (m * m)
     assert small.crb_theta / upw.crb_theta == pytest.approx(want, rel=1e-12)
     assert not small.identifiable and math.isinf(small.crb_range)
 
@@ -263,8 +261,7 @@ def test_taylor_matches_quadratic_phase_fim_oracle():
 
     def mean(th, r, kr, ki):
         t = target(r, th)
-        phases = np.array([taylor_tx_range(geom, t, mm)
-                           for mm in geom.tx_indices()])
+        phases = fresnel_distance(geom.tx_indices() * geom.tx_spacing, t)
         a = np.exp(-2j * math.pi * phases / lam)
         return (kr + 1j * ki) * root * np.kron(a, a)
 
@@ -311,8 +308,9 @@ def test_plane_wave_frozen_values():
 
 
 def test_xi_correction_values_and_domain():
-    assert xi_correction(0.0) == 1.0
-    # oracle: the exact-summation angle bound over the continuum plane-wave
+    # the small-aperture limit of the angle bound over the continuum
+    # plane-wave bound is 1 at every angle (no aspect factor in this model).
+    # Oracle: the exact-summation angle bound over the continuum plane-wave
     # bound at aperture/range 1e-2 (not below: at 1e-3 the summation path
     # loses the target to cancellation)
     m = 1025
@@ -325,15 +323,11 @@ def test_xi_correction_values_and_domain():
             # discrete M(M^2-1) plane-wave bound -> continuum M^3 bound
             upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
             continuum = upw.crb_theta * (1.0 - 1.0 / (m * m))
-            assert abs(exact.crb_theta / continuum - xi_correction(th)) <= 2e-4
+            assert abs(exact.crb_theta / continuum - 1.0) <= 2e-4
             small = crb_asymptotic(geom, tgt, CARRIER, CFG,
                                    AsymptoticRegime.SMALL_APERTURE, mode,
                                    Topology.MONOSTATIC)
             assert rel_err(small.crb_theta, exact.crb_theta) <= 2e-4
-    for th in np.linspace(-math.pi / 2, math.pi / 2, 41):
-        assert 0.6 < xi_correction(float(th)) <= 1.0
-    with pytest.raises(DomainError):
-        xi_correction(2.0)
 
 
 # --- boresight range bound -----------------------------------------------------------

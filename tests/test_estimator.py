@@ -135,20 +135,18 @@ def test_refinement_tightens_quantization():
     assert errs[2][0] < errs[0][0] and errs[2][1] < errs[0][1]
 
 
-def test_search_accepts_plain_callable_builder():
+def test_search_rejects_a_non_builder():
     geom, tgt = mono_geom(5), target(9.0, 0.2)
     obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
     y = synth_snapshot(obs, CFG10, seed=0, include_noise=False).y
     grid = GridSpec.around(tgt, theta_points=21, range_points=15, refine_levels=0)
 
-    def slow_builder(th, ra):
+    def per_point_builder(th, ra):
         return build_observation(geom, target(ra, th), CARRIER, Mode.MIMO,
                                  Topology.MONOSTATIC)
 
-    fast = matched_field_ml(y, ObservationGridBuilder(
-        geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC), grid)
-    slow = matched_field_ml(y, slow_builder, grid)
-    assert fast == slow
+    with pytest.raises(ConfigError, match="needs an ObservationGridBuilder"):
+        matched_field_ml(y, per_point_builder, grid)
 
 
 def test_noisy_recovery_rate_moderate_snr():

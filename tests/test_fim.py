@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CARRIER, bi_geom, mono_geom, rel_err, target
+from conftest import (
+    CARRIER,
+    bi_geom,
+    mono_geom,
+    receive_response,
+    rel_err,
+    target,
+    transmit_response,
+)
 from nfcrb.errors import ConfigError, DomainError, NumericalError
 from nfcrb.fim import (
     CrbMethod,
@@ -22,7 +30,7 @@ from nfcrb.fim import (
     transmit_sums,
 )
 from nfcrb.geometry import Mode, Topology
-from nfcrb.steering import build_observation, rx_steering_far, tx_steering
+from nfcrb.steering import build_observation
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
 
@@ -178,7 +186,7 @@ def test_crb_from_fim_singular_cases():
 
 def test_transmit_sums_are_steering_inner_products():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
-    sv = tx_steering(geom, tgt, CARRIER)
+    sv = transmit_response(geom, tgt)
     a_s, c_ov, e_s, p_s, q_ov = transmit_sums(geom, tgt, CARRIER)
     assert a_s == pytest.approx(np.vdot(sv.d_theta, sv.d_theta).real, rel=1e-12)
     assert p_s == pytest.approx(np.vdot(sv.d_range, sv.d_range).real, rel=1e-12)
@@ -189,7 +197,7 @@ def test_transmit_sums_are_steering_inner_products():
 
 def test_receive_sums_are_steering_inner_products():
     geom, tgt = bi_geom(9, 8, 35.0), target(18.0, 0.3)
-    sv = rx_steering_far(geom, tgt, CARRIER)
+    sv = receive_response(geom, tgt)
     i_s, s_s, k_s = receive_sums(geom, tgt, CARRIER)
     assert i_s == pytest.approx(np.vdot(sv.d_theta, sv.d_theta).real, rel=1e-12)
     assert s_s == pytest.approx(np.vdot(sv.d_range, sv.d_range).real, rel=1e-12)

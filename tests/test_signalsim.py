@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CARRIER, bi_geom, mono_geom, target
+from conftest import CARRIER, bi_geom, mono_geom, target, transmit_response
 from nfcrb.errors import ConfigError, DomainError
 from nfcrb.fim import NoiseAndPowerConfig, mode_energy_scale
 from nfcrb.geometry import Mode, Topology
@@ -20,7 +20,7 @@ from nfcrb.signalsim import (
     reflection_amplitude,
     synth_snapshot,
 )
-from nfcrb.steering import build_observation, tx_steering
+from nfcrb.steering import build_observation
 
 CFG = NoiseAndPowerConfig.from_snr(3.0, time_bandwidth=8.0)
 
@@ -135,8 +135,8 @@ def test_phased_steering_mismatch_gain():
                                 seed=0, include_noise=False)
     missed = phased_chain_demo(geom, tgt, CARRIER, wf, CFG, steer_at=off,
                                seed=0, include_noise=False)
-    a_true = tx_steering(geom, tgt, CARRIER).values
-    a_steer = tx_steering(geom, off, CARRIER).values
+    a_true = transmit_response(geom, tgt).values
+    a_steer = transmit_response(geom, off).values
     want = abs(a_true @ a_steer.conj()) / 5.0
     got = np.linalg.norm(missed.y) / np.linalg.norm(matched.y)
     assert got == pytest.approx(want, rel=1e-12)

@@ -1,25 +1,26 @@
-"""Steering vectors: unit modulus, analytic derivatives against central
-differences, and the Kronecker assembly of the observation vector."""
+"""The steering kernel: unit modulus, analytic derivatives against central
+differences, the factor layout, and the Kronecker assembly of the
+observation vector."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import CARRIER, bi_geom, mono_geom, target
+from conftest import CARRIER, bi_geom, mono_geom, receive_response, target, transmit_response
 from nfcrb.errors import DomainError
 from nfcrb.geometry import Mode, SensingScenario, Topology
 from nfcrb.steering import (
     build_observation,
     direction_sine_derivs,
     observation_from_scenario,
-    rx_steering_far,
-    rx_steering_near,
-    tx_steering,
+    steering_factors,
 )
 
 DTH = 1e-6   # rad
 DR = 1e-5    # m
+PAIRS = [(mode, topology) for mode in (Mode.MIMO, Mode.PHASED)
+         for topology in (Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX)]
 
 
 def fd_check(make, tgt, rel=1e-4):
@@ -40,7 +41,7 @@ def fd_check(make, tgt, rel=1e-4):
 def test_tx_steering_unit_modulus_and_center_phase():
     geom = mono_geom(65)
     tgt = target(18.0, 0.3)
-    sv = tx_steering(geom, tgt, CARRIER)
+    sv = transmit_response(geom, tgt)
     assert np.abs(np.abs(sv.values) - 1.0).max() < 1e-12
     center = np.exp(-2j * math.pi * tgt.range_m / CARRIER.wavelength)
     assert abs(sv.values[32] - center) < 1e-12
@@ -49,27 +50,23 @@ def test_tx_steering_unit_modulus_and_center_phase():
 def test_tx_steering_derivatives_match_finite_differences():
     geom = mono_geom(33)
     for th, r in ((0.0, 10.0), (0.4, 5.0), (-1.0, 18.0)):
-        fd_check(lambda t: tx_steering(geom, t, CARRIER), target(r, th))
+        fd_check(lambda t: transmit_response(geom, t), target(r, th))
 
 
 def test_rx_near_degenerates_to_tx_when_colocated():
+    # co-located arrays: the receive factor is the transmit factor, partials included
     geom = mono_geom(9)
-    tgt = target(7.0, -0.4)
-    a = tx_steering(geom, tgt, CARRIER)
-    b = rx_steering_near(geom, tgt, CARRIER)
-    assert np.abs(a.values - b.values).max() < 1e-12
-    assert np.abs(a.d_theta - b.d_theta).max() < 1e-9
-    assert np.abs(a.d_range - b.d_range).max() < 1e-9
-
-
-def test_rx_near_derivatives_match_finite_differences():
-    geom = bi_geom(9, 8, 35.0)
-    fd_check(lambda t: rx_steering_near(geom, t, CARRIER), target(18.0, 0.25))
+    a, b = steering_factors(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC,
+                            [-0.4, 0.2], [7.0, 12.0], derivs=True)
+    assert b is a
+    single = transmit_response(geom, target(7.0, -0.4))
+    assert np.array_equal(a.values[:, 0], single.values)
+    assert np.array_equal(a.d_theta[:, 0], single.d_theta)
 
 
 def test_rx_far_unit_modulus_and_center_element():
     geom = bi_geom(9, 9, 35.0)
-    sv = rx_steering_far(geom, target(18.0, 0.3), CARRIER)
+    sv = receive_response(geom, target(18.0, 0.3))
     assert np.abs(np.abs(sv.values) - 1.0).max() < 1e-12
     assert sv.values[4] == 1.0 + 0.0j  # bulk phase dropped, center index is 0
 
@@ -77,7 +74,7 @@ def test_rx_far_unit_modulus_and_center_element():
 def test_rx_far_phase_slope_matches_direction_sine():
     geom = bi_geom(9, 8, 35.0)
     tgt = target(18.0, 0.3)
-    sv = rx_steering_far(geom, tgt, CARRIER)
+    sv = receive_response(geom, tgt)
     # adjacent-element phase difference = 2 pi d sin(phi)/lambda
     step = np.angle(sv.values[1:] * sv.values[:-1].conj())
     l2 = 35.0 ** 2 + 18.0 ** 2 - 2 * 35.0 * 18.0 * math.cos(0.3)
@@ -89,7 +86,7 @@ def test_rx_far_phase_slope_matches_direction_sine():
 def test_rx_far_derivatives_match_finite_differences():
     geom = bi_geom(9, 8, 35.0)
     for th, r in ((0.0, 18.0), (0.3, 18.0), (-0.8, 50.0)):
-        fd_check(lambda t: rx_steering_far(geom, t, CARRIER), target(r, th))
+        fd_check(lambda t: receive_response(geom, t), target(r, th))
 
 
 def test_direction_sine_derivs_match_finite_differences():
@@ -101,6 +98,60 @@ def test_direction_sine_derivs_match_finite_differences():
     g_th, g_r = direction_sine_derivs(R, r, th)
     assert g_th == pytest.approx((sphi(r, th + DTH) - sphi(r, th - DTH)) / (2 * DTH), rel=1e-6)
     assert g_r == pytest.approx((sphi(r + DR, th) - sphi(r - DR, th)) / (2 * DR), rel=1e-6)
+    # array inputs are evaluated elementwise
+    arr_th, arr_r = direction_sine_derivs(R, np.array([50.0, r]), np.array([-0.8, th]))
+    assert arr_th[1] == pytest.approx(g_th, rel=1e-14)
+    assert arr_r[1] == pytest.approx(g_r, rel=1e-14)
+
+
+# --- the kernel at paired points ---------------------------------------------------
+
+def kernel_case(topology):
+    if topology is Topology.MONOSTATIC:
+        return mono_geom(9)
+    return bi_geom(9, 8, 35.0)
+
+
+@pytest.mark.parametrize("mode,topology", PAIRS)
+def test_kernel_derivatives_at_paired_points(mode, topology):
+    geom = kernel_case(topology)
+    ths = np.array([0.0, 0.3, -0.8, 1.1])
+    rs = np.array([18.0, 10.0, 50.0, 7.0])
+
+    def at(dth, dr):
+        return steering_factors(geom, CARRIER, mode, topology, ths + dth, rs + dr)
+
+    a, b = steering_factors(geom, CARRIER, mode, topology, ths, rs, derivs=True)
+    up_t, dn_t, up_r, dn_r = at(DTH, 0.0), at(-DTH, 0.0), at(0.0, DR), at(0.0, -DR)
+    for i, factor in enumerate((a, b)):
+        fd_th = (up_t[i].values - dn_t[i].values) / (2.0 * DTH)
+        fd_r = (up_r[i].values - dn_r[i].values) / (2.0 * DR)
+        # column by column, so a weak column is not hidden by a strong one
+        for j in range(ths.size):
+            scale_th = max(np.abs(factor.d_theta[:, j]).max(), 1e-30)
+            scale_r = max(np.abs(factor.d_range[:, j]).max(), 1e-30)
+            assert np.abs(factor.d_theta[:, j] - fd_th[:, j]).max() < 1e-4 * scale_th
+            assert np.abs(factor.d_range[:, j] - fd_r[:, j]).max() < 1e-4 * scale_r
+
+
+@pytest.mark.parametrize("mode,topology", PAIRS)
+def test_kernel_layout(mode, topology):
+    geom = kernel_case(topology)
+    a, b = steering_factors(geom, CARRIER, mode, topology, [0.1, 0.2, 0.3],
+                            [10.0, 12.0, 14.0], derivs=True)
+    has_tx = mode is Mode.MIMO or topology is Topology.MONOSTATIC
+    has_rx = topology is Topology.BISTATIC_NEAR_FAR_TX or mode is Mode.MIMO
+    rx_len = geom.num_tx if topology is Topology.MONOSTATIC else geom.num_rx
+    assert a.values.shape == (geom.num_tx if has_tx else 1, 3)
+    assert b.values.shape == (rx_len if has_rx else 1, 3)
+    assert (b is a) == (topology is Topology.MONOSTATIC and mode is Mode.MIMO)
+    for present, factor in ((has_tx, a), (has_rx, b)):
+        if not present:
+            assert np.array_equal(factor.values, np.ones((1, 3)))
+            assert not factor.d_theta.any() and not factor.d_range.any()
+    plain = steering_factors(geom, CARRIER, mode, topology, [0.1, 0.2, 0.3],
+                             [10.0, 12.0, 14.0])
+    assert np.array_equal(plain[0].values, a.values) and plain[0].d_theta is None
 
 
 # --- observation assembly ------------------------------------------------------
@@ -111,6 +162,20 @@ def obs_case(mode, topology):
     return bi_geom(9, 8, 35.0), target(18.0, 0.3)
 
 
+def coordinate_factors(geom, tgt):
+    """Independent oracle: the transmit response from planar element-to-target
+    distances, and the far-field receive response from the direction seen at
+    the receive centre (R, 0)."""
+    k = 2.0 * math.pi / CARRIER.wavelength
+    qx = tgt.range_m * math.cos(tgt.angle_rad)
+    qy = tgt.range_m * math.sin(tgt.angle_rad)
+    ys = geom.tx_indices() * geom.tx_spacing
+    a = np.exp(-1j * k * np.hypot(qx, qy - ys))
+    sin_phi = qy / math.hypot(qx - geom.array_separation, qy)
+    b = np.exp(1j * k * geom.rx_indices() * geom.rx_spacing * sin_phi)
+    return a, b
+
+
 @pytest.mark.parametrize("mode", [Mode.MIMO, Mode.PHASED])
 @pytest.mark.parametrize("topology", [Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX])
 def test_observation_layout_and_factors(mode, topology):
@@ -119,13 +184,12 @@ def test_observation_layout_and_factors(mode, topology):
     assert obs.tx_array_size == geom.num_tx
     assert obs.g.shape[0] == obs.num_tx * obs.num_rx
 
-    a = tx_steering(geom, tgt, CARRIER)
+    a, b = coordinate_factors(geom, tgt)
     if topology is Topology.MONOSTATIC:
-        expect = np.kron(a.values, a.values) if mode is Mode.MIMO else a.values
+        expect = np.kron(a, a) if mode is Mode.MIMO else a
         assert (obs.num_tx, obs.num_rx) == ((9, 9) if mode is Mode.MIMO else (9, 1))
     else:
-        b = rx_steering_far(geom, tgt, CARRIER)
-        expect = np.kron(b.values, a.values) if mode is Mode.MIMO else b.values
+        expect = np.kron(b, a) if mode is Mode.MIMO else b
         assert (obs.num_tx, obs.num_rx) == ((9, 8) if mode is Mode.MIMO else (1, 8))
     assert np.abs(obs.g - expect).max() < 1e-12
     # reshape contract: y.reshape(num_rx, num_tx) never fails
@@ -151,7 +215,7 @@ def test_observation_derivatives_match_finite_differences(mode, topology):
 
 def test_mono_mimo_product_rule():
     geom, tgt = mono_geom(9), target(10.0, 0.3)
-    a = tx_steering(geom, tgt, CARRIER)
+    a = transmit_response(geom, tgt)
     obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
     expect = np.kron(a.d_theta, a.values) + np.kron(a.values, a.d_theta)
     assert np.abs(obs.g_theta - expect).max() < 1e-12
