@@ -32,6 +32,10 @@ from .geometry import (
 )
 from .steering import build_observation
 
+# sweeps longer than this are refused before any point is generated; the
+# largest preset has 61 points
+MAX_SWEEP_POINTS = 10_000
+
 METHOD_NAMES = tuple(m.value for m in CrbMethod)
 SWEEP_AXES = ("M", "theta", "r", "snr_db")
 REGIME_NAMES = tuple(r.value for r in AsymptoticRegime)
@@ -69,6 +73,10 @@ class SweepSpec:
             )
         if self.values is None and (self.start is None or self.stop is None):
             raise ConfigError("sweep start and stop are required with step or factor")
+        given = self.values if self.values is not None else (
+            self.start, self.stop, self.step, self.factor)
+        if not all(math.isfinite(v) for v in given if v is not None):
+            raise ConfigError("sweep values must be finite")
         if self.step is not None:
             if self.step == 0.0 or (self.stop - self.start) * self.step < 0.0:
                 raise ConfigError("sweep.step must move start toward stop")
@@ -78,6 +86,16 @@ class SweepSpec:
             ascending = self.stop >= self.start
             if self.factor <= 0.0 or (self.factor <= 1.0 if ascending else self.factor >= 1.0):
                 raise ConfigError("sweep.factor must move start toward stop")
+        if self._span() >= MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+
+    def _span(self) -> float:
+        """The number of points less one, in closed form (to within one)."""
+        if self.values is not None:
+            return len(self.values) - 1
+        if self.step is not None:
+            return (self.stop - self.start) / self.step
+        return (math.log(self.stop) - math.log(self.start)) / math.log(self.factor)
 
     def points(self) -> tuple:
         if self.values is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
-from .steering import ObservationVector, direction_sine_derivs
+from .steering import ObservationVector, SteeringVector, direction_sine_derivs
 
 # relative determinant threshold below which the angle/range information
 # block is declared singular
@@ -99,9 +99,15 @@ class NoiseAndPowerConfig:
 
 @dataclass(frozen=True)
 class FimMatrix:
-    """4x4 Fisher information, parameter order (theta, r, kappa_re, kappa_im)."""
+    """4x4 Fisher information, parameter order (theta, r, kappa_re, kappa_im).
+
+    reduced, when set, is the 2x2 angle/range information with the
+    amplitude already Schur-complemented out, formed without cancellation;
+    crb_from_fim then inverts it instead of reducing entries.
+    """
 
     entries: np.ndarray
+    reduced: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -111,6 +117,11 @@ class FimMatrix:
         if float(np.abs(e - e.T).max()) > 1e-10 * scale:
             raise NumericalError("FIM is not symmetric within tolerance")
         object.__setattr__(self, "entries", e)
+        if self.reduced is not None:
+            q = np.asarray(self.reduced, dtype=float)
+            if q.shape != (2, 2):
+                raise DomainError(f"reduced FIM must be 2x2, got shape {q.shape}")
+            object.__setattr__(self, "reduced", q)
 
 
 class CrbMethod(enum.Enum):
@@ -182,23 +193,62 @@ def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) 
     return s / tx_array_size if mode is Mode.MIMO else s * tx_array_size
 
 
+# g_theta, g_range and g as sums of the nine products b_i (x) a_j, with
+# i, j indexing (d_theta, d_range, values); row 3 i + j is the pair (i, j)
+_G_FROM_PAIRS = np.zeros((9, 3))
+_G_FROM_PAIRS[[2, 6], 0] = 1.0   # g_theta = b_theta (x) a + b (x) a_theta
+_G_FROM_PAIRS[[5, 7], 1] = 1.0   # g_range = b_range (x) a + b (x) a_range
+_G_FROM_PAIRS[8, 2] = 1.0        # g = b (x) a
+
+
+def _gram(f: SteeringVector) -> np.ndarray:
+    x = np.column_stack([f.d_theta, f.d_range, f.values])
+    return x.conj().T @ x
+
+
+def _centred_gram(f: SteeringVector) -> tuple[float, np.ndarray]:
+    """(|v|^2, Gram of the partials with their component along v removed).
+
+    Centring the vectors before the inner products (two-pass) keeps the
+    digits that |v|^2 <x, y> - <x, v><v, y> would cancel."""
+    v = f.values
+    vv = float(np.vdot(v, v).real)
+    x = np.column_stack([f.d_theta, f.d_range])
+    x = x - np.outer(v, (v.conj() @ x) / vv)
+    return vv, x.conj().T @ x
+
+
 def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig, mode: Mode | None = None) -> FimMatrix:
     """F = (2/N0) Re{J^H J} for the mean w = rho g, J = dw/d(theta,r,k_re,k_im).
 
     rho = kappa sqrt(T_p P/M) in MIMO mode (power split across transmitters)
     and kappa sqrt(T_p P M) in phased mode (coherent transmit gain).
+
+    J^H J comes from the Grams of the factors of g = b (x) a, by
+    <b1 (x) a1, b2 (x) a2> = <b1, b2><a1, a2>, in O(M + N). The reduced
+    block projects g out of the partials: P(b_x (x) a + b (x) a_x) =
+    b'_x (x) a + b (x) a'_x with a', b' the centred factor partials, two
+    orthogonal terms, so Q = (2/N0)|rho|^2 Re{|a|^2 <b'_x, b'_y> + |b|^2 <a'_x, a'_y>}.
     """
     mode = obs.mode if mode is None else mode
-    root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, mode))
+    energy = mode_energy_scale(cfg, obs.tx_array_size, mode)
+    root = math.sqrt(energy)
     kap = complex(cfg.reflection_coeff)
-    jac = np.column_stack([
-        kap * root * obs.g_theta,
-        kap * root * obs.g_range,
-        root * obs.g,
-        1j * root * obs.g,
+    gram_a = _gram(obs.a)
+    gram_b = gram_a if obs.b is obs.a else _gram(obs.b)
+    # J = [g_theta, g_range, g] @ coef
+    coef = np.array([
+        [kap * root, 0.0, 0.0, 0.0],
+        [0.0, kap * root, 0.0, 0.0],
+        [0.0, 0.0, root, 1j * root],
     ])
-    f = (2.0 / cfg.noise_psd) * (jac.conj().T @ jac).real
-    return FimMatrix(entries=0.5 * (f + f.T))
+    pairs = _G_FROM_PAIRS @ coef
+    f = (2.0 / cfg.noise_psd) * (pairs.conj().T @ np.kron(gram_b, gram_a) @ pairs).real
+
+    aa, cent_a = _centred_gram(obs.a)
+    bb, cent_b = (aa, cent_a) if obs.b is obs.a else _centred_gram(obs.b)
+    q = (2.0 / cfg.noise_psd) * abs(kap) ** 2 * energy * (aa * cent_b + bb * cent_a).real
+    return FimMatrix(entries=0.5 * (f + f.T), reduced=0.5 * (q + q.T))
 
 
 def _inv_2x2(m: np.ndarray, det: float) -> np.ndarray:
@@ -206,16 +256,19 @@ def _inv_2x2(m: np.ndarray, det: float) -> np.ndarray:
 
 
 def crb_from_fim(fim: FimMatrix) -> CrbResult:
-    """Schur-complement the reflection-coefficient block out of the FIM and
-    invert the remaining 2x2 angle/range information."""
-    f = fim.entries
-    p11, p12, p22 = f[:2, :2], f[:2, 2:], f[2:, 2:]
-    det22 = p22[0, 0] * p22[1, 1] - p22[0, 1] * p22[1, 0]
-    tr22 = 0.5 * (p22[0, 0] + p22[1, 1])
-    if not det22 > DET_REL_TOL * tr22 * tr22:
-        # nuisance block singular: no usable information remains
-        return CrbResult.unidentifiable(CrbMethod.NUMERICAL_FIM)
-    q = p11 - p12 @ _inv_2x2(p22, det22) @ p12.T
+    """Invert the 2x2 angle/range information left once the
+    reflection-coefficient block is Schur-complemented out: fim.reduced
+    when set, otherwise the complement formed from the entries."""
+    q = fim.reduced
+    if q is None:
+        f = fim.entries
+        p11, p12, p22 = f[:2, :2], f[:2, 2:], f[2:, 2:]
+        det22 = p22[0, 0] * p22[1, 1] - p22[0, 1] * p22[1, 0]
+        tr22 = 0.5 * (p22[0, 0] + p22[1, 1])
+        if not det22 > DET_REL_TOL * tr22 * tr22:
+            # nuisance block singular: no usable information remains
+            return CrbResult.unidentifiable(CrbMethod.NUMERICAL_FIM)
+        q = p11 - p12 @ _inv_2x2(p22, det22) @ p12.T
     det_q = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
     tr_q = 0.5 * (q[0, 0] + q[1, 1])
     if not det_q > DET_REL_TOL * tr_q * tr_q:
@@ -333,7 +386,10 @@ def crb_exact_sum(
 ) -> CrbResult:
     """CRBs with every intermediate accumulated by exact summation over the
     array elements; algebraically identical to the numerical FIM path."""
-    tx = transmit_sums(geom, tgt, carrier)
-    rx = receive_sums(geom, tgt, carrier) if topology is Topology.BISTATIC_NEAR_FAR_TX else ()
-    ip = IntermediateParams(*tx, *rx)
+    rx = ()
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        if geom.array_separation <= 0.0:
+            raise DomainError("bistatic bounds require array_separation > 0")
+        rx = receive_sums(geom, tgt, carrier)
+    ip = IntermediateParams(*transmit_sums(geom, tgt, carrier), *rx)
     return _crb_from_intermediates(ip, geom, cfg, mode, topology, CrbMethod.EXACT_SUM)

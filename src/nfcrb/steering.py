@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,9 @@ class SteeringVector:
     """Complex array response with its analytic partials.
 
     values has unit-modulus entries, one row per element and one column per
-    location; d_theta and d_range are elementwise derivatives of values with
-    respect to the target angle and range (None when not requested).
+    location (a 1-D array at a single location); d_theta and d_range are
+    elementwise derivatives of values with respect to the target angle and
+    range (None when not requested).
     """
 
     values: np.ndarray
@@ -47,23 +49,42 @@ class SteeringVector:
 
 @dataclass(frozen=True)
 class ObservationVector:
-    """Unified observation vector g with derivatives.
+    """Unified observation vector g = b (x) a, held as its two factors.
 
-    num_rx/num_tx record the Kronecker factor lengths (g = b (x) a); a
-    missing factor is recorded as length 1 so y.reshape(num_rx, num_tx)
-    is always valid. tx_array_size is the physical transmit element count,
-    which sets the power split/gain even when the transmit factor is absent
-    from g (beamformed bistatic data).
+    a and b are 1-D SteeringVectors with partials (b is a itself for
+    monostatic orthogonal waveforms); a missing factor is a single one, so
+    num_tx and num_rx are the factor lengths and y.reshape(num_rx, num_tx)
+    is always valid. g and its derivatives are formed by np.kron only when
+    read, and then kept. tx_array_size is the physical transmit element
+    count, which sets the power split/gain even when the transmit factor is
+    absent from g (beamformed bistatic data).
     """
 
-    g: np.ndarray
-    g_theta: np.ndarray
-    g_range: np.ndarray
+    a: SteeringVector
+    b: SteeringVector
     mode: Mode
     topology: Topology
-    num_tx: int
-    num_rx: int
     tx_array_size: int
+
+    @property
+    def num_tx(self) -> int:
+        return self.a.length
+
+    @property
+    def num_rx(self) -> int:
+        return self.b.length
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.kron(self.b.values, self.a.values)
+
+    @cached_property
+    def g_theta(self) -> np.ndarray:
+        return np.kron(self.b.d_theta, self.a.values) + np.kron(self.b.values, self.a.d_theta)
+
+    @cached_property
+    def g_range(self) -> np.ndarray:
+        return np.kron(self.b.d_range, self.a.values) + np.kron(self.b.values, self.a.d_range)
 
 
 def _receive_path_sq(separation, range_m, angle_rad):
@@ -155,20 +176,19 @@ def build_observation(
     mode: Mode,
     topology: Topology,
 ) -> ObservationVector:
-    """Assemble the unified observation vector g = b (x) a for a mode/topology
-    pair, with its derivatives by the product rule."""
+    """The observation g = b (x) a for a mode/topology pair: the kernel's two
+    factors at the target, with partials."""
     a, b = steering_factors(
         geom, carrier, mode, topology, [tgt.angle_rad], [tgt.range_m], derivs=True)
-    a_v, a_th, a_r = a.values[:, 0], a.d_theta[:, 0], a.d_range[:, 0]
-    b_v, b_th, b_r = b.values[:, 0], b.d_theta[:, 0], b.d_range[:, 0]
-    g = np.kron(b_v, a_v)
-    g_th = np.kron(b_th, a_v) + np.kron(b_v, a_th)
-    g_r = np.kron(b_r, a_v) + np.kron(b_v, a_r)
+    a1 = _at_first_point(a)
     return ObservationVector(
-        g=g, g_theta=g_th, g_range=g_r,
-        mode=mode, topology=topology, num_tx=a.length, num_rx=b.length,
-        tx_array_size=geom.num_tx,
+        a=a1, b=a1 if b is a else _at_first_point(b),
+        mode=mode, topology=topology, tx_array_size=geom.num_tx,
     )
+
+
+def _at_first_point(f: SteeringVector) -> SteeringVector:
+    return SteeringVector(f.values[:, 0], f.d_theta[:, 0], f.d_range[:, 0])
 
 
 def observation_from_scenario(scn: SensingScenario) -> ObservationVector:

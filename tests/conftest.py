@@ -2,6 +2,9 @@
 
 import math
 
+import numpy as np
+
+from nfcrb.fim import mode_energy_scale
 from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
 from nfcrb.steering import SteeringVector, steering_factors
 
@@ -109,3 +112,18 @@ def fresnel_distance(md, tgt):
     transmit element at offset md to the target."""
     r, th = tgt.range_m, tgt.angle_rad
     return r + (md * math.cos(th)) ** 2 / (2.0 * r) - md * math.sin(th)
+
+
+def kron_fim_oracle(obs, cfg):
+    """The brute-force FIM over the length-M*N observation: the Jacobian of
+    w = rho g as columns of the Kronecker vectors, then (2/N0) Re{J^H J},
+    and the Schur complement of its amplitude block."""
+    root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, obs.mode))
+    kap = complex(cfg.reflection_coeff)
+    jac = np.column_stack([
+        kap * root * obs.g_theta, kap * root * obs.g_range, root * obs.g, 1j * root * obs.g,
+    ])
+    f = (2.0 / cfg.noise_psd) * (jac.conj().T @ jac).real
+    f = 0.5 * (f + f.T)
+    schur = f[:2, :2] - f[:2, 2:] @ np.linalg.inv(f[2:, 2:]) @ f[2:, :2]
+    return f, schur

@@ -41,6 +41,30 @@ use = Asymptotic
 """
 
 
+HUGE_SWEEP_INI = """
+[scenario]
+num_tx = 9
+target_range_m = 10.0
+target_angle_deg = 30.0
+
+[sweep]
+axis = M
+start = 9
+stop = 1e9
+factor = 1.0000001
+
+[methods]
+use = ClosedForm
+"""
+
+
+def _child_env():
+    # the child imports the same nfcrb as this process, installed or not
+    src = os.path.dirname(os.path.dirname(nfcrb.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "sweep.ini"
@@ -114,6 +138,7 @@ def test_config_errors_exit_2(small_config, tmp_path, capsys):
     "scenario.time_bandwidth=inf",
     "scenario.carrier_freq_hz=inf",
     "scenario.target_range_m=inf",
+    "sweep.values=nan",
 ])
 def test_non_finite_inputs_exit_2(override, capsys):
     # a non-finite scalar must fail validation, never emit nan/inf/zero bounds
@@ -153,11 +178,18 @@ def test_preset_runs_and_is_byte_deterministic(tmp_path):
 
 
 def test_console_script_entry_point():
-    # the child imports the same nfcrb as this process, installed or not
-    src = os.path.dirname(os.path.dirname(nfcrb.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "nfcrb.cli", "list-presets"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 8
+
+
+def test_huge_sweep_exits_2_before_generating_points(tmp_path):
+    # ~1.9e8 geometric points: refused from the closed-form count, not by
+    # generating them
+    path = tmp_path / "huge.ini"
+    path.write_text(HUGE_SWEEP_INI)
+    proc = subprocess.run([sys.executable, "-m", "nfcrb.cli", "run", "--config", str(path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "more than" in proc.stderr

@@ -10,6 +10,7 @@ import pytest
 from nfcrb.errors import ConfigError
 from nfcrb.experiment import (
     BASE_COLUMNS,
+    MAX_SWEEP_POINTS,
     MC_COLUMNS,
     PRESET_SUMMARIES,
     ExperimentConfig,
@@ -80,6 +81,28 @@ def test_sweep_points_geometric():
     down = SweepSpec(axis="r", start=8.0, stop=1.0, factor=0.5).points()
     assert down == (8.0, 4.0, 2.0, 1.0)
     assert SweepSpec(axis="M", values=(1, 2, 3)).points() == (1, 2, 3)
+
+
+def test_sweep_size_is_capped_before_points_are_generated():
+    assert len(SweepSpec(axis="theta", start=0.0, stop=9999.0, step=1.0).points()) \
+        == MAX_SWEEP_POINTS
+    assert len(SweepSpec(axis="M", values=(9,) * MAX_SWEEP_POINTS).points()) == MAX_SWEEP_POINTS
+    for huge in (dict(start=0.0, stop=10000.0, step=1.0),
+                 dict(start=9.0, stop=1e9, factor=1.0000001),
+                 dict(start=-1e308, stop=1e308, step=1e-300),
+                 dict(start=1e300, stop=1e-300, factor=0.999),
+                 dict(values=(9,) * (MAX_SWEEP_POINTS + 1))):
+        with pytest.raises(ConfigError, match=f"more than {MAX_SWEEP_POINTS} points"):
+            SweepSpec(axis="M", **huge)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(values=(9, math.nan)), dict(values=(math.inf,)),
+    dict(start=math.nan, stop=5.0, step=1.0), dict(start=1.0, stop=math.inf, factor=2.0),
+])
+def test_sweep_rejects_non_finite_values(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        SweepSpec(axis="M", **bad)
 
 
 # --- config validation ---------------------------------------------------------------

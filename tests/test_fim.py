@@ -3,6 +3,7 @@ fully independent finite-difference oracle, the exact-summation path, and the
 identities tying the two together."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ import pytest
 from conftest import (
     CARRIER,
     bi_geom,
+    kron_fim_oracle,
     mono_geom,
     receive_response,
     rel_err,
     target,
     transmit_response,
 )
+from nfcrb.closedform import crb_closed
 from nfcrb.errors import ConfigError, DomainError, NumericalError
 from nfcrb.fim import (
     CrbMethod,
@@ -29,7 +32,7 @@ from nfcrb.fim import (
     receive_sums,
     transmit_sums,
 )
-from nfcrb.geometry import Mode, Topology
+from nfcrb.geometry import ArrayGeometry, Mode, Topology
 from nfcrb.steering import build_observation
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
@@ -89,6 +92,8 @@ def test_fim_matrix_validation():
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
         FimMatrix(bad)
+    with pytest.raises(DomainError):
+        FimMatrix(np.eye(4), reduced=np.eye(4))
 
 
 # --- numerical FIM vs finite-difference oracle ----------------------------------
@@ -136,6 +141,54 @@ def test_fim_numeric_matches_fd_oracle(mode, topology):
     assert np.abs(got - want).max() < 1e-5 * scale
 
 
+PAIRS = [(mode, topology) for mode in Mode for topology in Topology]
+
+
+@pytest.mark.parametrize("mode,topology", PAIRS)
+@pytest.mark.parametrize("num_tx", [1, 9, 17])
+@pytest.mark.parametrize("num_rx", [1, 8])
+def test_factored_fim_matches_kronecker_oracle(mode, topology, num_tx, num_rx):
+    sep = 35.0 if topology is Topology.BISTATIC_NEAR_FAR_TX else 0.0
+    geom = ArrayGeometry(num_tx, num_rx, 0.0628, 0.0628, sep)
+    obs = build_observation(geom, target(18.0, 0.3), CARRIER, mode, topology)
+    cfg = NoiseAndPowerConfig(snr_linear=2.0, time_bandwidth=3.0,
+                              reflection_coeff=0.6 - 0.8j, total_power=2.0)
+    got = fim_numeric(obs, cfg)
+    want, schur = kron_fim_oracle(obs, cfg)
+    scale = np.abs(want).max()
+    assert np.abs(got.entries - want).max() <= 1e-12 * scale
+    # the oracle's complement cancels down from the scale of its angle/range
+    # block; the factored one does not, so that scale bounds the difference
+    assert np.abs(got.reduced - schur).max() <= 1e-12 * np.abs(want[:2, :2]).max()
+
+
+def test_numeric_fim_memory_is_set_by_the_factors():
+    # the M*N = 4.2e6-entry observation would need ~740 MB as a Jacobian
+    geom, tgt = mono_geom(2049), target(10.0, math.pi / 6)
+    tracemalloc.start()
+    try:
+        obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+        res = crb_from_fim(fim_numeric(obs, CFG))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.identifiable
+    assert peak < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode,topology,geom,tgt", [
+    (Mode.MIMO, Topology.MONOSTATIC, mono_geom(100001), target(10.0, math.pi / 6)),
+    (Mode.PHASED, Topology.MONOSTATIC, mono_geom(100001), target(10.0, math.pi / 6)),
+    (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(100001, 8, 35.0), target(18.0, 0.3)),
+])
+def test_numeric_fim_reaches_extremely_large_arrays(mode, topology, geom, tgt):
+    via_sum = crb_exact_sum(geom, tgt, CARRIER, CFG, mode, topology)
+    obs = build_observation(geom, tgt, CARRIER, mode, topology)
+    via_fim = crb_from_fim(fim_numeric(obs, CFG))
+    assert rel_err(via_fim.crb_theta, via_sum.crb_theta) < 1e-9
+    assert rel_err(via_fim.crb_range, via_sum.crb_range) < 1e-9
+
+
 def test_fim_scales_with_power_and_noise():
     geom, tgt = mono_geom(9), target(10.0, 0.3)
     obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
@@ -180,6 +233,17 @@ def test_crb_from_fim_singular_cases():
     res = crb_from_fim(FimMatrix(f))
     assert not res.identifiable
     assert math.isinf(res.crb_theta) and math.isinf(res.crb_range)
+
+
+def test_crb_from_fim_inverts_the_reduced_block_when_set():
+    # the entries would give diag(4, 9); the reduced block is used instead
+    f = np.diag([4.0, 9.0, 2.0, 2.0])
+    q = np.array([[5.0, 1.0], [1.0, 3.0]])
+    res = crb_from_fim(FimMatrix(f, reduced=q))
+    want = np.linalg.inv(q)
+    assert res.crb_theta == pytest.approx(want[0, 0], rel=1e-12)
+    assert res.crb_range == pytest.approx(want[1, 1], rel=1e-12)
+    assert not crb_from_fim(FimMatrix(f, reduced=np.outer([1.0, 2.0], [1.0, 2.0]))).identifiable
 
 
 # --- intermediate sums against steering inner products ---------------------------
@@ -281,6 +345,17 @@ def test_bistatic_phased_unidentifiable():
     obs = build_observation(geom, tgt, CARRIER, Mode.PHASED,
                             Topology.BISTATIC_NEAR_FAR_TX)
     assert not crb_from_fim(fim_numeric(obs, CFG)).identifiable
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_exact_sum_rejects_bistatic_without_separation(mode):
+    geom, tgt = bi_geom(9, 8, 0.0), target(18.0, 0.3)
+    with pytest.raises(DomainError, match="array_separation > 0"):
+        crb_exact_sum(geom, tgt, CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
+    with pytest.raises(DomainError):
+        crb_closed(geom, tgt, CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
+    with pytest.raises(DomainError):
+        build_observation(geom, tgt, CARRIER, mode, Topology.BISTATIC_NEAR_FAR_TX)
 
 
 def test_unidentifiable_result_shape():

@@ -1,0 +1,192 @@
+"""NumericalFim against a high-precision oracle.
+
+The oracle works in mpmath at 60 significant digits and shares no code with
+the package's bounds. It places the elements and the target in plane
+coordinates, takes the phase of every observed entry from exact distances,
+differentiates those phases by central differences (step 1e-25, so the
+truncation error is far below double precision), and forms the angle/range
+information with the amplitude projected out as the centred covariance of
+the phase derivatives over the entries of g:
+
+    Q_xy = c * (sum psi_x psi_y - sum psi_x sum psi_y / K),
+
+where c = (2/N0) |kappa|^2 T_p P / M (orthogonal waveforms) or
+(2/N0) |kappa|^2 T_p P M (beamformed), and K is the length of g. At 60
+digits the uncentred form loses nothing that matters.
+
+The exact-summation path is left out: near the identifiability edge it
+still forms M sum x^2 - |sum x|^2 and loses digits there.
+"""
+
+import math
+
+import mpmath
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nfcrb.experiment import materialize, presets
+from nfcrb.fim import DET_REL_TOL, NoiseAndPowerConfig, crb_from_fim, fim_numeric
+from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
+from nfcrb.steering import build_observation
+
+DIGITS = 60
+STEP = mpmath.mpf("1e-25")
+# NumericalFim must match the oracle this closely where the oracle's
+# det(Q)/tr(Q)^2 is at least RATIO_ACCURATE (tr the half trace, as in
+# crb_from_fim); the verdicts must agree outside the band around DET_REL_TOL
+RTOL = 1e-8
+RATIO_ACCURATE = 1e-11
+RATIO_BAND = (1e-13, 1e-11)
+
+
+def _phases(geom, carrier, mode, topology, theta, r):
+    """Phases of the factors observed in g, as lists: (transmit, receive);
+    None marks a factor absent from g."""
+    k = 2 * mpmath.pi / mpmath.mpf(carrier.wavelength)
+    x, y = r * mpmath.sin(theta), r * mpmath.cos(theta)
+    tx = None
+    if not (topology is Topology.BISTATIC_NEAR_FAR_TX and mode is Mode.PHASED):
+        half = (geom.num_tx - 1) // 2
+        d = mpmath.mpf(geom.tx_spacing)
+        # transmit element m sits at (m d, 0), the target at (x, y)
+        tx = [-k * mpmath.sqrt((x - m * d) ** 2 + y * y) for m in range(-half, half + 1)]
+    rx = None
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        # receive-array centre at (0, R); far-field phase of element n
+        sin_phi = x / mpmath.sqrt(x * x + (y - mpmath.mpf(geom.array_separation)) ** 2)
+        d = mpmath.mpf(geom.rx_spacing)
+        n0 = mpmath.mpf(geom.num_rx - 1) / 2
+        rx = [k * (n - n0) * d * sin_phi for n in range(geom.num_rx)]
+    elif mode is Mode.MIMO:
+        rx = tx  # the transmit array receives
+    return tx, rx
+
+
+def _phase_moments(psi):
+    """(K, [sum psi_x psi_y for x, y], [sum psi_x]) over the entries of g,
+    from the per-factor phase derivatives psi[f] = (d_theta list, d_r list)."""
+    factors = [f for f in psi if f is not None]
+    size = 1
+    for f in factors:
+        size *= len(f[0])
+    first = [mpmath.mpf(0), mpmath.mpf(0)]
+    second = [[mpmath.mpf(0)] * 2 for _ in range(2)]
+    for f in factors:
+        rest = size // len(f[0])
+        for x in range(2):
+            first[x] += rest * mpmath.fsum(f[x])
+            for y in range(2):
+                second[x][y] += rest * mpmath.fsum(p * q for p, q in zip(f[x], f[y]))
+    # cross terms of the entry phase psi_n + phi_m over the product grid
+    if len(factors) == 2:
+        a, b = factors
+        for x in range(2):
+            for y in range(2):
+                second[x][y] += mpmath.fsum(a[x]) * mpmath.fsum(b[y]) \
+                    + mpmath.fsum(b[x]) * mpmath.fsum(a[y])
+    return size, second, first
+
+
+def oracle(geom, tgt, carrier, cfg, mode, topology):
+    """(crb_theta, crb_range, det(Q)/tr(Q)^2) at DIGITS digits."""
+    with mpmath.workdps(DIGITS):
+        th, r = mpmath.mpf(tgt.angle_rad), mpmath.mpf(tgt.range_m)
+        h_th, h_r = STEP, STEP * r
+        plus_th = _phases(geom, carrier, mode, topology, th + h_th, r)
+        less_th = _phases(geom, carrier, mode, topology, th - h_th, r)
+        plus_r = _phases(geom, carrier, mode, topology, th, r + h_r)
+        less_r = _phases(geom, carrier, mode, topology, th, r - h_r)
+        psi = []
+        for f in range(2):
+            if plus_th[f] is None:
+                psi.append(None)
+                continue
+            d_th = [(p - q) / (2 * h_th) for p, q in zip(plus_th[f], less_th[f])]
+            d_r = [(p - q) / (2 * h_r) for p, q in zip(plus_r[f], less_r[f])]
+            psi.append((d_th, d_r))
+        size, second, first = _phase_moments(psi)
+        q = [[second[x][y] - first[x] * first[y] / size for y in range(2)] for x in range(2)]
+        energy = mpmath.mpf(cfg.pulse_duration) * mpmath.mpf(cfg.total_power)
+        energy = energy / geom.num_tx if mode is Mode.MIMO else energy * geom.num_tx
+        c = 2 / mpmath.mpf(cfg.noise_psd) * abs(mpmath.mpc(cfg.reflection_coeff)) ** 2 * energy
+        det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
+        half_tr = (q[0][0] + q[1][1]) / 2
+        ratio = det / (half_tr * half_tr) if half_tr > 0 else mpmath.mpf(0)
+        if det <= 0:
+            return math.inf, math.inf, float(ratio)
+        return float(q[1][1] / (c * det)), float(q[0][0] / (c * det)), float(ratio)
+
+
+def _check(geom, tgt, carrier, cfg, mode, topology):
+    want_th, want_r, ratio = oracle(geom, tgt, carrier, cfg, mode, topology)
+    obs = build_observation(geom, tgt, carrier, mode, topology)
+    got = crb_from_fim(fim_numeric(obs, cfg))
+    where = (f"{mode.value}/{topology.value} M={geom.num_tx} N={geom.num_rx} "
+             f"r={tgt.range_m!r} theta={tgt.angle_rad!r} ratio={ratio:.3e}")
+    if ratio < RATIO_BAND[0] or ratio > RATIO_BAND[1]:
+        assert got.identifiable == (ratio > RATIO_BAND[1]), where
+    if ratio >= RATIO_ACCURATE:
+        assert abs(got.crb_theta / want_th - 1.0) < RTOL, where
+        assert abs(got.crb_range / want_r - 1.0) < RTOL, where
+    return ratio
+
+
+def test_band_brackets_the_verdict_threshold():
+    assert RATIO_BAND[0] < DET_REL_TOL < RATIO_BAND[1] == RATIO_ACCURATE
+
+
+def _preset_points(name, largest):
+    cfg = presets()[name]
+    return [materialize(cfg, v)[:2] for v in cfg.sweep.points() if v <= largest]
+
+
+@pytest.mark.parametrize("name,largest", [("fig2", 257), ("fig3", 257), ("fig8", 65)])
+def test_preset_points_match_oracle(name, largest):
+    for scn, ncfg in _preset_points(name, largest):
+        ratio = _check(scn.geometry, scn.target, scn.carrier, ncfg, scn.mode, scn.topology)
+        assert ratio >= RATIO_ACCURATE
+
+
+def test_moments_match_the_product_grid_sum():
+    # the oracle's marginal sums against every entry phase psi_n + phi_m
+    with mpmath.workdps(DIGITS):
+        a = ([mpmath.mpf(v) for v in (0.3, -1.1, 2.0)], [mpmath.mpf(v) for v in (5, 1, -2)])
+        b = ([mpmath.mpf(v) for v in (0.7, 4.0)], [mpmath.mpf(v) for v in (-3, 0.5)])
+        size, second, first = _phase_moments([a, b])
+        entries = [(a[0][m] + b[0][n], a[1][m] + b[1][n]) for n in range(2) for m in range(3)]
+        assert size == len(entries)
+        for x in range(2):
+            assert mpmath.almosteq(first[x], mpmath.fsum(e[x] for e in entries), 1e-50)
+            for y in range(2):
+                assert mpmath.almosteq(
+                    second[x][y], mpmath.fsum(e[x] * e[y] for e in entries), 1e-50)
+
+
+@st.composite
+def scenarios(draw):
+    mode, topology = draw(st.sampled_from([(m, t) for m in Mode for t in Topology]))
+    m = 2 * draw(st.integers(0, 128)) + 1
+    lam = draw(st.floats(0.01, 1.0))
+    d_tx = lam * draw(st.floats(0.1, 2.0))
+    d_rx = lam * draw(st.floats(0.1, 2.0))
+    r = draw(st.floats(0.5, 1000.0))
+    theta = draw(st.floats(-1.45, 1.45))
+    if topology is Topology.MONOSTATIC:
+        n, sep = m, 0.0
+    else:
+        n, sep = draw(st.integers(1, 16)), draw(st.floats(1.0, 200.0))
+        if abs(sep - r) < 1e-3 * r:
+            sep += 0.1 * r  # keep the target off the receive-array centre
+    geom = ArrayGeometry(m, n, d_tx, d_rx, sep)
+    tgt = TargetLocation(range_m=r, angle_rad=theta)
+    cfg = NoiseAndPowerConfig.from_snr(draw(st.floats(-10.0, 30.0)),
+                                       time_bandwidth=draw(st.floats(1.0, 64.0)))
+    return geom, tgt, CarrierConfig.from_wavelength(lam), cfg, mode, topology
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_sweep_matches_oracle(scenario):
+    _check(*scenario)
