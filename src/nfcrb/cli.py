@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -55,6 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def _load_config(args):
     if args.command == "run":
         return parse_config_file(args.config, overrides=args.overrides)
@@ -68,7 +75,7 @@ def _load_config(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "list-presets":
         for name in presets():

@@ -8,9 +8,11 @@ Output is deterministic: the same config and seed give byte-identical CSV.
 """
 
 import configparser
-import io
 import math
+import operator
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .closedform import (
     AsymptoticRegime,
@@ -35,6 +37,15 @@ from .steering import build_observation
 # sweeps longer than this are refused before any point is generated; the
 # largest preset has 61 points
 MAX_SWEEP_POINTS = 10_000
+
+# points with more transmit or receive elements than this are refused before
+# any point is evaluated when a per-element method runs. Measured tracemalloc
+# peaks per point: ExactSum ~40 B and NumericalFim ~144 B per element (40 MB
+# and 144 MB at this cap). The Monte Carlo search holds a coarse factor of
+# 16 B per element and grid location (359 MB at M=1025 on a 181x121 grid), so
+# this cap does not bound its memory. The closed forms are O(1) in M.
+MAX_ELEMENTS = 1_000_001
+_PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
 
 METHOD_NAMES = tuple(m.value for m in CrbMethod)
 SWEEP_AXES = ("M", "theta", "r", "snr_db")
@@ -230,16 +241,32 @@ def materialize(cfg: ExperimentConfig, axis_value=None):
     return scn, ncfg, warns
 
 
-def validate_config(cfg: ExperimentConfig):
+def validate_config(cfg: ExperimentConfig) -> list:
     """Materialize every sweep point up front so bad values fail as config
-    errors before any output is produced."""
+    errors before any output is produced.
+
+    Returns the points' (scenario, noise_cfg, warnings) triples in sweep
+    order. Points with more than MAX_ELEMENTS transmit or receive elements
+    are refused when a method that allocates per element runs.
+    """
+    per_element = cfg.montecarlo is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
+    points = []
     for v in cfg.sweep.points():
         try:
-            materialize(cfg, v)
+            point = materialize(cfg, v)
         except ConfigError:
             raise
         except NfcrbError as exc:
             raise ConfigError(f"sweep point {cfg.sweep.axis}={v!r}: {exc}") from exc
+        geom = point[0].geometry
+        if per_element and max(geom.num_tx, geom.num_rx) > MAX_ELEMENTS:
+            raise ConfigError(
+                f"sweep point {cfg.sweep.axis}={v!r}: {geom.num_tx} transmit / "
+                f"{geom.num_rx} receive elements exceed {MAX_ELEMENTS} for "
+                "ExactSum, NumericalFim or Monte Carlo"
+            )
+        points.append(point)
+    return points
 
 
 def _eval_method(method: CrbMethod, scn: SensingScenario, ncfg: NoiseAndPowerConfig, regime: str):
@@ -284,41 +311,43 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     is repeated on each of the point's method rows, keeping the output a
     single flat table.
     """
-    validate_config(cfg)
+    points = validate_config(cfg)
     methods = [CrbMethod(name) for name in cfg.methods]
     rows = []
-    for point in cfg.sweep.points():
-        scn, ncfg, warns = materialize(cfg, point)
+    for scn, ncfg, warns in points:
         report = _run_point_mc(cfg, scn, ncfg) if cfg.montecarlo else None
+        geom = scn.geometry
+        point_cols = {
+            "mode": cfg.mode.value,
+            "topology": cfg.topology.value,
+            "M": geom.num_tx,
+            "N": geom.num_rx,
+            "d_tx_m": geom.tx_spacing,
+            "d_rx_m": geom.rx_spacing,
+            "R_m": geom.array_separation,
+            "theta_rad": scn.target.angle_rad,
+            "r_m": scn.target.range_m,
+            "snr_db": ncfg.snr_db,
+            "L": ncfg.time_bandwidth,
+        }
+        mc_cols = {} if report is None else {
+            "rmse_theta_rad": report.rmse_theta,
+            "rmse_range_m": report.rmse_range,
+            "trials": report.trials,
+            "estimator": report.estimator.value,
+            "master_seed": report.master_seed,
+        }
         for name, method in zip(cfg.methods, methods):
             res = _eval_method(method, scn, ncfg, cfg.asymptotic_regime)
-            row = {
+            rows.append({
                 "method": name,
-                "mode": cfg.mode.value,
-                "topology": cfg.topology.value,
-                "M": scn.geometry.num_tx,
-                "N": scn.geometry.num_rx,
-                "d_tx_m": scn.geometry.tx_spacing,
-                "d_rx_m": scn.geometry.rx_spacing,
-                "R_m": scn.geometry.array_separation,
-                "theta_rad": scn.target.angle_rad,
-                "r_m": scn.target.range_m,
-                "snr_db": ncfg.snr_db,
-                "L": ncfg.time_bandwidth,
+                **point_cols,
                 "crb_theta_rad2": res.crb_theta,
                 "crb_r_m2": res.crb_range,
                 "identifiable": res.identifiable,
                 "warnings": "; ".join(warns + tuple(res.warnings)),
-            }
-            if report is not None:
-                row.update({
-                    "rmse_theta_rad": report.rmse_theta,
-                    "rmse_range_m": report.rmse_range,
-                    "trials": report.trials,
-                    "estimator": report.estimator.value,
-                    "master_seed": report.master_seed,
-                })
-            rows.append(row)
+                **mc_cols,
+            })
     return rows
 
 
@@ -332,10 +361,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_cell(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
+def _text_cell(text: str) -> str:
+    # RFC 4180: a cell holding a comma, a quote or a newline is quoted
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _other_cell(value) -> str:
+    return _text_cell(_fmt(value))
+
+
+# the cell formatter of each exact type that rows hold. Each gives the bytes
+# _other_cell gives for that type (numbers never need quoting), the numeric
+# ones without a Python frame; any other type, subclasses included, takes
+# _other_cell itself.
+_float_cell = "{:.17g}".format
+_CELL_FORMATS = {
+    str: _text_cell,
+    float: _float_cell,
+    np.float64: _float_cell,
+    int: str,
+    bool: ("false", "true").__getitem__,
+}
+
+
+def _cells(values) -> list:
+    formatter = _CELL_FORMATS.get
+    return [formatter(type(v), _other_cell)(v) for v in values]
+
+
+# cell positions of the scenario columns, mode .. L. run_experiment puts the
+# same objects there in every row of a sweep point, so a row whose scenario
+# cells are the previous row's objects reuses their text.
+_SCENARIO_CELLS = (BASE_COLUMNS.index("mode"), BASE_COLUMNS.index("L") + 1)
 
 
 def csv_text(cfg: ExperimentConfig, rows: list, db: bool = False) -> str:
@@ -351,39 +410,39 @@ def csv_text(cfg: ExperimentConfig, rows: list, db: bool = False) -> str:
         cols[cols.index("crb_theta_rad2")] = "crb_theta_db"
         cols[cols.index("crb_r_m2")] = "crb_r_db"
 
-    out = io.StringIO()
-    pts = cfg.sweep.points()
-    out.write("# near-field angle/range CRB sweep\n")
-    out.write(
+    lines = [
+        "# near-field angle/range CRB sweep",
         f"# mode={cfg.mode.value} topology={cfg.topology.value} "
-        f"axis={cfg.sweep.axis} points={len(pts)}\n"
-    )
-    out.write(f"# methods={','.join(cfg.methods)}\n")
-    out.write(
+        f"axis={cfg.sweep.axis} points={len(cfg.sweep.points())}",
+        f"# methods={','.join(cfg.methods)}",
         "# units: theta_rad in radians (CLI angles are degrees); "
-        "crb_theta in rad^2, crb_r in m^2"
-        + (", both emitted as 10*log10" if db else "") + "\n"
-    )
+        "crb_theta in rad^2, crb_r in m^2" + (", both emitted as 10*log10" if db else ""),
+    ]
     if cfg.montecarlo:
         mc = cfg.montecarlo
-        out.write(
+        lines.append(
             f"# montecarlo: estimator={mc.estimator} trials={mc.trials} "
             f"master_seed={mc.master_seed} "
             f"grid={mc.theta_points}x{mc.range_points} "
             f"(theta +-{_fmt(mc.theta_halfspan_deg)} deg, "
             f"r +-{_fmt(100.0 * mc.range_span_frac)}%) "
-            f"refine_levels={mc.refine_levels}\n"
+            f"refine_levels={mc.refine_levels}"
         )
-    out.write(",".join(cols) + "\n")
+    lines.append(",".join(cols))
 
+    lo, hi = _SCENARIO_CELLS
+    shared, shared_cells = [], []
     for row in rows:
-        vals = dict(row)
         if db:
-            vals["crb_theta_rad2"] = _db_of(vals["crb_theta_rad2"])
-            vals["crb_r_m2"] = _db_of(vals["crb_r_m2"])
-        cells = [_csv_cell(_fmt(vals[k])) for k in row]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+            row = {**row, "crb_theta_rad2": _db_of(row["crb_theta_rad2"]),
+                   "crb_r_m2": _db_of(row["crb_r_m2"])}
+        vals = list(row.values())
+        scenario = vals[lo:hi]
+        if len(scenario) != len(shared) or not all(map(operator.is_, scenario, shared)):
+            shared, shared_cells = scenario, _cells(scenario)
+        lines.append(",".join(_cells(vals[:lo]) + shared_cells + _cells(vals[hi:])))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _db_of(x: float) -> float:

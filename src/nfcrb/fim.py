@@ -292,14 +292,17 @@ def transmit_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConf
     r, th = tgt.range_m, tgt.angle_rad
     md = geom.tx_indices() * geom.tx_spacing
     sth, cth = math.sin(th), math.cos(th)
-    dd = 1.0 - 2.0 * (md / r) * sth + (md / r) ** 2
-    rng = 1.0 - (md / r) * sth
+    u = md / r
+    dd = 1.0 - 2.0 * u * sth + u ** 2
+    rng = 1.0 - u * sth
+    root = np.sqrt(dd)
     k = 2.0 * math.pi / lam
-    angle_power = k * k * cth * cth * float(np.sum(md * md / dd))
-    angle_im = k * cth * float(np.sum(md / np.sqrt(dd)))
-    cross_power = -k * k * cth * float(np.sum(md * rng / dd))
-    range_power = k * k * float(np.sum(rng * rng / dd))
-    range_im = k * float(np.sum(rng / np.sqrt(dd)))
+    total = np.add.reduce
+    angle_power = k * k * cth * cth * float(total(md * md / dd))
+    angle_im = k * cth * float(total(md / root))
+    cross_power = -k * k * cth * float(total(md * rng / dd))
+    range_power = k * k * float(total(rng * rng / dd))
+    range_im = k * float(total(rng / root))
     return angle_power, -1j * angle_im, cross_power, range_power, 1j * range_im
 
 

@@ -127,3 +127,58 @@ def kron_fim_oracle(obs, cfg):
     f = 0.5 * (f + f.T)
     schur = f[:2, :2] - f[:2, 2:] @ np.linalg.inv(f[2:, 2:]) @ f[2:, :2]
     return f, schur
+
+
+def _oracle_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _oracle_cell(text: str) -> str:
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text_oracle(cfg, rows, db=False):
+    """The CSV renderer as it was before its per-type fast path: every cell
+    through one isinstance chain and one generic quote scan. csv_text must
+    give the same bytes."""
+    from nfcrb.experiment import BASE_COLUMNS, MC_COLUMNS, _db_of
+
+    cols = list(BASE_COLUMNS) + (list(MC_COLUMNS) if cfg.montecarlo else [])
+    if db:
+        cols[cols.index("crb_theta_rad2")] = "crb_theta_db"
+        cols[cols.index("crb_r_m2")] = "crb_r_db"
+    out = [
+        "# near-field angle/range CRB sweep\n",
+        f"# mode={cfg.mode.value} topology={cfg.topology.value} "
+        f"axis={cfg.sweep.axis} points={len(cfg.sweep.points())}\n",
+        f"# methods={','.join(cfg.methods)}\n",
+        "# units: theta_rad in radians (CLI angles are degrees); "
+        "crb_theta in rad^2, crb_r in m^2"
+        + (", both emitted as 10*log10" if db else "") + "\n",
+    ]
+    if cfg.montecarlo:
+        mc = cfg.montecarlo
+        out.append(
+            f"# montecarlo: estimator={mc.estimator} trials={mc.trials} "
+            f"master_seed={mc.master_seed} "
+            f"grid={mc.theta_points}x{mc.range_points} "
+            f"(theta +-{_oracle_fmt(mc.theta_halfspan_deg)} deg, "
+            f"r +-{_oracle_fmt(100.0 * mc.range_span_frac)}%) "
+            f"refine_levels={mc.refine_levels}\n"
+        )
+    out.append(",".join(cols) + "\n")
+    for row in rows:
+        vals = dict(row)
+        if db:
+            vals["crb_theta_rad2"] = _db_of(vals["crb_theta_rad2"])
+            vals["crb_r_m2"] = _db_of(vals["crb_r_m2"])
+        out.append(",".join(_oracle_cell(_oracle_fmt(vals[k])) for k in row) + "\n")
+    return "".join(out)

@@ -8,6 +8,7 @@ import pytest
 
 import nfcrb
 from nfcrb.cli import main
+from nfcrb.experiment import csv_text, presets, run_experiment
 
 SMALL_INI = """
 [scenario]
@@ -193,3 +194,42 @@ def test_huge_sweep_exits_2_before_generating_points(tmp_path):
                           capture_output=True, text=True, env=_child_env(), timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == "" and "more than" in proc.stderr
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    assert main(["preset", "fig2", "--set", "sweep.values=9"]) == 0
+    capsys.readouterr()
+    assert main(["preset", "fig2"]) == 0
+    cfg = presets()["fig2"]
+    assert capsys.readouterr().out == csv_text(cfg, run_experiment(cfg))
+
+    assert main(["preset", "fig2", "--set", "sweep.values=9", "--db"]) == 0
+    assert "crb_theta_db" in capsys.readouterr().out
+    assert main(["preset", "fig2", "--set", "sweep.values=9"]) == 0
+    out = capsys.readouterr().out
+    assert "crb_theta_rad2" in out and "crb_theta_db" not in out
+
+    for bad in (["preset"], ["preset", "fig2", "--bogus"], ["frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["preset", "fig2", "--set", "sweep.values=9"]) == 0
+    assert capsys.readouterr().out.count("\nClosedForm,") == 1
+
+
+def test_per_element_methods_exit_2_above_the_element_cap():
+    # fig2 runs ExactSum and NumericalFim, which would allocate O(M) arrays
+    # of ~8 GB each at this M; the point is refused before it is evaluated
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfcrb.cli", "preset", "fig2", "--set", "sweep.values=1000000001"],
+        capture_output=True, text=True, env=_child_env(), timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "exceed" in proc.stderr
+
+
+def test_closed_forms_run_far_above_the_element_cap(capsys):
+    assert main(["preset", "fig2", "--set", "sweep.values=1000000001",
+                 "--set", "methods.use=ClosedForm,Taylor,FarFieldUPW"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ",1000000001," in ln]
+    assert len(rows) == 3

@@ -4,12 +4,18 @@ config round trip."""
 import csv
 import io
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import csv_text_oracle
 from nfcrb.errors import ConfigError
 from nfcrb.experiment import (
     BASE_COLUMNS,
+    MAX_ELEMENTS,
     MAX_SWEEP_POINTS,
     MC_COLUMNS,
     PRESET_SUMMARIES,
@@ -161,6 +167,35 @@ def test_validate_config_reports_the_bad_point():
         validate_config(cfg)
 
 
+def test_validate_config_returns_each_point_materialized():
+    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16)))
+    points = validate_config(cfg)
+    assert points == [materialize(cfg, 9), materialize(cfg, 16)]
+
+
+@pytest.mark.parametrize("extra", [
+    dict(methods=("ClosedForm", "ExactSum")),
+    dict(methods=("NumericalFim",)),
+    dict(methods=("ClosedForm",), montecarlo=MonteCarloConfig(
+        estimator="MatchedFieldML", trials=2, master_seed=5)),
+])
+def test_per_element_methods_are_capped_at_validation(extra):
+    # materializing a point is O(1) in M, so every point is checked before
+    # any is evaluated
+    at_cap = mono_cfg(sweep=SweepSpec(axis="M", values=(9, MAX_ELEMENTS)), **extra)
+    assert len(validate_config(at_cap)) == 2
+    over = mono_cfg(sweep=SweepSpec(axis="M", values=(9, MAX_ELEMENTS + 2)), **extra)
+    with pytest.raises(ConfigError, match=f"sweep point M={MAX_ELEMENTS + 2}: .* exceed"):
+        validate_config(over)
+
+
+def test_receive_element_count_is_capped():
+    cfg = mono_cfg(methods=("ExactSum",), topology=Topology.BISTATIC_NEAR_FAR_TX,
+                   separation_m=35.0, num_rx=MAX_ELEMENTS + 1)
+    with pytest.raises(ConfigError, match=f"{MAX_ELEMENTS + 1} receive elements exceed"):
+        validate_config(cfg)
+
+
 # --- runner ------------------------------------------------------------------------
 
 def test_run_experiment_row_layout():
@@ -237,11 +272,75 @@ def test_csv_empty_sweep_is_header_only():
 
 def test_csv_quotes_cells_with_commas():
     cfg = mono_cfg(sweep=SweepSpec(axis="r", values=(0.5,)))
+    row = dict(run_experiment(cfg)[0])
+    text_value = 'near, "very" near\nsecond line'
+    row["warnings"] = text_value
+    text = csv_text(cfg, [row])
+    # RFC 4180: the cell is quoted and its quotes are doubled
+    assert ',"near, ""very"" near\nsecond line"\n' in text
+    data = text[text.index("method,"):]
+    header, parsed = list(csv.reader(io.StringIO(data)))
+    assert len(parsed) == len(header)
+    assert parsed[header.index("warnings")] == text_value
+    assert parsed[header.index("method")] == "ClosedForm"
+
+
+def _mc_small(cfg):
+    if cfg.montecarlo is None:
+        return cfg
+    return replace(cfg, montecarlo=replace(
+        cfg.montecarlo, trials=2, theta_points=31, range_points=21))
+
+
+@pytest.mark.parametrize("name", sorted(presets()))
+def test_csv_text_matches_the_oracle_on_every_preset(name):
+    cfg = _mc_small(presets()[name])
     rows = run_experiment(cfg)
-    text = csv_text(cfg, rows)
-    parsed = parse_csv(text)
-    # both model warnings fire at half a meter, joined with a semicolon
-    assert "lose accuracy" in parsed[0]["warnings"]
+    for db in (False, True):
+        assert csv_text(cfg, rows, db=db) == csv_text_oracle(cfg, rows, db=db)
+
+
+def test_csv_text_formats_equal_scenario_cells_of_another_type_apart():
+    # equal values that render differently must not share their text
+    cfg = mono_cfg()
+    zeros = [0.0, -0.0, 0, False, np.float64(-0.0), np.bool_(False), 0.0, -0.0, 0, 0.0, -0.0]
+    first = dict(zip(BASE_COLUMNS, ["a"] + [0.0] * 11 + [1.0, 2.0, True, ""]))
+    second = {**first, **dict(zip(BASE_COLUMNS[1:12], zeros))}
+    text = csv_text(cfg, [first, second])
+    assert text == csv_text_oracle(cfg, [first, second])
+    assert text.endswith("\na,0,-0,0,false,-0,False,0,-0,0,0,-0,1,2,true,\n")
+
+
+_SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
+                   2.2250738585072014e-308 / 3.0, 1.7976931348623157e308)
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+_numbers = st.one_of(_floats, _floats.map(np.float64), st.integers())
+_any_cell = st.one_of(
+    _numbers,
+    st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(alphabet=st.sampled_from('ab ;,"\n\r#')),
+    st.text(),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(values=st.lists(st.lists(_any_cell, min_size=len(BASE_COLUMNS),
+                                max_size=len(BASE_COLUMNS)), max_size=4),
+       bounds=st.lists(st.tuples(_numbers, _numbers), min_size=4, max_size=4),
+       shared=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_csv_text_matches_the_oracle_on_any_cell(values, bounds, shared):
+    cfg = mono_cfg()
+    rows = [dict(zip(BASE_COLUMNS, vals)) for vals in values]
+    # rows of one sweep point share their scenario objects, mode .. L
+    for prev, row, share in zip(rows, rows[1:], shared):
+        if share:
+            row.update({k: prev[k] for k in BASE_COLUMNS[1:12]})
+    assert csv_text(cfg, rows) == csv_text_oracle(cfg, rows)
+    # the dB columns take numbers
+    for row, (theta, rng) in zip(rows, bounds):
+        row["crb_theta_rad2"], row["crb_r_m2"] = theta, rng
+    assert csv_text(cfg, rows, db=True) == csv_text_oracle(cfg, rows, db=True)
 
 
 # --- INI parsing --------------------------------------------------------------------
