@@ -1,7 +1,7 @@
 """Cramer-Rao bounds for near-field angle/range sensing with very large
 uniform linear arrays: exact element-sum and closed-form bounds, asymptotic
-and far-field reference curves, waveform-level simulation, and grid
-estimators for empirical verification."""
+and far-field reference curves, waveform-level simulation, and a grid
+estimator for empirical verification."""
 
 from .closedform import (
     AsymptoticRegime,
@@ -16,7 +16,6 @@ from .closedform import (
 )
 from .errors import (
     ConfigError,
-    CovarianceLoadingError,
     DegenerateGeometryError,
     DomainError,
     NfcrbError,
@@ -25,11 +24,9 @@ from .errors import (
 )
 from .estimator import (
     EstimateResult,
-    EstimatorKind,
     GridSpec,
     ObservationGridBuilder,
     RmseReport,
-    capon_spectrum,
     matched_field_ml,
     monte_carlo_rmse,
 )
@@ -43,7 +40,6 @@ from .experiment import (
     presets,
     run_experiment,
     serialize_config,
-    write_csv,
 )
 from .fim import (
     CrbMethod,

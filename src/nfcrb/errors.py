@@ -23,7 +23,3 @@ class ConfigError(NfcrbError):
 
 class NumericalError(NfcrbError):
     """A numerical procedure failed (ill-conditioning, non-finite values)."""
-
-
-class CovarianceLoadingError(NumericalError):
-    """Sample covariance too ill-conditioned; increase diagonal loading."""

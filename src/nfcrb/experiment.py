@@ -22,7 +22,7 @@ from .closedform import (
     crb_taylor,
 )
 from .errors import ConfigError, NfcrbError
-from .estimator import EstimatorKind, GridSpec, monte_carlo_rmse
+from .estimator import GridSpec, monte_carlo_rmse
 from .fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
 from .geometry import (
     ArrayGeometry,
@@ -50,7 +50,7 @@ _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL
 METHOD_NAMES = tuple(m.value for m in CrbMethod)
 SWEEP_AXES = ("M", "theta", "r", "snr_db")
 REGIME_NAMES = tuple(r.value for r in AsymptoticRegime)
-ESTIMATOR_NAMES = tuple(k.value for k in EstimatorKind)
+ESTIMATOR_NAME = "MatchedFieldML"
 
 BASE_COLUMNS = (
     "method", "mode", "topology", "M", "N", "d_tx_m", "d_rx_m", "R_m",
@@ -138,16 +138,14 @@ class MonteCarloConfig:
     range_span_frac: float = 0.2
     range_points: int = 121
     refine_levels: int = 3
-    capon_snapshots: int = 64
-    capon_loading: float = 1e-3
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ConfigError(
-                f"montecarlo.estimator must be one of {', '.join(ESTIMATOR_NAMES)}"
-            )
+        if self.estimator != ESTIMATOR_NAME:
+            raise ConfigError(f"montecarlo.estimator must be {ESTIMATOR_NAME}")
         if self.trials < 1:
             raise ConfigError("montecarlo.trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("montecarlo.master_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -297,11 +295,7 @@ def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPow
         range_points=mc.range_points,
         refine_levels=mc.refine_levels,
     )
-    return monte_carlo_rmse(
-        scn, ncfg, EstimatorKind(mc.estimator), grid,
-        trials=mc.trials, master_seed=mc.master_seed,
-        capon_snapshots=mc.capon_snapshots, capon_loading=mc.capon_loading,
-    )
+    return monte_carlo_rmse(scn, ncfg, grid, trials=mc.trials, master_seed=mc.master_seed)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -334,7 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
             "rmse_theta_rad": report.rmse_theta,
             "rmse_range_m": report.rmse_range,
             "trials": report.trials,
-            "estimator": report.estimator.value,
+            "estimator": cfg.montecarlo.estimator,
             "master_seed": report.master_seed,
         }
         for name, method in zip(cfg.methods, methods):
@@ -453,11 +447,6 @@ def _db_of(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def write_csv(cfg: ExperimentConfig, rows: list, path, db: bool = False):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(cfg, rows, db=db))
-
-
 # --- INI parsing / serialization -------------------------------------------
 
 _SCENARIO_KEYS = {
@@ -477,8 +466,7 @@ _METHODS_KEYS = {"use": str, "asymptotic_regime": str}
 _MC_KEYS = {
     "enabled": bool, "estimator": str, "trials": int, "master_seed": int,
     "theta_halfspan_deg": float, "theta_points": int, "range_span_frac": float,
-    "range_points": int, "refine_levels": int, "capon_snapshots": int,
-    "capon_loading": float,
+    "range_points": int, "refine_levels": int,
 }
 _SECTIONS = {"scenario": _SCENARIO_KEYS, "sweep": _SWEEP_KEYS,
              "methods": _METHODS_KEYS, "montecarlo": _MC_KEYS}
@@ -672,7 +660,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines += ["", "[montecarlo]", "enabled = true"]
         for k in ("estimator", "trials", "master_seed", "theta_halfspan_deg",
                   "theta_points", "range_span_frac", "range_points",
-                  "refine_levels", "capon_snapshots", "capon_loading"):
+                  "refine_levels"):
             lines.append(f"{k} = {_ini_value(getattr(mc, k))}")
     return "\n".join(lines) + "\n"
 
@@ -704,7 +692,7 @@ def _bistatic_mc(snr_db: float, refine_levels: int) -> ExperimentConfig:
         sweep=SweepSpec(axis="M", values=(65, 257, 1025)),
         methods=("ClosedForm", "ExactSum", "NumericalFim"),
         montecarlo=MonteCarloConfig(
-            estimator="MatchedFieldML", trials=500, master_seed=20260814,
+            estimator=ESTIMATOR_NAME, trials=500, master_seed=20260814,
             refine_levels=refine_levels,
         ),
     )

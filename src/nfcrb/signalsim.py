@@ -105,21 +105,12 @@ def reflection_amplitude(
     cfg: NoiseAndPowerConfig,
     tx_array_size: int,
     mode: Mode,
-    range_m: float | None = None,
-    inverse_square_loss: bool = False,
 ) -> complex:
     """rho = kappa sqrt(T_p P / M) (orthogonal waveforms) or kappa sqrt(T_p P M).
 
-    The optional inverse-square refinement scales kappa by (1 m / r)^2; it is
-    off by default because the bound derivation treats kappa as
-    location-independent.
+    kappa is location-independent, as in the bound derivation.
     """
-    kap = complex(cfg.reflection_coeff)
-    if inverse_square_loss:
-        if range_m is None or range_m <= 0.0:
-            raise DomainError("inverse-square loss needs a positive target range")
-        kap *= (1.0 / range_m) ** 2
-    return kap * math.sqrt(mode_energy_scale(cfg, tx_array_size, mode))
+    return complex(cfg.reflection_coeff) * math.sqrt(mode_energy_scale(cfg, tx_array_size, mode))
 
 
 def synth_snapshot(
@@ -128,19 +119,13 @@ def synth_snapshot(
     seed,
     true_target: TargetLocation | None = None,
     include_noise: bool = True,
-    inverse_square_loss: bool = False,
 ) -> Snapshot:
     """Draw y = rho g + n with i.i.d. complex Gaussian noise of variance N0.
 
     Deterministic in seed (counter-based generator); seed may be an int or a
     tuple of ints for substream derivation.
     """
-    rng_m = None if true_target is None else true_target.range_m
-    rho = reflection_amplitude(
-        cfg, obs.tx_array_size, obs.mode,
-        range_m=rng_m, inverse_square_loss=inverse_square_loss,
-    )
-    y = rho * obs.g
+    y = reflection_amplitude(cfg, obs.tx_array_size, obs.mode) * obs.g
     if include_noise:
         y = y + _complex_noise(_rng(seed), y.shape, cfg.noise_psd)
     params = (np.nan, np.nan) if true_target is None else (

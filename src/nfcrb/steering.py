@@ -54,10 +54,10 @@ class ObservationVector:
     a and b are 1-D SteeringVectors with partials (b is a itself for
     monostatic orthogonal waveforms); a missing factor is a single one, so
     num_tx and num_rx are the factor lengths and y.reshape(num_rx, num_tx)
-    is always valid. g and its derivatives are formed by np.kron only when
-    read, and then kept. tx_array_size is the physical transmit element
-    count, which sets the power split/gain even when the transmit factor is
-    absent from g (beamformed bistatic data).
+    is always valid. g is formed by np.kron only when read, and then kept.
+    tx_array_size is the physical transmit element count, which sets the
+    power split/gain even when the transmit factor is absent from g
+    (beamformed bistatic data).
     """
 
     a: SteeringVector
@@ -77,14 +77,6 @@ class ObservationVector:
     @cached_property
     def g(self) -> np.ndarray:
         return np.kron(self.b.values, self.a.values)
-
-    @cached_property
-    def g_theta(self) -> np.ndarray:
-        return np.kron(self.b.d_theta, self.a.values) + np.kron(self.b.values, self.a.d_theta)
-
-    @cached_property
-    def g_range(self) -> np.ndarray:
-        return np.kron(self.b.d_range, self.a.values) + np.kron(self.b.values, self.a.d_range)
 
 
 def _receive_path_sq(separation, range_m, angle_rad):

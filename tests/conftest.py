@@ -114,14 +114,24 @@ def fresnel_distance(md, tgt):
     return r + (md * math.cos(th)) ** 2 / (2.0 * r) - md * math.sin(th)
 
 
+def kron_partials(obs):
+    """Partials of the Kronecker observation g = b (x) a with respect to
+    theta and r, by the product rule over the two factors."""
+    a, b = obs.a, obs.b
+    g_theta = np.kron(b.d_theta, a.values) + np.kron(b.values, a.d_theta)
+    g_range = np.kron(b.d_range, a.values) + np.kron(b.values, a.d_range)
+    return g_theta, g_range
+
+
 def kron_fim_oracle(obs, cfg):
     """The brute-force FIM over the length-M*N observation: the Jacobian of
     w = rho g as columns of the Kronecker vectors, then (2/N0) Re{J^H J},
     and the Schur complement of its amplitude block."""
     root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, obs.mode))
     kap = complex(cfg.reflection_coeff)
+    g_theta, g_range = kron_partials(obs)
     jac = np.column_stack([
-        kap * root * obs.g_theta, kap * root * obs.g_range, root * obs.g, 1j * root * obs.g,
+        kap * root * g_theta, kap * root * g_range, root * obs.g, 1j * root * obs.g,
     ])
     f = (2.0 / cfg.noise_psd) * (jac.conj().T @ jac).real
     f = 0.5 * (f + f.T)

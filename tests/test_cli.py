@@ -122,6 +122,30 @@ def test_seed_flag(small_config, tmp_path, capsys):
     assert all(ln.endswith(",999") for ln in rows)
 
 
+def test_negative_master_seed_exits_2_without_a_traceback(tmp_path):
+    mc = tmp_path / "mc.ini"
+    mc.write_text(SMALL_INI.replace("values = 9, 17", "values = 9") + (
+        "\n[montecarlo]\nestimator = MatchedFieldML\ntrials = 2\n"
+        "master_seed = -5\ntheta_points = 15\nrange_points = 11\n"))
+    for argv in (["preset", "fig8", "--seed", "-1"], ["run", "--config", str(mc)]):
+        proc = subprocess.run([sys.executable, "-m", "nfcrb.cli", *argv],
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+        assert "master_seed" in proc.stderr
+
+
+@pytest.mark.parametrize("override", [
+    "montecarlo.estimator=Capon",
+    "montecarlo.capon_snapshots=64",
+    "montecarlo.capon_loading=0.001",
+])
+def test_capon_settings_exit_2(override, capsys):
+    assert main(["preset", "fig8", "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+
+
 def test_config_errors_exit_2(small_config, tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
     assert main(["preset", "fig99"]) == 2

@@ -1,5 +1,5 @@
-"""Grid search, refinement, ambiguity flagging, Capon spectra, and the
-Monte Carlo RMSE loop."""
+"""Grid search, refinement, ambiguity flagging, and the Monte Carlo RMSE
+loop."""
 
 import math
 
@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import CARRIER, bi_geom, mono_geom, target
-from nfcrb.errors import ConfigError, CovarianceLoadingError
+from nfcrb.errors import ConfigError
 from nfcrb.estimator import (
-    EstimateResult,
-    EstimatorKind,
     GridSpec,
     ObservationGridBuilder,
-    capon_spectrum,
     matched_field_ml,
     monte_carlo_rmse,
 )
@@ -135,20 +132,6 @@ def test_refinement_tightens_quantization():
     assert errs[2][0] < errs[0][0] and errs[2][1] < errs[0][1]
 
 
-def test_search_rejects_a_non_builder():
-    geom, tgt = mono_geom(5), target(9.0, 0.2)
-    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    y = synth_snapshot(obs, CFG10, seed=0, include_noise=False).y
-    grid = GridSpec.around(tgt, theta_points=21, range_points=15, refine_levels=0)
-
-    def per_point_builder(th, ra):
-        return build_observation(geom, target(ra, th), CARRIER, Mode.MIMO,
-                                 Topology.MONOSTATIC)
-
-    with pytest.raises(ConfigError, match="needs an ObservationGridBuilder"):
-        matched_field_ml(y, per_point_builder, grid)
-
-
 def test_noisy_recovery_rate_moderate_snr():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
     builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
@@ -165,64 +148,15 @@ def test_noisy_recovery_rate_moderate_snr():
     assert hits >= 0.95 * trials
 
 
-# --- Capon -------------------------------------------------------------------------
-
-def test_capon_peaks_at_target():
-    geom, tgt = mono_geom(17), target(9.0, 0.3)
-    cfg = NoiseAndPowerConfig.from_snr(20.0)
-    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    snaps = [synth_snapshot(obs, cfg, seed=(9, k), true_target=tgt)
-             for k in range(64)]
-    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    grid = GridSpec.around(tgt, theta_points=41, range_points=31, refine_levels=2)
-    surface, est = capon_spectrum(snaps, builder, grid)
-    assert surface.shape == (41, 31)
-    assert abs(est.theta - tgt.angle_rad) <= grid.theta_step
-    assert abs(est.range_m - tgt.range_m) <= grid.range_step
-    assert not est.ambiguous
-
-
-def test_capon_noise_only_spectrum_is_flat():
-    geom = mono_geom(5)
-    rng = np.random.Generator(np.random.Philox(123))
-    dim = 25
-    snaps = [math.sqrt(0.5) * (rng.standard_normal(dim)
-                               + 1j * rng.standard_normal(dim))
-             for _ in range(512)]
-    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    grid = GridSpec(theta_range=(-0.6, 0.6), theta_points=31,
-                    range_range=(5.0, 30.0), range_points=21)
-    surface, _ = capon_spectrum(snaps, builder, grid)
-    assert surface.max() / surface.min() < 2.0   # under 3 dB of ripple
-
-
-def test_capon_loading_guards():
-    geom, tgt = mono_geom(5), target(9.0, 0.2)
-    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    snaps = [synth_snapshot(obs, CFG10, seed=(1, k), true_target=tgt)
-             for k in range(10)]   # fewer snapshots than the dimension
-    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    grid = GridSpec.around(tgt, theta_points=11, range_points=9, refine_levels=0)
-    with pytest.raises(CovarianceLoadingError):
-        capon_spectrum(snaps, builder, grid, loading=0.0)
-    with pytest.raises(ConfigError):
-        capon_spectrum(snaps, lambda th, ra: None, grid)
-    with pytest.raises(ConfigError):
-        capon_spectrum(snaps, builder, grid, loading=-1.0)
-
-
 # --- Monte Carlo loop --------------------------------------------------------------
 
 def test_monte_carlo_is_deterministic():
     scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
     grid = GridSpec.around(scn.target, theta_points=21, range_points=15,
                            refine_levels=1)
-    a = monte_carlo_rmse(scn, CFG10, EstimatorKind.MATCHED_FIELD_ML, grid,
-                         trials=8, master_seed=42)
-    b = monte_carlo_rmse(scn, CFG10, EstimatorKind.MATCHED_FIELD_ML, grid,
-                         trials=8, master_seed=42)
-    c = monte_carlo_rmse(scn, CFG10, EstimatorKind.MATCHED_FIELD_ML, grid,
-                         trials=8, master_seed=43)
+    a = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=42)
+    b = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=42)
+    c = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=43)
     assert a == b
     assert (a.rmse_theta, a.rmse_range) != (c.rmse_theta, c.rmse_range)
 
@@ -232,25 +166,14 @@ def test_monte_carlo_high_snr_pins_the_grid_center():
     cfg = NoiseAndPowerConfig.from_snr(80.0)
     grid = GridSpec.around(scn.target, theta_points=21, range_points=15,
                            refine_levels=0)
-    rep = monte_carlo_rmse(scn, cfg, EstimatorKind.MATCHED_FIELD_ML, grid,
-                           trials=6, master_seed=7)
+    rep = monte_carlo_rmse(scn, cfg, grid, trials=6, master_seed=7)
     assert rep.rmse_theta < 1e-9 and rep.rmse_range < 1e-9
-    assert rep.trials == 6 and rep.snr_db == pytest.approx(80.0)
-    from nfcrb.closedform import crb_closed
-    bound = crb_closed(scn.geometry, scn.target, scn.carrier, cfg,
-                       scn.mode, scn.topology)
-    assert rep.crb_theta == bound.crb_theta
-    assert rep.crb_range == bound.crb_range
-    assert rep.estimator is EstimatorKind.MATCHED_FIELD_ML
+    assert rep.trials == 6 and rep.master_seed == 7
 
 
-def test_monte_carlo_capon_path_and_validation():
+def test_monte_carlo_rejects_zero_trials():
     scn = scenario(mono_geom(5), target(9.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
     grid = GridSpec.around(scn.target, theta_points=15, range_points=11,
                            refine_levels=0)
-    rep = monte_carlo_rmse(scn, CFG10, EstimatorKind.CAPON, grid,
-                           trials=2, master_seed=3, capon_snapshots=32)
-    assert math.isfinite(rep.rmse_theta) and math.isfinite(rep.rmse_range)
     with pytest.raises(ConfigError):
-        monte_carlo_rmse(scn, CFG10, EstimatorKind.MATCHED_FIELD_ML, grid,
-                         trials=0, master_seed=3)
+        monte_carlo_rmse(scn, CFG10, grid, trials=0, master_seed=3)

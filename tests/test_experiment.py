@@ -129,8 +129,9 @@ def test_experiment_config_validation():
         mono_cfg(separation_m=1.0)
     with pytest.raises(ConfigError):
         mono_cfg(topology=Topology.BISTATIC_NEAR_FAR_TX, separation_m=0.0)
-    with pytest.raises(ConfigError):
-        MonteCarloConfig(estimator="Magic", trials=10, master_seed=0)
+    for name in ("Magic", "Capon"):
+        with pytest.raises(ConfigError, match="must be MatchedFieldML"):
+            MonteCarloConfig(estimator=name, trials=10, master_seed=0)
     with pytest.raises(ConfigError):
         MonteCarloConfig(estimator="MatchedFieldML", trials=0, master_seed=0)
 

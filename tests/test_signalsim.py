@@ -52,11 +52,6 @@ def test_reflection_amplitude_scales():
         math.sqrt(8.0 * CFG.total_power / 5.0))
     assert reflection_amplitude(CFG, 5, Mode.PHASED) == pytest.approx(
         math.sqrt(8.0 * CFG.total_power * 5.0))
-    near = reflection_amplitude(CFG, 5, Mode.MIMO, range_m=2.0,
-                                inverse_square_loss=True)
-    assert near == pytest.approx(reflection_amplitude(CFG, 5, Mode.MIMO) / 4.0)
-    with pytest.raises(DomainError):
-        reflection_amplitude(CFG, 5, Mode.MIMO, inverse_square_loss=True)
 
 
 def test_synth_snapshot_noiseless_is_scaled_steering():

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CARRIER, bi_geom, mono_geom, receive_response, target, transmit_response
+from conftest import (
+    CARRIER,
+    bi_geom,
+    kron_partials,
+    mono_geom,
+    receive_response,
+    target,
+    transmit_response,
+)
 from nfcrb.errors import DomainError
 from nfcrb.geometry import Mode, SensingScenario, Topology
 from nfcrb.steering import (
@@ -204,13 +212,13 @@ def test_observation_derivatives_match_finite_differences(mode, topology):
     def g_of(t):
         return build_observation(geom, t, CARRIER, mode, topology).g
 
-    obs = build_observation(geom, tgt, CARRIER, mode, topology)
+    g_theta, g_range = kron_partials(build_observation(geom, tgt, CARRIER, mode, topology))
     fd_th = (g_of(target(tgt.range_m, tgt.angle_rad + DTH))
              - g_of(target(tgt.range_m, tgt.angle_rad - DTH))) / (2 * DTH)
     fd_r = (g_of(target(tgt.range_m + DR, tgt.angle_rad))
             - g_of(target(tgt.range_m - DR, tgt.angle_rad))) / (2 * DR)
-    assert np.abs(obs.g_theta - fd_th).max() < 1e-4 * np.abs(obs.g_theta).max()
-    assert np.abs(obs.g_range - fd_r).max() < 1e-4 * max(np.abs(obs.g_range).max(), 1e-30)
+    assert np.abs(g_theta - fd_th).max() < 1e-4 * np.abs(g_theta).max()
+    assert np.abs(g_range - fd_r).max() < 1e-4 * max(np.abs(g_range).max(), 1e-30)
 
 
 def test_mono_mimo_product_rule():
@@ -218,7 +226,7 @@ def test_mono_mimo_product_rule():
     a = transmit_response(geom, tgt)
     obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
     expect = np.kron(a.d_theta, a.values) + np.kron(a.values, a.d_theta)
-    assert np.abs(obs.g_theta - expect).max() < 1e-12
+    assert np.abs(kron_partials(obs)[0] - expect).max() < 1e-12
 
 
 def test_bistatic_requires_separation():
