@@ -97,6 +97,8 @@ class SweepSpec:
             ascending = self.stop >= self.start
             if self.factor <= 0.0 or (self.factor <= 1.0 if ascending else self.factor >= 1.0):
                 raise ConfigError("sweep.factor must move start toward stop")
+        if self.values is not None and not self.values:
+            raise ConfigError("sweep.values lists no points")
         if self._span() >= MAX_SWEEP_POINTS:
             raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points")
 
@@ -194,6 +196,8 @@ class ExperimentConfig:
 
 
 def _round_odd(m: int):
+    if m < 1:
+        raise ConfigError(f"num_tx must be >= 1, got {m}")
     if m % 2 == 1:
         return m, ()
     return m + 1, (f"num_tx {m} is even; rounded up to {m + 1}",)
@@ -202,8 +206,9 @@ def _round_odd(m: int):
 def materialize(cfg: ExperimentConfig, axis_value=None):
     """Scenario objects for one sweep point (None = the base scenario).
 
-    Returns (scenario, noise_cfg, warnings). Even transmit counts round up
-    to the next odd integer so the symmetric-index layout holds; monostatic
+    Returns (scenario, noise_cfg, warnings). Even transmit counts of 2 or
+    more round up to the next odd integer so the symmetric-index layout
+    holds, and a count below 1 is refused before rounding; monostatic
     scenarios receive on the transmit array, so N is forced to M there.
     """
     num_tx = cfg.num_tx

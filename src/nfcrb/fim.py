@@ -8,6 +8,7 @@ analytic steering derivatives and direct element summations.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,16 @@ class NoiseAndPowerConfig:
         )
 
 
+def _checked_entries(entries) -> np.ndarray:
+    e = np.asarray(entries, dtype=float)
+    if e.shape != (4, 4):
+        raise DomainError(f"FIM must be 4x4, got shape {e.shape}")
+    scale = max(float(np.abs(e).max()), 1.0)
+    if float(np.abs(e - e.T).max()) > 1e-10 * scale:
+        raise NumericalError("FIM is not symmetric within tolerance")
+    return e
+
+
 @dataclass(frozen=True)
 class FimMatrix:
     """4x4 Fisher information, parameter order (theta, r, kappa_re, kappa_im).
@@ -110,18 +121,26 @@ class FimMatrix:
     reduced: np.ndarray | None = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (4, 4):
-            raise DomainError(f"FIM must be 4x4, got shape {e.shape}")
-        scale = max(float(np.abs(e).max()), 1.0)
-        if float(np.abs(e - e.T).max()) > 1e-10 * scale:
-            raise NumericalError("FIM is not symmetric within tolerance")
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _checked_entries(self.entries))
         if self.reduced is not None:
             q = np.asarray(self.reduced, dtype=float)
             if q.shape != (2, 2):
                 raise DomainError(f"reduced FIM must be 2x2, got shape {q.shape}")
             object.__setattr__(self, "reduced", q)
+
+
+class _FactoredFim(FimMatrix):
+    """fim_numeric's result: reduced is set at construction, and the 4x4
+    entries, which crb_from_fim does not read, are formed and checked only
+    when first read."""
+
+    def __init__(self, form_entries, reduced: np.ndarray):
+        object.__setattr__(self, "_form_entries", form_entries)
+        object.__setattr__(self, "reduced", reduced)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        return _checked_entries(self._form_entries())
 
 
 class CrbMethod(enum.Enum):
@@ -218,6 +237,23 @@ def _centred_gram(f: SteeringVector) -> tuple[float, np.ndarray]:
     return vv, x.conj().T @ x
 
 
+def _fim_entries(a: SteeringVector, b: SteeringVector, kap: complex, energy: float,
+                 noise_psd: float) -> np.ndarray:
+    """The symmetrized 4x4 F of fim_numeric, from the 3x3 factor Grams."""
+    root = math.sqrt(energy)
+    gram_a = _gram(a)
+    gram_b = gram_a if b is a else _gram(b)
+    # J = [g_theta, g_range, g] @ coef
+    coef = np.array([
+        [kap * root, 0.0, 0.0, 0.0],
+        [0.0, kap * root, 0.0, 0.0],
+        [0.0, 0.0, root, 1j * root],
+    ])
+    pairs = _G_FROM_PAIRS @ coef
+    f = (2.0 / noise_psd) * (pairs.conj().T @ np.kron(gram_b, gram_a) @ pairs).real
+    return 0.5 * (f + f.T)
+
+
 def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig, mode: Mode | None = None) -> FimMatrix:
     """F = (2/N0) Re{J^H J} for the mean w = rho g, J = dw/d(theta,r,k_re,k_im).
 
@@ -229,26 +265,16 @@ def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig, mode: Mode | N
     block projects g out of the partials: P(b_x (x) a + b (x) a_x) =
     b'_x (x) a + b (x) a'_x with a', b' the centred factor partials, two
     orthogonal terms, so Q = (2/N0)|rho|^2 Re{|a|^2 <b'_x, b'_y> + |b|^2 <a'_x, a'_y>}.
+    The reduced block is formed here; the 4x4 entries only when read.
     """
     mode = obs.mode if mode is None else mode
     energy = mode_energy_scale(cfg, obs.tx_array_size, mode)
-    root = math.sqrt(energy)
     kap = complex(cfg.reflection_coeff)
-    gram_a = _gram(obs.a)
-    gram_b = gram_a if obs.b is obs.a else _gram(obs.b)
-    # J = [g_theta, g_range, g] @ coef
-    coef = np.array([
-        [kap * root, 0.0, 0.0, 0.0],
-        [0.0, kap * root, 0.0, 0.0],
-        [0.0, 0.0, root, 1j * root],
-    ])
-    pairs = _G_FROM_PAIRS @ coef
-    f = (2.0 / cfg.noise_psd) * (pairs.conj().T @ np.kron(gram_b, gram_a) @ pairs).real
-
     aa, cent_a = _centred_gram(obs.a)
     bb, cent_b = (aa, cent_a) if obs.b is obs.a else _centred_gram(obs.b)
     q = (2.0 / cfg.noise_psd) * abs(kap) ** 2 * energy * (aa * cent_b + bb * cent_a).real
-    return FimMatrix(entries=0.5 * (f + f.T), reduced=0.5 * (q + q.T))
+    form = functools.partial(_fim_entries, obs.a, obs.b, kap, energy, cfg.noise_psd)
+    return _FactoredFim(form, 0.5 * (q + q.T))
 
 
 def _inv_2x2(m: np.ndarray, det: float) -> np.ndarray:

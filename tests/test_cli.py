@@ -174,6 +174,53 @@ def test_non_finite_inputs_exit_2(override, capsys):
     assert captured.out == "" and "config error:" in captured.err
 
 
+@pytest.mark.parametrize("values", ["", " , "])
+def test_empty_sweep_exits_2(values, capsys):
+    # an empty value list is refused, not run as a header-only CSV
+    assert main(["preset", "fig2", "--set", f"sweep.values={values}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "no points" in captured.err
+
+
+@pytest.mark.parametrize("preset,override", [
+    ("fig2", "sweep.values=0"),
+    ("fig6", "scenario.num_tx=0"),
+])
+def test_transmit_count_below_one_exits_2(preset, override, capsys):
+    # M = 0 is refused, not rounded up to 1 (which has no transmit baseline)
+    assert main(["preset", preset, "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "num_tx must be >= 1" in captured.err
+
+
+def test_even_transmit_count_still_rounds_up(capsys):
+    assert main(["preset", "fig2", "--set", "sweep.values=2",
+                 "--set", "methods.use=ClosedForm"]) == 0
+    cells = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert cells[3] == "3" and cells[-1] == "num_tx 2 is even; rounded up to 3"
+
+
+def _readme_block(lang):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    marker = f"```{lang}\n"
+    start = text.index(marker) + len(marker)
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    path = tmp_path / "readme.ini"
+    path.write_text(_readme_block("ini"))
+    assert main(["run", "--config", str(path), "--set", "montecarlo.trials=2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\nNumericalFim,") == 3
+    exec(_readme_block("python"), {})
+    assert capsys.readouterr().out.split()[-1] == "True"
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # separation equal to the target range passes config validation but the
     # asymptotic bistatic bound is singular there

@@ -262,13 +262,11 @@ def test_csv_db_columns():
     assert float(parsed[1]["crb_r_db"]) == math.inf
 
 
-def test_csv_empty_sweep_is_header_only():
-    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=()))
-    rows = run_experiment(cfg)
-    assert rows == []
-    text = csv_text(cfg, rows)
-    data = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    assert data == [",".join(BASE_COLUMNS)]
+def test_empty_sweep_is_refused():
+    with pytest.raises(ConfigError, match="no points"):
+        mono_cfg(sweep=SweepSpec(axis="M", values=()))
+    with pytest.raises(ConfigError, match="no points"):
+        parse_config_text(GOOD_INI.replace("values = 9, 17", "values = , "))
 
 
 def test_csv_quotes_cells_with_commas():
