@@ -12,7 +12,6 @@ from .closedform import (
     crb_farfield_upw,
     crb_taylor,
     intermediates_closed,
-    intermediates_exact,
 )
 from .errors import (
     ConfigError,
@@ -50,6 +49,7 @@ from .fim import (
     crb_exact_sum,
     crb_from_fim,
     fim_numeric,
+    intermediates_exact,
     mode_energy_scale,
     receive_sums,
     transmit_sums,

@@ -25,7 +25,6 @@ from .fim import (
     NoiseAndPowerConfig,
     _crb_from_intermediates,
     receive_sums,
-    transmit_sums,
 )
 
 
@@ -97,19 +96,6 @@ def intermediates_closed(geom: ArrayGeometry, tgt: TargetLocation, carrier: Carr
         rx_angle_power=rx_a,
         rx_range_power=rx_s,
         rx_cross_power=rx_k,
-    )
-
-
-def intermediates_exact(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> IntermediateParams:
-    """Same quantities as intermediates_closed but by direct summation."""
-    a_s, c_ov, e_s, p_s, q_ov = transmit_sums(geom, tgt, carrier)
-    rx_a = rx_s = rx_k = 0.0
-    if geom.array_separation > 0.0:
-        rx_a, rx_s, rx_k = receive_sums(geom, tgt, carrier)
-    return IntermediateParams(
-        angle_power=a_s, angle_overlap=c_ov, cross_power=e_s,
-        range_power=p_s, range_overlap=q_ov,
-        rx_angle_power=rx_a, rx_range_power=rx_s, rx_cross_power=rx_k,
     )
 
 

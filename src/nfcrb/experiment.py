@@ -148,6 +148,12 @@ class MonteCarloConfig:
             raise ConfigError("montecarlo.trials must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("montecarlo.master_seed must be >= 0")
+        # GridSpec.around clips a finite span to the domain, but a NaN or
+        # infinite one would pass through its max/min unchecked
+        for name in ("theta_halfspan_deg", "range_span_frac"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"montecarlo.{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

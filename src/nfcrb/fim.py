@@ -1,5 +1,5 @@
-"""Fisher information over (angle, range, reflection re/im), its Schur
-reduction to the angle/range block, and the exact-summation CRB path.
+"""Fisher information on angle and range with the reflection coefficient
+Schur-complemented out, and the exact-summation CRB path.
 
 This module is the numerical oracle: it never uses the closed forms, only
 analytic steering derivatives and direct element summations.
@@ -8,13 +8,12 @@ analytic steering derivatives and direct element summations.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
 from .steering import ObservationVector, SteeringVector, direction_sine_derivs
 
@@ -98,49 +97,19 @@ class NoiseAndPowerConfig:
         )
 
 
-def _checked_entries(entries) -> np.ndarray:
-    e = np.asarray(entries, dtype=float)
-    if e.shape != (4, 4):
-        raise DomainError(f"FIM must be 4x4, got shape {e.shape}")
-    scale = max(float(np.abs(e).max()), 1.0)
-    if float(np.abs(e - e.T).max()) > 1e-10 * scale:
-        raise NumericalError("FIM is not symmetric within tolerance")
-    return e
-
-
 @dataclass(frozen=True)
 class FimMatrix:
-    """4x4 Fisher information, parameter order (theta, r, kappa_re, kappa_im).
+    """Angle/range Fisher information, parameter order (theta, r), with the
+    reflection coefficient Schur-complemented out: the symmetric 2x2 block
+    whose inverse is the CRB."""
 
-    reduced, when set, is the 2x2 angle/range information with the
-    amplitude already Schur-complemented out, formed without cancellation;
-    crb_from_fim then inverts it instead of reducing entries.
-    """
-
-    entries: np.ndarray
-    reduced: np.ndarray | None = None
+    reduced: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _checked_entries(self.entries))
-        if self.reduced is not None:
-            q = np.asarray(self.reduced, dtype=float)
-            if q.shape != (2, 2):
-                raise DomainError(f"reduced FIM must be 2x2, got shape {q.shape}")
-            object.__setattr__(self, "reduced", q)
-
-
-class _FactoredFim(FimMatrix):
-    """fim_numeric's result: reduced is set at construction, and the 4x4
-    entries, which crb_from_fim does not read, are formed and checked only
-    when first read."""
-
-    def __init__(self, form_entries, reduced: np.ndarray):
-        object.__setattr__(self, "_form_entries", form_entries)
-        object.__setattr__(self, "reduced", reduced)
-
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        return _checked_entries(self._form_entries())
+        q = np.asarray(self.reduced, dtype=float)
+        if q.shape != (2, 2):
+            raise DomainError(f"reduced FIM must be 2x2, got shape {q.shape}")
+        object.__setattr__(self, "reduced", q)
 
 
 class CrbMethod(enum.Enum):
@@ -212,19 +181,6 @@ def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) 
     return s / tx_array_size if mode is Mode.MIMO else s * tx_array_size
 
 
-# g_theta, g_range and g as sums of the nine products b_i (x) a_j, with
-# i, j indexing (d_theta, d_range, values); row 3 i + j is the pair (i, j)
-_G_FROM_PAIRS = np.zeros((9, 3))
-_G_FROM_PAIRS[[2, 6], 0] = 1.0   # g_theta = b_theta (x) a + b (x) a_theta
-_G_FROM_PAIRS[[5, 7], 1] = 1.0   # g_range = b_range (x) a + b (x) a_range
-_G_FROM_PAIRS[8, 2] = 1.0        # g = b (x) a
-
-
-def _gram(f: SteeringVector) -> np.ndarray:
-    x = np.column_stack([f.d_theta, f.d_range, f.values])
-    return x.conj().T @ x
-
-
 def _centred_gram(f: SteeringVector) -> tuple[float, np.ndarray]:
     """(|v|^2, Gram of the partials with their component along v removed).
 
@@ -237,64 +193,31 @@ def _centred_gram(f: SteeringVector) -> tuple[float, np.ndarray]:
     return vv, x.conj().T @ x
 
 
-def _fim_entries(a: SteeringVector, b: SteeringVector, kap: complex, energy: float,
-                 noise_psd: float) -> np.ndarray:
-    """The symmetrized 4x4 F of fim_numeric, from the 3x3 factor Grams."""
-    root = math.sqrt(energy)
-    gram_a = _gram(a)
-    gram_b = gram_a if b is a else _gram(b)
-    # J = [g_theta, g_range, g] @ coef
-    coef = np.array([
-        [kap * root, 0.0, 0.0, 0.0],
-        [0.0, kap * root, 0.0, 0.0],
-        [0.0, 0.0, root, 1j * root],
-    ])
-    pairs = _G_FROM_PAIRS @ coef
-    f = (2.0 / noise_psd) * (pairs.conj().T @ np.kron(gram_b, gram_a) @ pairs).real
-    return 0.5 * (f + f.T)
-
-
-def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig, mode: Mode | None = None) -> FimMatrix:
-    """F = (2/N0) Re{J^H J} for the mean w = rho g, J = dw/d(theta,r,k_re,k_im).
+def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
+    """Angle/range block of F = (2/N0) Re{J^H J} for the mean w = rho g,
+    J = dw/d(theta,r,k_re,k_im), with the amplitude (k_re, k_im)
+    Schur-complemented out.
 
     rho = kappa sqrt(T_p P/M) in MIMO mode (power split across transmitters)
     and kappa sqrt(T_p P M) in phased mode (coherent transmit gain).
 
-    J^H J comes from the Grams of the factors of g = b (x) a, by
-    <b1 (x) a1, b2 (x) a2> = <b1, b2><a1, a2>, in O(M + N). The reduced
-    block projects g out of the partials: P(b_x (x) a + b (x) a_x) =
+    The complement projects g out of the partials: P(b_x (x) a + b (x) a_x) =
     b'_x (x) a + b (x) a'_x with a', b' the centred factor partials, two
-    orthogonal terms, so Q = (2/N0)|rho|^2 Re{|a|^2 <b'_x, b'_y> + |b|^2 <a'_x, a'_y>}.
-    The reduced block is formed here; the 4x4 entries only when read.
+    orthogonal terms, so by <b1 (x) a1, b2 (x) a2> = <b1, b2><a1, a2>,
+    Q = (2/N0)|rho|^2 Re{|a|^2 <b'_x, b'_y> + |b|^2 <a'_x, a'_y>}, formed in
+    O(M + N) from the two factors and without cancellation.
     """
-    mode = obs.mode if mode is None else mode
-    energy = mode_energy_scale(cfg, obs.tx_array_size, mode)
+    energy = mode_energy_scale(cfg, obs.tx_array_size, obs.mode)
     kap = complex(cfg.reflection_coeff)
     aa, cent_a = _centred_gram(obs.a)
     bb, cent_b = (aa, cent_a) if obs.b is obs.a else _centred_gram(obs.b)
     q = (2.0 / cfg.noise_psd) * abs(kap) ** 2 * energy * (aa * cent_b + bb * cent_a).real
-    form = functools.partial(_fim_entries, obs.a, obs.b, kap, energy, cfg.noise_psd)
-    return _FactoredFim(form, 0.5 * (q + q.T))
-
-
-def _inv_2x2(m: np.ndarray, det: float) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    return FimMatrix(0.5 * (q + q.T))
 
 
 def crb_from_fim(fim: FimMatrix) -> CrbResult:
-    """Invert the 2x2 angle/range information left once the
-    reflection-coefficient block is Schur-complemented out: fim.reduced
-    when set, otherwise the complement formed from the entries."""
+    """Invert the 2x2 angle/range information fim.reduced."""
     q = fim.reduced
-    if q is None:
-        f = fim.entries
-        p11, p12, p22 = f[:2, :2], f[:2, 2:], f[2:, 2:]
-        det22 = p22[0, 0] * p22[1, 1] - p22[0, 1] * p22[1, 0]
-        tr22 = 0.5 * (p22[0, 0] + p22[1, 1])
-        if not det22 > DET_REL_TOL * tr22 * tr22:
-            # nuisance block singular: no usable information remains
-            return CrbResult.unidentifiable(CrbMethod.NUMERICAL_FIM)
-        q = p11 - p12 @ _inv_2x2(p22, det22) @ p12.T
     det_q = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
     tr_q = 0.5 * (q[0, 0] + q[1, 1])
     if not det_q > DET_REL_TOL * tr_q * tr_q:
@@ -344,6 +267,13 @@ def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
     nd = geom.rx_indices() * geom.rx_spacing
     base = (2.0 * math.pi / lam) ** 2 * float(np.sum(nd * nd))
     return base * g_th * g_th, base * g_r * g_r, base * g_th * g_r
+
+
+def intermediates_exact(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> IntermediateParams:
+    """The intermediates by direct summation over the elements, with the
+    receive-side terms whenever the arrays are separated."""
+    rx = receive_sums(geom, tgt, carrier) if geom.array_separation > 0.0 else ()
+    return IntermediateParams(*transmit_sums(geom, tgt, carrier), *rx)
 
 
 def _crb_from_intermediates(
@@ -415,10 +345,7 @@ def crb_exact_sum(
 ) -> CrbResult:
     """CRBs with every intermediate accumulated by exact summation over the
     array elements; algebraically identical to the numerical FIM path."""
-    rx = ()
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        if geom.array_separation <= 0.0:
-            raise DomainError("bistatic bounds require array_separation > 0")
-        rx = receive_sums(geom, tgt, carrier)
-    ip = IntermediateParams(*transmit_sums(geom, tgt, carrier), *rx)
+    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
+        raise DomainError("bistatic bounds require array_separation > 0")
+    ip = intermediates_exact(geom, tgt, carrier)
     return _crb_from_intermediates(ip, geom, cfg, mode, topology, CrbMethod.EXACT_SUM)

@@ -135,40 +135,12 @@ def kron_fim_oracle(obs, cfg):
     ])
     f = (2.0 / cfg.noise_psd) * (jac.conj().T @ jac).real
     f = 0.5 * (f + f.T)
-    schur = f[:2, :2] - f[:2, 2:] @ np.linalg.inv(f[2:, 2:]) @ f[2:, :2]
-    return f, schur
+    return f, schur_complement(f)
 
 
-# g_theta, g_range and g as sums of the nine products b_i (x) a_j, with
-# i, j indexing (d_theta, d_range, values); row 3 i + j is the pair (i, j)
-_G_FROM_PAIRS = np.zeros((9, 3))
-_G_FROM_PAIRS[[2, 6], 0] = 1.0
-_G_FROM_PAIRS[[5, 7], 1] = 1.0
-_G_FROM_PAIRS[8, 2] = 1.0
-
-
-def _factor_gram(f):
-    x = np.column_stack([f.d_theta, f.d_range, f.values])
-    return x.conj().T @ x
-
-
-def fim_entries_oracle(obs, cfg):
-    """The 4x4 FIM as fim_numeric formed it eagerly on every call, before
-    the entries became lazy: the 3x3 factor Grams, np.kron and the
-    symmetrized (2/N0) Re{coef^H kron(B, A) coef}. fim_numeric's entries,
-    when read, must equal it bit for bit."""
-    root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, obs.mode))
-    kap = complex(cfg.reflection_coeff)
-    gram_a = _factor_gram(obs.a)
-    gram_b = gram_a if obs.b is obs.a else _factor_gram(obs.b)
-    coef = np.array([
-        [kap * root, 0.0, 0.0, 0.0],
-        [0.0, kap * root, 0.0, 0.0],
-        [0.0, 0.0, root, 1j * root],
-    ])
-    pairs = _G_FROM_PAIRS @ coef
-    f = (2.0 / cfg.noise_psd) * (pairs.conj().T @ np.kron(gram_b, gram_a) @ pairs).real
-    return 0.5 * (f + f.T)
+def schur_complement(f):
+    """Angle/range block of a 4x4 FIM with the amplitude block projected out."""
+    return f[:2, :2] - f[:2, 2:] @ np.linalg.inv(f[2:, 2:]) @ f[2:, :2]
 
 
 def _oracle_fmt(value) -> str:

@@ -34,7 +34,6 @@ from nfcrb.closedform import (
     crb_farfield_upw,
     crb_taylor,
     intermediates_closed,
-    intermediates_exact,
 )
 from nfcrb.cli import main as cli_main
 from nfcrb.experiment import presets, run_experiment
@@ -43,6 +42,7 @@ from nfcrb.fim import (
     crb_exact_sum,
     crb_from_fim,
     fim_numeric,
+    intermediates_exact,
 )
 from nfcrb.geometry import ArrayGeometry, Mode, Topology
 from nfcrb.signalsim import (

@@ -174,6 +174,23 @@ def test_non_finite_inputs_exit_2(override, capsys):
     assert captured.out == "" and "config error:" in captured.err
 
 
+@pytest.mark.parametrize("override", [
+    "montecarlo.theta_halfspan_deg=nan",
+    "montecarlo.theta_halfspan_deg=inf",
+    "montecarlo.range_span_frac=inf",
+])
+def test_non_finite_search_window_exits_2(override, capsys):
+    # refused at config load: a NaN/inf span is neither searched over the
+    # whole domain nor left to crash the grid search
+    code = main(["preset", "fig8", "--set", "sweep.values=65", "--set", "montecarlo.trials=1",
+                 "--set", "montecarlo.theta_points=11", "--set", "montecarlo.range_points=11",
+                 "--set", override])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "must be finite and > 0" in captured.err
+
+
 @pytest.mark.parametrize("values", ["", " , "])
 def test_empty_sweep_exits_2(values, capsys):
     # an empty value list is refused, not run as a header-only CSV

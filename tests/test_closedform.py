@@ -26,10 +26,15 @@ from nfcrb.closedform import (
     crb_farfield_upw,
     crb_taylor,
     intermediates_closed,
-    intermediates_exact,
 )
 from nfcrb.errors import DomainError, SingularGeometryError
-from nfcrb.fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, mode_energy_scale
+from nfcrb.fim import (
+    CrbMethod,
+    NoiseAndPowerConfig,
+    crb_exact_sum,
+    intermediates_exact,
+    mode_energy_scale,
+)
 from nfcrb.geometry import Mode, Topology
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
