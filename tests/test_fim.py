@@ -224,6 +224,17 @@ def test_crb_from_fim_singular_cases():
     assert math.isinf(res.crb_theta) and math.isinf(res.crb_range)
 
 
+def test_crb_from_fim_inverts_the_reduced_block_when_set():
+    # the whole block is inverted: its diagonal alone would give 1/5 and 1/3
+    q = np.array([[5.0, 1.0], [1.0, 3.0]])
+    res = crb_from_fim(FimMatrix(q))
+    want = np.linalg.inv(q)
+    assert res.crb_theta == pytest.approx(want[0, 0], rel=1e-12)
+    assert res.crb_range == pytest.approx(want[1, 1], rel=1e-12)
+    assert res.crb_theta > 1.0 / 5.0 and res.crb_range > 1.0 / 3.0
+    assert not crb_from_fim(FimMatrix(np.outer([1.0, 2.0], [1.0, 2.0]))).identifiable
+
+
 # --- intermediate sums against steering inner products ---------------------------
 
 def test_transmit_sums_are_steering_inner_products():
