@@ -278,22 +278,41 @@ def validate_config(cfg: ExperimentConfig) -> list:
     return points
 
 
-def _eval_method(method: CrbMethod, scn: SensingScenario, ncfg: NoiseAndPowerConfig, regime: str):
+def _eval_method(method: CrbMethod, targets, scn: SensingScenario,
+                 ncfg: NoiseAndPowerConfig, regime: str) -> list:
+    """One result per target of a run: points that share scn's geometry,
+    carrier, mode and topology and the noise config ncfg."""
     # evaluators are looked up as module globals at call time, so that a
     # wrapper installed on a module binding (a tracer) sees every call
-    g, t, c = scn.geometry, scn.target, scn.carrier
-    if method is CrbMethod.CLOSED_FORM:
-        return crb_closed(g, t, c, ncfg, scn.mode, scn.topology)
+    g, c, mode, topology = scn.geometry, scn.carrier, scn.mode, scn.topology
     if method is CrbMethod.EXACT_SUM:
-        return crb_exact_sum(g, t, c, ncfg, scn.mode, scn.topology)
+        return crb_exact_sum(g, targets, c, ncfg, mode, topology)
+    if method is CrbMethod.CLOSED_FORM:
+        return [crb_closed(g, t, c, ncfg, mode, topology) for t in targets]
     if method is CrbMethod.NUMERICAL_FIM:
-        obs = build_observation(g, t, c, scn.mode, scn.topology)
-        return crb_from_fim(fim_numeric(obs, ncfg))
+        return [crb_from_fim(fim_numeric(build_observation(g, t, c, mode, topology), ncfg))
+                for t in targets]
     if method is CrbMethod.ASYMPTOTIC:
-        return crb_asymptotic(g, t, c, ncfg, AsymptoticRegime(regime), scn.mode, scn.topology)
+        reg = AsymptoticRegime(regime)
+        return [crb_asymptotic(g, t, c, ncfg, reg, mode, topology) for t in targets]
     if method is CrbMethod.TAYLOR:
-        return crb_taylor(g, t, c, ncfg, scn.mode)
-    return crb_farfield_upw(g, t, c, ncfg, scn.mode, scn.topology)
+        return [crb_taylor(g, t, c, ncfg, mode) for t in targets]
+    return [crb_farfield_upw(g, t, c, ncfg, mode, topology) for t in targets]
+
+
+def _runs(points: list) -> list:
+    """Split the sweep into runs of consecutive points that share geometry,
+    carrier and noise config (mode and topology are the config's own)."""
+    runs, key = [], None
+    for point in points:
+        scn, ncfg, _ = point
+        point_key = (scn.geometry, scn.carrier, ncfg)
+        if point_key == key:
+            runs[-1].append(point)
+        else:
+            runs.append([point])
+            key = point_key
+    return runs
 
 
 def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPowerConfig):
@@ -312,47 +331,55 @@ def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPow
 def run_experiment(cfg: ExperimentConfig) -> list:
     """One row dict per (sweep point x method), in sweep order.
 
-    Monte Carlo (when configured) runs once per sweep point and its report
-    is repeated on each of the point's method rows, keeping the output a
-    single flat table.
+    Each method is evaluated once per run of points that share a geometry
+    and noise config (_runs). Monte Carlo (when configured) runs once per
+    sweep point and its report is repeated on each of the point's method
+    rows, keeping the output a single flat table.
     """
     points = validate_config(cfg)
     methods = [CrbMethod(name) for name in cfg.methods]
     rows = []
-    for scn, ncfg, warns in points:
-        report = _run_point_mc(cfg, scn, ncfg) if cfg.montecarlo else None
-        geom = scn.geometry
-        point_cols = {
-            "mode": cfg.mode.value,
-            "topology": cfg.topology.value,
-            "M": geom.num_tx,
-            "N": geom.num_rx,
-            "d_tx_m": geom.tx_spacing,
-            "d_rx_m": geom.rx_spacing,
-            "R_m": geom.array_separation,
-            "theta_rad": scn.target.angle_rad,
-            "r_m": scn.target.range_m,
-            "snr_db": ncfg.snr_db,
-            "L": ncfg.time_bandwidth,
-        }
-        mc_cols = {} if report is None else {
-            "rmse_theta_rad": report.rmse_theta,
-            "rmse_range_m": report.rmse_range,
-            "trials": report.trials,
-            "estimator": cfg.montecarlo.estimator,
-            "master_seed": report.master_seed,
-        }
-        for name, method in zip(cfg.methods, methods):
-            res = _eval_method(method, scn, ncfg, cfg.asymptotic_regime)
-            rows.append({
-                "method": name,
-                **point_cols,
-                "crb_theta_rad2": res.crb_theta,
-                "crb_r_m2": res.crb_range,
-                "identifiable": res.identifiable,
-                "warnings": "; ".join(warns + tuple(res.warnings)),
-                **mc_cols,
-            })
+    for run in _runs(points):
+        scn0, ncfg0, _ = run[0]
+        targets = [scn.target for scn, _, _ in run]
+        reports = [_run_point_mc(cfg, scn, ncfg) if cfg.montecarlo else None
+                   for scn, ncfg, _ in run]
+        results = [_eval_method(method, targets, scn0, ncfg0, cfg.asymptotic_regime)
+                   for method in methods]
+        for i, (scn, ncfg, warns) in enumerate(run):
+            geom = scn.geometry
+            point_cols = {
+                "mode": cfg.mode.value,
+                "topology": cfg.topology.value,
+                "M": geom.num_tx,
+                "N": geom.num_rx,
+                "d_tx_m": geom.tx_spacing,
+                "d_rx_m": geom.rx_spacing,
+                "R_m": geom.array_separation,
+                "theta_rad": scn.target.angle_rad,
+                "r_m": scn.target.range_m,
+                "snr_db": ncfg.snr_db,
+                "L": ncfg.time_bandwidth,
+            }
+            report = reports[i]
+            mc_cols = {} if report is None else {
+                "rmse_theta_rad": report.rmse_theta,
+                "rmse_range_m": report.rmse_range,
+                "trials": report.trials,
+                "estimator": cfg.montecarlo.estimator,
+                "master_seed": report.master_seed,
+            }
+            for name, per_method in zip(cfg.methods, results):
+                res = per_method[i]
+                rows.append({
+                    "method": name,
+                    **point_cols,
+                    "crb_theta_rad2": res.crb_theta,
+                    "crb_r_m2": res.crb_range,
+                    "identifiable": res.identifiable,
+                    "warnings": "; ".join(warns + tuple(res.warnings)),
+                    **mc_cols,
+                })
     return rows
 
 

@@ -13,13 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateGeometryError, DomainError
 from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
 from .steering import ObservationVector, SteeringVector, direction_sine_derivs
 
 # relative determinant threshold below which the angle/range information
 # block is declared singular
 DET_REL_TOL = 1e-12
+
+# elements per block of the multi-location transmit sums: a few (rows, M)
+# float temporaries of this size stay in cache
+_BLOCK_ELEMENTS = 16_384
 
 
 @dataclass(frozen=True)
@@ -230,29 +234,66 @@ def crb_from_fim(fim: FimMatrix) -> CrbResult:
     )
 
 
-def transmit_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig):
-    """Exact element summations of the five transmit-side intermediates.
+def transmit_sums(geom: ArrayGeometry, thetas, ranges, carrier: CarrierConfig):
+    """Exact element summations of the five transmit-side intermediates at P
+    paired locations (thetas[j], ranges[j]).
 
     Returns (angle_power, angle_overlap, cross_power, range_power,
-    range_overlap); the two overlap terms are purely imaginary complex
-    numbers, everything else accumulates in real arithmetic.
+    range_overlap) as length-P arrays; the two overlap terms are purely
+    imaginary complex arrays, everything else accumulates in real
+    arithmetic. Each location gets the bits it would get alone.
     """
-    lam = carrier.wavelength
-    r, th = tgt.range_m, tgt.angle_rad
+    return tuple(np.array(col) for col in zip(*_transmit_rows(geom, thetas, ranges, carrier)))
+
+
+def _transmit_rows(geom: ArrayGeometry, thetas, ranges, carrier: CarrierConfig) -> list:
+    # transmit_sums as one 5-tuple of Python numbers per location. The
+    # locations are summed in blocks of (rows, M) arrays, each row reduced
+    # along the contiguous element axis, and sin/cos and the scale factors
+    # are scalar per location, so a location's sums do not depend on its
+    # block.
+    sth = [math.sin(t) for t in thetas]
+    r = [float(x) for x in ranges]
+    n = len(r)
     md = geom.tx_indices() * geom.tx_spacing
-    sth, cth = math.sin(th), math.cos(th)
-    u = md / r
-    dd = 1.0 - 2.0 * u * sth + u ** 2
-    rng = 1.0 - u * sth
-    root = np.sqrt(dd)
-    k = 2.0 * math.pi / lam
     total = np.add.reduce
-    angle_power = k * k * cth * cth * float(total(md * md / dd))
-    angle_im = k * cth * float(total(md / root))
-    cross_power = -k * k * cth * float(total(md * rng / dd))
-    range_power = k * k * float(total(rng * rng / dd))
-    range_im = k * float(total(rng / root))
-    return angle_power, -1j * angle_im, cross_power, range_power, 1j * range_im
+    sums = []
+    step = max(1, _BLOCK_ELEMENTS // md.size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if hi - lo == 1:
+            # one location takes scalars and 1-D arrays, which cost less
+            # per call than a (1, M) block: an M sweep sums one point a run
+            rb, sb = r[lo], sth[lo]
+        else:
+            rb, sb = np.array(r[lo:hi])[:, None], np.array(sth[lo:hi])[:, None]
+        u = md / rb
+        dd = 1.0 - 2.0 * u * sb + u ** 2
+        # dd = (r_m / r)^2 vanishes where the target sits on an element
+        if not dd.min() > 0.0:
+            raise DegenerateGeometryError("target coincides with a transmit element")
+        rng = 1.0 - u * sb
+        root = np.sqrt(dd)
+        block = np.array([
+            total(md * md / dd, -1),
+            total(md / root, -1),
+            total(md * rng / dd, -1),
+            total(rng * rng / dd, -1),
+            total(rng / root, -1),
+        ])
+        sums += block.reshape(5, -1).T.tolist()
+    k = 2.0 * math.pi / carrier.wavelength
+    rows = []
+    for th, (s_aa, s_a, s_ar, s_rr, s_r) in zip(thetas, sums):
+        cth = math.cos(th)
+        rows.append((
+            k * k * cth * cth * s_aa,
+            -1j * (k * cth * s_a),
+            -k * k * cth * s_ar,
+            k * k * s_rr,
+            1j * (k * s_r),
+        ))
+    return rows
 
 
 def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig):
@@ -269,11 +310,22 @@ def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
     return base * g_th * g_th, base * g_r * g_r, base * g_th * g_r
 
 
+def _intermediates_run(geom: ArrayGeometry, targets, carrier: CarrierConfig) -> list:
+    # one transmit summation over every target, then each target's
+    # receive-side terms whenever the arrays are separated
+    tx = _transmit_rows(
+        geom, [t.angle_rad for t in targets], [t.range_m for t in targets], carrier)
+    out = []
+    for tgt, sums in zip(targets, tx):
+        rx = receive_sums(geom, tgt, carrier) if geom.array_separation > 0.0 else ()
+        out.append(IntermediateParams(*sums, *rx))
+    return out
+
+
 def intermediates_exact(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> IntermediateParams:
     """The intermediates by direct summation over the elements, with the
     receive-side terms whenever the arrays are separated."""
-    rx = receive_sums(geom, tgt, carrier) if geom.array_separation > 0.0 else ()
-    return IntermediateParams(*transmit_sums(geom, tgt, carrier), *rx)
+    return _intermediates_run(geom, (tgt,), carrier)[0]
 
 
 def _crb_from_intermediates(
@@ -337,15 +389,22 @@ def _crb_from_intermediates(
 
 def crb_exact_sum(
     geom: ArrayGeometry,
-    tgt: TargetLocation,
+    targets,
     carrier: CarrierConfig,
     cfg: NoiseAndPowerConfig,
     mode: Mode,
     topology: Topology,
-) -> CrbResult:
-    """CRBs with every intermediate accumulated by exact summation over the
-    array elements; algebraically identical to the numerical FIM path."""
+) -> list:
+    """CRBs at each of the targets, in order, with every intermediate
+    accumulated by exact summation over the array elements; algebraically
+    identical to the numerical FIM path.
+
+    The transmit sums of all targets are formed together, so a run of
+    targets sharing one geometry costs one summation pass.
+    """
     if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
         raise DomainError("bistatic bounds require array_separation > 0")
-    ip = intermediates_exact(geom, tgt, carrier)
-    return _crb_from_intermediates(ip, geom, cfg, mode, topology, CrbMethod.EXACT_SUM)
+    return [
+        _crb_from_intermediates(ip, geom, cfg, mode, topology, CrbMethod.EXACT_SUM)
+        for ip in _intermediates_run(geom, targets, carrier)
+    ]

@@ -153,6 +153,9 @@ def steering_factors(
     vals = np.exp(k_tx * rm)
     a = SteeringVector(vals, None, None)
     if derivs:
+        # the partials divide by r_m; the values alone stay finite at r_m = 0
+        if not rm.min() > 0.0:
+            raise DegenerateGeometryError("target coincides with a transmit element")
         drm_dth = -r * md * np.cos(th) / rm
         drm_dr = (r - md * np.sin(th)) / rm
         a = SteeringVector(vals, k_tx * drm_dth * vals, k_tx * drm_dr * vals)

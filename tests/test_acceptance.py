@@ -271,8 +271,8 @@ def _exact_sum_minimizer(m, n):
     geom = bi_geom(m, n, 35.0)
 
     def bound(x):
-        return crb_exact_sum(geom, target(m * SPACING / (2.0 * x), 0.0), CARRIER,
-                             CFG0, Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX).crb_range
+        return crb_exact_sum(geom, (target(m * SPACING / (2.0 * x), 0.0),), CARRIER,
+                             CFG0, Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0].crb_range
     return _golden_min(bound, 3.0, 10.0, 1e-4)
 
 
@@ -302,8 +302,8 @@ def test_criterion_08_unidentifiable_guards():
         tgt = target(float(rng.uniform(3.0, 15.0)), float(rng.uniform(-1.2, 1.2)))
         closed = crb_closed(geom, tgt, CARRIER, CFG0, Mode.PHASED,
                             Topology.BISTATIC_NEAR_FAR_TX)
-        exact = crb_exact_sum(geom, tgt, CARRIER, CFG0, Mode.PHASED,
-                              Topology.BISTATIC_NEAR_FAR_TX)
+        exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG0, Mode.PHASED,
+                              Topology.BISTATIC_NEAR_FAR_TX)[0]
         obs = build_observation(geom, tgt, CARRIER, Mode.PHASED,
                                 Topology.BISTATIC_NEAR_FAR_TX)
         fim = crb_from_fim(fim_numeric(obs, CFG0))
@@ -312,7 +312,7 @@ def test_criterion_08_unidentifiable_guards():
     tgt = target(10.0, 0.3)
     for mode in (Mode.MIMO, Mode.PHASED):
         closed = crb_closed(single, tgt, CARRIER, CFG0, mode, Topology.MONOSTATIC)
-        exact = crb_exact_sum(single, tgt, CARRIER, CFG0, mode, Topology.MONOSTATIC)
+        exact = crb_exact_sum(single, (tgt,), CARRIER, CFG0, mode, Topology.MONOSTATIC)[0]
         obs = build_observation(single, tgt, CARRIER, mode, Topology.MONOSTATIC)
         fim = crb_from_fim(fim_numeric(obs, CFG0))
         ok &= not (closed.identifiable or exact.identifiable or fim.identifiable)

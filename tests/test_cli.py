@@ -247,6 +247,19 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["ExactSum", "NumericalFim"])
+def test_target_on_a_transmit_element_exits_3(method, capsys):
+    # element m = 2 of nine sits at 2 x 0.0628 m = 0.1256 m on the array
+    # axis: r_m = 0 there, which is refused rather than reported as inf rows
+    code = main(["preset", "fig2", "--set", "scenario.target_angle_deg=90",
+                 "--set", "scenario.target_range_m=0.1256",
+                 "--set", f"methods.use={method}", "--set", "sweep.values=9"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: target coincides with a transmit element\n"
+
+
 def test_list_presets(capsys):
     assert main(["list-presets"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

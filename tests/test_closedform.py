@@ -105,7 +105,7 @@ def test_closed_tracks_exact_sum():
     for m, (cap_t, cap_r) in caps.items():
         geom, tgt = mono_geom(m), target(5.0, -0.9)
         c = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, MONO)
-        e = crb_exact_sum(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
+        e = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)[0]
         assert rel_err(c.crb_theta, e.crb_theta) < cap_t
         assert rel_err(c.crb_range, e.crb_range) < cap_r
 
@@ -324,7 +324,7 @@ def test_xi_correction_values_and_domain():
     for th in (0.0, math.pi / 6, math.pi / 3, -1.2):
         tgt = target(r, th)
         for mode in (Mode.MIMO, Mode.PHASED):
-            exact = crb_exact_sum(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
+            exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
             # discrete M(M^2-1) plane-wave bound -> continuum M^3 bound
             upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
             continuum = upw.crb_theta * (1.0 - 1.0 / (m * m))

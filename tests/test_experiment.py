@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_text_oracle
+from nfcrb import experiment
 from nfcrb.errors import ConfigError
 from nfcrb.experiment import (
     BASE_COLUMNS,
@@ -209,6 +210,29 @@ def test_run_experiment_row_layout():
     assert all("rounded up" in r["warnings"] for r in rows[2:])
     assert all("rmse_theta_rad" not in r for r in rows)
     assert set(BASE_COLUMNS) <= set(rows[0])
+
+
+def test_exact_sum_runs_once_over_a_sweep_that_shares_its_geometry(monkeypatch):
+    # fig4 sweeps 61 angles at one geometry: one call sums them all, and the
+    # rows keep sweep order with the values of one-target calls
+    calls = []
+    one_call = experiment.crb_exact_sum
+
+    def counted(geom, targets, *args):
+        calls.append(len(targets))
+        return one_call(geom, targets, *args)
+
+    monkeypatch.setattr(experiment, "crb_exact_sum", counted)
+    cfg = presets()["fig4"]
+    rows = [r for r in run_experiment(cfg) if r["method"] == "ExactSum"]
+    assert calls == [61]
+    points = validate_config(cfg)
+    assert len(rows) == len(points)
+    for row, (scn, ncfg, _) in zip(rows, points):
+        alone = one_call(scn.geometry, (scn.target,), scn.carrier, ncfg,
+                         scn.mode, scn.topology)[0]
+        assert row["theta_rad"] == scn.target.angle_rad
+        assert (row["crb_theta_rad2"], row["crb_r_m2"]) == (alone.crb_theta, alone.crb_range)
 
 
 def test_run_experiment_repeats_mc_row_per_method():

@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CARRIER,
+    SPACING,
     bi_geom,
     kron_fim_oracle,
     mono_geom,
@@ -20,8 +23,9 @@ from conftest import (
     transmit_response,
 )
 from nfcrb.closedform import crb_closed
-from nfcrb.errors import ConfigError, DomainError
+from nfcrb.errors import ConfigError, DegenerateGeometryError, DomainError
 from nfcrb.fim import (
+    _BLOCK_ELEMENTS,
     CrbMethod,
     CrbResult,
     FimMatrix,
@@ -177,7 +181,7 @@ def test_numeric_fim_memory_is_set_by_the_factors():
     (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(100001, 8, 35.0), target(18.0, 0.3)),
 ])
 def test_numeric_fim_reaches_extremely_large_arrays(mode, topology, geom, tgt):
-    via_sum = crb_exact_sum(geom, tgt, CARRIER, CFG, mode, topology)
+    via_sum = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, topology)[0]
     obs = build_observation(geom, tgt, CARRIER, mode, topology)
     via_fim = crb_from_fim(fim_numeric(obs, CFG))
     assert rel_err(via_fim.crb_theta, via_sum.crb_theta) < 1e-9
@@ -240,12 +244,43 @@ def test_crb_from_fim_inverts_the_reduced_block_when_set():
 def test_transmit_sums_are_steering_inner_products():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
     sv = transmit_response(geom, tgt)
-    a_s, c_ov, e_s, p_s, q_ov = transmit_sums(geom, tgt, CARRIER)
+    a_s, c_ov, e_s, p_s, q_ov = (
+        s[0] for s in transmit_sums(geom, [tgt.angle_rad], [tgt.range_m], CARRIER))
     assert a_s == pytest.approx(np.vdot(sv.d_theta, sv.d_theta).real, rel=1e-12)
     assert p_s == pytest.approx(np.vdot(sv.d_range, sv.d_range).real, rel=1e-12)
     assert e_s == pytest.approx(np.vdot(sv.d_theta, sv.d_range).real, rel=1e-12)
     assert c_ov == pytest.approx(np.vdot(sv.d_theta, sv.values), rel=1e-12)
     assert q_ov == pytest.approx(np.vdot(sv.d_range, sv.values), rel=1e-12)
+
+
+# element counts on both sides of the block size, and a few small ones; with
+# M = 1025 a block holds 15 locations, so most run lengths end mid-block
+_RUN_M = st.sampled_from((1, 3, 9, 1025, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS + 1))
+_LOCATIONS = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.05, 100.0)),
+                      min_size=1, max_size=40)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(m=_RUN_M, locations=_LOCATIONS)
+def test_transmit_sums_over_a_run_equal_one_location_calls(m, locations):
+    geom = mono_geom(m)
+    thetas, ranges = zip(*locations)
+    run = transmit_sums(geom, thetas, ranges, CARRIER)
+    for j, (th, r) in enumerate(locations):
+        alone = transmit_sums(geom, [th], [r], CARRIER)
+        for over_run, one in zip(run, alone):
+            assert over_run[j] == one[0]
+
+
+def test_transmit_sums_refuse_a_target_on_an_element():
+    # element m = 2 of nine sits at 0.1256 m on the array axis (theta = 90 deg)
+    geom = mono_geom(9)
+    with pytest.raises(DegenerateGeometryError, match="transmit element"):
+        transmit_sums(geom, [0.3, math.pi / 2], [10.0, 2 * SPACING], CARRIER)
+    for mode in Mode:
+        with pytest.raises(DegenerateGeometryError, match="transmit element"):
+            build_observation(geom, target(2 * SPACING, math.pi / 2), CARRIER,
+                              mode, Topology.MONOSTATIC)
 
 
 def test_receive_sums_are_steering_inner_products():
@@ -263,21 +298,21 @@ def test_receive_sums_are_steering_inner_products():
 
 def test_exact_sum_frozen_values():
     m, r, th, ct, cr = FROZEN[("mono", Mode.MIMO)]
-    res = crb_exact_sum(mono_geom(m), target(r, th), CARRIER, CFG,
-                        Mode.MIMO, Topology.MONOSTATIC)
+    res = crb_exact_sum(mono_geom(m), (target(r, th),), CARRIER, CFG,
+                        Mode.MIMO, Topology.MONOSTATIC)[0]
     assert rel_err(res.crb_theta, ct) < 1e-12
     assert rel_err(res.crb_range, cr) < 1e-12
 
     m, r, th, ct, cr = FROZEN[("mono", Mode.PHASED)]
-    res = crb_exact_sum(mono_geom(m), target(r, th), CARRIER, CFG,
-                        Mode.PHASED, Topology.MONOSTATIC)
+    res = crb_exact_sum(mono_geom(m), (target(r, th),), CARRIER, CFG,
+                        Mode.PHASED, Topology.MONOSTATIC)[0]
     assert rel_err(res.crb_theta, ct) < 1e-12
     assert rel_err(res.crb_range, cr) < 1e-12
 
     for key in ((("bi", 0.3)), (("bi", 0.0))):
         m, r, th, ct, cr = FROZEN[key]
-        res = crb_exact_sum(bi_geom(m, 8, 35.0), target(r, th), CARRIER, CFG,
-                            Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)
+        res = crb_exact_sum(bi_geom(m, 8, 35.0), (target(r, th),), CARRIER, CFG,
+                            Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0]
         assert rel_err(res.crb_theta, ct) < 1e-12
         assert rel_err(res.crb_range, cr) < 1e-12
 
@@ -290,7 +325,7 @@ def test_exact_sum_frozen_values():
 ])
 def test_exact_sum_equals_numeric_fim(mode, topology, geom, tgt):
     cfg = NoiseAndPowerConfig.from_snr(5.0, time_bandwidth=2.0)
-    via_sum = crb_exact_sum(geom, tgt, CARRIER, cfg, mode, topology)
+    via_sum = crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode, topology)[0]
     obs = build_observation(geom, tgt, CARRIER, mode, topology)
     via_fim = crb_from_fim(fim_numeric(obs, cfg))
     assert via_sum.identifiable and via_fim.identifiable
@@ -300,18 +335,18 @@ def test_exact_sum_equals_numeric_fim(mode, topology, geom, tgt):
 
 def test_mode_ratio_is_two_over_m():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
-    mimo = crb_exact_sum(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
-    phased = crb_exact_sum(geom, tgt, CARRIER, CFG, Mode.PHASED, Topology.MONOSTATIC)
+    mimo = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)[0]
+    phased = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.PHASED, Topology.MONOSTATIC)[0]
     assert phased.crb_theta / mimo.crb_theta == pytest.approx(2.0 / 65.0, rel=1e-12)
     assert phased.crb_range / mimo.crb_range == pytest.approx(2.0 / 65.0, rel=1e-12)
 
 
 def test_snr_scaling_is_exact():
     geom, tgt = mono_geom(17), target(10.0, 0.3)
-    lo = crb_exact_sum(geom, tgt, CARRIER, NoiseAndPowerConfig.from_snr(0.0),
-                       Mode.MIMO, Topology.MONOSTATIC)
-    hi = crb_exact_sum(geom, tgt, CARRIER, NoiseAndPowerConfig.from_snr(10.0),
-                       Mode.MIMO, Topology.MONOSTATIC)
+    lo = crb_exact_sum(geom, (tgt,), CARRIER, NoiseAndPowerConfig.from_snr(0.0),
+                       Mode.MIMO, Topology.MONOSTATIC)[0]
+    hi = crb_exact_sum(geom, (tgt,), CARRIER, NoiseAndPowerConfig.from_snr(10.0),
+                       Mode.MIMO, Topology.MONOSTATIC)[0]
     assert hi.crb_theta == pytest.approx(lo.crb_theta / 10.0, rel=1e-12)
     assert hi.crb_range == pytest.approx(lo.crb_range / 10.0, rel=1e-12)
 
@@ -320,7 +355,7 @@ def test_single_transmit_element_unidentifiable():
     geom = mono_geom(1)
     tgt = target(10.0, 0.3)
     for mode in (Mode.MIMO, Mode.PHASED):
-        res = crb_exact_sum(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
+        res = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
         assert not res.identifiable
         obs = build_observation(geom, tgt, CARRIER, mode, Topology.MONOSTATIC)
         assert not crb_from_fim(fim_numeric(obs, CFG)).identifiable
@@ -328,8 +363,8 @@ def test_single_transmit_element_unidentifiable():
 
 def test_bistatic_phased_unidentifiable():
     geom, tgt = bi_geom(65, 8, 35.0), target(18.0, 0.3)
-    res = crb_exact_sum(geom, tgt, CARRIER, CFG, Mode.PHASED,
-                        Topology.BISTATIC_NEAR_FAR_TX)
+    res = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.PHASED,
+                        Topology.BISTATIC_NEAR_FAR_TX)[0]
     assert not res.identifiable
     obs = build_observation(geom, tgt, CARRIER, Mode.PHASED,
                             Topology.BISTATIC_NEAR_FAR_TX)
@@ -340,7 +375,7 @@ def test_bistatic_phased_unidentifiable():
 def test_exact_sum_rejects_bistatic_without_separation(mode):
     geom, tgt = bi_geom(9, 8, 0.0), target(18.0, 0.3)
     with pytest.raises(DomainError, match="array_separation > 0"):
-        crb_exact_sum(geom, tgt, CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
+        crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
     with pytest.raises(DomainError):
         crb_closed(geom, tgt, CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
     with pytest.raises(DomainError):
