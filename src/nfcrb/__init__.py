@@ -76,7 +76,7 @@ from .signalsim import (
 )
 from .steering import (
     ObservationVector,
-    SteeringVector,
+    PhaseFactor,
     build_observation,
     direction_sine_derivs,
     observation_from_scenario,

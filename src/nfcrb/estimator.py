@@ -142,7 +142,7 @@ class ObservationGridBuilder:
         self.topology = topology
         # an empty evaluation runs the kernel's guards and fixes the layout
         a, b = steering_factors(geom, carrier, mode, topology, (), ())
-        self.tx_len, self.rx_len = a.length, b.length
+        self.tx_len, self.rx_len = len(a), len(b)
 
     @classmethod
     def from_scenario(cls, scn: SensingScenario) -> "ObservationGridBuilder":
@@ -154,9 +154,7 @@ class ObservationGridBuilder:
         A is (tx_len, P), B is (rx_len, P); an absent factor is a row of
         ones. Monostatic orthogonal-waveform sensing returns B aliased to A.
         """
-        a, b = steering_factors(
-            self.geom, self.carrier, self.mode, self.topology, thetas, ranges)
-        return a.values, b.values
+        return steering_factors(self.geom, self.carrier, self.mode, self.topology, thetas, ranges)
 
 
 def _paired_grid(thetas_axis: np.ndarray, ranges_axis: np.ndarray):

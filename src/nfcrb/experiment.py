@@ -42,9 +42,10 @@ MAX_SWEEP_POINTS = 10_000
 # any point is evaluated when a per-element method runs. Measured tracemalloc
 # peaks per point: ExactSum ~40 B and NumericalFim ~144 B per element (40 MB
 # and 144 MB at this cap). The Monte Carlo search holds a coarse factor of
-# 16 B per element and grid location (359 MB at M=1025 on a 181x121 grid), so
-# this cap does not bound its memory. The closed forms are O(1) in M.
+# 16 B per transmit element and grid location (359 MB at M=1025 on a 181x121
+# grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1) in M.
 MAX_ELEMENTS = 1_000_001
+MAX_COARSE_FACTOR_BYTES = 2 * 2**30
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
 
 METHOD_NAMES = tuple(m.value for m in CrbMethod)
@@ -256,7 +257,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
 
     Returns the points' (scenario, noise_cfg, warnings) triples in sweep
     order. Points with more than MAX_ELEMENTS transmit or receive elements
-    are refused when a method that allocates per element runs.
+    are refused when a method that allocates per element runs, and so are
+    points whose Monte Carlo coarse factor exceeds MAX_COARSE_FACTOR_BYTES.
     """
     per_element = cfg.montecarlo is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
     points = []
@@ -274,6 +276,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 f"{geom.num_rx} receive elements exceed {MAX_ELEMENTS} for "
                 "ExactSum, NumericalFim or Monte Carlo"
             )
+        mc = cfg.montecarlo
+        coarse = 16 * geom.num_tx * mc.theta_points * mc.range_points if mc else 0
+        if coarse > MAX_COARSE_FACTOR_BYTES:
+            raise ConfigError(f"sweep point {cfg.sweep.axis}={v!r}: the Monte Carlo coarse "
+                              f"factor needs {coarse} B, over {MAX_COARSE_FACTOR_BYTES} B")
         points.append(point)
     return points
 

@@ -2,7 +2,7 @@
 Schur-complemented out, and the exact-summation CRB path.
 
 This module is the numerical oracle: it never uses the closed forms, only
-analytic steering derivatives and direct element summations.
+analytic phase derivatives and direct element summations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, DomainError
 from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
-from .steering import ObservationVector, SteeringVector, direction_sine_derivs
+from .steering import ObservationVector, direction_sine_derivs
 
 # relative determinant threshold below which the angle/range information
 # block is declared singular
@@ -77,7 +77,10 @@ class NoiseAndPowerConfig:
     @classmethod
     def from_snr(cls, snr_db: float, time_bandwidth: float = 1.0) -> "NoiseAndPowerConfig":
         """Normalized representative config from an SNR in dB."""
-        return cls(snr_linear=10.0 ** (snr_db / 10.0), time_bandwidth=time_bandwidth)
+        try:
+            return cls(snr_linear=10.0 ** (snr_db / 10.0), time_bandwidth=time_bandwidth)
+        except OverflowError:
+            raise ConfigError(f"snr_db = {snr_db} overflows the linear SNR") from None
 
     @classmethod
     def from_physical(
@@ -185,16 +188,13 @@ def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) 
     return s / tx_array_size if mode is Mode.MIMO else s * tx_array_size
 
 
-def _centred_gram(f: SteeringVector) -> tuple[float, np.ndarray]:
-    """(|v|^2, Gram of the partials with their component along v removed).
-
-    Centring the vectors before the inner products (two-pass) keeps the
-    digits that |v|^2 <x, y> - <x, v><v, y> would cancel."""
-    v = f.values
-    vv = float(np.vdot(v, v).real)
-    x = np.column_stack([f.d_theta, f.d_range])
-    x = x - np.outer(v, (v.conj() @ x) / vv)
-    return vv, x.conj().T @ x
+def _centred_gram(psi: np.ndarray) -> np.ndarray:
+    """Gram of the partials j psi exp(j phi) of a unit-modulus factor less
+    their component along it: that of psi less its mean, centred first to keep
+    what L sum(x y) - sum(x) sum(y) cancels; three dots round less than a GEMM."""
+    t, r = psi - np.add.reduce(psi, 1, keepdims=True) / psi.shape[1]
+    tr = t @ r
+    return np.array([[t @ t, tr], [tr, r @ r]])
 
 
 def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
@@ -208,15 +208,15 @@ def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
     The complement projects g out of the partials: P(b_x (x) a + b (x) a_x) =
     b'_x (x) a + b (x) a'_x with a', b' the centred factor partials, two
     orthogonal terms, so by <b1 (x) a1, b2 (x) a2> = <b1, b2><a1, a2>,
-    Q = (2/N0)|rho|^2 Re{|a|^2 <b'_x, b'_y> + |b|^2 <a'_x, a'_y>}, formed in
-    O(M + N) from the two factors and without cancellation.
+    Q = (2/N0)|rho|^2 (M <b'_x, b'_y> + N <a'_x, a'_y>) for the unit-modulus
+    factors, formed in O(M + N) from their real phase derivatives.
     """
     energy = mode_energy_scale(cfg, obs.tx_array_size, obs.mode)
     kap = complex(cfg.reflection_coeff)
-    aa, cent_a = _centred_gram(obs.a)
-    bb, cent_b = (aa, cent_a) if obs.b is obs.a else _centred_gram(obs.b)
-    q = (2.0 / cfg.noise_psd) * abs(kap) ** 2 * energy * (aa * cent_b + bb * cent_a).real
-    return FimMatrix(0.5 * (q + q.T))
+    cent_a = _centred_gram(obs.a.psi)
+    cent_b = cent_a if obs.b is obs.a else _centred_gram(obs.b.psi)
+    scale = (2.0 / cfg.noise_psd) * abs(kap) ** 2 * energy
+    return FimMatrix(scale * (obs.num_tx * cent_b + obs.num_rx * cent_a))
 
 
 def crb_from_fim(fim: FimMatrix) -> CrbResult:

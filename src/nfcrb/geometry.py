@@ -71,10 +71,6 @@ class ArrayGeometry:
         return self.num_tx * self.tx_spacing
 
     @property
-    def rx_aperture(self) -> float:
-        return self.num_rx * self.rx_spacing
-
-    @property
     def is_monostatic(self) -> bool:
         return self.array_separation == 0.0
 

@@ -189,7 +189,7 @@ def _physical_factors(geom, tgt, carrier):
     # orthogonal-waveform layout (monostatic: b is a)
     topology = Topology.MONOSTATIC if geom.is_monostatic else Topology.BISTATIC_NEAR_FAR_TX
     a, b = steering_factors(geom, carrier, Mode.MIMO, topology, [tgt.angle_rad], [tgt.range_m])
-    return a.values[:, 0], b.values[:, 0]
+    return a[:, 0], b[:, 0]
 
 
 def mimo_chain_demo(
@@ -261,7 +261,7 @@ def phased_chain_demo(
     # the beam weights need the transmit response alone: the beamformed
     # monostatic layout carries a only
     a_steer = steering_factors(geom, carrier, Mode.PHASED, Topology.MONOSTATIC,
-                               [steer_at.angle_rad], [steer_at.range_m])[0].values[:, 0]
+                               [steer_at.angle_rad], [steer_at.range_m])[0][:, 0]
     kap = complex(cfg.reflection_coeff)
     # ||a|| = sqrt(M) normalizes the beamformer to unit total power
     gain = a_true @ a_steer.conj() / math.sqrt(geom.num_tx)

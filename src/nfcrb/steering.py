@@ -5,13 +5,14 @@ a(theta, r) is the spherical-wave transmit response over the exact
 element-to-target distances; b is the far-field receive response, a
 function of the direction sine sin(phi) seen from the receive-array centre
 (b := a when the arrays are co-located). steering_factors evaluates both at
-any number of paired locations, with analytic partials on request; the
-bounds, the simulator and the grid search all draw on it.
+any number of paired locations; build_observation holds them at one
+location as the real derivatives of their elements' phases for the bounds.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,51 +29,45 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Complex array response with its analytic partials.
+@dataclass(frozen=True, eq=False)
+class PhaseFactor:
+    """One factor exp(j phi) of g at one location: psi = (d phi/d theta,
+    d phi/d r), shape (2, len), less any part common to every element (the
+    amplitude absorbs it); values is formed by form() when first read."""
 
-    values has unit-modulus entries, one row per element and one column per
-    location (a 1-D array at a single location); d_theta and d_range are
-    elementwise derivatives of values with respect to the target angle and
-    range (None when not requested).
-    """
+    psi: np.ndarray
+    form: Callable[[], np.ndarray]
 
-    values: np.ndarray
-    d_theta: np.ndarray | None
-    d_range: np.ndarray | None
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.form()
 
 
 @dataclass(frozen=True)
 class ObservationVector:
     """Unified observation vector g = b (x) a, held as its two factors.
 
-    a and b are 1-D SteeringVectors with partials (b is a itself for
-    monostatic orthogonal waveforms); a missing factor is a single one, so
-    num_tx and num_rx are the factor lengths and y.reshape(num_rx, num_tx)
-    is always valid. g is formed by np.kron only when read, and then kept.
-    tx_array_size is the physical transmit element count, which sets the
-    power split/gain even when the transmit factor is absent from g
-    (beamformed bistatic data).
+    a and b are PhaseFactors (b is a itself for monostatic orthogonal
+    waveforms); a missing factor is a single one, so num_tx and num_rx are
+    the factor lengths and y.reshape(num_rx, num_tx) is always valid. g is
+    formed by np.kron only when read, and then kept. tx_array_size is the
+    physical transmit element count, which sets the power split/gain even
+    when the transmit factor is absent from g (beamformed bistatic data).
     """
 
-    a: SteeringVector
-    b: SteeringVector
+    a: PhaseFactor
+    b: PhaseFactor
     mode: Mode
     topology: Topology
     tx_array_size: int
 
     @property
     def num_tx(self) -> int:
-        return self.a.length
+        return self.a.psi.shape[1]
 
     @property
     def num_rx(self) -> int:
-        return self.b.length
+        return self.b.psi.shape[1]
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -91,18 +86,13 @@ def _receive_path_sq(separation, range_m, angle_rad):
 def direction_sine_derivs(separation, range_m, angle_rad):
     """Derivatives of the receive direction sine sin(phi) = r sin(theta)/l
     with respect to theta and r, elementwise over array inputs.
-    Index-independent factors of the far-field receive steering derivatives."""
+    Index-independent factors of the far-field receive phase derivatives."""
     R, r, th = separation, range_m, angle_rad
     l2 = _receive_path_sq(R, r, th)
     l3 = l2 * np.sqrt(l2)
     g_th = (r * np.cos(th) * (R * R + r * r - R * r * np.cos(th)) - R * r * r) / l3
     g_r = R * np.sin(th) * (R - r * np.cos(th)) / l3
     return g_th, g_r
-
-
-def _absent(p: int, derivs: bool) -> SteeringVector:
-    zeros = np.zeros((1, p)) if derivs else None
-    return SteeringVector(np.ones((1, p)), zeros, zeros)
 
 
 def steering_factors(
@@ -112,55 +102,41 @@ def steering_factors(
     topology: Topology,
     thetas,
     ranges,
-    derivs: bool = False,
-) -> tuple[SteeringVector, SteeringVector]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Factors (a, b) of g = b (x) a at P paired locations (thetas[j], ranges[j]).
 
     a[m, j] = exp(-j 2 pi r_m / lambda) with r_m the exact distance from
-    transmit element m; d r_m/d theta = -m d_tx r cos(theta)/r_m and
-    d r_m/d r = (r - m d_tx sin(theta))/r_m. b[n, j] = exp(+j 2 pi n d_rx
-    sin(phi)/lambda), its bulk phase exp(-j 2 pi l/lambda) absorbed into the
-    reflection coefficient; its partials use d sin(phi)/d theta and
-    d sin(phi)/d r.
+    transmit element m. b[n, j] = exp(+j 2 pi n d_rx sin(phi)/lambda), its
+    bulk phase exp(-j 2 pi l/lambda) absorbed into the reflection
+    coefficient.
 
-    Each factor is a SteeringVector of (len, P) arrays, with partials only
-    when derivs is set. Orthogonal waveforms observe both factors, with b
-    aliased to a for monostatic sensing; beamformed data keep a alone
-    (monostatic) or b alone (bistatic). An absent factor is a row of ones.
+    Each factor is a (len, P) complex array. Orthogonal waveforms
+    observe both factors, with b aliased to a for monostatic sensing;
+    beamformed data keep a alone (monostatic) or b alone (bistatic). An
+    absent factor is a row of ones.
     """
     if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
         raise DomainError("bistatic observation requires array_separation > 0")
     lam = carrier.wavelength
     th = np.asarray(thetas, dtype=float)
     r = np.asarray(ranges, dtype=float)
+    absent = np.ones((1, th.size))
 
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         R = geom.array_separation
         nd = (geom.rx_indices() * geom.rx_spacing)[:, None]
         k_rx = 2j * math.pi / lam
         # sin(phi) = r sin(theta) / l
-        vals = np.exp(k_rx * nd * (r * np.sin(th) / np.sqrt(_receive_path_sq(R, r, th))))
-        b = SteeringVector(vals, None, None)
-        if derivs:
-            g_th, g_r = direction_sine_derivs(R, r, th)
-            b = SteeringVector(vals, k_rx * nd * g_th * vals, k_rx * nd * g_r * vals)
+        b = np.exp(k_rx * nd * (r * np.sin(th) / np.sqrt(_receive_path_sq(R, r, th))))
         if mode is Mode.PHASED:
-            return _absent(th.size, derivs), b
+            return absent, b
 
     md = (geom.tx_indices() * geom.tx_spacing)[:, None]
     rm = np.sqrt(r * r - 2.0 * r * md * np.sin(th) + md * md)
     k_tx = -2j * math.pi / lam
-    vals = np.exp(k_tx * rm)
-    a = SteeringVector(vals, None, None)
-    if derivs:
-        # the partials divide by r_m; the values alone stay finite at r_m = 0
-        if not rm.min() > 0.0:
-            raise DegenerateGeometryError("target coincides with a transmit element")
-        drm_dth = -r * md * np.cos(th) / rm
-        drm_dr = (r - md * np.sin(th)) / rm
-        a = SteeringVector(vals, k_tx * drm_dth * vals, k_tx * drm_dr * vals)
+    a = np.exp(k_tx * rm)
     if mode is Mode.PHASED:
-        return a, _absent(th.size, derivs)
+        return a, absent
     return a, (a if topology is Topology.MONOSTATIC else b)
 
 
@@ -171,19 +147,42 @@ def build_observation(
     mode: Mode,
     topology: Topology,
 ) -> ObservationVector:
-    """The observation g = b (x) a for a mode/topology pair: the kernel's two
-    factors at the target, with partials."""
-    a, b = steering_factors(
-        geom, carrier, mode, topology, [tgt.angle_rad], [tgt.range_m], derivs=True)
-    a1 = _at_first_point(a)
-    return ObservationVector(
-        a=a1, b=a1 if b is a else _at_first_point(b),
-        mode=mode, topology=topology, tx_array_size=geom.num_tx,
-    )
+    """The observation g = b (x) a for a mode/topology pair at the target:
+    the kernel's factors as phase derivatives, their values formed on read.
 
+    With k = 2 pi/lambda and lin = r - m d_tx sin(theta), the transmit phase
+    -k r_m has d/d theta = k r m d_tx cos(theta)/r_m; its d/dr + k =
+    k (r_m - lin)/r_m is formed as k (m d_tx cos(theta))^2/(r_m (r_m + lin))
+    where lin > 0, so neither form cancels. The receive phase
+    k n d_rx sin(phi) has d/d(theta, r) = k n d_rx d sin(phi)/d(theta, r).
+    """
+    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
+        raise DomainError("bistatic observation requires array_separation > 0")
+    th, r, k = tgt.angle_rad, tgt.range_m, 2.0 * math.pi / carrier.wavelength
 
-def _at_first_point(f: SteeringVector) -> SteeringVector:
-    return SteeringVector(f.values[:, 0], f.d_theta[:, 0], f.d_range[:, 0])
+    def factor(i, psi):
+        return PhaseFactor(psi, lambda: steering_factors(
+            geom, carrier, mode, topology, [th], [r])[i][:, 0])
+
+    psi = [np.zeros((2, 1)), np.zeros((2, 1))]
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        nd = geom.rx_indices() * geom.rx_spacing
+        psi[1] = np.outer(direction_sine_derivs(geom.array_separation, r, th), k * nd)
+    if mode is Mode.MIMO or topology is Topology.MONOSTATIC:
+        # in units of r, as fim.transmit_sums: u = m d_tx/r, rho = r_m/r
+        u = geom.tx_indices() * geom.tx_spacing / r
+        us, mc = u * math.sin(th), u * math.cos(th)
+        # the phase derivatives divide by r_m: the ExactSum test of r_m = 0
+        if not (1.0 - 2.0 * us + u ** 2).min() > 0.0:
+            raise DegenerateGeometryError("target coincides with a transmit element")
+        lin = 1.0 - us
+        rho = np.sqrt(lin * lin + mc * mc)
+        # rho - lin, which is rho + |lin| where lin <= 0
+        s = rho + np.abs(lin)
+        psi[0] = np.array((k * r * mc, k * np.where(lin > 0.0, mc * mc / s, s))) / rho
+    a = factor(0, psi[0])
+    b = a if mode is Mode.MIMO and topology is Topology.MONOSTATIC else factor(1, psi[1])
+    return ObservationVector(a, b, mode, topology, geom.num_tx)
 
 
 def observation_from_scenario(scn: SensingScenario) -> ObservationVector:

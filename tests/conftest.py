@@ -6,7 +6,7 @@ import numpy as np
 
 from nfcrb.fim import mode_energy_scale
 from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
-from nfcrb.steering import SteeringVector, steering_factors
+from nfcrb.steering import build_observation
 
 # reference carrier used by most oracle values (wavelength pinned, not freq)
 WAVELENGTH = 0.1265
@@ -87,24 +87,25 @@ def target(range_m, angle_rad):
     return TargetLocation(range_m=range_m, angle_rad=angle_rad)
 
 
-def _one_point(factor):
-    return SteeringVector(factor.values[:, 0], factor.d_theta[:, 0], factor.d_range[:, 0])
-
-
 def transmit_response(geom, tgt, carrier=CARRIER):
-    """The kernel's transmit factor a at one location, with partials, as
-    1-D arrays (beamformed monostatic data carry a alone)."""
-    a, _ = steering_factors(geom, carrier, Mode.PHASED, Topology.MONOSTATIC,
-                            [tgt.angle_rad], [tgt.range_m], derivs=True)
-    return _one_point(a)
+    """The transmit factor a at one location, with its phase derivatives
+    (beamformed monostatic data carry a alone)."""
+    return build_observation(geom, tgt, carrier, Mode.PHASED, Topology.MONOSTATIC).a
 
 
 def receive_response(geom, tgt, carrier=CARRIER):
-    """The kernel's far-field receive factor b at one location, with
-    partials, as 1-D arrays (beamformed bistatic data carry b alone)."""
-    _, b = steering_factors(geom, carrier, Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX,
-                            [tgt.angle_rad], [tgt.range_m], derivs=True)
-    return _one_point(b)
+    """The far-field receive factor b at one location, with its phase
+    derivatives (beamformed bistatic data carry b alone)."""
+    return build_observation(geom, tgt, carrier, Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX).b
+
+
+def factor_partials(factor, range_constant=0.0):
+    """Complex partials j (psi + c) values of a factor with respect to theta
+    and r, where c = (0, range_constant) restores the phase derivative's
+    common part that psi leaves out (-2 pi/lambda for the transmit range)."""
+    d_theta = 1j * factor.psi[0] * factor.values
+    d_range = 1j * (factor.psi[1] + range_constant) * factor.values
+    return d_theta, d_range
 
 
 def fresnel_distance(md, tgt):
@@ -114,22 +115,32 @@ def fresnel_distance(md, tgt):
     return r + (md * math.cos(th)) ** 2 / (2.0 * r) - md * math.sin(th)
 
 
-def kron_partials(obs):
+def range_constants(obs, carrier=CARRIER):
+    """The constants (c_a, c_b) that the range rows of obs.a and obs.b
+    leave out: -2 pi/lambda for a transmit factor, 0 otherwise."""
+    k_tx = -2.0 * math.pi / carrier.wavelength
+    has_tx = not (obs.mode is Mode.PHASED and obs.topology is Topology.BISTATIC_NEAR_FAR_TX)
+    return (k_tx if has_tx else 0.0), (k_tx if obs.b is obs.a else 0.0)
+
+
+def kron_partials(obs, carrier=CARRIER):
     """Partials of the Kronecker observation g = b (x) a with respect to
     theta and r, by the product rule over the two factors."""
-    a, b = obs.a, obs.b
-    g_theta = np.kron(b.d_theta, a.values) + np.kron(b.values, a.d_theta)
-    g_range = np.kron(b.d_range, a.values) + np.kron(b.values, a.d_range)
+    c_a, c_b = range_constants(obs, carrier)
+    a_th, a_r = factor_partials(obs.a, c_a)
+    b_th, b_r = factor_partials(obs.b, c_b)
+    g_theta = np.kron(b_th, obs.a.values) + np.kron(obs.b.values, a_th)
+    g_range = np.kron(b_r, obs.a.values) + np.kron(obs.b.values, a_r)
     return g_theta, g_range
 
 
-def kron_fim_oracle(obs, cfg):
+def kron_fim_oracle(obs, cfg, carrier=CARRIER):
     """The brute-force FIM over the length-M*N observation: the Jacobian of
     w = rho g as columns of the Kronecker vectors, then (2/N0) Re{J^H J},
     and the Schur complement of its amplitude block."""
     root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, obs.mode))
     kap = complex(cfg.reflection_coeff)
-    g_theta, g_range = kron_partials(obs)
+    g_theta, g_range = kron_partials(obs, carrier)
     jac = np.column_stack([
         kap * root * g_theta, kap * root * g_range, root * obs.g, 1j * root * obs.g,
     ])

@@ -260,6 +260,44 @@ def test_target_on_a_transmit_element_exits_3(method, capsys):
     assert captured.err == "numerical failure: target coincides with a transmit element\n"
 
 
+@pytest.mark.parametrize("overrides", [
+    ["scenario.snr_db=4000"],
+    ["sweep.axis=snr_db", "sweep.values=4000"],
+])
+def test_overflowing_snr_exits_2(overrides, capsys):
+    # 10^400 overflows a float: a config error, not a traceback
+    argv = ["preset", "fig2"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "overflows" in captured.err
+
+
+def test_arithmetic_error_exits_3(capsys):
+    # lambda^2 underflows to 0 at this carrier and the closed form divides by
+    # it: a ZeroDivisionError is reported as a numerical failure
+    code = main(["preset", "fig2", "--set", "scenario.carrier_freq_hz=1e308",
+                 "--set", "sweep.values=9"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: float division by zero\n"
+
+
+def test_monte_carlo_coarse_factor_over_budget_exits_2():
+    # the 90 GiB coarse factor of this point cannot be allocated; the point
+    # is refused before any point is evaluated
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfcrb.cli", "preset", "fig8", "--set", "montecarlo.trials=1",
+         "--set", "montecarlo.theta_points=100000000", "--set", "sweep.values=65"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:") and "coarse factor" in proc.stderr
+
+
 def test_list_presets(capsys):
     assert main(["list-presets"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -15,6 +15,7 @@ from conftest import csv_text_oracle
 from nfcrb import experiment
 from nfcrb.errors import ConfigError
 from nfcrb.experiment import (
+    MAX_COARSE_FACTOR_BYTES,
     BASE_COLUMNS,
     MAX_ELEMENTS,
     MAX_SWEEP_POINTS,
@@ -178,8 +179,11 @@ def test_validate_config_returns_each_point_materialized():
 @pytest.mark.parametrize("extra", [
     dict(methods=("ClosedForm", "ExactSum")),
     dict(methods=("NumericalFim",)),
+    # an 11x11 grid keeps the coarse factor at the element cap (1.9 GB)
+    # inside MAX_COARSE_FACTOR_BYTES, so the element cap is what is tested
     dict(methods=("ClosedForm",), montecarlo=MonteCarloConfig(
-        estimator="MatchedFieldML", trials=2, master_seed=5)),
+        estimator="MatchedFieldML", trials=2, master_seed=5,
+        theta_points=11, range_points=11)),
 ])
 def test_per_element_methods_are_capped_at_validation(extra):
     # materializing a point is O(1) in M, so every point is checked before
@@ -188,6 +192,19 @@ def test_per_element_methods_are_capped_at_validation(extra):
     assert len(validate_config(at_cap)) == 2
     over = mono_cfg(sweep=SweepSpec(axis="M", values=(9, MAX_ELEMENTS + 2)), **extra)
     with pytest.raises(ConfigError, match=f"sweep point M={MAX_ELEMENTS + 2}: .* exceed"):
+        validate_config(over)
+
+
+def test_monte_carlo_coarse_factor_is_capped_at_validation():
+    # 16 B per transmit element and grid location; validation allocates none
+    cfg = presets()["fig8"]
+    assert len(validate_config(cfg)) == 3
+    m, rp = 1025, cfg.montecarlo.range_points
+    fits = MAX_COARSE_FACTOR_BYTES // (16 * m * rp)
+    at_budget = replace(cfg, montecarlo=replace(cfg.montecarlo, theta_points=fits))
+    assert len(validate_config(at_budget)) == 3
+    over = replace(cfg, montecarlo=replace(cfg.montecarlo, theta_points=fits + 1))
+    with pytest.raises(ConfigError, match="sweep point M=1025: the Monte Carlo coarse factor"):
         validate_config(over)
 
 

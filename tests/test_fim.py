@@ -14,6 +14,7 @@ from conftest import (
     CARRIER,
     SPACING,
     bi_geom,
+    factor_partials,
     kron_fim_oracle,
     mono_geom,
     receive_response,
@@ -244,13 +245,14 @@ def test_crb_from_fim_inverts_the_reduced_block_when_set():
 def test_transmit_sums_are_steering_inner_products():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
     sv = transmit_response(geom, tgt)
+    d_theta, d_range = factor_partials(sv, -2.0 * math.pi / CARRIER.wavelength)
     a_s, c_ov, e_s, p_s, q_ov = (
         s[0] for s in transmit_sums(geom, [tgt.angle_rad], [tgt.range_m], CARRIER))
-    assert a_s == pytest.approx(np.vdot(sv.d_theta, sv.d_theta).real, rel=1e-12)
-    assert p_s == pytest.approx(np.vdot(sv.d_range, sv.d_range).real, rel=1e-12)
-    assert e_s == pytest.approx(np.vdot(sv.d_theta, sv.d_range).real, rel=1e-12)
-    assert c_ov == pytest.approx(np.vdot(sv.d_theta, sv.values), rel=1e-12)
-    assert q_ov == pytest.approx(np.vdot(sv.d_range, sv.values), rel=1e-12)
+    assert a_s == pytest.approx(np.vdot(d_theta, d_theta).real, rel=1e-12)
+    assert p_s == pytest.approx(np.vdot(d_range, d_range).real, rel=1e-12)
+    assert e_s == pytest.approx(np.vdot(d_theta, d_range).real, rel=1e-12)
+    assert c_ov == pytest.approx(np.vdot(d_theta, sv.values), rel=1e-12)
+    assert q_ov == pytest.approx(np.vdot(d_range, sv.values), rel=1e-12)
 
 
 # element counts on both sides of the block size, and a few small ones; with
@@ -286,12 +288,13 @@ def test_transmit_sums_refuse_a_target_on_an_element():
 def test_receive_sums_are_steering_inner_products():
     geom, tgt = bi_geom(9, 8, 35.0), target(18.0, 0.3)
     sv = receive_response(geom, tgt)
+    d_theta, d_range = factor_partials(sv)
     i_s, s_s, k_s = receive_sums(geom, tgt, CARRIER)
-    assert i_s == pytest.approx(np.vdot(sv.d_theta, sv.d_theta).real, rel=1e-12)
-    assert s_s == pytest.approx(np.vdot(sv.d_range, sv.d_range).real, rel=1e-12)
-    assert k_s == pytest.approx(np.vdot(sv.d_theta, sv.d_range).real, rel=1e-12)
+    assert i_s == pytest.approx(np.vdot(d_theta, d_theta).real, rel=1e-12)
+    assert s_s == pytest.approx(np.vdot(d_range, d_range).real, rel=1e-12)
+    assert k_s == pytest.approx(np.vdot(d_theta, d_range).real, rel=1e-12)
     # first moments vanish by the symmetric index layout
-    assert abs(np.vdot(sv.d_theta, sv.values)) < 1e-9 * math.sqrt(i_s)
+    assert abs(np.vdot(d_theta, sv.values)) < 1e-9 * math.sqrt(i_s)
 
 
 # --- exact-sum CRB path ----------------------------------------------------------

@@ -15,6 +15,6 @@ from nfcrb.steering import build_observation
 def test_entries_equal_the_eager_oracle_at_every_preset_point(name):
     for scn, ncfg, _ in validate_config(presets()[name]):
         obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
-        want, schur = kron_fim_oracle(obs, ncfg)
+        want, schur = kron_fim_oracle(obs, ncfg, scn.carrier)
         got = fim_numeric(obs, ncfg).reduced
         assert np.abs(got - schur).max() <= 1e-12 * np.abs(want[:2, :2]).max()

@@ -80,7 +80,7 @@ def test_tx_distance_zero_when_target_sits_on_element():
     tgt = target(10.0, math.pi / 2)
     a, _ = steering_factors(geom, CARRIER, Mode.PHASED, Topology.MONOSTATIC,
                             [tgt.angle_rad], [tgt.range_m])
-    assert a.values[10, 0] == 1.0   # r_m = 0: no phase
+    assert a[10, 0] == 1.0   # r_m = 0: no phase
 
 
 # --- Fresnel (Taylor) approximation ------------------------------------------

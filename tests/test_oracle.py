@@ -14,6 +14,12 @@ where c = (2/N0) |kappa|^2 T_p P / M (orthogonal waveforms) or
 (2/N0) |kappa|^2 T_p P M (beamformed), and K is the length of g. At 60
 digits the uncentred form loses nothing that matters.
 
+NumericalFim centres the real phase derivatives in double precision, so it
+agrees with the oracle to RTOL = 1e-10 wherever det(Q)/tr(Q)^2 >= 1e-11;
+what is left there is the rounding of the 2x2 determinant, not of the
+derivatives. Points where the range derivative sits close to its constant
+part (small aperture, and endfire inside the aperture) are held to 1e-12.
+
 The exact-summation path is left out: near the identifiability edge it
 still forms M sum x^2 - |sum x|^2 and loses digits there.
 """
@@ -35,7 +41,7 @@ STEP = mpmath.mpf("1e-25")
 # NumericalFim must match the oracle this closely where the oracle's
 # det(Q)/tr(Q)^2 is at least RATIO_ACCURATE (tr the half trace, as in
 # crb_from_fim); the verdicts must agree outside the band around DET_REL_TOL
-RTOL = 1e-8
+RTOL = 1e-10
 RATIO_ACCURATE = 1e-11
 RATIO_BAND = (1e-13, 1e-11)
 
@@ -118,7 +124,7 @@ def oracle(geom, tgt, carrier, cfg, mode, topology):
         return float(q[1][1] / (c * det)), float(q[0][0] / (c * det)), float(ratio)
 
 
-def _check(geom, tgt, carrier, cfg, mode, topology):
+def _check(geom, tgt, carrier, cfg, mode, topology, rtol=RTOL):
     want_th, want_r, ratio = oracle(geom, tgt, carrier, cfg, mode, topology)
     obs = build_observation(geom, tgt, carrier, mode, topology)
     got = crb_from_fim(fim_numeric(obs, cfg))
@@ -127,8 +133,8 @@ def _check(geom, tgt, carrier, cfg, mode, topology):
     if ratio < RATIO_BAND[0] or ratio > RATIO_BAND[1]:
         assert got.identifiable == (ratio > RATIO_BAND[1]), where
     if ratio >= RATIO_ACCURATE:
-        assert abs(got.crb_theta / want_th - 1.0) < RTOL, where
-        assert abs(got.crb_range / want_r - 1.0) < RTOL, where
+        assert abs(got.crb_theta / want_th - 1.0) < rtol, where
+        assert abs(got.crb_range / want_r - 1.0) < rtol, where
     return ratio
 
 
@@ -146,6 +152,26 @@ def test_preset_points_match_oracle(name, largest):
     for scn, ncfg in _preset_points(name, largest):
         ratio = _check(scn.geometry, scn.target, scn.carrier, ncfg, scn.mode, scn.topology)
         assert ratio >= RATIO_ACCURATE
+
+
+# the range derivative is k less a small part: at this small-aperture point
+# a complex range partial kept it below the rounding of k (7.5e-9 off)
+SMALL_APERTURE = (ArrayGeometry(33, 33, 2.13e-3, 2.13e-3, 0.0),
+                  TargetLocation(range_m=23.87, angle_rad=-1.418),
+                  CarrierConfig.from_wavelength(15.27e-3))
+# endfire inside the aperture: r - m d sin(theta) < 0 for the outer elements,
+# where k (m d cos(theta))^2 / (r_m (r_m + lin)) would cancel in r_m + lin
+ENDFIRE = [(ArrayGeometry(9, 9, 0.0628, 0.0628, 0.0), TargetLocation(range_m=r, angle_rad=th),
+            CarrierConfig(carrier_freq=2.37e9))
+           for th in (1.55, 1.57) for r in (0.12, 0.2)]
+
+
+@pytest.mark.parametrize("geom,tgt,carrier", [SMALL_APERTURE, *ENDFIRE], ids=[
+    "small_aperture", *(f"endfire_r{t.range_m}_theta{t.angle_rad}" for _, t, _ in ENDFIRE)])
+def test_range_derivative_keeps_its_small_part(geom, tgt, carrier):
+    cfg = NoiseAndPowerConfig.from_snr(0.0)
+    ratio = _check(geom, tgt, carrier, cfg, Mode.MIMO, Topology.MONOSTATIC, rtol=1e-12)
+    assert ratio >= RATIO_ACCURATE
 
 
 def test_moments_match_the_product_grid_sum():

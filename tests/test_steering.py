@@ -1,6 +1,6 @@
-"""The steering kernel: unit modulus, analytic derivatives against central
-differences, the factor layout, and the Kronecker assembly of the
-observation vector."""
+"""The steering kernel: unit modulus, analytic phase derivatives against
+central differences of the phase, the factor layout, and the Kronecker
+assembly of the observation vector."""
 
 import math
 
@@ -10,15 +10,19 @@ import pytest
 from conftest import (
     CARRIER,
     bi_geom,
+    factor_partials,
     kron_partials,
     mono_geom,
+    range_constants,
     receive_response,
     target,
     transmit_response,
 )
 from nfcrb.errors import DomainError
+from nfcrb.experiment import csv_text, presets, run_experiment, validate_config
 from nfcrb.geometry import Mode, SensingScenario, Topology
 from nfcrb.steering import (
+    PhaseFactor,
     build_observation,
     direction_sine_derivs,
     observation_from_scenario,
@@ -31,19 +35,24 @@ PAIRS = [(mode, topology) for mode in (Mode.MIMO, Mode.PHASED)
          for topology in (Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX)]
 
 
-def fd_check(make, tgt, rel=1e-4):
-    """Central-difference check of d_theta and d_range."""
+def phase_slope(up, dn, step):
+    """Central difference of the phase of unit-modulus values."""
+    return np.angle(up * dn.conj()) / (2.0 * step)
+
+
+def fd_check(make, tgt, range_constant=0.0, rel=1e-4):
+    """Central-difference check of psi against the phase of the values;
+    range_constant is the part of d phi/dr that psi leaves out."""
     sv = make(tgt)
-    up = make(target(tgt.range_m, tgt.angle_rad + DTH)).values
-    dn = make(target(tgt.range_m, tgt.angle_rad - DTH)).values
-    fd_th = (up - dn) / (2.0 * DTH)
-    up = make(target(tgt.range_m + DR, tgt.angle_rad)).values
-    dn = make(target(tgt.range_m - DR, tgt.angle_rad)).values
-    fd_r = (up - dn) / (2.0 * DR)
-    scale_th = max(np.abs(sv.d_theta).max(), 1e-30)
-    scale_r = max(np.abs(sv.d_range).max(), 1e-30)
-    assert np.abs(sv.d_theta - fd_th).max() < rel * scale_th
-    assert np.abs(sv.d_range - fd_r).max() < rel * scale_r
+    fd_th = phase_slope(make(target(tgt.range_m, tgt.angle_rad + DTH)).values,
+                        make(target(tgt.range_m, tgt.angle_rad - DTH)).values, DTH)
+    fd_r = phase_slope(make(target(tgt.range_m + DR, tgt.angle_rad)).values,
+                       make(target(tgt.range_m - DR, tgt.angle_rad)).values, DR)
+    psi_th, psi_r = sv.psi
+    scale_th = max(np.abs(psi_th).max(), 1e-30)
+    scale_r = max(np.abs(psi_r).max(), 1e-30)
+    assert np.abs(psi_th - fd_th).max() < rel * scale_th
+    assert np.abs(psi_r - (fd_r - range_constant)).max() < rel * scale_r
 
 
 def test_tx_steering_unit_modulus_and_center_phase():
@@ -58,18 +67,22 @@ def test_tx_steering_unit_modulus_and_center_phase():
 def test_tx_steering_derivatives_match_finite_differences():
     geom = mono_geom(33)
     for th, r in ((0.0, 10.0), (0.4, 5.0), (-1.0, 18.0)):
-        fd_check(lambda t: transmit_response(geom, t), target(r, th))
+        fd_check(lambda t: transmit_response(geom, t), target(r, th),
+                 -2.0 * math.pi / CARRIER.wavelength)
 
 
 def test_rx_near_degenerates_to_tx_when_colocated():
-    # co-located arrays: the receive factor is the transmit factor, partials included
+    # co-located arrays: the receive factor is the transmit factor, phase
+    # derivatives included
     geom = mono_geom(9)
     a, b = steering_factors(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC,
-                            [-0.4, 0.2], [7.0, 12.0], derivs=True)
+                            [-0.4, 0.2], [7.0, 12.0])
     assert b is a
     single = transmit_response(geom, target(7.0, -0.4))
-    assert np.array_equal(a.values[:, 0], single.values)
-    assert np.array_equal(a.d_theta[:, 0], single.d_theta)
+    assert np.array_equal(a[:, 0], single.values)
+    obs = build_observation(geom, target(7.0, -0.4), CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+    assert obs.b is obs.a
+    assert np.array_equal(obs.a.psi, single.psi)
 
 
 def test_rx_far_unit_modulus_and_center_element():
@@ -122,6 +135,8 @@ def kernel_case(topology):
 
 @pytest.mark.parametrize("mode,topology", PAIRS)
 def test_kernel_derivatives_at_paired_points(mode, topology):
+    # psi at each point against the phase of the kernel's values at the
+    # paired points around it
     geom = kernel_case(topology)
     ths = np.array([0.0, 0.3, -0.8, 1.1])
     rs = np.array([18.0, 10.0, 50.0, 7.0])
@@ -129,37 +144,37 @@ def test_kernel_derivatives_at_paired_points(mode, topology):
     def at(dth, dr):
         return steering_factors(geom, CARRIER, mode, topology, ths + dth, rs + dr)
 
-    a, b = steering_factors(geom, CARRIER, mode, topology, ths, rs, derivs=True)
     up_t, dn_t, up_r, dn_r = at(DTH, 0.0), at(-DTH, 0.0), at(0.0, DR), at(0.0, -DR)
-    for i, factor in enumerate((a, b)):
-        fd_th = (up_t[i].values - dn_t[i].values) / (2.0 * DTH)
-        fd_r = (up_r[i].values - dn_r[i].values) / (2.0 * DR)
-        # column by column, so a weak column is not hidden by a strong one
-        for j in range(ths.size):
-            scale_th = max(np.abs(factor.d_theta[:, j]).max(), 1e-30)
-            scale_r = max(np.abs(factor.d_range[:, j]).max(), 1e-30)
-            assert np.abs(factor.d_theta[:, j] - fd_th[:, j]).max() < 1e-4 * scale_th
-            assert np.abs(factor.d_range[:, j] - fd_r[:, j]).max() < 1e-4 * scale_r
+    for j in range(ths.size):
+        obs = build_observation(geom, target(rs[j], ths[j]), CARRIER, mode, topology)
+        for i, (factor, c_r) in enumerate(zip((obs.a, obs.b), range_constants(obs))):
+            fd_th = phase_slope(up_t[i][:, j], dn_t[i][:, j], DTH)
+            fd_r = phase_slope(up_r[i][:, j], dn_r[i][:, j], DR)
+            # point by point, so a weak point is not hidden by a strong one
+            scale_th = max(np.abs(factor.psi[0]).max(), 1e-30)
+            scale_r = max(np.abs(factor.psi[1]).max(), 1e-30)
+            assert np.abs(factor.psi[0] - fd_th).max() < 1e-4 * scale_th
+            assert np.abs(factor.psi[1] - (fd_r - c_r)).max() < 1e-4 * scale_r
 
 
 @pytest.mark.parametrize("mode,topology", PAIRS)
 def test_kernel_layout(mode, topology):
     geom = kernel_case(topology)
     a, b = steering_factors(geom, CARRIER, mode, topology, [0.1, 0.2, 0.3],
-                            [10.0, 12.0, 14.0], derivs=True)
+                            [10.0, 12.0, 14.0])
     has_tx = mode is Mode.MIMO or topology is Topology.MONOSTATIC
     has_rx = topology is Topology.BISTATIC_NEAR_FAR_TX or mode is Mode.MIMO
     rx_len = geom.num_tx if topology is Topology.MONOSTATIC else geom.num_rx
-    assert a.values.shape == (geom.num_tx if has_tx else 1, 3)
-    assert b.values.shape == (rx_len if has_rx else 1, 3)
+    assert a.shape == (geom.num_tx if has_tx else 1, 3)
+    assert b.shape == (rx_len if has_rx else 1, 3)
     assert (b is a) == (topology is Topology.MONOSTATIC and mode is Mode.MIMO)
-    for present, factor in ((has_tx, a), (has_rx, b)):
+    obs = build_observation(geom, target(10.0, 0.1), CARRIER, mode, topology)
+    assert (obs.b is obs.a) == (b is a)
+    for present, factor, one in ((has_tx, a, obs.a), (has_rx, b, obs.b)):
+        assert one.psi.shape == (2, len(factor))
         if not present:
-            assert np.array_equal(factor.values, np.ones((1, 3)))
-            assert not factor.d_theta.any() and not factor.d_range.any()
-    plain = steering_factors(geom, CARRIER, mode, topology, [0.1, 0.2, 0.3],
-                             [10.0, 12.0, 14.0])
-    assert np.array_equal(plain[0].values, a.values) and plain[0].d_theta is None
+            assert np.array_equal(factor, np.ones((1, 3)))
+            assert np.array_equal(one.values, np.ones(1)) and not one.psi.any()
 
 
 # --- observation assembly ------------------------------------------------------
@@ -225,8 +240,10 @@ def test_mono_mimo_product_rule():
     geom, tgt = mono_geom(9), target(10.0, 0.3)
     a = transmit_response(geom, tgt)
     obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    expect = np.kron(a.d_theta, a.values) + np.kron(a.values, a.d_theta)
-    assert np.abs(kron_partials(obs)[0] - expect).max() < 1e-12
+    for got, d_a in zip(kron_partials(obs),
+                        factor_partials(a, -2.0 * math.pi / CARRIER.wavelength)):
+        expect = np.kron(d_a, a.values) + np.kron(a.values, d_a)
+        assert np.abs(got - expect).max() < 1e-12
 
 
 def test_bistatic_requires_separation():
@@ -242,3 +259,43 @@ def test_observation_from_scenario_matches_direct_build():
     via = observation_from_scenario(scn)
     assert np.array_equal(via.g, direct.g)
     assert via.tx_array_size == direct.tx_array_size
+
+
+# --- values formed on read -------------------------------------------------------
+
+VALUE_POINTS = [(18.0, 0.3), (10.0, -1.2), (0.2, 1.57), (0.12, 1.55), (500.0, 0.0)]
+
+
+@pytest.mark.parametrize("mode,topology", PAIRS)
+@pytest.mark.parametrize("num_tx", [1, 9, 33])
+def test_observation_values_are_the_kernel_values(mode, topology, num_tx):
+    # bit for bit: the simulator draws its snapshots from obs.g
+    geom = mono_geom(num_tx) if topology is Topology.MONOSTATIC else bi_geom(num_tx, 8, 35.0)
+    for r, th in VALUE_POINTS:
+        obs = build_observation(geom, target(r, th), CARRIER, mode, topology)
+        a, b = steering_factors(geom, CARRIER, mode, topology, [th], [r])
+        assert np.array_equal(obs.g, np.kron(b[:, 0], a[:, 0]))
+        assert np.array_equal(obs.a.values, a[:, 0])
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_observation_values_at_every_preset_point(name):
+    for scn, _, _ in validate_config(presets()[name]):
+        obs = observation_from_scenario(scn)
+        a, b = steering_factors(scn.geometry, scn.carrier, scn.mode, scn.topology,
+                                [scn.target.angle_rad], [scn.target.range_m])
+        assert np.array_equal(obs.g, np.kron(b[:, 0], a[:, 0]))
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_bounds_never_form_the_steering_values(name, monkeypatch):
+    cfg = presets()[name]
+    want = csv_text(cfg, run_experiment(cfg))
+
+    def refuse(self):
+        raise AssertionError("steering values formed on the bound path")
+
+    monkeypatch.setattr(PhaseFactor, "values", property(refuse))
+    with pytest.raises(AssertionError, match="bound path"):
+        transmit_response(mono_geom(9), target(10.0, 0.3)).values
+    assert csv_text(cfg, run_experiment(cfg)) == want
