@@ -52,7 +52,6 @@ from .fim import (
     intermediates_exact,
     mode_energy_scale,
     receive_sums,
-    transmit_sums,
 )
 from .geometry import (
     ArrayGeometry,
@@ -80,6 +79,7 @@ from .steering import (
     build_observation,
     direction_sine_derivs,
     observation_from_scenario,
+    phase_derivs,
     steering_factors,
 )
 

@@ -23,7 +23,7 @@ from .fim import (
     CrbResult,
     IntermediateParams,
     NoiseAndPowerConfig,
-    _crb_from_intermediates,
+    _inverse_diagonal,
     receive_sums,
 )
 
@@ -118,7 +118,8 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
     orthogonal-waveform ones. Bistatic bounds (near-field transmit,
     far-field receive) need array_separation > 0; beamformed bistatic data
     leave a rank-one angle/range information block, so nothing is
-    identifiable there.
+    identifiable there. The block is formed from the uncentred
+    intermediates, M sum(x y) - sum(x) sum(y) per entry.
     """
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         if geom.array_separation <= 0.0:
@@ -126,8 +127,28 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
         if mode is Mode.PHASED:
             return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM)
     ip = intermediates_closed(geom, tgt, carrier)
-    return _crb_from_intermediates(
-        ip, geom, cfg, mode, topology, CrbMethod.CLOSED_FORM, _model_warnings(geom, tgt))
+    warnings = _model_warnings(geom, tgt)
+    if geom.num_tx < 2:
+        # no transmit baseline: monostatic information vanishes and the
+        # receive-only bistatic block is rank one, exactly in both cases
+        return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM, warnings)
+    prefactor = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
+    m = float(geom.num_tx)
+    cross_ov = (ip.angle_overlap.conjugate() * ip.range_overlap).real
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        n = float(geom.num_rx)
+        aa = m * ip.rx_angle_power + n * ip.angle_power - (n / m) * abs(ip.angle_overlap) ** 2
+        pp = m * ip.rx_range_power + n * ip.range_power - (n / m) * abs(ip.range_overlap) ** 2
+        ee = m * ip.rx_cross_power + n * ip.cross_power - (n / m) * cross_ov
+        scale = prefactor * m
+    else:
+        aa = m * ip.angle_power - abs(ip.angle_overlap) ** 2
+        pp = m * ip.range_power - abs(ip.range_overlap) ** 2
+        ee = m * ip.cross_power - cross_ov
+        # orthogonal waveforms see the information twice (transmit and
+        # receive); halving the scale is exact
+        scale = prefactor * m * 0.5 if mode is Mode.MIMO else prefactor
+    return _inverse_diagonal(aa, ee, ee, pp, CrbMethod.CLOSED_FORM, scale, warnings)
 
 
 class AsymptoticRegime(enum.Enum):

@@ -10,6 +10,7 @@ Output is deterministic: the same config and seed give byte-identical CSV.
 import configparser
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,10 +41,10 @@ MAX_SWEEP_POINTS = 10_000
 
 # points with more transmit or receive elements than this are refused before
 # any point is evaluated when a per-element method runs. Measured tracemalloc
-# peaks per point: ExactSum ~40 B and NumericalFim ~144 B per element (40 MB
-# and 144 MB at this cap). The Monte Carlo search holds a coarse factor of
-# 16 B per transmit element and grid location (359 MB at M=1025 on a 181x121
-# grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1) in M.
+# peaks per point: ExactSum and NumericalFim ~72 B per element (72 MB at this
+# cap). The Monte Carlo search holds a coarse factor of 16 B per transmit
+# element and grid location (359 MB at M=1025 on a 181x121 grid), refused
+# above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1) in M.
 MAX_ELEMENTS = 1_000_001
 MAX_COARSE_FACTOR_BYTES = 2 * 2**30
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
@@ -251,6 +252,20 @@ def materialize(cfg: ExperimentConfig, axis_value=None):
     return scn, ncfg, warns
 
 
+def _carrier_in_range(scn: SensingScenario) -> bool:
+    """Whether lambda^2 (the closed forms divide by it) and, unless the arrays
+    have no extent, (k^2 sum (n d)^2)^2 over both arrays are normal floats:
+    that sum sets the size of an information entry, and the 2x2
+    determinant multiplies two of them."""
+    lam2 = scn.carrier.wavelength * scn.carrier.wavelength
+    g = scn.geometry
+    moment = (g.num_tx * (g.num_tx * g.num_tx - 1) * g.tx_spacing * g.tx_spacing
+              + g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing) / 12.0
+    info = 4.0 * math.pi ** 2 / lam2 * moment if lam2 > 0.0 else math.inf
+    return (sys.float_info.min <= lam2 < math.inf
+            and (moment == 0.0 or sys.float_info.min <= info * info < math.inf))
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
     """Materialize every sweep point up front so bad values fail as config
     errors before any output is produced.
@@ -258,7 +273,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
     Returns the points' (scenario, noise_cfg, warnings) triples in sweep
     order. Points with more than MAX_ELEMENTS transmit or receive elements
     are refused when a method that allocates per element runs, and so are
-    points whose Monte Carlo coarse factor exceeds MAX_COARSE_FACTOR_BYTES.
+    points whose Monte Carlo coarse factor exceeds MAX_COARSE_FACTOR_BYTES,
+    and a carrier out of the range _carrier_in_range states.
     """
     per_element = cfg.montecarlo is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
     points = []
@@ -269,6 +285,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
             raise
         except NfcrbError as exc:
             raise ConfigError(f"sweep point {cfg.sweep.axis}={v!r}: {exc}") from exc
+        if not _carrier_in_range(point[0]):
+            raise ConfigError(
+                f"sweep point {cfg.sweep.axis}={v!r}: carrier_freq_hz = {cfg.carrier_freq_hz!r} "
+                "is out of range: the bounds need lambda^2 and (k^2 sum (n d)^2)^2 "
+                "normal floats")
         geom = point[0].geometry
         if per_element and max(geom.num_tx, geom.num_rx) > MAX_ELEMENTS:
             raise ConfigError(

@@ -1,8 +1,14 @@
 """Fisher information on angle and range with the reflection coefficient
-Schur-complemented out, and the exact-summation CRB path.
+Schur-complemented out, the exact-summation CRB path, and the one 2x2
+inversion every bound goes through.
 
 This module is the numerical oracle: it never uses the closed forms, only
-analytic phase derivatives and direct element summations.
+the analytic phase derivatives of steering.phase_derivs and direct element
+summations. NumericalFim reads them at one location through
+build_observation; ExactSum reads a run of locations in blocks. Both centre
+them (_centred_gram), form the 2x2 block with one expression
+(_reduced_block) and invert it with one rule (_inverse_diagonal), so the two
+methods agree to the bit.
 """
 
 from __future__ import annotations
@@ -13,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError, DomainError
+from .errors import ConfigError, DomainError
 from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
-from .steering import ObservationVector, direction_sine_derivs
+from .steering import ObservationVector, direction_sine_derivs, phase_derivs
 
 # relative determinant threshold below which the angle/range information
 # block is declared singular
 DET_REL_TOL = 1e-12
 
-# elements per block of the multi-location transmit sums: a few (rows, M)
-# float temporaries of this size stay in cache
-_BLOCK_ELEMENTS = 16_384
+# elements per block of ExactSum's multi-location sums: a (2, P, len) float
+# temporary stays under 128 KiB, which the allocator serves without mapping
+# fresh pages (fig4 at M=1025: ~1.6 ms a call, ~2.2 ms at twice this size)
+_BLOCK_ELEMENTS = 8_192
 
 
 @dataclass(frozen=True)
@@ -188,13 +195,26 @@ def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) 
     return s / tx_array_size if mode is Mode.MIMO else s * tx_array_size
 
 
-def _centred_gram(psi: np.ndarray) -> np.ndarray:
-    """Gram of the partials j psi exp(j phi) of a unit-modulus factor less
-    their component along it: that of psi less its mean, centred first to keep
-    what L sum(x y) - sum(x) sum(y) cancels; three dots round less than a GEMM."""
-    t, r = psi - np.add.reduce(psi, 1, keepdims=True) / psi.shape[1]
-    tr = t @ r
-    return np.array([[t @ t, tr], [tr, r @ r]])
+def _centred_gram(psi: np.ndarray) -> tuple:
+    """Gram (xx, xy, yx, yy) of the partials j psi exp(j phi) of a unit-modulus
+    factor less their component along it: that of the rows of a (2, len) or
+    (2, P, len) psi less their means, which keeps what L sum(x y) - sum(x)
+    sum(y) cancels. Each location is reduced on its own row of elements."""
+    t, r = (x - np.add.reduce(x, -1, keepdims=True) / x.shape[-1] for x in psi)
+    tr = np.vecdot(t, r)
+    return np.vecdot(t, t), tr, tr, np.vecdot(r, r)
+
+
+def _reduced_block(psi_a, psi_b, cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) -> list:
+    """Entries (q00, q01, q10, q11) of the angle/range information with the
+    amplitude projected out, from the factors' phase derivatives (see
+    fim_numeric); arrays over the locations of a (2, P, len) psi."""
+    energy = mode_energy_scale(cfg, tx_array_size, mode)
+    scale = (2.0 / cfg.noise_psd) * abs(complex(cfg.reflection_coeff)) ** 2 * energy
+    cent_a = _centred_gram(psi_a)
+    cent_b = cent_a if psi_b is psi_a else _centred_gram(psi_b)
+    len_a, len_b = psi_a.shape[-1], psi_b.shape[-1]
+    return [scale * (len_a * qb + len_b * qa) for qa, qb in zip(cent_a, cent_b)]
 
 
 def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
@@ -211,89 +231,29 @@ def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
     Q = (2/N0)|rho|^2 (M <b'_x, b'_y> + N <a'_x, a'_y>) for the unit-modulus
     factors, formed in O(M + N) from their real phase derivatives.
     """
-    energy = mode_energy_scale(cfg, obs.tx_array_size, obs.mode)
-    kap = complex(cfg.reflection_coeff)
-    cent_a = _centred_gram(obs.a.psi)
-    cent_b = cent_a if obs.b is obs.a else _centred_gram(obs.b.psi)
-    scale = (2.0 / cfg.noise_psd) * abs(kap) ** 2 * energy
-    return FimMatrix(scale * (obs.num_tx * cent_b + obs.num_rx * cent_a))
+    q = _reduced_block(obs.a.psi, obs.b.psi, cfg, obs.tx_array_size, obs.mode)
+    return FimMatrix(np.reshape(q, (2, 2)))
+
+
+def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings: tuple = ()) -> CrbResult:
+    """scale times the diagonal of the inverse of [[q00, q01], [q10, q11]]
+    under the one identifiability rule of every bound, det > DET_REL_TOL q00
+    q11. The rule does not move when a parameter changes units (q -> D q D,
+    D diagonal); for a centred Gram it is what rounding of det warrants."""
+    det = q00 * q11 - q01 * q10
+    if not det > DET_REL_TOL * q00 * q11:
+        return CrbResult.unidentifiable(method, warnings)
+    return CrbResult(
+        crb_theta=float(scale * q11 / det),
+        crb_range=float(scale * q00 / det),
+        identifiable=True, method=method, warnings=warnings,
+    )
 
 
 def crb_from_fim(fim: FimMatrix) -> CrbResult:
     """Invert the 2x2 angle/range information fim.reduced."""
-    q = fim.reduced
-    det_q = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-    tr_q = 0.5 * (q[0, 0] + q[1, 1])
-    if not det_q > DET_REL_TOL * tr_q * tr_q:
-        return CrbResult.unidentifiable(CrbMethod.NUMERICAL_FIM)
-    return CrbResult(
-        crb_theta=q[1, 1] / det_q,
-        crb_range=q[0, 0] / det_q,
-        identifiable=True,
-        method=CrbMethod.NUMERICAL_FIM,
-    )
-
-
-def transmit_sums(geom: ArrayGeometry, thetas, ranges, carrier: CarrierConfig):
-    """Exact element summations of the five transmit-side intermediates at P
-    paired locations (thetas[j], ranges[j]).
-
-    Returns (angle_power, angle_overlap, cross_power, range_power,
-    range_overlap) as length-P arrays; the two overlap terms are purely
-    imaginary complex arrays, everything else accumulates in real
-    arithmetic. Each location gets the bits it would get alone.
-    """
-    return tuple(np.array(col) for col in zip(*_transmit_rows(geom, thetas, ranges, carrier)))
-
-
-def _transmit_rows(geom: ArrayGeometry, thetas, ranges, carrier: CarrierConfig) -> list:
-    # transmit_sums as one 5-tuple of Python numbers per location. The
-    # locations are summed in blocks of (rows, M) arrays, each row reduced
-    # along the contiguous element axis, and sin/cos and the scale factors
-    # are scalar per location, so a location's sums do not depend on its
-    # block.
-    sth = [math.sin(t) for t in thetas]
-    r = [float(x) for x in ranges]
-    n = len(r)
-    md = geom.tx_indices() * geom.tx_spacing
-    total = np.add.reduce
-    sums = []
-    step = max(1, _BLOCK_ELEMENTS // md.size)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        if hi - lo == 1:
-            # one location takes scalars and 1-D arrays, which cost less
-            # per call than a (1, M) block: an M sweep sums one point a run
-            rb, sb = r[lo], sth[lo]
-        else:
-            rb, sb = np.array(r[lo:hi])[:, None], np.array(sth[lo:hi])[:, None]
-        u = md / rb
-        dd = 1.0 - 2.0 * u * sb + u ** 2
-        # dd = (r_m / r)^2 vanishes where the target sits on an element
-        if not dd.min() > 0.0:
-            raise DegenerateGeometryError("target coincides with a transmit element")
-        rng = 1.0 - u * sb
-        root = np.sqrt(dd)
-        block = np.array([
-            total(md * md / dd, -1),
-            total(md / root, -1),
-            total(md * rng / dd, -1),
-            total(rng * rng / dd, -1),
-            total(rng / root, -1),
-        ])
-        sums += block.reshape(5, -1).T.tolist()
-    k = 2.0 * math.pi / carrier.wavelength
-    rows = []
-    for th, (s_aa, s_a, s_ar, s_rr, s_r) in zip(thetas, sums):
-        cth = math.cos(th)
-        rows.append((
-            k * k * cth * cth * s_aa,
-            -1j * (k * cth * s_a),
-            -k * k * cth * s_ar,
-            k * k * s_rr,
-            1j * (k * s_r),
-        ))
-    return rows
+    (q00, q01), (q10, q11) = fim.reduced.tolist()
+    return _inverse_diagonal(q00, q01, q10, q11, CrbMethod.NUMERICAL_FIM)
 
 
 def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig):
@@ -310,81 +270,17 @@ def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
     return base * g_th * g_th, base * g_r * g_r, base * g_th * g_r
 
 
-def _intermediates_run(geom: ArrayGeometry, targets, carrier: CarrierConfig) -> list:
-    # one transmit summation over every target, then each target's
-    # receive-side terms whenever the arrays are separated
-    tx = _transmit_rows(
-        geom, [t.angle_rad for t in targets], [t.range_m for t in targets], carrier)
-    out = []
-    for tgt, sums in zip(targets, tx):
-        rx = receive_sums(geom, tgt, carrier) if geom.array_separation > 0.0 else ()
-        out.append(IntermediateParams(*sums, *rx))
-    return out
-
-
 def intermediates_exact(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> IntermediateParams:
-    """The intermediates by direct summation over the elements, with the
+    """The intermediates by direct summation over the elements: uncentred
+    moments of the transmit phase derivatives, with the constant -k that
+    phase_derivs leaves out put back into the range row, and the
     receive-side terms whenever the arrays are separated."""
-    return _intermediates_run(geom, (tgt,), carrier)[0]
-
-
-def _crb_from_intermediates(
-    ip: IntermediateParams,
-    geom: ArrayGeometry,
-    cfg: NoiseAndPowerConfig,
-    mode: Mode,
-    topology: Topology,
-    method: CrbMethod,
-    warnings: tuple = (),
-) -> CrbResult:
-    """Shared determinant algebra turning intermediate sums into CRBs.
-
-    Used by both the exact-summation and the closed-form paths, which
-    differ only in how the sums are produced.
-    """
-    prefactor = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
-    m = float(geom.num_tx)
-    cross_ov = (ip.angle_overlap.conjugate() * ip.range_overlap).real
-
-    if geom.num_tx < 2:
-        # no transmit baseline: monostatic information vanishes and the
-        # receive-only bistatic block is rank one, exactly in both cases
-        return CrbResult.unidentifiable(method, warnings)
-
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        if mode is Mode.PHASED:
-            # receive-only data: theta and r enter through the single
-            # direction sine, so the information block is rank one
-            return CrbResult.unidentifiable(method, warnings)
-        n = float(geom.num_rx)
-        aa = m * ip.rx_angle_power + n * ip.angle_power - (n / m) * abs(ip.angle_overlap) ** 2
-        pp = m * ip.rx_range_power + n * ip.range_power - (n / m) * abs(ip.range_overlap) ** 2
-        ee = m * ip.rx_cross_power + n * ip.cross_power - (n / m) * cross_ov
-        det = aa * pp - ee * ee
-        if not det > DET_REL_TOL * aa * pp:
-            return CrbResult.unidentifiable(method, warnings)
-        return CrbResult(
-            crb_theta=prefactor * m * pp / det,
-            crb_range=prefactor * m * aa / det,
-            identifiable=True, method=method, warnings=warnings,
-        )
-
-    aa = m * ip.angle_power - abs(ip.angle_overlap) ** 2
-    pp = m * ip.range_power - abs(ip.range_overlap) ** 2
-    ee = m * ip.cross_power - cross_ov
-    det = aa * pp - ee * ee
-    if not det > DET_REL_TOL * aa * pp:
-        return CrbResult.unidentifiable(method, warnings)
-    if mode is Mode.MIMO:
-        crb_t = prefactor * m * pp / (2.0 * det)
-        crb_r = prefactor * m * aa / (2.0 * det)
-    else:
-        crb_t = prefactor * pp / det
-        crb_r = prefactor * aa / det
-    return CrbResult(
-        crb_theta=crb_t, crb_range=crb_r,
-        identifiable=True, method=method, warnings=warnings,
-    )
+    t, r = phase_derivs(geom, carrier, Mode.MIMO, Topology.MONOSTATIC,
+                        tgt.angle_rad, tgt.range_m)[0]
+    r = r - 2.0 * math.pi / carrier.wavelength
+    rx = receive_sums(geom, tgt, carrier) if geom.array_separation > 0.0 else ()
+    return IntermediateParams(
+        t @ t, -1j * np.add.reduce(t), t @ r, r @ r, -1j * np.add.reduce(r), *rx)
 
 
 def crb_exact_sum(
@@ -395,16 +291,21 @@ def crb_exact_sum(
     mode: Mode,
     topology: Topology,
 ) -> list:
-    """CRBs at each of the targets, in order, with every intermediate
-    accumulated by exact summation over the array elements; algebraically
-    identical to the numerical FIM path.
-
-    The transmit sums of all targets are formed together, so a run of
-    targets sharing one geometry costs one summation pass.
-    """
-    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
-        raise DomainError("bistatic bounds require array_separation > 0")
-    return [
-        _crb_from_intermediates(ip, geom, cfg, mode, topology, CrbMethod.EXACT_SUM)
-        for ip in _intermediates_run(geom, targets, carrier)
-    ]
+    """CRBs at each of the targets, in order, by exact summation over the
+    array elements: the centred Grams of phase_derivs' rows, reduced and
+    inverted by fim_numeric's and crb_from_fim's expressions, so each bound
+    has NumericalFim's bits. A run of targets that share one geometry is
+    summed in blocks of (P, len) rows of about _BLOCK_ELEMENTS elements; a
+    lone target takes 1-D rows, which cost less per call (an M sweep)."""
+    out = []
+    step = max(1, _BLOCK_ELEMENTS // max(geom.num_tx, geom.num_rx))
+    for lo in range(0, len(targets), step):
+        block = targets[lo:lo + step]
+        th, r = zip(*((t.angle_rad, t.range_m) for t in block))
+        if len(block) == 1:
+            th, r = th[0], r[0]
+        psi_a, psi_b = phase_derivs(geom, carrier, mode, topology, th, r)
+        q = _reduced_block(psi_a, psi_b, cfg, geom.num_tx, mode)
+        out += [_inverse_diagonal(*qj, CrbMethod.EXACT_SUM)
+                for qj in np.reshape(q, (4, -1)).T.tolist()]
+    return out

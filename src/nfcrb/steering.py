@@ -5,8 +5,9 @@ a(theta, r) is the spherical-wave transmit response over the exact
 element-to-target distances; b is the far-field receive response, a
 function of the direction sine sin(phi) seen from the receive-array centre
 (b := a when the arrays are co-located). steering_factors evaluates both at
-any number of paired locations; build_observation holds them at one
-location as the real derivatives of their elements' phases for the bounds.
+any number of paired locations, and phase_derivs the real derivatives of
+their elements' phases, which the bounds read; build_observation holds the
+latter at one location.
 """
 
 from __future__ import annotations
@@ -140,15 +141,23 @@ def steering_factors(
     return a, (a if topology is Topology.MONOSTATIC else b)
 
 
-def build_observation(
+def phase_derivs(
     geom: ArrayGeometry,
-    tgt: TargetLocation,
     carrier: CarrierConfig,
     mode: Mode,
     topology: Topology,
-) -> ObservationVector:
-    """The observation g = b (x) a for a mode/topology pair at the target:
-    the kernel's factors as phase derivatives, their values formed on read.
+    thetas,
+    ranges,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real derivatives psi = d phi/d(theta, r) of the phases phi of the
+    factors (a, b) of g, less the part every element shares (the amplitude
+    absorbs it).
+
+    thetas and ranges are floats for one location, or equal-length sequences
+    of P paired locations. The element axis comes last: each psi is a
+    (2, len) or a (2, P, len) array, and a location's values do not depend
+    on the others. b is a for monostatic orthogonal waveforms; an absent
+    factor is one element with zero derivatives.
 
     With k = 2 pi/lambda and lin = r - m d_tx sin(theta), the transmit phase
     -k r_m has d/d theta = k r m d_tx cos(theta)/r_m; its d/dr + k =
@@ -158,30 +167,72 @@ def build_observation(
     """
     if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
         raise DomainError("bistatic observation requires array_separation > 0")
-    th, r, k = tgt.angle_rad, tgt.range_m, 2.0 * math.pi / carrier.wavelength
+    k = 2.0 * math.pi / carrier.wavelength
+    if np.isscalar(thetas):
+        th, r = float(thetas), float(ranges)
+        sth, cth = math.sin(th), math.cos(th)
+        least, absent = float, (2, 1)
+    else:
+        # one location per row, sin and cos taken per location as a lone
+        # location takes them; least is the smallest over the locations
+        th, r = (np.array(x, dtype=float)[:, None] for x in (thetas, ranges))
+        sth, cth = (np.array([f(t) for t in th[:, 0].tolist()])[:, None]
+                    for f in (math.sin, math.cos))
+        least, absent = np.min, (2, th.shape[0], 1)
+
+    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+        knd = k * (geom.rx_indices() * geom.rx_spacing)
+        g_th, g_r = direction_sine_derivs(geom.array_separation, r, th)
+        psi_b = np.array((g_th * knd, g_r * knd))
+        if mode is Mode.PHASED:
+            return np.zeros(absent), psi_b
+    # in units of r: u = m d_tx/r, rho = r_m/r; umax is |u| at the end elements
+    u = geom.tx_indices() * geom.tx_spacing / r
+    umax = (geom.num_tx // 2) * geom.tx_spacing / r
+    us, mc = u * sth, u * cth
+    # the derivatives divide by r_m; (r_m/r)^2 = 1 - 2u sin(theta) + u^2 is at
+    # least cos(theta)^2 over real u and rounds by under 1e-15 (1 + |u|)^2, so
+    # only near endfire must each element be tested for 0
+    if not (least(cth * cth - 1e-14 * (1.0 + umax) * (1.0 + umax)) > 0.0
+            or (1.0 - 2.0 * us + u ** 2).min() > 0.0):
+        raise DegenerateGeometryError("target coincides with a transmit element")
+    lin = 1.0 - us
+    mc2 = mc * mc
+    rho = np.sqrt(lin * lin + mc2)
+    # rho - lin: mc^2/(rho + lin) where lin > 0, rho + |lin| elsewhere; lin
+    # is monotone in m, so 1 - umax |sin(theta)| is its least value
+    if least(1.0 - umax * abs(sth)) > 0.0:
+        s = mc2 / (rho + lin)
+    else:
+        s = rho + np.abs(lin)
+        np.divide(mc2, s, out=s, where=lin > 0.0)
+    psi_a = np.empty((2, *rho.shape))
+    for row, x in zip(psi_a, (k * r * mc, k * s)):
+        np.divide(x, rho, out=row)
+    if mode is Mode.PHASED:
+        return psi_a, np.zeros(absent)
+    return psi_a, (psi_a if topology is Topology.MONOSTATIC else psi_b)
+
+
+def build_observation(
+    geom: ArrayGeometry,
+    tgt: TargetLocation,
+    carrier: CarrierConfig,
+    mode: Mode,
+    topology: Topology,
+) -> ObservationVector:
+    """The observation g = b (x) a for a mode/topology pair at the target:
+    the factors' phase derivatives from phase_derivs at this one location,
+    their values formed on read by steering_factors."""
+    th, r = tgt.angle_rad, tgt.range_m
+    psi_a, psi_b = phase_derivs(geom, carrier, mode, topology, th, r)
 
     def factor(i, psi):
         return PhaseFactor(psi, lambda: steering_factors(
             geom, carrier, mode, topology, [th], [r])[i][:, 0])
 
-    psi = [np.zeros((2, 1)), np.zeros((2, 1))]
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        nd = geom.rx_indices() * geom.rx_spacing
-        psi[1] = np.outer(direction_sine_derivs(geom.array_separation, r, th), k * nd)
-    if mode is Mode.MIMO or topology is Topology.MONOSTATIC:
-        # in units of r, as fim.transmit_sums: u = m d_tx/r, rho = r_m/r
-        u = geom.tx_indices() * geom.tx_spacing / r
-        us, mc = u * math.sin(th), u * math.cos(th)
-        # the phase derivatives divide by r_m: the ExactSum test of r_m = 0
-        if not (1.0 - 2.0 * us + u ** 2).min() > 0.0:
-            raise DegenerateGeometryError("target coincides with a transmit element")
-        lin = 1.0 - us
-        rho = np.sqrt(lin * lin + mc * mc)
-        # rho - lin, which is rho + |lin| where lin <= 0
-        s = rho + np.abs(lin)
-        psi[0] = np.array((k * r * mc, k * np.where(lin > 0.0, mc * mc / s, s))) / rho
-    a = factor(0, psi[0])
-    b = a if mode is Mode.MIMO and topology is Topology.MONOSTATIC else factor(1, psi[1])
+    a = factor(0, psi_a)
+    b = a if psi_b is psi_a else factor(1, psi_b)
     return ObservationVector(a, b, mode, topology, geom.num_tx)
 
 

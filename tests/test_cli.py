@@ -1,5 +1,6 @@
 """CLI behaviors: subcommands, exit codes, output routing, determinism."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import nfcrb
+from nfcrb import experiment
 from nfcrb.cli import main
 from nfcrb.experiment import csv_text, presets, run_experiment
 
@@ -64,6 +66,10 @@ def _child_env():
     src = os.path.dirname(os.path.dirname(nfcrb.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": path}
+
+
+def _rows(out):
+    return list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
 
 
 @pytest.fixture
@@ -275,15 +281,57 @@ def test_overflowing_snr_exits_2(overrides, capsys):
     assert captured.err.startswith("config error:") and "overflows" in captured.err
 
 
-def test_arithmetic_error_exits_3(capsys):
-    # lambda^2 underflows to 0 at this carrier and the closed form divides by
-    # it: a ZeroDivisionError is reported as a numerical failure
-    code = main(["preset", "fig2", "--set", "scenario.carrier_freq_hz=1e308",
-                 "--set", "sweep.values=9"])
+def test_arithmetic_error_exits_3(monkeypatch, capsys):
+    # an evaluator that divides by zero is reported as a numerical failure
+    def divide_by_zero(*args):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(experiment, "crb_closed", divide_by_zero)
+    code = main(["preset", "fig2", "--set", "sweep.values=9"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: float division by zero\n"
+
+
+@pytest.mark.parametrize("freq", ["1e308", "1e200"])
+@pytest.mark.parametrize("method", ["NumericalFim", "ExactSum", "ClosedForm"])
+def test_out_of_range_carrier_exits_2(freq, method, capsys):
+    # lambda^2 underflows at these carriers and k^2 sum (m d)^2 overflows
+    code = main(["preset", "fig2", "--set", f"scenario.carrier_freq_hz={freq}",
+                 "--set", "sweep.values=9", "--set", f"methods.use={method}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert f"carrier_freq_hz = {float(freq)!r} is out of range" in captured.err
+
+
+def test_carriers_far_from_physical_still_run(capsys):
+    # the limit is numeric, not physical: these carriers give finite bounds
+    for freq in ("1e-60", "1e60"):
+        code = main(["preset", "fig2", "--set", f"scenario.carrier_freq_hz={freq}",
+                     "--set", "sweep.values=9", "--set",
+                     "methods.use=NumericalFim,ExactSum,ClosedForm"])
+        assert code == 0
+        rows = _rows(capsys.readouterr().out)
+        assert [r["identifiable"] for r in rows] == ["true"] * 3
+
+
+def test_endfire_methods_agree_with_oracle(capsys):
+    # theta = 90 deg inside the aperture: every angle entry carries
+    # cos(theta)^2 ~ 4e-33, which a rule scaled by the trace took for a
+    # singular block; the 60-digit oracle of tests/test_oracle.py gives
+    # 2.904086286106622e+27 rad^2
+    code = main(["preset", "fig2", "--set", "scenario.target_angle_deg=90",
+                 "--set", "scenario.target_range_m=0.2",
+                 "--set", "methods.use=NumericalFim,ExactSum", "--set", "sweep.values=9"])
+    assert code == 0
+    fim, exact = _rows(capsys.readouterr().out)
+    assert fim.pop("method") == "NumericalFim" and exact.pop("method") == "ExactSum"
+    assert fim == exact
+    assert fim["identifiable"] == "true"
+    assert abs(float(fim["crb_theta_rad2"]) / 2.904086286106622e+27 - 1.0) < 1e-10
 
 
 def test_monte_carlo_coarse_factor_over_budget_exits_2():

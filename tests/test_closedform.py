@@ -316,23 +316,24 @@ def test_xi_correction_values_and_domain():
     # the small-aperture limit of the angle bound over the continuum
     # plane-wave bound is 1 at every angle (no aspect factor in this model).
     # Oracle: the exact-summation angle bound over the continuum plane-wave
-    # bound at aperture/range 1e-2 (not below: at 1e-3 the summation path
-    # loses the target to cancellation)
+    # bound as aperture/range falls from 1e-2 to 1e-4
     m = 1025
     geom = mono_geom(m)
-    r = m * SPACING / 1e-2
-    for th in (0.0, math.pi / 6, math.pi / 3, -1.2):
-        tgt = target(r, th)
-        for mode in (Mode.MIMO, Mode.PHASED):
-            exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
-            # discrete M(M^2-1) plane-wave bound -> continuum M^3 bound
-            upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
-            continuum = upw.crb_theta * (1.0 - 1.0 / (m * m))
-            assert abs(exact.crb_theta / continuum - 1.0) <= 2e-4
-            small = crb_asymptotic(geom, tgt, CARRIER, CFG,
-                                   AsymptoticRegime.SMALL_APERTURE, mode,
-                                   Topology.MONOSTATIC)
-            assert rel_err(small.crb_theta, exact.crb_theta) <= 2e-4
+    for ratio in (1e-2, 1e-3, 1e-4):
+        r = m * SPACING / ratio
+        for th in (0.0, math.pi / 6, math.pi / 3, -1.2):
+            tgt = target(r, th)
+            for mode in (Mode.MIMO, Mode.PHASED):
+                exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
+                assert exact.identifiable
+                # discrete M(M^2-1) plane-wave bound -> continuum M^3 bound
+                upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
+                continuum = upw.crb_theta * (1.0 - 1.0 / (m * m))
+                assert abs(exact.crb_theta / continuum - 1.0) <= 2e-4
+                small = crb_asymptotic(geom, tgt, CARRIER, CFG,
+                                       AsymptoticRegime.SMALL_APERTURE, mode,
+                                       Topology.MONOSTATIC)
+                assert rel_err(small.crb_theta, exact.crb_theta) <= 2e-4
 
 
 # --- boresight range bound -----------------------------------------------------------

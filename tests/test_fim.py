@@ -29,26 +29,28 @@ from nfcrb.fim import (
     _BLOCK_ELEMENTS,
     CrbMethod,
     CrbResult,
+    DET_REL_TOL,
     FimMatrix,
     NoiseAndPowerConfig,
     crb_exact_sum,
     crb_from_fim,
     fim_numeric,
+    intermediates_exact,
     mode_energy_scale,
     receive_sums,
-    transmit_sums,
 )
 from nfcrb.geometry import ArrayGeometry, Mode, Topology
-from nfcrb.steering import build_observation
+from nfcrb.steering import build_observation, phase_derivs
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
 
-# regression anchors (this code base, lambda = 0.1265, gamma = 0 dB, L = 1)
+# regression anchors (lambda = 0.1265, gamma = 0 dB, L = 1), the values of
+# the 60-digit oracle of tests/test_oracle.py
 FROZEN = {
-    ("mono", Mode.MIMO): (65, 18.0, 0.3, 1.2481791948978218e-06, 0.5158266699977809),
-    ("mono", Mode.PHASED): (513, 12.0, math.pi / 8, 3.044662277463294e-11, 4.285328348320509e-08),
-    ("bi", 0.3): (65, 18.0, 0.3, 2.023553787333921e-05, 1.2806186818269865),
-    ("bi", 0.0): (65, 18.0, 0.0, 1.808478254813822e-05, 7.019094010819263),
+    ("mono", Mode.MIMO): (65, 18.0, 0.3, 1.2481791948978645e-06, 0.5158266699999282),
+    ("mono", Mode.PHASED): (513, 12.0, math.pi / 8, 3.0446622774632824e-11, 4.2853283483204696e-08),
+    ("bi", 0.3): (65, 18.0, 0.3, 2.0235537873340758e-05, 1.2806186818331564),
+    ("bi", 0.0): (65, 18.0, 0.0, 1.8084782548138216e-05, 7.019094010054554),
 }
 
 
@@ -240,19 +242,47 @@ def test_crb_from_fim_inverts_the_reduced_block_when_set():
     assert not crb_from_fim(FimMatrix(np.outer([1.0, 2.0], [1.0, 2.0]))).identifiable
 
 
+@st.composite
+def _spd_and_scale(draw):
+    # Q = [[a, c sqrt(ab)], [c sqrt(ab), b]] with det/(q00 q11) = 1 - c^2,
+    # kept a decade away from DET_REL_TOL, where rounding may flip a verdict
+    a, b = (10.0 ** draw(st.floats(-8.0, 8.0)) for _ in range(2))
+    rel_det = 10.0 ** draw(st.floats(-16.0, 0.0).filter(
+        lambda x: abs(x - math.log10(DET_REL_TOL)) > 1.0))
+    c = draw(st.sampled_from((-1.0, 1.0))) * math.sqrt(1.0 - rel_det)
+    off = c * math.sqrt(a * b)
+    return np.array([[a, off], [off, b]]), draw(st.floats(1e-6, 1e6)), rel_det
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_spd_and_scale())
+def test_inversion_verdict_does_not_depend_on_units(drawn):
+    # a change of range units, r -> r/s, maps Q to D Q D with D = diag(1, s):
+    # the verdict must not move, and the bounds scale by 1 and 1/s^2
+    q, s, rel_det = drawn
+    d = np.diag([1.0, s])
+    base = crb_from_fim(FimMatrix(q))
+    scaled = crb_from_fim(FimMatrix(d @ q @ d))
+    assert scaled.identifiable == base.identifiable == (rel_det > DET_REL_TOL)
+    if base.identifiable:
+        # entries round to ~eps; the determinant divides that by rel_det
+        tol = 16 * np.finfo(float).eps / rel_det
+        assert rel_err(scaled.crb_theta, base.crb_theta) < tol
+        assert rel_err(scaled.crb_range * s * s, base.crb_range) < tol
+
+
 # --- intermediate sums against steering inner products ---------------------------
 
-def test_transmit_sums_are_steering_inner_products():
+def test_intermediates_exact_are_steering_inner_products():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
     sv = transmit_response(geom, tgt)
     d_theta, d_range = factor_partials(sv, -2.0 * math.pi / CARRIER.wavelength)
-    a_s, c_ov, e_s, p_s, q_ov = (
-        s[0] for s in transmit_sums(geom, [tgt.angle_rad], [tgt.range_m], CARRIER))
-    assert a_s == pytest.approx(np.vdot(d_theta, d_theta).real, rel=1e-12)
-    assert p_s == pytest.approx(np.vdot(d_range, d_range).real, rel=1e-12)
-    assert e_s == pytest.approx(np.vdot(d_theta, d_range).real, rel=1e-12)
-    assert c_ov == pytest.approx(np.vdot(d_theta, sv.values), rel=1e-12)
-    assert q_ov == pytest.approx(np.vdot(d_range, sv.values), rel=1e-12)
+    ip = intermediates_exact(geom, tgt, CARRIER)
+    assert ip.angle_power == pytest.approx(np.vdot(d_theta, d_theta).real, rel=1e-12)
+    assert ip.range_power == pytest.approx(np.vdot(d_range, d_range).real, rel=1e-12)
+    assert ip.cross_power == pytest.approx(np.vdot(d_theta, d_range).real, rel=1e-12)
+    assert ip.angle_overlap == pytest.approx(np.vdot(d_theta, sv.values), rel=1e-12)
+    assert ip.range_overlap == pytest.approx(np.vdot(d_range, sv.values), rel=1e-12)
 
 
 # element counts on both sides of the block size, and a few small ones; with
@@ -263,23 +293,35 @@ _LOCATIONS = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.05, 100.0)),
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(m=_RUN_M, locations=_LOCATIONS)
-def test_transmit_sums_over_a_run_equal_one_location_calls(m, locations):
-    geom = mono_geom(m)
+@given(m=_RUN_M, locations=_LOCATIONS, pair=st.sampled_from(PAIRS))
+def test_exact_sum_over_a_run_equals_one_location_calls(m, locations, pair):
+    mode, topology = pair
+    geom = bi_geom(m, 8, 35.0) if topology is Topology.BISTATIC_NEAR_FAR_TX else mono_geom(m)
     thetas, ranges = zip(*locations)
-    run = transmit_sums(geom, thetas, ranges, CARRIER)
-    for j, (th, r) in enumerate(locations):
-        alone = transmit_sums(geom, [th], [r], CARRIER)
-        for over_run, one in zip(run, alone):
-            assert over_run[j] == one[0]
+    targets = [target(r, th) for th, r in locations]
+    run_psi = phase_derivs(geom, CARRIER, mode, topology, thetas, ranges)
+    run = crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
+    for j, tgt in enumerate(targets):
+        obs = build_observation(geom, tgt, CARRIER, mode, topology)
+        for over_run, alone in zip(run_psi, (obs.a.psi, obs.b.psi)):
+            assert np.array_equal(over_run[:, j], alone)
+        assert run[j] == crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, topology)[0]
+        # NumericalFim's expressions on the same derivatives: the same bits
+        via_fim = crb_from_fim(fim_numeric(obs, CFG))
+        assert (run[j].crb_theta, run[j].crb_range, run[j].identifiable) == (
+            via_fim.crb_theta, via_fim.crb_range, via_fim.identifiable)
 
 
-def test_transmit_sums_refuse_a_target_on_an_element():
+def test_phase_derivs_refuse_a_target_on_an_element():
     # element m = 2 of nine sits at 0.1256 m on the array axis (theta = 90 deg)
     geom = mono_geom(9)
     with pytest.raises(DegenerateGeometryError, match="transmit element"):
-        transmit_sums(geom, [0.3, math.pi / 2], [10.0, 2 * SPACING], CARRIER)
+        phase_derivs(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC,
+                     [0.3, math.pi / 2], [10.0, 2 * SPACING])
     for mode in Mode:
+        with pytest.raises(DegenerateGeometryError, match="transmit element"):
+            crb_exact_sum(geom, (target(10.0, 0.3), target(2 * SPACING, math.pi / 2)),
+                          CARRIER, CFG, mode, Topology.MONOSTATIC)
         with pytest.raises(DegenerateGeometryError, match="transmit element"):
             build_observation(geom, target(2 * SPACING, math.pi / 2), CARRIER,
                               mode, Topology.MONOSTATIC)
@@ -332,8 +374,9 @@ def test_exact_sum_equals_numeric_fim(mode, topology, geom, tgt):
     obs = build_observation(geom, tgt, CARRIER, mode, topology)
     via_fim = crb_from_fim(fim_numeric(obs, cfg))
     assert via_sum.identifiable and via_fim.identifiable
-    assert rel_err(via_sum.crb_theta, via_fim.crb_theta) < 1e-6
-    assert rel_err(via_sum.crb_range, via_fim.crb_range) < 1e-6
+    # one kernel, one reduction, one inversion: the same bits
+    assert via_sum.crb_theta == via_fim.crb_theta
+    assert via_sum.crb_range == via_fim.crb_range
 
 
 def test_mode_ratio_is_two_over_m():

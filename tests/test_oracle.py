@@ -1,4 +1,4 @@
-"""NumericalFim against a high-precision oracle.
+"""NumericalFim and ExactSum against a high-precision oracle.
 
 The oracle works in mpmath at 60 significant digits and shares no code with
 the package's bounds. It places the elements and the target in plane
@@ -14,16 +14,16 @@ where c = (2/N0) |kappa|^2 T_p P / M (orthogonal waveforms) or
 (2/N0) |kappa|^2 T_p P M (beamformed), and K is the length of g. At 60
 digits the uncentred form loses nothing that matters.
 
-NumericalFim centres the real phase derivatives in double precision, so it
-agrees with the oracle to RTOL = 1e-10 wherever det(Q)/tr(Q)^2 >= 1e-11;
-what is left there is the rounding of the 2x2 determinant, not of the
-derivatives. Points where the range derivative sits close to its constant
-part (small aperture, and endfire inside the aperture) are held to 1e-12.
-
-The exact-summation path is left out: near the identifiability edge it
-still forms M sum x^2 - |sum x|^2 and loses digits there.
+Both methods centre the real phase derivatives in double precision and
+invert the 2x2 block with one rule, so they agree with the oracle to
+RTOL = 1e-10 wherever det(Q)/(Q00 Q11) >= 1e-11; what is left there is the
+rounding of the 2x2 determinant, not of the derivatives. That ratio does
+not depend on the units of angle and range. Points where the range
+derivative sits close to its constant part (small aperture, and endfire
+inside the aperture) are held to 1e-12.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -32,15 +32,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nfcrb.experiment import materialize, presets
-from nfcrb.fim import DET_REL_TOL, NoiseAndPowerConfig, crb_from_fim, fim_numeric
+from nfcrb.fim import DET_REL_TOL, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
 from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
 from nfcrb.steering import build_observation
 
 DIGITS = 60
 STEP = mpmath.mpf("1e-25")
-# NumericalFim must match the oracle this closely where the oracle's
-# det(Q)/tr(Q)^2 is at least RATIO_ACCURATE (tr the half trace, as in
-# crb_from_fim); the verdicts must agree outside the band around DET_REL_TOL
+# NumericalFim and ExactSum must match the oracle this closely where the
+# oracle's det(Q)/(Q00 Q11) is at least RATIO_ACCURATE; the verdicts must
+# agree outside the band around DET_REL_TOL
 RTOL = 1e-10
 RATIO_ACCURATE = 1e-11
 RATIO_BAND = (1e-13, 1e-11)
@@ -95,7 +95,7 @@ def _phase_moments(psi):
 
 
 def oracle(geom, tgt, carrier, cfg, mode, topology):
-    """(crb_theta, crb_range, det(Q)/tr(Q)^2) at DIGITS digits."""
+    """(crb_theta, crb_range, det(Q)/(Q00 Q11)) at DIGITS digits."""
     with mpmath.workdps(DIGITS):
         th, r = mpmath.mpf(tgt.angle_rad), mpmath.mpf(tgt.range_m)
         h_th, h_r = STEP, STEP * r
@@ -117,8 +117,8 @@ def oracle(geom, tgt, carrier, cfg, mode, topology):
         energy = energy / geom.num_tx if mode is Mode.MIMO else energy * geom.num_tx
         c = 2 / mpmath.mpf(cfg.noise_psd) * abs(mpmath.mpc(cfg.reflection_coeff)) ** 2 * energy
         det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
-        half_tr = (q[0][0] + q[1][1]) / 2
-        ratio = det / (half_tr * half_tr) if half_tr > 0 else mpmath.mpf(0)
+        diag = q[0][0] * q[1][1]
+        ratio = det / diag if diag > 0 else mpmath.mpf(0)
         if det <= 0:
             return math.inf, math.inf, float(ratio)
         return float(q[1][1] / (c * det)), float(q[0][0] / (c * det)), float(ratio)
@@ -127,14 +127,15 @@ def oracle(geom, tgt, carrier, cfg, mode, topology):
 def _check(geom, tgt, carrier, cfg, mode, topology, rtol=RTOL):
     want_th, want_r, ratio = oracle(geom, tgt, carrier, cfg, mode, topology)
     obs = build_observation(geom, tgt, carrier, mode, topology)
-    got = crb_from_fim(fim_numeric(obs, cfg))
     where = (f"{mode.value}/{topology.value} M={geom.num_tx} N={geom.num_rx} "
              f"r={tgt.range_m!r} theta={tgt.angle_rad!r} ratio={ratio:.3e}")
-    if ratio < RATIO_BAND[0] or ratio > RATIO_BAND[1]:
-        assert got.identifiable == (ratio > RATIO_BAND[1]), where
-    if ratio >= RATIO_ACCURATE:
-        assert abs(got.crb_theta / want_th - 1.0) < rtol, where
-        assert abs(got.crb_range / want_r - 1.0) < rtol, where
+    for got in (crb_from_fim(fim_numeric(obs, cfg)),
+                crb_exact_sum(geom, (tgt,), carrier, cfg, mode, topology)[0]):
+        if ratio < RATIO_BAND[0] or ratio > RATIO_BAND[1]:
+            assert got.identifiable == (ratio > RATIO_BAND[1]), (got.method, where)
+        if ratio >= RATIO_ACCURATE:
+            assert abs(got.crb_theta / want_th - 1.0) < rtol, (got.method, where)
+            assert abs(got.crb_range / want_r - 1.0) < rtol, (got.method, where)
     return ratio
 
 
@@ -164,6 +165,28 @@ SMALL_APERTURE = (ArrayGeometry(33, 33, 2.13e-3, 2.13e-3, 0.0),
 ENDFIRE = [(ArrayGeometry(9, 9, 0.0628, 0.0628, 0.0), TargetLocation(range_m=r, angle_rad=th),
             CarrierConfig(carrier_freq=2.37e9))
            for th in (1.55, 1.57) for r in (0.12, 0.2)]
+
+
+# monostatic phased, M=117, d=11.014 mm, lambda=12.794 mm, r=30.331 m,
+# theta=1.4827 rad: ExactSum's uncentred sums were 1.9e-3 off in range
+NEAR_ENDFIRE = (ArrayGeometry(117, 117, 11.014e-3, 11.014e-3, 0.0),
+                TargetLocation(range_m=30.331, angle_rad=1.4827),
+                CarrierConfig.from_wavelength(12.794e-3))
+
+
+def test_far_range_preset_point_is_identifiable_and_matches_oracle():
+    # fig2 at M=257 moved out to r = 2000 m, where det(Q)/tr(Q)^2 = 8e-13: a
+    # rule scaled by the trace called the point unidentifiable, and
+    # ExactSum's uncentred sums were 2.1e-5 off in range
+    scn, ncfg, _ = materialize(dataclasses.replace(presets()["fig2"], target_range_m=2000.0), 257)
+    assert _check(scn.geometry, scn.target, scn.carrier, ncfg, scn.mode,
+                  scn.topology) > RATIO_BAND[1]
+
+
+def test_exact_sum_worst_sweep_point_matches_oracle():
+    geom, tgt, carrier = NEAR_ENDFIRE
+    cfg = NoiseAndPowerConfig.from_snr(0.0)
+    assert _check(geom, tgt, carrier, cfg, Mode.PHASED, Topology.MONOSTATIC) > RATIO_BAND[1]
 
 
 @pytest.mark.parametrize("geom,tgt,carrier", [SMALL_APERTURE, *ENDFIRE], ids=[
