@@ -200,7 +200,7 @@ def _centred_gram(psi: np.ndarray) -> tuple:
     factor less their component along it: that of the rows of a (2, len) or
     (2, P, len) psi less their means, which keeps what L sum(x y) - sum(x)
     sum(y) cancels. Each location is reduced on its own row of elements."""
-    t, r = (x - np.add.reduce(x, -1, keepdims=True) / x.shape[-1] for x in psi)
+    t, r = psi - np.add.reduce(psi, -1, keepdims=True) / psi.shape[-1]
     tr = np.vecdot(t, r)
     return np.vecdot(t, t), tr, tr, np.vecdot(r, r)
 
@@ -239,13 +239,21 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     """scale times the diagonal of the inverse of [[q00, q01], [q10, q11]]
     under the one identifiability rule of every bound, det > DET_REL_TOL q00
     q11. The rule does not move when a parameter changes units (q -> D q D,
-    D diagonal); for a centred Gram it is what rounding of det warrants."""
+    D diagonal); for a centred Gram it is what rounding of det warrants.
+
+    The entries are first taken to D q D with D = diag(2^-a, 2^-b) bringing
+    q00 and q11 near 1, so det neither overflows nor underflows at an
+    extreme SNR. Powers of two scale exactly: no bit of a bound moves while
+    the unscaled arithmetic stays in the normal range."""
+    fa = 2.0 ** -(math.frexp(q00)[1] // 2)
+    fb = 2.0 ** -(math.frexp(q11)[1] // 2)
+    q00, q01, q10, q11 = q00 * fa * fa, q01 * fa * fb, q10 * fa * fb, q11 * fb * fb
     det = q00 * q11 - q01 * q10
     if not det > DET_REL_TOL * q00 * q11:
         return CrbResult.unidentifiable(method, warnings)
     return CrbResult(
-        crb_theta=float(scale * q11 / det),
-        crb_range=float(scale * q00 / det),
+        crb_theta=float(scale * q11 * fa * fa / det),
+        crb_range=float(scale * q00 * fb * fb / det),
         identifiable=True, method=method, warnings=warnings,
     )
 

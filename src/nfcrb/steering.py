@@ -171,14 +171,14 @@ def phase_derivs(
     if np.isscalar(thetas):
         th, r = float(thetas), float(ranges)
         sth, cth = math.sin(th), math.cos(th)
-        least, absent = float, (2, 1)
+        absent = (2, 1)
     else:
         # one location per row, sin and cos taken per location as a lone
-        # location takes them; least is the smallest over the locations
+        # location takes them
         th, r = (np.array(x, dtype=float)[:, None] for x in (thetas, ranges))
         sth, cth = (np.array([f(t) for t in th[:, 0].tolist()])[:, None]
                     for f in (math.sin, math.cos))
-        least, absent = np.min, (2, th.shape[0], 1)
+        absent = (2, th.shape[0], 1)
 
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         knd = k * (geom.rx_indices() * geom.rx_spacing)
@@ -186,26 +186,18 @@ def phase_derivs(
         psi_b = np.array((g_th * knd, g_r * knd))
         if mode is Mode.PHASED:
             return np.zeros(absent), psi_b
-    # in units of r: u = m d_tx/r, rho = r_m/r; umax is |u| at the end elements
+    # in units of r: u = m d_tx/r, rho = r_m/r
     u = geom.tx_indices() * geom.tx_spacing / r
-    umax = (geom.num_tx // 2) * geom.tx_spacing / r
     us, mc = u * sth, u * cth
-    # the derivatives divide by r_m; (r_m/r)^2 = 1 - 2u sin(theta) + u^2 is at
-    # least cos(theta)^2 over real u and rounds by under 1e-15 (1 + |u|)^2, so
-    # only near endfire must each element be tested for 0
-    if not (least(cth * cth - 1e-14 * (1.0 + umax) * (1.0 + umax)) > 0.0
-            or (1.0 - 2.0 * us + u ** 2).min() > 0.0):
+    # the derivatives divide by r_m
+    if not (1.0 - 2.0 * us + u ** 2).min() > 0.0:
         raise DegenerateGeometryError("target coincides with a transmit element")
     lin = 1.0 - us
     mc2 = mc * mc
     rho = np.sqrt(lin * lin + mc2)
-    # rho - lin: mc^2/(rho + lin) where lin > 0, rho + |lin| elsewhere; lin
-    # is monotone in m, so 1 - umax |sin(theta)| is its least value
-    if least(1.0 - umax * abs(sth)) > 0.0:
-        s = mc2 / (rho + lin)
-    else:
-        s = rho + np.abs(lin)
-        np.divide(mc2, s, out=s, where=lin > 0.0)
+    # rho - lin: mc^2/(rho + lin) where lin > 0, rho + |lin| elsewhere
+    s = rho + np.abs(lin)
+    np.divide(mc2, s, out=s, where=lin > 0.0)
     psi_a = np.empty((2, *rho.shape))
     for row, x in zip(psi_a, (k * r * mc, k * s)):
         np.divide(x, rho, out=row)

@@ -318,6 +318,27 @@ def test_carriers_far_from_physical_still_run(capsys):
         assert [r["identifiable"] for r in rows] == ["true"] * 3
 
 
+def test_extreme_snr_scales_the_bounds_exactly(capsys):
+    # at snr_db = +-3000 the information entries are ~1e+-300, so q00 q11
+    # leaves the float range; the bounds must still be the 0 dB ones times
+    # 10^-+300 and NumericalFim must still equal ExactSum
+    methods = "methods.use=NumericalFim,ExactSum,ClosedForm"
+    rows = {}
+    for snr in ("0", "3000", "-3000"):
+        code = main(["preset", "fig2", "--set", f"scenario.snr_db={snr}",
+                     "--set", "sweep.values=9", "--set", methods])
+        assert code == 0
+        rows[snr] = _rows(capsys.readouterr().out)
+    for snr, factor in (("3000", 1e-300), ("-3000", 1e300)):
+        fim, exact, closed = rows[snr]
+        assert {k: v for k, v in fim.items() if k != "method"} == \
+            {k: v for k, v in exact.items() if k != "method"}
+        for row, ref in zip(rows[snr], rows["0"]):
+            assert row["identifiable"] == "true"
+            for col in ("crb_theta_rad2", "crb_r_m2"):
+                assert abs(float(row[col]) / (float(ref[col]) * factor) - 1.0) < 1e-12
+
+
 def test_endfire_methods_agree_with_oracle(capsys):
     # theta = 90 deg inside the aperture: every angle entry carries
     # cos(theta)^2 ~ 4e-33, which a rule scaled by the trace took for a

@@ -271,6 +271,20 @@ def test_inversion_verdict_does_not_depend_on_units(drawn):
         assert rel_err(scaled.crb_range * s * s, base.crb_range) < tol
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_spd_and_scale(), st.integers(-900, 900))
+def test_inversion_is_exact_under_powers_of_two(drawn, e):
+    # Q 2^e has q00 q11 far outside the float range for |e| > ~540; the
+    # bounds must still be Q's times 2^-e to the bit, with Q's verdict
+    q, _, rel_det = drawn
+    base = crb_from_fim(FimMatrix(q))
+    scaled = crb_from_fim(FimMatrix(q * 2.0 ** e))
+    assert scaled.identifiable == base.identifiable
+    if base.identifiable:
+        assert scaled.crb_theta == base.crb_theta * 2.0 ** -e
+        assert scaled.crb_range == base.crb_range * 2.0 ** -e
+
+
 # --- intermediate sums against steering inner products ---------------------------
 
 def test_intermediates_exact_are_steering_inner_products():
