@@ -216,6 +216,18 @@ def _refine(stat_fn, grid: GridSpec, best_t: float, best_r: float):
     return best_t, best_r
 
 
+def coarse_factor_bytes(geom: ArrayGeometry, mode: Mode, topology: Topology, points: int) -> int:
+    """Bytes of the conjugated factors _PreparedMlSearch holds for a grid of
+    points locations: 16 B per location and per complex row of a and of b.
+    b is a itself for monostatic orthogonal waveforms; beamformed data leave
+    one factor absent (b when monostatic, a when bistatic), a real row of
+    ones, 8 B per location."""
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    if mode is Mode.PHASED:
+        return (16 * (geom.num_rx if bistatic else geom.num_tx) + 8) * points
+    return 16 * (geom.num_tx + (geom.num_rx if bistatic else 0)) * points
+
+
 class _PreparedMlSearch:
     """Coarse-grid factors precomputed once and reused across trials."""
 

@@ -8,12 +8,10 @@ Output is deterministic: the same config and seed give byte-identical CSV.
 """
 
 import configparser
+import itertools
 import math
-import operator
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .closedform import (
     AsymptoticRegime,
@@ -23,7 +21,7 @@ from .closedform import (
     crb_taylor,
 )
 from .errors import ConfigError, NfcrbError
-from .estimator import GridSpec, monte_carlo_rmse
+from .estimator import GridSpec, coarse_factor_bytes, monte_carlo_rmse
 from .fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
 from .geometry import (
     ArrayGeometry,
@@ -41,10 +39,14 @@ MAX_SWEEP_POINTS = 10_000
 
 # points with more transmit or receive elements than this are refused before
 # any point is evaluated when a per-element method runs. Measured tracemalloc
-# peaks per point: ExactSum and NumericalFim ~72 B per element (72 MB at this
-# cap). The Monte Carlo search holds a coarse factor of 16 B per transmit
-# element and grid location (359 MB at M=1025 on a 181x121 grid), refused
-# above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1) in M.
+# peaks at M = 100 001 and 1 000 001, every mode/topology with a transmit
+# factor: under 89 B per element for one ExactSum or NumericalFim location,
+# under 105 B for ExactSum over a run of locations at M >= _BLOCK_ELEMENTS
+# (105 MB at this cap). The Monte Carlo search holds coarse factors of 16 B
+# per grid location and factor row, transmit and receive
+# (estimator.coarse_factor_bytes: 362 MB for fig8 at M=1025, N=8 on a
+# 181x121 grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are
+# O(1) in M.
 MAX_ELEMENTS = 1_000_001
 MAX_COARSE_FACTOR_BYTES = 2 * 2**30
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
@@ -211,54 +213,12 @@ def _round_odd(m: int):
     return m + 1, (f"num_tx {m} is even; rounded up to {m + 1}",)
 
 
-def materialize(cfg: ExperimentConfig, axis_value=None):
-    """Scenario objects for one sweep point (None = the base scenario).
-
-    Returns (scenario, noise_cfg, warnings). Even transmit counts of 2 or
-    more round up to the next odd integer so the symmetric-index layout
-    holds, and a count below 1 is refused before rounding; monostatic
-    scenarios receive on the transmit array, so N is forced to M there.
-    """
-    num_tx = cfg.num_tx
-    angle_deg = cfg.target_angle_deg
-    range_m = cfg.target_range_m
-    snr_db = cfg.snr_db
-    if axis_value is not None:
-        axis = cfg.sweep.axis
-        if axis == "M":
-            if float(axis_value) != int(axis_value):
-                raise ConfigError(f"sweep value {axis_value!r} is not an integer M")
-            num_tx = int(axis_value)
-        elif axis == "theta":
-            angle_deg = float(axis_value)
-        elif axis == "r":
-            range_m = float(axis_value)
-        else:
-            snr_db = float(axis_value)
-
-    num_tx, warns = _round_odd(num_tx)
-    mono = cfg.topology is Topology.MONOSTATIC
-    geom = ArrayGeometry(
-        num_tx=num_tx,
-        num_rx=num_tx if mono else cfg.num_rx,
-        tx_spacing=cfg.tx_spacing_m,
-        rx_spacing=cfg.rx_spacing_m,
-        array_separation=cfg.separation_m,
-    )
-    tgt = TargetLocation(range_m=range_m, angle_rad=math.radians(angle_deg))
-    carrier = CarrierConfig(carrier_freq=cfg.carrier_freq_hz)
-    ncfg = NoiseAndPowerConfig.from_snr(snr_db, time_bandwidth=cfg.time_bandwidth)
-    scn = SensingScenario(geom, tgt, carrier, cfg.mode, cfg.topology)
-    return scn, ncfg, warns
-
-
-def _carrier_in_range(scn: SensingScenario) -> bool:
+def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig) -> bool:
     """Whether lambda^2 (the closed forms divide by it) and, unless the arrays
     have no extent, (k^2 sum (n d)^2)^2 over both arrays are normal floats:
     that sum sets the size of an information entry, and the 2x2
     determinant multiplies two of them."""
-    lam2 = scn.carrier.wavelength * scn.carrier.wavelength
-    g = scn.geometry
+    lam2 = carrier.wavelength * carrier.wavelength
     moment = (g.num_tx * (g.num_tx * g.num_tx - 1) * g.tx_spacing * g.tx_spacing
               + g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing) / 12.0
     info = 4.0 * math.pi ** 2 / lam2 * moment if lam2 > 0.0 else math.inf
@@ -266,43 +226,83 @@ def _carrier_in_range(scn: SensingScenario) -> bool:
             and (moment == 0.0 or sys.float_info.min <= info * info < math.inf))
 
 
+def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: CarrierConfig,
+                    where: str):
+    """The checks that depend on a point's geometry only: carrier range,
+    element cap and Monte Carlo coarse-factor budget."""
+    if not _carrier_in_range(geom, carrier):
+        raise ConfigError(
+            f"{where}: carrier_freq_hz = {cfg.carrier_freq_hz!r} is out of range: the "
+            "bounds need lambda^2 and (k^2 sum (n d)^2)^2 normal floats")
+    mc = cfg.montecarlo
+    per_element = mc is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
+    if per_element and max(geom.num_tx, geom.num_rx) > MAX_ELEMENTS:
+        raise ConfigError(
+            f"{where}: {geom.num_tx} transmit / {geom.num_rx} receive elements exceed "
+            f"{MAX_ELEMENTS} for ExactSum, NumericalFim or Monte Carlo")
+    coarse = coarse_factor_bytes(geom, cfg.mode, cfg.topology,
+                                 mc.theta_points * mc.range_points) if mc else 0
+    if coarse > MAX_COARSE_FACTOR_BYTES:
+        raise ConfigError(f"{where}: the Monte Carlo coarse factor needs {coarse} B, "
+                          f"over {MAX_COARSE_FACTOR_BYTES} B")
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
     """Materialize every sweep point up front so bad values fail as config
     errors before any output is produced.
 
     Returns the points' (scenario, noise_cfg, warnings) triples in sweep
-    order. Points with more than MAX_ELEMENTS transmit or receive elements
-    are refused when a method that allocates per element runs, and so are
-    points whose Monte Carlo coarse factor exceeds MAX_COARSE_FACTOR_BYTES,
-    and a carrier out of the range _carrier_in_range states.
+    order. Each distinct geometry (one per M after rounding), the carrier
+    and each distinct noise config (one per snr_db) is built once and
+    shared by every point that has it. Even transmit counts of 2 or more
+    round up to the next odd integer so the symmetric-index layout holds,
+    with a warning on that point, and a count below 1 is refused before
+    rounding; monostatic scenarios receive on the transmit array, so N is
+    forced to M there. Each geometry is checked once (_check_geometry).
     """
-    per_element = cfg.montecarlo is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
+    axis = cfg.sweep.axis
+    mono = cfg.topology is Topology.MONOSTATIC
+    geoms, noises, carrier = {}, {}, None
     points = []
     for v in cfg.sweep.points():
+        num_tx, angle_deg, range_m, snr_db = (
+            cfg.num_tx, cfg.target_angle_deg, cfg.target_range_m, cfg.snr_db)
+        if axis == "M":
+            if float(v) != int(v):
+                raise ConfigError(f"sweep value {v!r} is not an integer M")
+            num_tx = int(v)
+        elif axis == "theta":
+            angle_deg = float(v)
+        elif axis == "r":
+            range_m = float(v)
+        else:
+            snr_db = float(v)
+        num_tx, warns = _round_odd(num_tx)
         try:
-            point = materialize(cfg, v)
+            geom = geoms.get(num_tx)
+            new_geom = geom is None
+            if new_geom:
+                geom = geoms[num_tx] = ArrayGeometry(
+                    num_tx=num_tx,
+                    num_rx=num_tx if mono else cfg.num_rx,
+                    tx_spacing=cfg.tx_spacing_m,
+                    rx_spacing=cfg.rx_spacing_m,
+                    array_separation=cfg.separation_m,
+                )
+            tgt = TargetLocation(range_m=range_m, angle_rad=math.radians(angle_deg))
+            carrier = carrier or CarrierConfig(carrier_freq=cfg.carrier_freq_hz)
+            ncfg = noises.get(snr_db)
+            if ncfg is None:
+                ncfg = noises[snr_db] = NoiseAndPowerConfig.from_snr(
+                    snr_db, time_bandwidth=cfg.time_bandwidth)
+            scn = SensingScenario(geom, tgt, carrier, cfg.mode, cfg.topology)
         except ConfigError:
             raise
         except NfcrbError as exc:
-            raise ConfigError(f"sweep point {cfg.sweep.axis}={v!r}: {exc}") from exc
-        if not _carrier_in_range(point[0]):
-            raise ConfigError(
-                f"sweep point {cfg.sweep.axis}={v!r}: carrier_freq_hz = {cfg.carrier_freq_hz!r} "
-                "is out of range: the bounds need lambda^2 and (k^2 sum (n d)^2)^2 "
-                "normal floats")
-        geom = point[0].geometry
-        if per_element and max(geom.num_tx, geom.num_rx) > MAX_ELEMENTS:
-            raise ConfigError(
-                f"sweep point {cfg.sweep.axis}={v!r}: {geom.num_tx} transmit / "
-                f"{geom.num_rx} receive elements exceed {MAX_ELEMENTS} for "
-                "ExactSum, NumericalFim or Monte Carlo"
-            )
-        mc = cfg.montecarlo
-        coarse = 16 * geom.num_tx * mc.theta_points * mc.range_points if mc else 0
-        if coarse > MAX_COARSE_FACTOR_BYTES:
-            raise ConfigError(f"sweep point {cfg.sweep.axis}={v!r}: the Monte Carlo coarse "
-                              f"factor needs {coarse} B, over {MAX_COARSE_FACTOR_BYTES} B")
-        points.append(point)
+            raise ConfigError(f"sweep point {axis}={v!r}: {exc}") from exc
+        if new_geom:
+            _check_geometry(cfg, geom, carrier, f"sweep point {axis}={v!r}")
+        points.append((scn, ncfg, warns))
     return points
 
 
@@ -328,19 +328,11 @@ def _eval_method(method: CrbMethod, targets, scn: SensingScenario,
     return [crb_farfield_upw(g, t, c, ncfg, mode, topology) for t in targets]
 
 
-def _runs(points: list) -> list:
-    """Split the sweep into runs of consecutive points that share geometry,
-    carrier and noise config (mode and topology are the config's own)."""
-    runs, key = [], None
-    for point in points:
-        scn, ncfg, _ = point
-        point_key = (scn.geometry, scn.carrier, ncfg)
-        if point_key == key:
-            runs[-1].append(point)
-        else:
-            runs.append([point])
-            key = point_key
-    return runs
+def _run_key(point) -> tuple:
+    # validate_config shares one geometry and one noise object among the
+    # points that have them, so a run is found by identity
+    scn, ncfg, _ = point
+    return id(scn.geometry), id(ncfg)
 
 
 def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPowerConfig):
@@ -356,69 +348,69 @@ def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPow
     return monte_carlo_rmse(scn, ncfg, grid, trials=mc.trials, master_seed=mc.master_seed)
 
 
-def run_experiment(cfg: ExperimentConfig) -> list:
-    """One row dict per (sweep point x method), in sweep order.
+@dataclass(frozen=True)
+class SweepTable:
+    """What one sweep computed: validate_config's points, one CrbResult list
+    per cfg.methods entry (a result per point), and one RmseReport per point
+    when Monte Carlo runs (else None). Rows and cells are formed only on
+    read: rows() for callers that want dicts, csv_text for the file."""
 
-    Each method is evaluated once per run of points that share a geometry
-    and noise config (_runs). Monte Carlo (when configured) runs once per
-    sweep point and its report is repeated on each of the point's method
-    rows, keeping the output a single flat table.
+    cfg: ExperimentConfig
+    points: list
+    results: list
+    reports: list | None = None
+
+    def rows(self) -> list:
+        """One dict per (sweep point x method), in sweep order, keyed and
+        ordered by the CSV columns (crb values linear); a Monte Carlo report
+        is repeated on each method row of its point."""
+        cfg, rows = self.cfg, []
+        for i, (scn, ncfg, warns) in enumerate(self.points):
+            geom, tgt = scn.geometry, scn.target
+            point = {
+                "mode": cfg.mode.value, "topology": cfg.topology.value,
+                "M": geom.num_tx, "N": geom.num_rx, "d_tx_m": geom.tx_spacing,
+                "d_rx_m": geom.rx_spacing, "R_m": geom.array_separation,
+                "theta_rad": tgt.angle_rad, "r_m": tgt.range_m,
+                "snr_db": ncfg.snr_db, "L": ncfg.time_bandwidth,
+            }
+            rep = self.reports[i] if self.reports is not None else None
+            mc = {} if rep is None else {
+                "rmse_theta_rad": rep.rmse_theta, "rmse_range_m": rep.rmse_range,
+                "trials": rep.trials, "estimator": cfg.montecarlo.estimator,
+                "master_seed": rep.master_seed,
+            }
+            for name, results in zip(cfg.methods, self.results):
+                res = results[i]
+                rows.append({
+                    "method": name, **point,
+                    "crb_theta_rad2": res.crb_theta, "crb_r_m2": res.crb_range,
+                    "identifiable": res.identifiable,
+                    "warnings": "; ".join(warns + res.warnings), **mc,
+                })
+        return rows
+
+
+def run_experiment(cfg: ExperimentConfig) -> SweepTable:
+    """Evaluate every method at every sweep point.
+
+    Each method is evaluated once per run: consecutive points that share
+    one geometry and one noise object (validate_config builds each once).
+    Monte Carlo, when configured, runs once per sweep point.
     """
     points = validate_config(cfg)
     methods = [CrbMethod(name) for name in cfg.methods]
-    rows = []
-    for run in _runs(points):
-        scn0, ncfg0, _ = run[0]
-        targets = [scn.target for scn, _, _ in run]
-        reports = [_run_point_mc(cfg, scn, ncfg) if cfg.montecarlo else None
-                   for scn, ncfg, _ in run]
-        results = [_eval_method(method, targets, scn0, ncfg0, cfg.asymptotic_regime)
-                   for method in methods]
-        for i, (scn, ncfg, warns) in enumerate(run):
-            geom = scn.geometry
-            point_cols = {
-                "mode": cfg.mode.value,
-                "topology": cfg.topology.value,
-                "M": geom.num_tx,
-                "N": geom.num_rx,
-                "d_tx_m": geom.tx_spacing,
-                "d_rx_m": geom.rx_spacing,
-                "R_m": geom.array_separation,
-                "theta_rad": scn.target.angle_rad,
-                "r_m": scn.target.range_m,
-                "snr_db": ncfg.snr_db,
-                "L": ncfg.time_bandwidth,
-            }
-            report = reports[i]
-            mc_cols = {} if report is None else {
-                "rmse_theta_rad": report.rmse_theta,
-                "rmse_range_m": report.rmse_range,
-                "trials": report.trials,
-                "estimator": cfg.montecarlo.estimator,
-                "master_seed": report.master_seed,
-            }
-            for name, per_method in zip(cfg.methods, results):
-                res = per_method[i]
-                rows.append({
-                    "method": name,
-                    **point_cols,
-                    "crb_theta_rad2": res.crb_theta,
-                    "crb_r_m2": res.crb_range,
-                    "identifiable": res.identifiable,
-                    "warnings": "; ".join(warns + tuple(res.warnings)),
-                    **mc_cols,
-                })
-    return rows
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    results = [[] for _ in methods]
+    reports = [] if cfg.montecarlo else None
+    for _, run in itertools.groupby(points, _run_key):
+        run = list(run)
+        scn, ncfg, _ = run[0]
+        if reports is not None:
+            reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
+        targets = [s.target for s, _, _ in run]
+        for method, out in zip(methods, results):
+            out += _eval_method(method, targets, scn, ncfg, cfg.asymptotic_regime)
+    return SweepTable(cfg, points, results, reports)
 
 
 def _text_cell(text: str) -> str:
@@ -428,42 +420,40 @@ def _text_cell(text: str) -> str:
     return text
 
 
-def _other_cell(value) -> str:
-    return _text_cell(_fmt(value))
+def _scenario_cells(points) -> list:
+    """The M .. L cells of each point, one string per point; a run's
+    geometry cells are formatted once."""
+    cells, geom, geom_cells = [], None, ""
+    for scn, ncfg, _ in points:
+        if scn.geometry is not geom:
+            geom = scn.geometry
+            geom_cells = (f"{geom.num_tx},{geom.num_rx},{geom.tx_spacing:.17g},"
+                          f"{geom.rx_spacing:.17g},{geom.array_separation:.17g}")
+        tgt = scn.target
+        cells.append(f"{geom_cells},{tgt.angle_rad:.17g},{tgt.range_m:.17g},"
+                     f"{ncfg.snr_db:.17g},{ncfg.time_bandwidth:.17g}")
+    return cells
 
 
-# the cell formatter of each exact type that rows hold. Each gives the bytes
-# _other_cell gives for that type (numbers never need quoting), the numeric
-# ones without a Python frame; any other type, subclasses included, takes
-# _other_cell itself.
-_float_cell = "{:.17g}".format
-_CELL_FORMATS = {
-    str: _text_cell,
-    float: _float_cell,
-    np.float64: _float_cell,
-    int: str,
-    bool: ("false", "true").__getitem__,
-}
+def _mc_cells(cfg: ExperimentConfig, reports) -> list:
+    """The Monte Carlo cells of each point, each with its leading comma."""
+    est = cfg.montecarlo.estimator
+    return [f",{rep.rmse_theta:.17g},{rep.rmse_range:.17g},{rep.trials},{est},"
+            f"{rep.master_seed}" for rep in reports]
 
 
-def _cells(values) -> list:
-    formatter = _CELL_FORMATS.get
-    return [formatter(type(v), _other_cell)(v) for v in values]
+_BOOL_TEXT = ("false", "true")
 
 
-# cell positions of the scenario columns, mode .. L. run_experiment puts the
-# same objects there in every row of a sweep point, so a row whose scenario
-# cells are the previous row's objects reuses their text.
-_SCENARIO_CELLS = (BASE_COLUMNS.index("mode"), BASE_COLUMNS.index("L") + 1)
-
-
-def csv_text(cfg: ExperimentConfig, rows: list, db: bool = False) -> str:
-    """Render rows as CSV with self-describing '#' header comments.
+def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
+    """Render a SweepTable as CSV with self-describing '#' header comments.
 
     Comment lines carry the sweep and grid description so the file stands
     alone; they contain nothing run-dependent, keeping output byte-stable.
     With db=True the CRB columns switch to 10*log10 values and the _db
-    column names.
+    column names. Cells are formatted by column type: floats as .17g, ints
+    and the fixed names as they are, and the free-text warnings column is
+    the one that can need RFC 4180 quoting.
     """
     cols = list(BASE_COLUMNS) + (list(MC_COLUMNS) if cfg.montecarlo else [])
     if db:
@@ -484,23 +474,25 @@ def csv_text(cfg: ExperimentConfig, rows: list, db: bool = False) -> str:
             f"# montecarlo: estimator={mc.estimator} trials={mc.trials} "
             f"master_seed={mc.master_seed} "
             f"grid={mc.theta_points}x{mc.range_points} "
-            f"(theta +-{_fmt(mc.theta_halfspan_deg)} deg, "
-            f"r +-{_fmt(100.0 * mc.range_span_frac)}%) "
+            f"(theta +-{mc.theta_halfspan_deg:.17g} deg, "
+            f"r +-{100.0 * mc.range_span_frac:.17g}%) "
             f"refine_levels={mc.refine_levels}"
         )
     lines.append(",".join(cols))
 
-    lo, hi = _SCENARIO_CELLS
-    shared, shared_cells = [], []
-    for row in rows:
-        if db:
-            row = {**row, "crb_theta_rad2": _db_of(row["crb_theta_rad2"]),
-                   "crb_r_m2": _db_of(row["crb_r_m2"])}
-        vals = list(row.values())
-        scenario = vals[lo:hi]
-        if len(scenario) != len(shared) or not all(map(operator.is_, scenario, shared)):
-            shared, shared_cells = scenario, _cells(scenario)
-        lines.append(",".join(_cells(vals[:lo]) + shared_cells + _cells(vals[hi:])))
+    heads = [f"{name},{cfg.mode.value},{cfg.topology.value}," for name in cfg.methods]
+    tails = (_mc_cells(cfg, table.reports) if table.reports is not None
+             else itertools.repeat(""))
+    for i, (cells, (_, _, warns), tail) in enumerate(
+            zip(_scenario_cells(table.points), table.points, tails)):
+        for head, results in zip(heads, table.results):
+            res = results[i]
+            theta, rng = res.crb_theta, res.crb_range
+            if db:
+                theta, rng = _db_of(theta), _db_of(rng)
+            notes = _text_cell("; ".join(warns + res.warnings))
+            lines.append(f"{head}{cells},{theta:.17g},{rng:.17g},"
+                         f"{_BOOL_TEXT[res.identifiable]},{notes}{tail}")
     lines.append("")
     return "\n".join(lines)
 

@@ -29,7 +29,8 @@ DET_REL_TOL = 1e-12
 
 # elements per block of ExactSum's multi-location sums: a (2, P, len) float
 # temporary stays under 128 KiB, which the allocator serves without mapping
-# fresh pages (fig4 at M=1025: ~1.6 ms a call, ~2.2 ms at twice this size)
+# fresh pages (fig4's 61 locations at M=1025, best of 15 x 20 calls on two
+# cores: ~1.5 ms a call, ~2.0 ms at twice this size)
 _BLOCK_ELEMENTS = 8_192
 
 

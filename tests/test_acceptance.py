@@ -328,7 +328,7 @@ def test_criterion_09_monte_carlo_respects_the_bound():
     details = []
     for name in ("fig8", "fig9"):
         cfg = presets()[name]
-        rows = [r for r in run_experiment(cfg) if r["method"] == "ClosedForm"]
+        rows = [r for r in run_experiment(cfg).rows() if r["method"] == "ClosedForm"]
         slack = 1.0 - 2.0 / math.sqrt(rows[0]["trials"])
         for row in rows:
             t_margin = row["rmse_theta_rad"] ** 2 / (row["crb_theta_rad2"] * slack)

@@ -4,9 +4,9 @@ config round trip."""
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +14,13 @@ from hypothesis import strategies as st
 from conftest import csv_text_oracle
 from nfcrb import experiment
 from nfcrb.errors import ConfigError
+from nfcrb.estimator import (
+    GridSpec,
+    ObservationGridBuilder,
+    RmseReport,
+    _PreparedMlSearch,
+    coarse_factor_bytes,
+)
 from nfcrb.experiment import (
     MAX_COARSE_FACTOR_BYTES,
     BASE_COLUMNS,
@@ -24,16 +31,33 @@ from nfcrb.experiment import (
     ExperimentConfig,
     MonteCarloConfig,
     SweepSpec,
+    SweepTable,
     apply_overrides,
     csv_text,
-    materialize,
     parse_config_text,
     presets,
     run_experiment,
     serialize_config,
     validate_config,
 )
-from nfcrb.geometry import Mode, Topology
+from nfcrb.fim import (
+    _BLOCK_ELEMENTS,
+    CrbMethod,
+    CrbResult,
+    NoiseAndPowerConfig,
+    crb_exact_sum,
+    crb_from_fim,
+    fim_numeric,
+)
+from nfcrb.geometry import (
+    ArrayGeometry,
+    CarrierConfig,
+    Mode,
+    SensingScenario,
+    TargetLocation,
+    Topology,
+)
+from nfcrb.steering import build_observation
 
 import configparser
 
@@ -138,29 +162,35 @@ def test_experiment_config_validation():
         MonteCarloConfig(estimator="MatchedFieldML", trials=0, master_seed=0)
 
 
+def _only_point(cfg):
+    (point,) = validate_config(cfg)
+    return point
+
+
 def test_materialize_axis_overrides():
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(16,)))
-    scn, ncfg, warns = materialize(cfg, 16)
+    scn, ncfg, warns = _only_point(cfg)
     assert scn.geometry.num_tx == 17 and scn.geometry.num_rx == 17
     assert warns and "rounded up to 17" in warns[0]
-    with pytest.raises(ConfigError):
-        materialize(cfg, 16.5)
+    with pytest.raises(ConfigError, match="not an integer M"):
+        validate_config(mono_cfg(sweep=SweepSpec(axis="M", values=(16.5,))))
 
-    scn, _, _ = materialize(mono_cfg(sweep=SweepSpec(axis="theta", values=(45.0,))), 45.0)
+    scn, _, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="theta", values=(45.0,))))
     assert scn.target.angle_rad == pytest.approx(math.radians(45.0))
-    scn, _, _ = materialize(mono_cfg(sweep=SweepSpec(axis="r", values=(25.0,))), 25.0)
+    scn, _, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="r", values=(25.0,))))
     assert scn.target.range_m == 25.0
-    _, ncfg, _ = materialize(mono_cfg(sweep=SweepSpec(axis="snr_db", values=(7.0,))), 7.0)
+    _, ncfg, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="snr_db", values=(7.0,))))
     assert ncfg.snr_linear == pytest.approx(10.0 ** 0.7)
-    # base point keeps the scenario scalars
-    scn, ncfg, warns = materialize(mono_cfg())
+    # the axes not swept keep the scenario scalars
+    scn, ncfg, warns = _only_point(mono_cfg(sweep=SweepSpec(axis="r", values=(10.0,))))
     assert scn.geometry.num_tx == 9 and warns == ()
+    assert scn.target.angle_rad == math.radians(30.0) and ncfg.snr_db == 0.0
 
 
 def test_materialize_bistatic_keeps_receiver_count():
     cfg = mono_cfg(topology=Topology.BISTATIC_NEAR_FAR_TX, separation_m=35.0,
                    num_rx=8, sweep=SweepSpec(axis="M", values=(65,)))
-    scn, _, _ = materialize(cfg, 65)
+    scn, _, _ = _only_point(cfg)
     assert scn.geometry.num_tx == 65 and scn.geometry.num_rx == 8
 
 
@@ -171,9 +201,18 @@ def test_validate_config_reports_the_bad_point():
 
 
 def test_validate_config_returns_each_point_materialized():
-    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16)))
+    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16, 17, 9)))
     points = validate_config(cfg)
-    assert points == [materialize(cfg, 9), materialize(cfg, 16)]
+    assert [scn.geometry.num_tx for scn, _, _ in points] == [9, 17, 17, 9]
+    assert [bool(warns) for _, _, warns in points] == [False, True, False, False]
+    # one geometry per M after rounding, one carrier and one noise config
+    geoms = [scn.geometry for scn, _, _ in points]
+    assert geoms[1] is geoms[2] and geoms[0] is geoms[3] and geoms[0] is not geoms[1]
+    assert all(scn.carrier is points[0][0].carrier for scn, _, _ in points)
+    assert all(ncfg is points[0][1] for _, ncfg, _ in points)
+    snr = validate_config(mono_cfg(sweep=SweepSpec(axis="snr_db", values=(0.0, 3.0, 0.0))))
+    assert snr[0][1] is snr[2][1] is not snr[1][1]
+    assert snr[0][0].geometry is snr[1][0].geometry
 
 
 @pytest.mark.parametrize("extra", [
@@ -196,16 +235,30 @@ def test_per_element_methods_are_capped_at_validation(extra):
 
 
 def test_monte_carlo_coarse_factor_is_capped_at_validation():
-    # 16 B per transmit element and grid location; validation allocates none
+    # 16 B per grid location and per row of the transmit and receive
+    # factors, M + N for bistatic orthogonal waveforms; validation
+    # allocates none
     cfg = presets()["fig8"]
     assert len(validate_config(cfg)) == 3
-    m, rp = 1025, cfg.montecarlo.range_points
-    fits = MAX_COARSE_FACTOR_BYTES // (16 * m * rp)
+    m, n, rp = 1025, cfg.num_rx, cfg.montecarlo.range_points
+    fits = MAX_COARSE_FACTOR_BYTES // (16 * (m + n) * rp)
     at_budget = replace(cfg, montecarlo=replace(cfg.montecarlo, theta_points=fits))
     assert len(validate_config(at_budget)) == 3
     over = replace(cfg, montecarlo=replace(cfg.montecarlo, theta_points=fits + 1))
     with pytest.raises(ConfigError, match="sweep point M=1025: the Monte Carlo coarse factor"):
         validate_config(over)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("topology", list(Topology))
+def test_coarse_factor_count_is_the_bytes_the_search_holds(mode, topology):
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    geom = ArrayGeometry(9, 4 if bistatic else 9, 0.0628, 0.0628, 35.0 if bistatic else 0.0)
+    scn = SensingScenario(geom, TargetLocation(18.0, 0.2), CarrierConfig(2.37e9), mode, topology)
+    grid = GridSpec.around(scn.target, theta_points=5, range_points=3)
+    search = _PreparedMlSearch(ObservationGridBuilder.from_scenario(scn), grid)
+    held = search.a_conj.nbytes + (0 if search.b_conj is search.a_conj else search.b_conj.nbytes)
+    assert coarse_factor_bytes(geom, mode, topology, 15) == held
 
 
 def test_receive_element_count_is_capped():
@@ -215,34 +268,68 @@ def test_receive_element_count_is_capped():
         validate_config(cfg)
 
 
+def _traced_peak(call) -> int:
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode,topology", [(Mode.MIMO, Topology.MONOSTATIC),
+                                           (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX),
+                                           (Mode.PHASED, Topology.MONOSTATIC)])
+def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
+    # MAX_ELEMENTS's comment: under 89 B per element for one ExactSum or
+    # NumericalFim location, under 105 B for ExactSum over a run of locations
+    m = 100_001
+    assert m >= _BLOCK_ELEMENTS
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    geom = ArrayGeometry(m, 8 if bistatic else m, 0.0628, 0.0628, 35.0 if bistatic else 0.0)
+    targets = [TargetLocation(range_m=6300.0 + k, angle_rad=0.3) for k in range(3)]
+    carrier, ncfg = CarrierConfig(2.37e9), NoiseAndPowerConfig.from_snr(0.0)
+    one = targets[:1]
+    assert _traced_peak(lambda: crb_exact_sum(geom, one, carrier, ncfg, mode, topology)) < 89 * m
+    assert _traced_peak(lambda: crb_from_fim(fim_numeric(
+        build_observation(geom, one[0], carrier, mode, topology), ncfg))) < 89 * m
+    assert _traced_peak(lambda: crb_exact_sum(geom, targets, carrier, ncfg, mode, topology)) < 105 * m
+
+
 # --- runner ------------------------------------------------------------------------
 
 def test_run_experiment_row_layout():
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16)),
                    methods=("ClosedForm", "ExactSum"))
-    rows = run_experiment(cfg)
+    rows = run_experiment(cfg).rows()
     assert len(rows) == 4
     assert [r["method"] for r in rows] == ["ClosedForm", "ExactSum"] * 2
     assert [r["M"] for r in rows] == [9, 9, 17, 17]
     assert all("rounded up" in r["warnings"] for r in rows[2:])
     assert all("rmse_theta_rad" not in r for r in rows)
-    assert set(BASE_COLUMNS) <= set(rows[0])
+    assert list(rows[0]) == list(BASE_COLUMNS)
+
+
+def _count_exact_sum_calls(monkeypatch):
+    calls = []
+    one_call = experiment.crb_exact_sum
+
+    def counted(geom, targets, *args):
+        calls.append((geom.num_tx, len(targets)))
+        return one_call(geom, targets, *args)
+
+    monkeypatch.setattr(experiment, "crb_exact_sum", counted)
+    return calls, one_call
 
 
 def test_exact_sum_runs_once_over_a_sweep_that_shares_its_geometry(monkeypatch):
     # fig4 sweeps 61 angles at one geometry: one call sums them all, and the
     # rows keep sweep order with the values of one-target calls
-    calls = []
-    one_call = experiment.crb_exact_sum
-
-    def counted(geom, targets, *args):
-        calls.append(len(targets))
-        return one_call(geom, targets, *args)
-
-    monkeypatch.setattr(experiment, "crb_exact_sum", counted)
+    calls, one_call = _count_exact_sum_calls(monkeypatch)
     cfg = presets()["fig4"]
-    rows = [r for r in run_experiment(cfg) if r["method"] == "ExactSum"]
-    assert calls == [61]
+    rows = [r for r in run_experiment(cfg).rows() if r["method"] == "ExactSum"]
+    assert calls == [(1025, 61)]
     points = validate_config(cfg)
     assert len(rows) == len(points)
     for row, (scn, ncfg, _) in zip(rows, points):
@@ -250,6 +337,28 @@ def test_exact_sum_runs_once_over_a_sweep_that_shares_its_geometry(monkeypatch):
                          scn.mode, scn.topology)[0]
         assert row["theta_rad"] == scn.target.angle_rad
         assert (row["crb_theta_rad2"], row["crb_r_m2"]) == (alone.crb_theta, alone.crb_range)
+
+
+def test_runs_are_consecutive_points_that_share_a_geometry(monkeypatch):
+    calls, _ = _count_exact_sum_calls(monkeypatch)
+    # 16 rounds up to 17: one geometry, one run, the warning on M=16 only
+    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(16, 17)),
+                   methods=("ClosedForm", "ExactSum"))
+    table = run_experiment(cfg)
+    assert calls == [(17, 2)]
+    rows = table.rows()
+    assert [r["M"] for r in rows] == [17] * 4
+    assert ["rounded up to 17" in r["warnings"] for r in rows] == [True, True, False, False]
+    for db in (False, True):
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, rows, db=db)
+    # a geometry seen again after another is a new run
+    calls.clear()
+    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 17, 9)), methods=("ExactSum",))
+    table = run_experiment(cfg)
+    assert calls == [(9, 1), (17, 1), (9, 1)]
+    assert table.rows()[0] == table.rows()[2]
+    for db in (False, True):
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
 
 
 def test_run_experiment_repeats_mc_row_per_method():
@@ -260,9 +369,9 @@ def test_run_experiment_repeats_mc_row_per_method():
             estimator="MatchedFieldML", trials=2, master_seed=5,
             theta_points=15, range_points=11, refine_levels=0),
     )
-    rows = run_experiment(cfg)
+    rows = run_experiment(cfg).rows()
     assert len(rows) == 2
-    assert set(MC_COLUMNS) <= set(rows[0])
+    assert list(rows[0]) == list(BASE_COLUMNS + MC_COLUMNS)
     for col in MC_COLUMNS:
         assert rows[0][col] == rows[1][col]
     assert rows[0]["trials"] == 2 and rows[0]["master_seed"] == 5
@@ -277,8 +386,9 @@ def parse_csv(text):
 
 def test_csv_round_trips_floats_exactly():
     cfg = mono_cfg(methods=("ClosedForm", "FarFieldUPW"))
-    rows = run_experiment(cfg)
-    text = csv_text(cfg, rows)
+    table = run_experiment(cfg)
+    rows = table.rows()
+    text = csv_text(cfg, table)
     assert text.startswith("# near-field angle/range CRB sweep\n")
     parsed = parse_csv(text)
     assert len(parsed) == len(rows)
@@ -294,12 +404,12 @@ def test_csv_round_trips_floats_exactly():
 def test_csv_db_columns():
     cfg = mono_cfg(methods=("ClosedForm", "FarFieldUPW"),
                    sweep=SweepSpec(axis="M", values=(9,)))
-    rows = run_experiment(cfg)
-    text = csv_text(cfg, rows, db=True)
+    table = run_experiment(cfg)
+    text = csv_text(cfg, table, db=True)
     parsed = parse_csv(text)
     assert "crb_theta_db" in parsed[0] and "crb_r_db" in parsed[0]
     assert float(parsed[0]["crb_theta_db"]) == pytest.approx(
-        10.0 * math.log10(rows[0]["crb_theta_rad2"]))
+        10.0 * math.log10(table.results[0][0].crb_theta))
     assert float(parsed[1]["crb_r_db"]) == math.inf
 
 
@@ -312,10 +422,11 @@ def test_empty_sweep_is_refused():
 
 def test_csv_quotes_cells_with_commas():
     cfg = mono_cfg(sweep=SweepSpec(axis="r", values=(0.5,)))
-    row = dict(run_experiment(cfg)[0])
+    table = run_experiment(cfg)
     text_value = 'near, "very" near\nsecond line'
-    row["warnings"] = text_value
-    text = csv_text(cfg, [row])
+    (res,), = table.results
+    table = replace(table, results=[[replace(res, warnings=(text_value,))]])
+    text = csv_text(cfg, table)
     # RFC 4180: the cell is quoted and its quotes are doubled
     assert ',"near, ""very"" near\nsecond line"\n' in text
     data = text[text.index("method,"):]
@@ -335,52 +446,82 @@ def _mc_small(cfg):
 @pytest.mark.parametrize("name", sorted(presets()))
 def test_csv_text_matches_the_oracle_on_every_preset(name):
     cfg = _mc_small(presets()[name])
-    rows = run_experiment(cfg)
+    table = run_experiment(cfg)
     for db in (False, True):
-        assert csv_text(cfg, rows, db=db) == csv_text_oracle(cfg, rows, db=db)
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
+
+
+def _point(geom, angle_rad, noise=None, warnings=()):
+    scn = SensingScenario(geom, TargetLocation(10.0, angle_rad), CarrierConfig(2.37e9))
+    return scn, noise or NoiseAndPowerConfig.from_snr(0.0), warnings
 
 
 def test_csv_text_formats_equal_scenario_cells_of_another_type_apart():
-    # equal values that render differently must not share their text
-    cfg = mono_cfg()
-    zeros = [0.0, -0.0, 0, False, np.float64(-0.0), np.bool_(False), 0.0, -0.0, 0, 0.0, -0.0]
-    first = dict(zip(BASE_COLUMNS, ["a"] + [0.0] * 11 + [1.0, 2.0, True, ""]))
-    second = {**first, **dict(zip(BASE_COLUMNS[1:12], zeros))}
-    text = csv_text(cfg, [first, second])
-    assert text == csv_text_oracle(cfg, [first, second])
-    assert text.endswith("\na,0,-0,0,false,-0,False,0,-0,0,0,-0,1,2,true,\n")
+    # points whose scenarios compare equal but render differently (+0 and
+    # -0) must not share their text
+    cfg = mono_cfg(methods=("ClosedForm",))
+    geoms = [ArrayGeometry(9, 9, 0.0628, 0.0628, sep) for sep in (0.0, -0.0)]
+    assert geoms[0] == geoms[1]
+    points = [_point(geoms[0], 0.0), _point(geoms[1], -0.0)]
+    res = CrbResult(0.0, -0.0, False, CrbMethod.CLOSED_FORM)
+    table = SweepTable(cfg, points, [[res, res]])
+    text = csv_text(cfg, table)
+    assert text == csv_text_oracle(cfg, table.rows())
+    d = f"{0.0628:.17g}"
+    assert text.endswith(f"\nClosedForm,mimo,monostatic,9,9,{d},{d},0,0,10,0,1,0,-0,false,\n"
+                         f"ClosedForm,mimo,monostatic,9,9,{d},{d},-0,-0,10,0,1,0,-0,false,\n")
 
 
+_MAX_FLOAT = 1.7976931348623157e308
 _SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
-                   2.2250738585072014e-308 / 3.0, 1.7976931348623157e308)
+                   2.2250738585072014e-308 / 3.0, _MAX_FLOAT)
 _floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True))
-_numbers = st.one_of(_floats, _floats.map(np.float64), st.integers())
-_any_cell = st.one_of(
-    _numbers,
-    st.booleans(), st.booleans().map(np.bool_),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.text(alphabet=st.sampled_from('ab ;,"\n\r#')),
-    st.text(),
-)
+_positive = st.one_of(st.sampled_from((5e-324, 2.2250738585072014e-308 / 3.0, _MAX_FLOAT)),
+                      st.floats(min_value=0.0, exclude_min=True, max_value=_MAX_FLOAT))
+_ints = st.integers(-2**70, 2**70)
+_texts = st.tuples(st.one_of(st.text(alphabet=st.sampled_from('ab ;,"\n\r#')), st.text()))
+_warnings = st.one_of(st.just(()), _texts)
+
+
+@st.composite
+def _tables(draw):
+    """A cfg and a SweepTable whose every column holds a value of its
+    declared type; points draw their geometry and noise from small pools,
+    so runs share them as validate_config's points do."""
+    methods = draw(st.lists(st.sampled_from(experiment.METHOD_NAMES),
+                            min_size=1, max_size=3, unique=True))
+    mc = MonteCarloConfig(estimator="MatchedFieldML", trials=2, master_seed=5,
+                          theta_halfspan_deg=draw(_positive), range_span_frac=draw(_positive))
+    cfg = mono_cfg(methods=tuple(methods), montecarlo=mc if draw(st.booleans()) else None)
+    geoms = draw(st.lists(st.builds(
+        ArrayGeometry, st.integers(0, 2**70).map(lambda k: 2 * k + 1), st.integers(1, 2**70),
+        _positive, _positive, st.one_of(st.just(-0.0), _positive, st.just(0.0))),
+        min_size=1, max_size=2))
+    noises = draw(st.lists(st.builds(
+        NoiseAndPowerConfig, _positive, st.floats(min_value=1.0, max_value=_MAX_FLOAT)),
+        min_size=1, max_size=2))
+    carrier = CarrierConfig(2.37e9)
+    points = [
+        (SensingScenario(draw(st.sampled_from(geoms)),
+                         TargetLocation(draw(_positive),
+                                        draw(st.floats(-math.pi / 2, math.pi / 2))),
+                         carrier),
+         draw(st.sampled_from(noises)), draw(_warnings))
+        for _ in range(draw(st.integers(0, 4)))]
+    results = [[CrbResult(draw(_floats), draw(_floats), draw(st.booleans()),
+                          CrbMethod(name), draw(_warnings)) for _ in points]
+               for name in methods]
+    reports = [RmseReport(draw(_floats), draw(_floats), draw(_ints), draw(_ints))
+               for _ in points] if cfg.montecarlo else None
+    return cfg, SweepTable(cfg, points, results, reports)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(values=st.lists(st.lists(_any_cell, min_size=len(BASE_COLUMNS),
-                                max_size=len(BASE_COLUMNS)), max_size=4),
-       bounds=st.lists(st.tuples(_numbers, _numbers), min_size=4, max_size=4),
-       shared=st.lists(st.booleans(), min_size=4, max_size=4))
-def test_csv_text_matches_the_oracle_on_any_cell(values, bounds, shared):
-    cfg = mono_cfg()
-    rows = [dict(zip(BASE_COLUMNS, vals)) for vals in values]
-    # rows of one sweep point share their scenario objects, mode .. L
-    for prev, row, share in zip(rows, rows[1:], shared):
-        if share:
-            row.update({k: prev[k] for k in BASE_COLUMNS[1:12]})
-    assert csv_text(cfg, rows) == csv_text_oracle(cfg, rows)
-    # the dB columns take numbers
-    for row, (theta, rng) in zip(rows, bounds):
-        row["crb_theta_rad2"], row["crb_r_m2"] = theta, rng
-    assert csv_text(cfg, rows, db=True) == csv_text_oracle(cfg, rows, db=True)
+@given(drawn=_tables())
+def test_csv_text_matches_the_oracle_on_any_cell(drawn):
+    cfg, table = drawn
+    for db in (False, True):
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
 
 
 # --- INI parsing --------------------------------------------------------------------

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nfcrb.experiment import materialize, presets
+from nfcrb.experiment import SweepSpec, presets, validate_config
 from nfcrb.fim import DET_REL_TOL, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
 from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
 from nfcrb.steering import build_observation
@@ -145,7 +145,8 @@ def test_band_brackets_the_verdict_threshold():
 
 def _preset_points(name, largest):
     cfg = presets()[name]
-    return [materialize(cfg, v)[:2] for v in cfg.sweep.points() if v <= largest]
+    return [(scn, ncfg) for scn, ncfg, _ in validate_config(cfg)
+            if scn.geometry.num_tx <= largest]
 
 
 @pytest.mark.parametrize("name,largest", [("fig2", 257), ("fig3", 257), ("fig8", 65)])
@@ -178,7 +179,9 @@ def test_far_range_preset_point_is_identifiable_and_matches_oracle():
     # fig2 at M=257 moved out to r = 2000 m, where det(Q)/tr(Q)^2 = 8e-13: a
     # rule scaled by the trace called the point unidentifiable, and
     # ExactSum's uncentred sums were 2.1e-5 off in range
-    scn, ncfg, _ = materialize(dataclasses.replace(presets()["fig2"], target_range_m=2000.0), 257)
+    far = dataclasses.replace(presets()["fig2"], target_range_m=2000.0,
+                              sweep=SweepSpec(axis="M", values=(257,)))
+    (scn, ncfg, _), = validate_config(far)
     assert _check(scn.geometry, scn.target, scn.carrier, ncfg, scn.mode,
                   scn.topology) > RATIO_BAND[1]
 
