@@ -26,7 +26,6 @@ from .estimator import (
     GridSpec,
     ObservationGridBuilder,
     RmseReport,
-    matched_field_ml,
     monte_carlo_rmse,
 )
 from .experiment import (

@@ -2,8 +2,10 @@
 
 The matched-field statistic |g(theta, r)^H y|^2 / ||g||^2 is the likelihood
 surface for a single snapshot with unknown complex reflection coefficient;
-its maximizer is the ML location estimate. The search runs on a two-level
-grid: a coarse rectangular pass followed by local step-halving refinement.
+its maximizer is the ML location estimate. One function, _ml_stat, evaluates
+it over the conjugated factor columns of g = b (x) a. The search calls it on
+a coarse rectangular grid, whose factors are formed once per Monte Carlo
+run, and then at each level of a local step-halving refinement.
 """
 
 import math
@@ -24,7 +26,7 @@ from .geometry import (
     TargetLocation,
     Topology,
 )
-from .signalsim import Snapshot, synth_snapshot
+from .signalsim import synth_snapshot
 from .steering import observation_from_scenario, steering_factors
 
 # Cells within AMBIGUITY_REL_TOL of the peak form the near-peak set. A
@@ -83,11 +85,11 @@ class GridSpec:
     def around(
         cls,
         tgt: TargetLocation,
-        theta_halfspan_deg: float = 5.0,
-        theta_points: int = 181,
-        range_span_frac: float = 0.2,
-        range_points: int = 121,
-        refine_levels: int = 3,
+        theta_halfspan_deg: float,
+        theta_points: int,
+        range_span_frac: float,
+        range_points: int,
+        refine_levels: int,
     ) -> "GridSpec":
         """Window centered on a nominal target, clipped to the valid domain."""
         half = math.radians(theta_halfspan_deg)
@@ -143,10 +145,9 @@ class ObservationGridBuilder:
         # an empty evaluation runs the kernel's guards and fixes the layout
         a, b = steering_factors(geom, carrier, mode, topology, (), ())
         self.tx_len, self.rx_len = len(a), len(b)
-
-    @classmethod
-    def from_scenario(cls, scn: SensingScenario) -> "ObservationGridBuilder":
-        return cls(scn.geometry, scn.carrier, scn.mode, scn.topology)
+        # bytes per location of the factors a search holds: b shares a's
+        # when aliased; an absent factor is a real row
+        self.location_bytes = a.itemsize * len(a) + (0 if b is a else b.itemsize * len(b))
 
     def factor_matrices(self, thetas, ranges):
         """(A, B) steering factor matrices at paired candidate locations.
@@ -164,21 +165,24 @@ def _paired_grid(thetas_axis: np.ndarray, ranges_axis: np.ndarray):
     return th, ra
 
 
-def _ml_stat_factory(builder, y: np.ndarray):
-    """stat(thetas, ranges) -> |g^H y|^2 / ||g||^2 at paired locations."""
-    ymat = y.reshape(builder.rx_len, builder.tx_len)
+def _conjugated_factors(builder: ObservationGridBuilder, thetas, ranges):
+    """(A*, B*) at paired locations; B* is A* when the kernel aliases b to a."""
+    a, b = builder.factor_matrices(thetas, ranges)
+    a_conj = a.conj()
+    return a_conj, (a_conj if b is a else b.conj())
 
-    def stat(th, ra):
-        out = np.empty(th.size)
-        norm = builder.rx_len * builder.tx_len
-        for s in range(0, th.size, _CHUNK):
-            sl = slice(s, min(s + _CHUNK, th.size))
-            a, b = builder.factor_matrices(th[sl], ra[sl])
-            c = ymat @ a.conj()
-            val = np.einsum("nj,nj->j", b.conj(), c)
-            out[sl] = (val.real**2 + val.imag**2) / norm
-        return out
 
+def _ml_stat(ymat: np.ndarray, a_conj: np.ndarray, b_conj: np.ndarray) -> np.ndarray:
+    """|g^H y|^2 / ||g||^2 at each column of the conjugated factors, with
+    ymat = y.reshape(rx_len, tx_len), so that g^H y = sum(B* * (ymat @ A*))
+    down each column and ||g||^2 = ymat.size."""
+    p = a_conj.shape[1]
+    stat = np.empty(p)
+    for s in range(0, p, _CHUNK):
+        sl = slice(s, min(s + _CHUNK, p))
+        c = ymat @ a_conj[:, sl]
+        val = np.einsum("nj,nj->j", b_conj[:, sl], c)
+        stat[sl] = (val.real**2 + val.imag**2) / ymat.size
     return stat
 
 
@@ -201,31 +205,18 @@ def _argmax_with_ambiguity(stat: np.ndarray, n_ranges: int):
     return it, ir, ambiguous
 
 
-def _refine(stat_fn, grid: GridSpec, best_t: float, best_r: float):
+def _refine(builder: ObservationGridBuilder, ymat: np.ndarray, grid: GridSpec,
+            best_t: float, best_r: float):
     step_t, step_r = grid.theta_step, grid.range_step
     offsets = np.arange(-4, 5, dtype=float)
     for _ in range(grid.refine_levels):
         step_t, step_r = step_t / 2.0, step_r / 2.0
         ts = np.clip(best_t + offsets * step_t, *grid.theta_range)
         rs = np.clip(best_r + offsets * step_r, *grid.range_range)
-        th, ra = _paired_grid(ts, rs)
-        stat = stat_fn(th, ra)
-        flat = int(np.argmax(stat))
-        it, ir = divmod(flat, rs.size)
+        stat = _ml_stat(ymat, *_conjugated_factors(builder, *_paired_grid(ts, rs)))
+        it, ir = divmod(int(np.argmax(stat)), rs.size)
         best_t, best_r = float(ts[it]), float(rs[ir])
     return best_t, best_r
-
-
-def coarse_factor_bytes(geom: ArrayGeometry, mode: Mode, topology: Topology, points: int) -> int:
-    """Bytes of the conjugated factors _PreparedMlSearch holds for a grid of
-    points locations: 16 B per location and per complex row of a and of b.
-    b is a itself for monostatic orthogonal waveforms; beamformed data leave
-    one factor absent (b when monostatic, a when bistatic), a real row of
-    ones, 8 B per location."""
-    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
-    if mode is Mode.PHASED:
-        return (16 * (geom.num_rx if bistatic else geom.num_tx) + 8) * points
-    return 16 * (geom.num_tx + (geom.num_rx if bistatic else 0)) * points
 
 
 class _PreparedMlSearch:
@@ -236,38 +227,16 @@ class _PreparedMlSearch:
         self.grid = grid
         self.thetas = grid.theta_values()
         self.ranges = grid.range_values()
-        th, ra = _paired_grid(self.thetas, self.ranges)
-        a, b = builder.factor_matrices(th, ra)
-        self.a_conj = a.conj()
-        self.b_conj = self.a_conj if b is a else b.conj()
-        self.norm = builder.rx_len * builder.tx_len
+        self.a_conj, self.b_conj = _conjugated_factors(
+            builder, *_paired_grid(self.thetas, self.ranges))
 
     def estimate(self, y: np.ndarray) -> EstimateResult:
         ymat = y.reshape(self.builder.rx_len, self.builder.tx_len)
-        p = self.a_conj.shape[1]
-        stat = np.empty(p)
-        for s in range(0, p, _CHUNK):
-            sl = slice(s, min(s + _CHUNK, p))
-            c = ymat @ self.a_conj[:, sl]
-            val = np.einsum("nj,nj->j", self.b_conj[:, sl], c)
-            stat[sl] = (val.real**2 + val.imag**2) / self.norm
+        stat = _ml_stat(ymat, self.a_conj, self.b_conj)
         it, ir, ambiguous = _argmax_with_ambiguity(stat, self.ranges.size)
-        best_t, best_r = _refine(
-            _ml_stat_factory(self.builder, y),
-            self.grid,
-            float(self.thetas[it]),
-            float(self.ranges[ir]),
-        )
+        best_t, best_r = _refine(self.builder, ymat, self.grid,
+                                 float(self.thetas[it]), float(self.ranges[ir]))
         return EstimateResult(theta=best_t, range_m=best_r, ambiguous=ambiguous)
-
-
-def matched_field_ml(y, builder: ObservationGridBuilder, grid: GridSpec) -> EstimateResult:
-    """Maximize the matched-field statistic over the grid.
-
-    y may be a Snapshot or a raw observation vector.
-    """
-    yv = y.y if isinstance(y, Snapshot) else np.asarray(y)
-    return _PreparedMlSearch(builder, grid).estimate(yv)
 
 
 def monte_carlo_rmse(
@@ -286,7 +255,8 @@ def monte_carlo_rmse(
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     obs = observation_from_scenario(scn)
-    prepared = _PreparedMlSearch(ObservationGridBuilder.from_scenario(scn), grid)
+    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
+    prepared = _PreparedMlSearch(builder, grid)
     tgt = scn.target
 
     se_theta = 0.0

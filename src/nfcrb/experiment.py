@@ -21,7 +21,7 @@ from .closedform import (
     crb_taylor,
 )
 from .errors import ConfigError, NfcrbError
-from .estimator import GridSpec, coarse_factor_bytes, monte_carlo_rmse
+from .estimator import GridSpec, ObservationGridBuilder, monte_carlo_rmse
 from .fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
 from .geometry import (
     ArrayGeometry,
@@ -40,13 +40,12 @@ MAX_SWEEP_POINTS = 10_000
 # points with more transmit or receive elements than this are refused before
 # any point is evaluated when a per-element method runs. Measured tracemalloc
 # peaks at M = 100 001 and 1 000 001, every mode/topology with a transmit
-# factor: under 89 B per element for one ExactSum or NumericalFim location,
-# under 105 B for ExactSum over a run of locations at M >= _BLOCK_ELEMENTS
-# (105 MB at this cap). The Monte Carlo search holds coarse factors of 16 B
-# per grid location and factor row, transmit and receive
-# (estimator.coarse_factor_bytes: 362 MB for fig8 at M=1025, N=8 on a
-# 181x121 grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are
-# O(1) in M.
+# factor: under 89 B per element for ExactSum or NumericalFim, one location
+# or a run of them (89 MB at this cap). The Monte Carlo search holds coarse
+# factors of ObservationGridBuilder.location_bytes per grid location, read
+# from the kernel's layout (362 MB for fig8 at M=1025, N=8 on a 181x121
+# grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1)
+# in M.
 MAX_ELEMENTS = 1_000_001
 MAX_COARSE_FACTOR_BYTES = 2 * 2**30
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
@@ -240,8 +239,8 @@ def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: Carrier
         raise ConfigError(
             f"{where}: {geom.num_tx} transmit / {geom.num_rx} receive elements exceed "
             f"{MAX_ELEMENTS} for ExactSum, NumericalFim or Monte Carlo")
-    coarse = coarse_factor_bytes(geom, cfg.mode, cfg.topology,
-                                 mc.theta_points * mc.range_points) if mc else 0
+    coarse = (ObservationGridBuilder(geom, carrier, cfg.mode, cfg.topology).location_bytes
+              * mc.theta_points * mc.range_points) if mc else 0
     if coarse > MAX_COARSE_FACTOR_BYTES:
         raise ConfigError(f"{where}: the Monte Carlo coarse factor needs {coarse} B, "
                           f"over {MAX_COARSE_FACTOR_BYTES} B")

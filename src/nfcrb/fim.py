@@ -313,8 +313,10 @@ def crb_exact_sum(
         th, r = zip(*((t.angle_rad, t.range_m) for t in block))
         if len(block) == 1:
             th, r = th[0], r[0]
-        psi_a, psi_b = phase_derivs(geom, carrier, mode, topology, th, r)
-        q = _reduced_block(psi_a, psi_b, cfg, geom.num_tx, mode)
+        # no block's rows outlive its reduction, so the next block's
+        # phase_derivs does not run beside them
+        q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r),
+                           cfg, geom.num_tx, mode)
         out += [_inverse_diagonal(*qj, CrbMethod.EXACT_SUM)
                 for qj in np.reshape(q, (4, -1)).T.tolist()]
     return out

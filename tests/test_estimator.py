@@ -11,7 +11,10 @@ from nfcrb.errors import ConfigError
 from nfcrb.estimator import (
     GridSpec,
     ObservationGridBuilder,
-    matched_field_ml,
+    _conjugated_factors,
+    _ml_stat,
+    _paired_grid,
+    _PreparedMlSearch,
     monte_carlo_rmse,
 )
 from nfcrb.fim import NoiseAndPowerConfig
@@ -25,6 +28,13 @@ CFG10 = NoiseAndPowerConfig.from_snr(10.0)
 def scenario(geom, tgt, mode, topology):
     return SensingScenario(geometry=geom, target=tgt, carrier=CARRIER,
                            mode=mode, topology=topology)
+
+
+def window(tgt, theta_points, range_points, refine_levels):
+    # MonteCarloConfig's default spans: +-5 degrees, +-20% of the range
+    return GridSpec.around(tgt, theta_halfspan_deg=5.0, theta_points=theta_points,
+                           range_span_frac=0.2, range_points=range_points,
+                           refine_levels=refine_levels)
 
 
 # --- grid plumbing -----------------------------------------------------------------
@@ -46,13 +56,16 @@ def test_grid_spec_validation():
 
 
 def test_grid_around_clips_to_domain():
-    near_endfire = GridSpec.around(target(10.0, math.radians(85.0)),
-                                   theta_halfspan_deg=10.0)
+    near_endfire = GridSpec.around(target(10.0, math.radians(85.0)), theta_halfspan_deg=10.0,
+                                   theta_points=181, range_span_frac=0.2, range_points=121,
+                                   refine_levels=3)
     assert near_endfire.theta_range[1] == math.pi / 2
     assert near_endfire.theta_range[0] == pytest.approx(math.radians(75.0))
-    wide = GridSpec.around(target(10.0, 0.0), range_span_frac=1.5)
+    wide = GridSpec.around(target(10.0, 0.0), theta_halfspan_deg=5.0, theta_points=181,
+                           range_span_frac=1.5, range_points=121, refine_levels=3)
     assert wide.range_range[0] == pytest.approx(10.0 * 1e-3)
-    centered = GridSpec.around(target(10.0, 0.1))
+    centered = GridSpec.around(target(10.0, 0.1), theta_halfspan_deg=5.0, theta_points=181,
+                               range_span_frac=0.2, range_points=121, refine_levels=3)
     mid = centered.theta_values()[centered.theta_points // 2]
     assert mid == pytest.approx(0.1, abs=1e-15)
 
@@ -82,13 +95,45 @@ def test_builder_rejects_bistatic_without_separation():
 
 # --- matched-field search ----------------------------------------------------------
 
+@pytest.mark.parametrize("mode", [Mode.MIMO, Mode.PHASED])
+@pytest.mark.parametrize("topology", [Topology.MONOSTATIC,
+                                      Topology.BISTATIC_NEAR_FAR_TX])
+def test_statistic_is_the_normalised_matched_field_power(mode, topology):
+    geom = mono_geom(9) if topology is Topology.MONOSTATIC else bi_geom(9, 8, 35.0)
+    builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
+    rng = np.random.default_rng(2024)
+    y = rng.standard_normal(builder.rx_len * builder.tx_len * 2).view(complex)
+    ymat = y.reshape(builder.rx_len, builder.tx_len)
+
+    def brute(th, ra):
+        out = []
+        for t, r in zip(th.tolist(), ra.tolist()):
+            g = build_observation(geom, target(r, t), CARRIER, mode, topology).g
+            out.append(abs(np.vdot(g, y)) ** 2 / np.vdot(g, g).real)
+        return np.array(out)
+
+    th, ra = rng.uniform(-1.2, 1.2, 50), rng.uniform(6.0, 40.0, 50)
+    stat = _ml_stat(ymat, *_conjugated_factors(builder, th, ra))
+    np.testing.assert_allclose(stat, brute(th, ra), rtol=1e-12, atol=0.0)
+
+    # without refinement the search returns the brute-force argmax
+    grid = window(target(15.0, 0.2), 13, 9, refine_levels=0)
+    th, ra = _paired_grid(grid.theta_values(), grid.range_values())
+    want = brute(th, ra)
+    best = int(np.argmax(want))
+    runner_up = np.partition(want, -2)[-2]
+    assert want[best] - runner_up > 1e-9 * want[best]  # no near-tie to flip
+    est = _PreparedMlSearch(builder, grid).estimate(y)
+    assert (est.theta, est.range_m) == (th[best], ra[best])
+
+
 def on_grid_recovery(mode, topology, geom):
     tgt = target(18.0, 0.3)
-    grid = GridSpec.around(tgt, theta_points=41, range_points=31, refine_levels=0)
+    grid = window(tgt, 41, 31, refine_levels=0)
     obs = build_observation(geom, tgt, CARRIER, mode, topology)
     snap = synth_snapshot(obs, CFG10, seed=0, true_target=tgt, include_noise=False)
     builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
-    return matched_field_ml(snap, builder, grid), tgt
+    return _PreparedMlSearch(builder, grid).estimate(snap.y), tgt
 
 
 def test_noiseless_on_grid_recovery_is_exact():
@@ -122,9 +167,8 @@ def test_refinement_tightens_quantization():
     builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
     errs = []
     for levels in (0, 2, 4):
-        grid = GridSpec.around(tgt, theta_points=41, range_points=31,
-                               refine_levels=levels)
-        est = matched_field_ml(y, builder, grid)
+        grid = window(tgt, 41, 31, refine_levels=levels)
+        est = _PreparedMlSearch(builder, grid).estimate(y)
         errs.append((abs(est.theta - truth.angle_rad),
                      abs(est.range_m - truth.range_m)))
         assert abs(est.theta - truth.angle_rad) <= grid.theta_step / 2 ** levels
@@ -135,13 +179,14 @@ def test_refinement_tightens_quantization():
 def test_noisy_recovery_rate_moderate_snr():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
     builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    grid = GridSpec.around(tgt, theta_points=61, range_points=41, refine_levels=0)
+    grid = window(tgt, 61, 41, refine_levels=0)
+    search = _PreparedMlSearch(builder, grid)
     obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
     hits = 0
     trials = 60
     for t in range(trials):
         snap = synth_snapshot(obs, CFG10, seed=(5, t), true_target=tgt)
-        est = matched_field_ml(snap, builder, grid)
+        est = search.estimate(snap.y)
         ok_t = abs(est.theta - tgt.angle_rad) <= 3.0 * grid.theta_step
         ok_r = abs(est.range_m - tgt.range_m) <= 3.0 * grid.range_step
         hits += ok_t and ok_r
@@ -152,8 +197,7 @@ def test_noisy_recovery_rate_moderate_snr():
 
 def test_monte_carlo_is_deterministic():
     scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
-    grid = GridSpec.around(scn.target, theta_points=21, range_points=15,
-                           refine_levels=1)
+    grid = window(scn.target, 21, 15, refine_levels=1)
     a = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=42)
     b = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=42)
     c = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=43)
@@ -164,8 +208,7 @@ def test_monte_carlo_is_deterministic():
 def test_monte_carlo_high_snr_pins_the_grid_center():
     scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
     cfg = NoiseAndPowerConfig.from_snr(80.0)
-    grid = GridSpec.around(scn.target, theta_points=21, range_points=15,
-                           refine_levels=0)
+    grid = window(scn.target, 21, 15, refine_levels=0)
     rep = monte_carlo_rmse(scn, cfg, grid, trials=6, master_seed=7)
     assert rep.rmse_theta < 1e-9 and rep.rmse_range < 1e-9
     assert rep.trials == 6 and rep.master_seed == 7
@@ -173,7 +216,6 @@ def test_monte_carlo_high_snr_pins_the_grid_center():
 
 def test_monte_carlo_rejects_zero_trials():
     scn = scenario(mono_geom(5), target(9.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
-    grid = GridSpec.around(scn.target, theta_points=15, range_points=11,
-                           refine_levels=0)
+    grid = window(scn.target, 15, 11, refine_levels=0)
     with pytest.raises(ConfigError):
         monte_carlo_rmse(scn, CFG10, grid, trials=0, master_seed=3)

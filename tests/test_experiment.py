@@ -19,7 +19,6 @@ from nfcrb.estimator import (
     ObservationGridBuilder,
     RmseReport,
     _PreparedMlSearch,
-    coarse_factor_bytes,
 )
 from nfcrb.experiment import (
     MAX_COARSE_FACTOR_BYTES,
@@ -255,10 +254,12 @@ def test_coarse_factor_count_is_the_bytes_the_search_holds(mode, topology):
     bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
     geom = ArrayGeometry(9, 4 if bistatic else 9, 0.0628, 0.0628, 35.0 if bistatic else 0.0)
     scn = SensingScenario(geom, TargetLocation(18.0, 0.2), CarrierConfig(2.37e9), mode, topology)
-    grid = GridSpec.around(scn.target, theta_points=5, range_points=3)
-    search = _PreparedMlSearch(ObservationGridBuilder.from_scenario(scn), grid)
+    grid = GridSpec.around(scn.target, theta_halfspan_deg=5.0, theta_points=5,
+                           range_span_frac=0.2, range_points=3, refine_levels=0)
+    builder = ObservationGridBuilder(geom, scn.carrier, mode, topology)
+    search = _PreparedMlSearch(builder, grid)
     held = search.a_conj.nbytes + (0 if search.b_conj is search.a_conj else search.b_conj.nbytes)
-    assert coarse_factor_bytes(geom, mode, topology, 15) == held
+    assert builder.location_bytes * 15 == held
 
 
 def test_receive_element_count_is_capped():
@@ -282,8 +283,8 @@ def _traced_peak(call) -> int:
                                            (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX),
                                            (Mode.PHASED, Topology.MONOSTATIC)])
 def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
-    # MAX_ELEMENTS's comment: under 89 B per element for one ExactSum or
-    # NumericalFim location, under 105 B for ExactSum over a run of locations
+    # MAX_ELEMENTS's comment: under 89 B per element for ExactSum or
+    # NumericalFim, one location or a run of them
     m = 100_001
     assert m >= _BLOCK_ELEMENTS
     bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
@@ -294,7 +295,7 @@ def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
     assert _traced_peak(lambda: crb_exact_sum(geom, one, carrier, ncfg, mode, topology)) < 89 * m
     assert _traced_peak(lambda: crb_from_fim(fim_numeric(
         build_observation(geom, one[0], carrier, mode, topology), ncfg))) < 89 * m
-    assert _traced_peak(lambda: crb_exact_sum(geom, targets, carrier, ncfg, mode, topology)) < 105 * m
+    assert _traced_peak(lambda: crb_exact_sum(geom, targets, carrier, ncfg, mode, topology)) < 89 * m
 
 
 # --- runner ------------------------------------------------------------------------
