@@ -158,8 +158,8 @@ class AsymptoticRegime(enum.Enum):
 
 
 def _guarded(crb_t, crb_r, method, warnings) -> CrbResult:
-    # asymptotic formulas can leave their validity region; never emit a
-    # negative or NaN bound
+    # asymptotic and Taylor formulas can leave their validity region; never
+    # emit a negative, NaN or infinite bound as identifiable
     ok_t = math.isfinite(crb_t) and crb_t >= 0.0
     ok_r = math.isfinite(crb_r) and crb_r >= 0.0
     if not (ok_t and ok_r):
@@ -300,8 +300,7 @@ def crb_taylor(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> CrbR
     else:
         crb_t = pref * 3.0 * lam * lam / (math.pi ** 2 * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
         crb_r = pref * 12.0 * lam * lam * r * r * inner / (quartic * m2 * (m2 - 1.0) * (m2 - 4.0))
-    return CrbResult(crb_theta=crb_t, crb_range=crb_r, identifiable=True,
-                     method=CrbMethod.TAYLOR)
+    return _guarded(crb_t, crb_r, CrbMethod.TAYLOR, ())
 
 
 def crb_farfield_upw(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topology: Topology) -> CrbResult:

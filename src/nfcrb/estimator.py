@@ -60,6 +60,8 @@ class GridSpec:
             raise ConfigError("grid needs at least two points per axis")
         if self.refine_levels < 0:
             raise ConfigError("refine_levels must be >= 0")
+        if not all(math.isfinite(b) for b in (t_lo, t_hi, r_lo, r_hi)):
+            raise ConfigError("grid bounds must be finite")
         if not (t_lo < t_hi and r_lo < r_hi):
             raise ConfigError("grid bounds must be ordered (lo < hi)")
         if not (-math.pi / 2 <= t_lo and t_hi <= math.pi / 2):

@@ -3,15 +3,19 @@
 Configs live in a flat INI file with four sections: [scenario] (array,
 target, carrier, power), [sweep] (one axis: M | theta | r | snr_db),
 [methods] (bound evaluators to run per point), and an optional [montecarlo]
-block. Angles are degrees at this layer; emitted CSV stores radians.
+block; the keys are the fields of the config dataclasses (_schema). Angles
+are degrees at this layer; emitted CSV stores radians.
 Output is deterministic: the same config and seed give byte-identical CSV.
 """
 
 import configparser
+import enum
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import NoneType
+from typing import get_args, get_origin
 
 from .closedform import (
     AsymptoticRegime,
@@ -69,7 +73,7 @@ class SweepSpec:
     start/stop/step progression, or a geometric start/stop/factor one."""
 
     axis: str
-    values: tuple | None = None
+    values: tuple[int | float, ...] | None = None
     start: float | None = None
     stop: float | None = None
     step: float | None = None
@@ -87,6 +91,8 @@ class SweepSpec:
             )
         if self.values is None and (self.start is None or self.stop is None):
             raise ConfigError("sweep start and stop are required with step or factor")
+        if self.values is not None and (self.start is not None or self.stop is not None):
+            raise ConfigError("sweep start and stop go with step or factor, not with values")
         given = self.values if self.values is not None else (
             self.start, self.stop, self.step, self.factor)
         if not all(math.isfinite(v) for v in given if v is not None):
@@ -159,25 +165,30 @@ class MonteCarloConfig:
                 raise ConfigError(f"montecarlo.{name} must be finite and > 0, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Scenario scalars plus one sweep; everything the CSV emitter needs."""
+    """Scenario scalars plus one sweep; everything the CSV emitter needs.
+
+    The fields are the config schema (_schema): each is the [scenario] key
+    of its name unless its "ini" metadata names another, a field without a
+    default is a required key, and sweep and montecarlo are sections."""
 
     num_tx: int
-    num_rx: int
-    tx_spacing_m: float
-    rx_spacing_m: float
-    separation_m: float
+    num_rx: int = 1
+    tx_spacing_m: float = 0.0628
+    rx_spacing_m: float = 0.0628
+    separation_m: float = 0.0
     target_range_m: float
     target_angle_deg: float
-    carrier_freq_hz: float
-    snr_db: float
-    time_bandwidth: float
-    mode: Mode
-    topology: Topology
+    carrier_freq_hz: float = 2.37e9
+    snr_db: float = 0.0
+    time_bandwidth: float = 1.0
+    mode: Mode = Mode.MIMO
+    topology: Topology = Topology.MONOSTATIC
     sweep: SweepSpec
-    methods: tuple
-    asymptotic_regime: str = "LargeAperture"
+    methods: tuple[str, ...] = field(metadata={"ini": "methods.use"})
+    asymptotic_regime: str = field(default="LargeAperture",
+                                   metadata={"ini": "methods.asymptotic_regime"})
     montecarlo: MonteCarloConfig | None = None
 
     def __post_init__(self):
@@ -225,6 +236,19 @@ def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig) -> bool:
             and (moment == 0.0 or sys.float_info.min <= info * info < math.inf))
 
 
+def _window_in_range(geom: ArrayGeometry, carrier: CarrierConfig, range_m: float,
+                     mc: MonteCarloConfig) -> bool:
+    """Whether the Monte Carlo search can form its steering factors out to
+    the range window's far edge r = range_m (1 + range_span_frac). There
+    the kernel forms r_m^2 = r^2 - 2 r m d sin(theta) + (m d)^2 to each
+    transmit element and l^2 = R^2 + r^2 - 2 R r cos(theta) to the receive
+    centre, both at most (r + R + |m d|)^2, and a phase 2 pi r_m / lambda:
+    that square and that phase must be finite floats."""
+    reach = (range_m * (1.0 + mc.range_span_frac) + geom.array_separation
+             + geom.num_tx // 2 * geom.tx_spacing)
+    return reach * reach < math.inf and 2.0 * math.pi * reach / carrier.wavelength < math.inf
+
+
 def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: CarrierConfig,
                     where: str):
     """The checks that depend on a point's geometry only: carrier range,
@@ -257,7 +281,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
     round up to the next odd integer so the symmetric-index layout holds,
     with a warning on that point, and a count below 1 is refused before
     rounding; monostatic scenarios receive on the transmit array, so N is
-    forced to M there. Each geometry is checked once (_check_geometry).
+    forced to M there. Each geometry is checked once (_check_geometry),
+    and with Monte Carlo each point's search window (_window_in_range).
     """
     axis = cfg.sweep.axis
     mono = cfg.topology is Topology.MONOSTATIC
@@ -301,6 +326,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
             raise ConfigError(f"sweep point {axis}={v!r}: {exc}") from exc
         if new_geom:
             _check_geometry(cfg, geom, carrier, f"sweep point {axis}={v!r}")
+        if cfg.montecarlo and not _window_in_range(geom, carrier, range_m, cfg.montecarlo):
+            raise ConfigError(f"sweep point {axis}={v!r}: the Monte Carlo range window's "
+                              "far edge is past the float range")
         points.append((scn, ncfg, warns))
     return points
 
@@ -506,143 +534,99 @@ def _db_of(x: float) -> float:
 
 # --- INI parsing / serialization -------------------------------------------
 
-_SCENARIO_KEYS = {
-    "num_tx": int, "num_rx": int, "tx_spacing_m": float, "rx_spacing_m": float,
-    "separation_m": float, "target_range_m": float, "target_angle_deg": float,
-    "carrier_freq_hz": float, "snr_db": float, "time_bandwidth": float,
-    "mode": str, "topology": str,
-}
-_SCENARIO_DEFAULTS = {
-    "num_rx": 1, "tx_spacing_m": 0.0628, "rx_spacing_m": 0.0628,
-    "separation_m": 0.0, "carrier_freq_hz": 2.37e9, "snr_db": 0.0,
-    "time_bandwidth": 1.0, "mode": "mimo", "topology": "monostatic",
-}
-_SWEEP_KEYS = {"axis": str, "values": str, "start": float, "stop": float,
-               "step": float, "factor": float}
-_METHODS_KEYS = {"use": str, "asymptotic_regime": str}
-_MC_KEYS = {
-    "enabled": bool, "estimator": str, "trials": int, "master_seed": int,
-    "theta_halfspan_deg": float, "theta_points": int, "range_span_frac": float,
-    "range_points": int, "refine_levels": int,
-}
-_SECTIONS = {"scenario": _SCENARIO_KEYS, "sweep": _SWEEP_KEYS,
-             "methods": _METHODS_KEYS, "montecarlo": _MC_KEYS}
+def _plain(kind):
+    """A field type without its `| None`."""
+    args = get_args(kind)
+    return next(a for a in args if a is not NoneType) if NoneType in args else kind
 
 
-def _typed(section: str, key: str, raw: str, kind):
-    try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        return kind(raw.strip())
-    except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-        ) from exc
+def _reader(kind):
+    """The function (INI text, key) -> value of field type kind: a tuple
+    type reads a comma list (empty entries skipped), an enum one of its
+    values, an int | float union the first type that reads the text."""
+    if get_origin(kind) is tuple:
+        item = _reader(get_args(kind)[0])
+        return lambda raw, where: tuple(item(tok, f"{where} entry")
+                                        for tok in raw.split(",") if tok.strip())
+    kinds = get_args(kind) or (kind,)
+
+    def read(raw: str, where: str):
+        text = raw.strip()
+        for k in kinds:
+            try:
+                return _BOOLS[text.lower()] if k is bool else k(text)
+            except (KeyError, ValueError):
+                pass
+        if isinstance(kind, enum.EnumType):
+            raise ConfigError(f"{where} must be {' or '.join(m.value for m in kind)}")
+        if isinstance(kind, type):
+            raise ConfigError(f"{where} = {raw!r} is not a valid {kind.__name__}")
+        raise ConfigError(f"{where} {text!r} is not a number")
+    return read
 
 
-def _section_dict(parser: configparser.ConfigParser, name: str) -> dict:
-    if not parser.has_section(name):
-        return {}
-    keys = _SECTIONS[name]
-    out = {}
-    for key, raw in parser.items(name):
+def _schema() -> dict:
+    """section -> key -> (field name, reader, required), read off the
+    config dataclasses: a field's key is its own name in its class's
+    section unless its "ini" metadata names another "section.key", and a
+    dataclass-typed field is a section, not a key. [montecarlo] enabled is
+    the one key with no field: a block is on unless it says enabled = false."""
+    sections = {"scenario": {}, "sweep": {}, "methods": {},
+                "montecarlo": {"enabled": ("enabled", _reader(bool), False)}}
+    for cls, home in ((ExperimentConfig, "scenario"), (SweepSpec, "sweep"),
+                      (MonteCarloConfig, "montecarlo")):
+        for f in fields(cls):
+            kind = _plain(f.type)
+            if not is_dataclass(kind):
+                section, key = f.metadata.get("ini", f"{home}.{f.name}").split(".")
+                sections[section][key] = (f.name, _reader(kind), f.default is MISSING)
+    return sections
+
+
+_BOOLS = configparser.ConfigParser.BOOLEAN_STATES
+_SECTIONS = _schema()
+
+
+def _read_section(parser: configparser.ConfigParser, name: str) -> dict | None:
+    """Field name -> typed value of each key the section sets, once every
+    required key is there; None for a [montecarlo] block that is absent,
+    empty or says enabled = false."""
+    keys, out = _SECTIONS[name], {}
+    for key, raw in parser.items(name) if parser.has_section(name) else ():
         if key not in keys:
             raise ConfigError(f"unknown key [{name}] {key}")
-        out[key] = _typed(name, key, raw, keys[key])
+        field_name, read, _ = keys[key]
+        out[field_name] = read(raw, f"[{name}] {key}")
+    if name == "montecarlo" and not (out and out.pop("enabled", True)):
+        return None
+    for key, (field_name, _, required) in keys.items():
+        if required and field_name not in out:
+            raise ConfigError(f"[{name}] {key} is required")
     return out
-
-
-def _parse_sweep_values(raw: str) -> tuple:
-    vals = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            vals.append(int(tok))
-        except ValueError:
-            try:
-                vals.append(float(tok))
-            except ValueError as exc:
-                raise ConfigError(f"[sweep] values entry {tok!r} is not a number") from exc
-    return tuple(vals)
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    scenario = dict(_SCENARIO_DEFAULTS)
-    scenario.update(_section_dict(parser, "scenario"))
-    for required in ("num_tx", "target_range_m", "target_angle_deg"):
-        if required not in scenario:
-            raise ConfigError(f"[scenario] {required} is required")
-    try:
-        mode = Mode(scenario["mode"])
-    except ValueError:
-        raise ConfigError("[scenario] mode must be mimo or phased")
-    try:
-        topology = Topology(scenario["topology"])
-    except ValueError:
-        raise ConfigError("[scenario] topology must be monostatic or bistatic")
+    scenario = _read_section(parser, "scenario")
+    sweep = SweepSpec(**_read_section(parser, "sweep"))
+    methods = _read_section(parser, "methods")
+    mc = _read_section(parser, "montecarlo")
+    return ExperimentConfig(**scenario, sweep=sweep, **methods,
+                            montecarlo=None if mc is None else MonteCarloConfig(**mc))
 
-    sweep_raw = _section_dict(parser, "sweep")
-    if "axis" not in sweep_raw:
-        raise ConfigError("[sweep] axis is required")
-    values = None
-    if "values" in sweep_raw:
-        values = _parse_sweep_values(sweep_raw["values"])
-    sweep = SweepSpec(
-        axis=sweep_raw["axis"],
-        values=values,
-        start=sweep_raw.get("start"),
-        stop=sweep_raw.get("stop"),
-        step=sweep_raw.get("step"),
-        factor=sweep_raw.get("factor"),
-    )
 
-    methods_raw = _section_dict(parser, "methods")
-    if "use" not in methods_raw:
-        raise ConfigError("[methods] use is required")
-    methods = tuple(m.strip() for m in methods_raw["use"].split(",") if m.strip())
-    regime = methods_raw.get("asymptotic_regime", "LargeAperture")
-
-    mc = None
-    mc_raw = _section_dict(parser, "montecarlo")
-    if mc_raw and mc_raw.get("enabled", True):
-        mc_raw.pop("enabled", None)
-        for required in ("estimator", "trials", "master_seed"):
-            if required not in mc_raw:
-                raise ConfigError(f"[montecarlo] {required} is required")
-        mc = MonteCarloConfig(**mc_raw)
-
-    return ExperimentConfig(
-        num_tx=scenario["num_tx"],
-        num_rx=scenario["num_rx"],
-        tx_spacing_m=scenario["tx_spacing_m"],
-        rx_spacing_m=scenario["rx_spacing_m"],
-        separation_m=scenario["separation_m"],
-        target_range_m=scenario["target_range_m"],
-        target_angle_deg=scenario["target_angle_deg"],
-        carrier_freq_hz=scenario["carrier_freq_hz"],
-        snr_db=scenario["snr_db"],
-        time_bandwidth=scenario["time_bandwidth"],
-        mode=mode,
-        topology=topology,
-        sweep=sweep,
-        methods=methods,
-        asymptotic_regime=regime,
-        montecarlo=mc,
-    )
+# a sweep form set by --set replaces the config's form: the keys it drops
+_SWEEP_FORM_RIVALS = {"values": ("start", "stop", "step", "factor"),
+                      "step": ("values", "factor"), "factor": ("values", "step")}
 
 
 def apply_overrides(parser: configparser.ConfigParser, overrides):
-    """Apply --set section.key=value pairs onto a parsed config."""
+    """Apply --set section.key=value pairs onto a parsed config. Setting
+    sweep.values, .step or .factor first drops the config's keys of the
+    other sweep forms (_SWEEP_FORM_RIVALS); other --set pairs are kept."""
+    pairs = []
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs section.key=value (got {item!r})")
@@ -655,9 +639,15 @@ def apply_overrides(parser: configparser.ConfigParser, overrides):
             raise ConfigError(f"--set: unknown section [{section}]")
         if key not in _SECTIONS[section]:
             raise ConfigError(f"--set: unknown key [{section}] {key}")
+        pairs.append((section, key, value.strip()))
+    for section, key, _ in pairs:
+        if section == "sweep" and parser.has_section(section):
+            for rival in _SWEEP_FORM_RIVALS.get(key, ()):
+                parser.remove_option(section, rival)
+    for section, key, value in pairs:
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, key, value.strip())
+        parser.set(section, key, value)
 
 
 def parse_config_text(text: str, overrides=()) -> ExperimentConfig:
@@ -679,47 +669,28 @@ def parse_config_file(path, overrides=()) -> ExperimentConfig:
 
 
 def _ini_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    if isinstance(v, tuple):
+        return ", ".join(map(_ini_value, v))
+    if isinstance(v, enum.Enum):
+        return v.value
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """INI text that parses back to an identical ExperimentConfig."""
-    lines = ["[scenario]"]
-    scen = {
-        "num_tx": cfg.num_tx, "num_rx": cfg.num_rx,
-        "tx_spacing_m": cfg.tx_spacing_m, "rx_spacing_m": cfg.rx_spacing_m,
-        "separation_m": cfg.separation_m, "target_range_m": cfg.target_range_m,
-        "target_angle_deg": cfg.target_angle_deg,
-        "carrier_freq_hz": cfg.carrier_freq_hz, "snr_db": cfg.snr_db,
-        "time_bandwidth": cfg.time_bandwidth, "mode": cfg.mode.value,
-        "topology": cfg.topology.value,
-    }
-    lines += [f"{k} = {_ini_value(v)}" for k, v in scen.items()]
-    lines += ["", "[sweep]", f"axis = {cfg.sweep.axis}"]
-    if cfg.sweep.values is not None:
-        lines.append("values = " + ", ".join(_ini_value(v) for v in cfg.sweep.values))
-    else:
-        lines.append(f"start = {_ini_value(cfg.sweep.start)}")
-        lines.append(f"stop = {_ini_value(cfg.sweep.stop)}")
-        if cfg.sweep.step is not None:
-            lines.append(f"step = {_ini_value(cfg.sweep.step)}")
-        else:
-            lines.append(f"factor = {_ini_value(cfg.sweep.factor)}")
-    lines += ["", "[methods]",
-              "use = " + ", ".join(cfg.methods),
-              f"asymptotic_regime = {cfg.asymptotic_regime}"]
-    if cfg.montecarlo is not None:
-        mc = cfg.montecarlo
-        lines += ["", "[montecarlo]", "enabled = true"]
-        for k in ("estimator", "trials", "master_seed", "theta_halfspan_deg",
-                  "theta_points", "range_span_frac", "range_points",
-                  "refine_levels"):
-            lines.append(f"{k} = {_ini_value(getattr(mc, k))}")
-    return "\n".join(lines) + "\n"
+    """INI text that parses back to an identical ExperimentConfig: every
+    field that is set, in field order; a montecarlo block only when on."""
+    owners = {"scenario": cfg, "sweep": cfg.sweep, "methods": cfg,
+              "montecarlo": cfg.montecarlo}
+    blocks = []
+    for name, keys in _SECTIONS.items():
+        owner = owners[name]
+        if owner is not None:
+            # the default answers the field-less key, montecarlo's enabled
+            values = ((key, getattr(owner, field_name, "true"))
+                      for key, (field_name, _, _) in keys.items())
+            blocks.append("\n".join([f"[{name}]"] + [
+                f"{key} = {_ini_value(v)}" for key, v in values if v is not None]))
+    return "\n\n".join(blocks) + "\n"
 
 
 # --- presets ----------------------------------------------------------------
@@ -728,30 +699,19 @@ _MONO_M_VALUES = (9, 17, 33, 65, 129, 257, 513, 1025)
 _GEOM_FACTOR = 100.0 ** (1.0 / 24.0)  # 5 m .. 500 m in 25 log-spaced points
 
 
-def _mono(mode: Mode, sweep: SweepSpec, methods, num_tx=9, angle=30.0, range_m=10.0):
-    return ExperimentConfig(
-        num_tx=num_tx, num_rx=num_tx,
-        tx_spacing_m=0.0628, rx_spacing_m=0.0628, separation_m=0.0,
-        target_range_m=range_m, target_angle_deg=angle,
-        carrier_freq_hz=2.37e9, snr_db=0.0, time_bandwidth=1.0,
-        mode=mode, topology=Topology.MONOSTATIC,
-        sweep=sweep, methods=methods,
-    )
+def _mono(mode: Mode, sweep: SweepSpec, methods, num_tx=9):
+    return ExperimentConfig(num_tx=num_tx, num_rx=num_tx, target_range_m=10.0,
+                            target_angle_deg=30.0, mode=mode, sweep=sweep, methods=methods)
 
 
 def _bistatic_mc(snr_db: float, refine_levels: int) -> ExperimentConfig:
     return ExperimentConfig(
-        num_tx=65, num_rx=8,
-        tx_spacing_m=0.0628, rx_spacing_m=0.0628, separation_m=35.0,
-        target_range_m=18.0, target_angle_deg=0.0,
-        carrier_freq_hz=2.37e9, snr_db=snr_db, time_bandwidth=16.0,
-        mode=Mode.MIMO, topology=Topology.BISTATIC_NEAR_FAR_TX,
+        num_tx=65, num_rx=8, separation_m=35.0, target_range_m=18.0, target_angle_deg=0.0,
+        snr_db=snr_db, time_bandwidth=16.0, topology=Topology.BISTATIC_NEAR_FAR_TX,
         sweep=SweepSpec(axis="M", values=(65, 257, 1025)),
         methods=("ClosedForm", "ExactSum", "NumericalFim"),
-        montecarlo=MonteCarloConfig(
-            estimator=ESTIMATOR_NAME, trials=500, master_seed=20260814,
-            refine_levels=refine_levels,
-        ),
+        montecarlo=MonteCarloConfig(estimator=ESTIMATOR_NAME, trials=500,
+                                    master_seed=20260814, refine_levels=refine_levels),
     )
 
 

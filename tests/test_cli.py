@@ -1,6 +1,7 @@
 """CLI behaviors: subcommands, exit codes, output routing, determinism."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,58 @@ def test_non_finite_search_window_exits_2(override, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error:")
     assert "must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("override", [
+    "montecarlo.range_span_frac=1e308",   # the far edge r (1 + frac) is inf
+    "scenario.target_range_m=1e200",      # r^2 overflows in the kernel
+])
+def test_search_window_out_of_float_range_exits_2(override):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfcrb.cli", "preset", "fig8", "--set", "sweep.values=65",
+         "--set", "montecarlo.trials=1", "--set", override],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+    assert "sweep point M=65" in proc.stderr
+
+
+def test_search_window_phase_out_of_float_range_exits_2(tmp_path, capsys):
+    # the far edge's square (1.44e308) is finite, its phase 2 pi r / lambda
+    # is not; one element keeps this carrier within the bounds' range
+    path = tmp_path / "phase.ini"
+    path.write_text(SMALL_INI.replace("num_tx = 9", "num_tx = 1\ncarrier_freq_hz = 1e162")
+                    .replace("target_range_m = 10.0", "target_range_m = 1e154")
+                    .replace("values = 9, 17", "values = 1")
+                    + "\n[montecarlo]\nestimator = MatchedFieldML\ntrials = 1\n"
+                      "master_seed = 1\ntheta_points = 5\nrange_points = 5\n")
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "range window" in captured.err
+
+
+def test_set_switches_a_presets_sweep_form(capsys):
+    # values replaces fig4's start/stop/step rather than clashing with them
+    assert main(["preset", "fig4", "--set", "sweep.values=0,30"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 2 * 4
+    assert sorted({float(r["theta_rad"]) for r in rows}) == [0.0, math.radians(30.0)]
+
+
+def test_stray_sweep_start_exits_2(capsys):
+    # fig2 lists its values; a start beside them is refused, not ignored
+    assert main(["preset", "fig2", "--set", "sweep.start=1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "not with values" in captured.err
+
+
+def test_taylor_range_bound_out_of_float_range_is_unidentifiable(capsys):
+    assert main(["preset", "fig2", "--set", "sweep.values=9",
+                 "--set", "scenario.target_range_m=1e200"]) == 0
+    (taylor,) = [r for r in _rows(capsys.readouterr().out) if r["method"] == "Taylor"]
+    assert taylor["identifiable"] == "false"
+    assert "validity region" in taylor["warnings"]
 
 
 @pytest.mark.parametrize("values", ["", " , "])

@@ -53,6 +53,10 @@ def test_grid_spec_validation():
         GridSpec(**{**ok, "range_range": (0.0, 15.0)})
     with pytest.raises(ConfigError):
         GridSpec(**{**ok, "refine_levels": -1})
+    for bounds in (dict(range_range=(5.0, math.inf)), dict(range_range=(5.0, math.nan)),
+                   dict(theta_range=(math.nan, 0.5))):
+        with pytest.raises(ConfigError, match="finite"):
+            GridSpec(**{**ok, **bounds})
 
 
 def test_grid_around_clips_to_domain():

@@ -2,6 +2,7 @@
 config round trip."""
 
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -83,6 +84,9 @@ def test_sweep_spec_needs_exactly_one_form():
         SweepSpec(axis="M", values=(9,), start=1.0, stop=2.0, step=1.0)
     with pytest.raises(ConfigError):
         SweepSpec(axis="M", start=1.0, step=1.0)   # stop missing
+    for stray in (dict(start=1.0), dict(stop=2.0), dict(start=1.0, stop=2.0)):
+        with pytest.raises(ConfigError, match="not with values"):
+            SweepSpec(axis="M", values=(9,), **stray)
     with pytest.raises(ConfigError):
         SweepSpec(axis="bogus", values=(1,))
     with pytest.raises(ConfigError):
@@ -607,6 +611,114 @@ def test_apply_overrides():
             apply_overrides(parser, [bad])
 
 
+def test_overrides_switch_the_sweep_form():
+    steps = GOOD_INI.replace("values = 9, 17", "start = 9\nstop = 17\nstep = 8")
+    to_values = parse_config_text(steps, overrides=["sweep.values=9"])
+    assert to_values.sweep == SweepSpec(axis="M", values=(9,))
+    to_factor = parse_config_text(steps, overrides=["sweep.factor=2"])
+    assert to_factor.sweep == SweepSpec(axis="M", start=9.0, stop=17.0, factor=2.0)
+    to_step = parse_config_text(GOOD_INI, overrides=[
+        "sweep.step=4", "sweep.start=9", "sweep.stop=17"])
+    assert to_step.sweep.points() == (9.0, 13.0, 17.0)
+    # a form set by --set drops only the config's rival keys, never another --set
+    for clash in (["sweep.values=9", "sweep.start=1"], ["sweep.start=1", "sweep.values=9"],
+                  ["sweep.step=1", "sweep.factor=2", "sweep.start=1", "sweep.stop=4"]):
+        with pytest.raises(ConfigError):
+            parse_config_text(steps, overrides=clash)
+
+
+# --- the config schema ---------------------------------------------------------------
+
+_SECTION_OWNERS = {"scenario": ExperimentConfig, "methods": ExperimentConfig,
+                   "sweep": SweepSpec, "montecarlo": MonteCarloConfig}
+
+
+def test_each_config_field_is_one_ini_key():
+    reached, required = {}, set()
+    for section, keys in experiment._SECTIONS.items():
+        owner = _SECTION_OWNERS[section]
+        defaults = {f.name: f.default for f in dataclasses.fields(owner)}
+        for key, (name, _, needed) in keys.items():
+            if (section, key) == ("montecarlo", "enabled"):
+                continue
+            reached.setdefault((owner, name), []).append((section, key))
+            assert needed == (defaults[name] is dataclasses.MISSING), (section, key)
+            if needed:
+                required.add((section, key))
+    for owner in (ExperimentConfig, SweepSpec, MonteCarloConfig):
+        for f in dataclasses.fields(owner):
+            # the two dataclass-typed fields are sections of their own
+            want = 0 if f.name in ("sweep", "montecarlo") else 1
+            assert len(reached.get((owner, f.name), ())) == want, f.name
+    assert required == {
+        ("scenario", "num_tx"), ("scenario", "target_range_m"),
+        ("scenario", "target_angle_deg"), ("sweep", "axis"), ("methods", "use"),
+        ("montecarlo", "estimator"), ("montecarlo", "trials"), ("montecarlo", "master_seed"),
+    }
+
+
+def _assert_round_trip(cfg):
+    text = serialize_config(cfg)
+    back = parse_config_text(text)
+    assert back == cfg
+    assert serialize_config(back) == text
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_span = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _sweeps(draw):
+    axis = draw(st.sampled_from(experiment.SWEEP_AXES))
+    form = draw(st.sampled_from(("values", "step", "factor")))
+    if form == "values":
+        values = draw(st.lists(st.one_of(st.integers(), _finite), min_size=1, max_size=8))
+        return SweepSpec(axis=axis, values=tuple(values))
+    start, n = draw(st.floats(min_value=-1e6, max_value=1e6)), draw(st.integers(0, 50))
+    if form == "step":
+        step = draw(_span) * draw(st.sampled_from((-1.0, 1.0)))
+        return SweepSpec(axis=axis, start=start, stop=start + n * step, step=step)
+    factor = draw(st.sampled_from((1.5, 0.5, 2.0 ** 0.25)))
+    start = abs(start) + 1.0
+    return SweepSpec(axis=axis, start=start, stop=start * factor ** (n + 1), factor=factor)
+
+
+@st.composite
+def _configs(draw):
+    mono = draw(st.booleans())
+    names = [m for m in experiment.METHOD_NAMES if mono or m != "Taylor"]
+    optional = {
+        "num_rx": st.integers(), "tx_spacing_m": _finite, "rx_spacing_m": _finite,
+        "carrier_freq_hz": _finite, "snr_db": _finite, "time_bandwidth": _finite,
+        "mode": st.sampled_from(Mode),
+        "asymptotic_regime": st.sampled_from(experiment.REGIME_NAMES),
+        "montecarlo": st.builds(
+            MonteCarloConfig, estimator=st.just(experiment.ESTIMATOR_NAME),
+            trials=st.integers(min_value=1), master_seed=st.integers(min_value=0),
+            theta_halfspan_deg=_span, theta_points=st.integers(),
+            range_span_frac=_span, range_points=st.integers(),
+            refine_levels=st.integers()),
+    }
+    if not mono:
+        optional["separation_m"] = st.floats(min_value=1e-3, max_value=1e6)
+    kw = draw(st.fixed_dictionaries({}, optional=optional))
+    if not mono:
+        kw.setdefault("separation_m", 1.0)
+        kw["topology"] = Topology.BISTATIC_NEAR_FAR_TX
+    return ExperimentConfig(
+        num_tx=draw(st.integers()), target_range_m=draw(_finite),
+        target_angle_deg=draw(_finite), sweep=draw(_sweeps()),
+        methods=tuple(draw(st.lists(st.sampled_from(names), min_size=1, unique=True))),
+        **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_configs())
+def test_any_config_round_trips_through_ini(cfg):
+    _assert_round_trip(cfg)
+
+
 # --- presets -----------------------------------------------------------------------
 
 def test_preset_catalog():
@@ -615,8 +727,7 @@ def test_preset_catalog():
     assert sorted(PRESET_SUMMARIES) == sorted(cat)
     for name, cfg in cat.items():
         validate_config(cfg)
-        roundtrip = parse_config_text(serialize_config(cfg))
-        assert roundtrip == cfg, name
+        _assert_round_trip(cfg)
 
 
 def test_preset_contents():
