@@ -119,10 +119,14 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class RmseReport:
+    """RMSE over trials noise draws; ambiguous_trials counts the trials
+    whose coarse search flagged its peak ambiguous (not a CSV column)."""
+
     rmse_theta: float
     rmse_range: float
     trials: int
     master_seed: int
+    ambiguous_trials: int
 
 
 class ObservationGridBuilder:
@@ -263,15 +267,18 @@ def monte_carlo_rmse(
 
     se_theta = 0.0
     se_range = 0.0
+    ambiguous = 0
     for t in range(trials):
         snap = synth_snapshot(obs, cfg, seed=(master_seed, t), true_target=tgt)
         est = prepared.estimate(snap.y)
         se_theta += (est.theta - tgt.angle_rad) ** 2
         se_range += (est.range_m - tgt.range_m) ** 2
+        ambiguous += est.ambiguous
 
     return RmseReport(
         rmse_theta=math.sqrt(se_theta / trials),
         rmse_range=math.sqrt(se_range / trials),
         trials=trials,
         master_seed=master_seed,
+        ambiguous_trials=ambiguous,
     )

@@ -44,8 +44,9 @@ MAX_SWEEP_POINTS = 10_000
 # points with more transmit or receive elements than this are refused before
 # any point is evaluated when a per-element method runs. Measured tracemalloc
 # peaks at M = 100 001 and 1 000 001, every mode/topology with a transmit
-# factor: under 89 B per element for ExactSum or NumericalFim, one location
-# or a run of them (89 MB at this cap). The Monte Carlo search holds coarse
+# factor: under 49 B per element for ExactSum or NumericalFim, one location
+# or a run of them (49 MB at this cap): the kernel's 32 B workspace and the
+# element offsets. The cap was set on 89 B, which its test still asserts. The Monte Carlo search holds coarse
 # factors of ObservationGridBuilder.location_bytes per grid location, read
 # from the kernel's layout (362 MB for fig8 at M=1025, N=8 on a 181x121
 # grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1)

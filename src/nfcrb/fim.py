@@ -5,10 +5,12 @@ inversion every bound goes through.
 This module is the numerical oracle: it never uses the closed forms, only
 the analytic phase derivatives of steering.phase_derivs and direct element
 summations. NumericalFim reads them at one location through
-build_observation; ExactSum reads a run of locations in blocks. Both centre
-them (_centred_gram), form the 2x2 block with one expression
+build_observation; ExactSum reads a run of locations in blocks, formed and
+centred in place in one workspace that every block of the run reuses. Both
+centre them (_centred_gram), form the 2x2 block with one expression
 (_reduced_block) and invert it with one rule (_inverse_diagonal), so the two
-methods agree to the bit.
+methods agree to the bit; a block that rule finds singular gives an
+unidentifiable bound that says so.
 """
 
 from __future__ import annotations
@@ -26,12 +28,19 @@ from .steering import ObservationVector, direction_sine_derivs, phase_derivs
 # relative determinant threshold below which the angle/range information
 # block is declared singular
 DET_REL_TOL = 1e-12
+# the reason an unidentifiable bound from that block carries
+SINGULAR_WARNING = "angle/range information is singular at working precision"
 
-# elements per block of ExactSum's multi-location sums: a (2, P, len) float
-# temporary stays under 128 KiB, which the allocator serves without mapping
-# fresh pages (fig4's 61 locations at M=1025, best of 15 x 20 calls on two
-# cores: ~1.5 ms a call, ~2.0 ms at twice this size)
-_BLOCK_ELEMENTS = 8_192
+# elements per block of ExactSum's multi-location sums. A run's rows are
+# formed and centred in one (4, P, len) float workspace, so the size no
+# longer bounds fresh temporaries: it trades a block's fixed cost (~80 us at
+# M = 1025) against the workspace, 32 B per element (1.0 MB here). On two
+# cores, ExactSum over fig4-fig7 took 4.6 ms a pass in blocks of 8 192
+# elements, 3.8 ms at 16 384, 3.4 ms at this size and 3.5 ms at 65 536
+# (best of 15 x 40 passes; 4.4-4.8 ms with fresh temporaries at 8 192),
+# and bench/run.py bounds_curves read 16% more rows/s at this size than
+# with fresh temporaries at 8 192, at 1.0% more peak RSS
+_BLOCK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -196,24 +205,28 @@ def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) 
     return s / tx_array_size if mode is Mode.MIMO else s * tx_array_size
 
 
-def _centred_gram(psi: np.ndarray) -> tuple:
+def _centred_gram(psi: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """Gram (xx, xy, yx, yy) of the partials j psi exp(j phi) of a unit-modulus
     factor less their component along it: that of the rows of a (2, len) or
     (2, P, len) psi less their means, which keeps what L sum(x y) - sum(x)
-    sum(y) cancels. Each location is reduced on its own row of elements."""
-    t, r = psi - np.add.reduce(psi, -1, keepdims=True) / psi.shape[-1]
+    sum(y) cancels. Each location is reduced on its own row of elements.
+    The centred rows go to out, which may be psi itself."""
+    t, r = np.subtract(psi, np.add.reduce(psi, -1, keepdims=True) / psi.shape[-1], out=out)
     tr = np.vecdot(t, r)
     return np.vecdot(t, t), tr, tr, np.vecdot(r, r)
 
 
-def _reduced_block(psi_a, psi_b, cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) -> list:
+def _reduced_block(psi_a, psi_b, cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode,
+                   in_place: bool = False) -> list:
     """Entries (q00, q01, q10, q11) of the angle/range information with the
     amplitude projected out, from the factors' phase derivatives (see
-    fim_numeric); arrays over the locations of a (2, P, len) psi."""
+    fim_numeric); arrays over the locations of a (2, P, len) psi. in_place
+    centres each psi where it lies, which a caller whose psi is scratch may
+    ask for."""
     energy = mode_energy_scale(cfg, tx_array_size, mode)
     scale = (2.0 / cfg.noise_psd) * abs(complex(cfg.reflection_coeff)) ** 2 * energy
-    cent_a = _centred_gram(psi_a)
-    cent_b = cent_a if psi_b is psi_a else _centred_gram(psi_b)
+    cent_a = _centred_gram(psi_a, psi_a if in_place else None)
+    cent_b = cent_a if psi_b is psi_a else _centred_gram(psi_b, psi_b if in_place else None)
     len_a, len_b = psi_a.shape[-1], psi_b.shape[-1]
     return [scale * (len_a * qb + len_b * qa) for qa, qb in zip(cent_a, cent_b)]
 
@@ -251,7 +264,7 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     q00, q01, q10, q11 = q00 * fa * fa, q01 * fa * fb, q10 * fa * fb, q11 * fb * fb
     det = q00 * q11 - q01 * q10
     if not det > DET_REL_TOL * q00 * q11:
-        return CrbResult.unidentifiable(method, warnings)
+        return CrbResult.unidentifiable(method, warnings + (SINGULAR_WARNING,))
     return CrbResult(
         crb_theta=float(scale * q11 * fa * fa / det),
         crb_range=float(scale * q00 * fb * fb / det),
@@ -304,19 +317,23 @@ def crb_exact_sum(
     array elements: the centred Grams of phase_derivs' rows, reduced and
     inverted by fim_numeric's and crb_from_fim's expressions, so each bound
     has NumericalFim's bits. A run of targets that share one geometry is
-    summed in blocks of (P, len) rows of about _BLOCK_ELEMENTS elements; a
-    lone target takes 1-D rows, which cost less per call (an M sweep)."""
+    summed in blocks of (P, len) rows of about _BLOCK_ELEMENTS elements,
+    each formed and centred in the same (4, P, len) workspace; a lone
+    target, or a one-location tail block, takes 1-D rows, which cost less
+    per call (an M sweep)."""
     out = []
     step = max(1, _BLOCK_ELEMENTS // max(geom.num_tx, geom.num_rx))
+    # every block's transmit rows are formed and centred in this one buffer
+    work = np.empty((4, min(step, len(targets)), geom.num_tx))
     for lo in range(0, len(targets), step):
         block = targets[lo:lo + step]
         th, r = zip(*((t.angle_rad, t.range_m) for t in block))
         if len(block) == 1:
-            th, r = th[0], r[0]
-        # no block's rows outlive its reduction, so the next block's
-        # phase_derivs does not run beside them
-        q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r),
-                           cfg, geom.num_tx, mode)
+            th, r, w = th[0], r[0], work[:, 0]
+        else:
+            w = work[:, :len(block)]
+        q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r, w),
+                           cfg, geom.num_tx, mode, in_place=True)
         out += [_inverse_diagonal(*qj, CrbMethod.EXACT_SUM)
                 for qj in np.reshape(q, (4, -1)).T.tolist()]
     return out

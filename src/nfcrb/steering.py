@@ -6,8 +6,11 @@ element-to-target distances; b is the far-field receive response, a
 function of the direction sine sin(phi) seen from the receive-array centre
 (b := a when the arrays are co-located). steering_factors evaluates both at
 any number of paired locations, and phase_derivs the real derivatives of
-their elements' phases, which the bounds read; build_observation holds the
-latter at one location.
+their elements' phases, which the bounds read. phase_derivs writes every
+step of the transmit rows into planes of one float workspace, the caller's
+or a fresh one, with the same expressions at one location (1-D rows) and
+at a block of them; build_observation holds its result at one location,
+in a workspace of its own.
 """
 
 from __future__ import annotations
@@ -148,6 +151,7 @@ def phase_derivs(
     topology: Topology,
     thetas,
     ranges,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real derivatives psi = d phi/d(theta, r) of the phases phi of the
     factors (a, b) of g, less the part every element shares (the amplitude
@@ -158,6 +162,11 @@ def phase_derivs(
     (2, len) or a (2, P, len) array, and a location's values do not depend
     on the others. b is a for monostatic orthogonal waveforms; an absent
     factor is one element with zero derivatives.
+
+    The transmit rows are formed step by step in work, a float array of
+    shape (4, len) or (4, P, len), fresh when None; psi_a is its last two
+    planes, so a caller that passes work gets psi_a back in it and must not
+    keep it past the next call.
 
     With k = 2 pi/lambda and lin = r - m d_tx sin(theta), the transmit phase
     -k r_m has d/d theta = k r m d_tx cos(theta)/r_m; its d/dr + k =
@@ -171,38 +180,49 @@ def phase_derivs(
     if np.isscalar(thetas):
         th, r = float(thetas), float(ranges)
         sth, cth = math.sin(th), math.cos(th)
-        absent = (2, 1)
+        locations = ()
     else:
         # one location per row, sin and cos taken per location as a lone
         # location takes them
         th, r = (np.array(x, dtype=float)[:, None] for x in (thetas, ranges))
         sth, cth = (np.array([f(t) for t in th[:, 0].tolist()])[:, None]
                     for f in (math.sin, math.cos))
-        absent = (2, th.shape[0], 1)
+        locations = (th.shape[0],)
 
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         knd = k * (geom.rx_indices() * geom.rx_spacing)
         g_th, g_r = direction_sine_derivs(geom.array_separation, r, th)
         psi_b = np.array((g_th * knd, g_r * knd))
         if mode is Mode.PHASED:
-            return np.zeros(absent), psi_b
+            return np.zeros((2, *locations, 1)), psi_b
+    nd = geom.tx_indices() * geom.tx_spacing
+    if work is None:
+        work = np.empty((4, *locations, nd.size))
+    w0, w1, w2, w3 = work
     # in units of r: u = m d_tx/r, rho = r_m/r
-    u = geom.tx_indices() * geom.tx_spacing / r
-    us, mc = u * sth, u * cth
-    # the derivatives divide by r_m
-    if not (1.0 - 2.0 * us + u ** 2).min() > 0.0:
+    u = np.divide(nd, r, out=w0)
+    us = np.multiply(u, sth, out=w1)
+    # the derivatives divide by r_m: (r_m/r)^2 = 1 - 2 u sin(theta) + u^2
+    rm2 = np.subtract(1.0, np.multiply(2.0, us, out=w2), out=w2)
+    np.add(rm2, np.multiply(u, u, out=w3), out=rm2)
+    if not rm2.min() > 0.0:
         raise DegenerateGeometryError("target coincides with a transmit element")
-    lin = 1.0 - us
-    mc2 = mc * mc
-    rho = np.sqrt(lin * lin + mc2)
-    # rho - lin: mc^2/(rho + lin) where lin > 0, rho + |lin| elsewhere
-    s = rho + np.abs(lin)
-    np.divide(mc2, s, out=s, where=lin > 0.0)
-    psi_a = np.empty((2, *rho.shape))
-    for row, x in zip(psi_a, (k * r * mc, k * s)):
-        np.divide(x, rho, out=row)
+    mc = np.multiply(u, cth, out=w2)
+    lin = np.subtract(1.0, us, out=w3)
+    mc2 = np.multiply(mc, mc, out=w0)
+    rho = np.multiply(lin, lin, out=w1)
+    np.sqrt(np.add(rho, mc2, out=rho), out=rho)
+    np.multiply(k * r, mc, out=w2)
+    # rho - lin: mc^2/(rho + lin) where lin > 0, rho + |lin| elsewhere; s
+    # takes lin's plane, so its sign is read first
+    positive = lin > 0.0
+    s = np.add(rho, np.abs(lin, out=w3), out=w3)
+    np.divide(mc2, s, out=s, where=positive)
+    np.multiply(k, s, out=s)
+    # (k r mc, k s) / rho
+    psi_a = np.divide(work[2:], rho, out=work[2:])
     if mode is Mode.PHASED:
-        return psi_a, np.zeros(absent)
+        return psi_a, np.zeros((2, *locations, 1))
     return psi_a, (psi_a if topology is Topology.MONOSTATIC else psi_b)
 
 

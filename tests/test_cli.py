@@ -1,6 +1,7 @@
 """CLI behaviors: subcommands, exit codes, output routing, determinism."""
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import nfcrb
 from nfcrb import experiment
 from nfcrb.cli import main
 from nfcrb.experiment import csv_text, presets, run_experiment
+from nfcrb.fim import SINGULAR_WARNING
 
 SMALL_INI = """
 [scenario]
@@ -60,6 +62,43 @@ factor = 1.0000001
 [methods]
 use = ClosedForm
 """
+
+
+_SWEEP_TO_2049 = "sweep.values=9,17,33,65,129,257,513,1025,2049"
+PRESET_DIGESTS = {
+    ("fig2",):
+        "7b58acb0458ddc6b63b8aa48cb07f5ba01ac0208139ac21f970d2e7118e89ece",
+    ("fig2", "--db"):
+        "829c167bf300d61f1829c98827bc0c605aafebeb2d37d3b1af370e22e490e359",
+    ("fig3",):
+        "a9aa78a6ed997dd596ac6eff17351e3804ab214b02669eb14dc721227cace86b",
+    ("fig3", "--db"):
+        "825dbc941b3dc157def3338c3a8cea34e74b0b648963c198d012ae386d108c58",
+    ("fig4",):
+        "b7a8215b71ddc78baeb15b425fd9b4c723a0caf2357c1cd5fcb045784e6a2329",
+    ("fig4", "--db"):
+        "686bdd478f9330de387a841f5c56d6843cb49cc6e205951b3f87a9e3f3c892ca",
+    ("fig5",):
+        "ad205decc34b405e2f3797e14a25796b009cb2e8a3aec25e985edb891387a940",
+    ("fig5", "--db"):
+        "efce3e368a2834a8b65a22336b4ab3b39d7156f8f0fefa239928d706c9c4c731",
+    ("fig6",):
+        "72859c0ea96783182f306400a3f783424f79d92edb1f9a08db9c57d569219a39",
+    ("fig6", "--db"):
+        "ec93851d1121511c92037a084936c714adfec270baaea8acd5e97a660f21ad13",
+    ("fig7",):
+        "918593f89368047579b068bd7854f934a2bd029cf554f3da385f591759609167",
+    ("fig7", "--db"):
+        "8fb97f2ad9cbd961b024b56b60b5486d6c43b4f7396b98d6532bdcf2b612ae00",
+    ("fig2", "--set", _SWEEP_TO_2049):
+        "a95856a2e3f62ae2311735752498e1e4e212b401339e279723e61e4225108008",
+    ("fig2", "--set", _SWEEP_TO_2049, "--db"):
+        "0d02a5c26cf75a901145cc054ea46e9afbeb03ab5f5e252e936c3d369220534d",
+    ("fig3", "--set", _SWEEP_TO_2049):
+        "354f34511e8a4f23d012d458a803423100267db18c546608350bb2c01e85e80c",
+    ("fig3", "--set", _SWEEP_TO_2049, "--db"):
+        "c3b922f02877e9375e7348277be946a37072dfc91c0c31273b8f83ccfffd097d",
+}
 
 
 def _child_env():
@@ -390,6 +429,25 @@ def test_extreme_snr_scales_the_bounds_exactly(capsys):
             assert row["identifiable"] == "true"
             for col in ("crb_theta_rad2", "crb_r_m2"):
                 assert abs(float(row[col]) / (float(ref[col]) * factor) - 1.0) < 1e-12
+
+
+def test_singular_information_says_why(capsys):
+    # at r = 1e200 m the angle/range block is singular at working precision:
+    # the exact methods' rows carry that reason instead of a bare inf
+    assert main(["preset", "fig2", "--set", "sweep.values=9",
+                 "--set", "scenario.target_range_m=1e200"]) == 0
+    rows = {r["method"]: r for r in _rows(capsys.readouterr().out)}
+    for method in ("ClosedForm", "ExactSum", "NumericalFim"):
+        assert (rows[method]["crb_theta_rad2"], rows[method]["identifiable"]) == ("inf", "false")
+        assert rows[method]["warnings"] == SINGULAR_WARNING
+
+
+def test_preset_csv_bytes_are_pinned(capsys):
+    # sha256 of the preset CSVs: a change to the bound kernels that means to
+    # keep every bit keeps these; one that moves a cell says which
+    for args, digest in PRESET_DIGESTS.items():
+        assert main(["preset", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, args
 
 
 def test_endfire_methods_agree_with_oracle(capsys):

@@ -218,6 +218,21 @@ def test_monte_carlo_high_snr_pins_the_grid_center():
     assert rep.trials == 6 and rep.master_seed == 7
 
 
+def test_monte_carlo_counts_the_ambiguous_trials():
+    scn = scenario(mono_geom(33), target(18.0, 0.3), Mode.MIMO, Topology.MONOSTATIC)
+    cfg = NoiseAndPowerConfig.from_snr(0.0)
+    grid = window(scn.target, 21, 15, refine_levels=1)
+    rep = monte_carlo_rmse(scn, cfg, grid, trials=12, master_seed=9)
+    # the same trials one estimate call at a time
+    obs = build_observation(scn.geometry, scn.target, CARRIER, scn.mode, scn.topology)
+    search = _PreparedMlSearch(
+        ObservationGridBuilder(scn.geometry, CARRIER, scn.mode, scn.topology), grid)
+    flags = [search.estimate(synth_snapshot(obs, cfg, seed=(9, t), true_target=scn.target).y)
+             .ambiguous for t in range(12)]
+    assert rep.ambiguous_trials == sum(flags)
+    assert 0 < rep.ambiguous_trials < rep.trials
+
+
 def test_monte_carlo_rejects_zero_trials():
     scn = scenario(mono_geom(5), target(9.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
     grid = window(scn.target, 15, 11, refine_levels=0)

@@ -287,7 +287,7 @@ def _traced_peak(call) -> int:
                                            (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX),
                                            (Mode.PHASED, Topology.MONOSTATIC)])
 def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
-    # MAX_ELEMENTS's comment: under 89 B per element for ExactSum or
+    # the basis of MAX_ELEMENTS: under 89 B per element for ExactSum or
     # NumericalFim, one location or a run of them
     m = 100_001
     assert m >= _BLOCK_ELEMENTS
@@ -516,7 +516,7 @@ def _tables(draw):
     results = [[CrbResult(draw(_floats), draw(_floats), draw(st.booleans()),
                           CrbMethod(name), draw(_warnings)) for _ in points]
                for name in methods]
-    reports = [RmseReport(draw(_floats), draw(_floats), draw(_ints), draw(_ints))
+    reports = [RmseReport(draw(_floats), draw(_floats), draw(_ints), draw(_ints), draw(_ints))
                for _ in points] if cfg.montecarlo else None
     return cfg, SweepTable(cfg, points, results, reports)
 

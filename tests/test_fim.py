@@ -178,6 +178,28 @@ def test_numeric_fim_memory_is_set_by_the_factors():
     assert peak < 5 * 2 ** 20
 
 
+@pytest.mark.parametrize("mode,topology", PAIRS)
+def test_exact_sum_run_holds_one_workspace(mode, topology):
+    # fig4's size: 61 locations at M = 1025, in blocks of P locations
+    geom = bi_geom(1025, 8, 35.0) if topology is Topology.BISTATIC_NEAR_FAR_TX else mono_geom(1025)
+    targets = [target(2.0 + j, 0.3) for j in range(61)]
+    workspace = 4 * min(61, _BLOCK_ELEMENTS // 1025) * 1025 * 8
+
+    def call():
+        return crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # slack: the (P, M) bool mask of the range row's branch (32 KB here),
+    # ufunc buffers and the 61 results; 135-140 KB measured
+    assert peak <= workspace + 192 * 1024
+
+
 @pytest.mark.parametrize("mode,topology,geom,tgt", [
     (Mode.MIMO, Topology.MONOSTATIC, mono_geom(100001), target(10.0, math.pi / 6)),
     (Mode.PHASED, Topology.MONOSTATIC, mono_geom(100001), target(10.0, math.pi / 6)),
@@ -299,18 +321,35 @@ def test_intermediates_exact_are_steering_inner_products():
     assert ip.range_overlap == pytest.approx(np.vdot(d_range, sv.values), rel=1e-12)
 
 
-# element counts on both sides of the block size, and a few small ones; with
-# M = 1025 a block holds 15 locations, so most run lengths end mid-block
+# element counts on both sides of the block size, and a few small ones
 _RUN_M = st.sampled_from((1, 3, 9, 1025, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS + 1))
-_LOCATIONS = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.05, 100.0)),
-                      min_size=1, max_size=40)
+# (0, 35 m) is the receive-array centre of bi_geom(m, 8, 35.0), which every
+# path refuses
+_LOCATION = st.tuples(st.floats(-1.5, 1.5), st.floats(0.05, 100.0)).filter(
+    lambda loc: loc != (0.0, 35.0))
+
+
+@st.composite
+def _runs(draw):
+    """A mode/topology pair, its geometry and a run of locations: any length
+    up to 40, or one that fills its blocks exactly or leaves a one-location
+    tail block (at M = 1025 a block holds _BLOCK_ELEMENTS // 1025
+    locations)."""
+    mode, topology = draw(st.sampled_from(PAIRS))
+    m = draw(_RUN_M)
+    geom = bi_geom(m, 8, 35.0) if topology is Topology.BISTATIC_NEAR_FAR_TX else mono_geom(m)
+    step = max(1, _BLOCK_ELEMENTS // max(geom.num_tx, geom.num_rx))
+    lengths = st.integers(1, 40)
+    if step <= 32:
+        lengths = st.one_of(lengths, st.sampled_from((step, 2 * step, step + 1)))
+    n = draw(lengths)
+    return mode, topology, geom, draw(st.lists(_LOCATION, min_size=n, max_size=n))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(m=_RUN_M, locations=_LOCATIONS, pair=st.sampled_from(PAIRS))
-def test_exact_sum_over_a_run_equals_one_location_calls(m, locations, pair):
-    mode, topology = pair
-    geom = bi_geom(m, 8, 35.0) if topology is Topology.BISTATIC_NEAR_FAR_TX else mono_geom(m)
+@given(drawn=_runs())
+def test_exact_sum_over_a_run_equals_one_location_calls(drawn):
+    mode, topology, geom, locations = drawn
     thetas, ranges = zip(*locations)
     targets = [target(r, th) for th, r in locations]
     run_psi = phase_derivs(geom, CARRIER, mode, topology, thetas, ranges)
@@ -324,6 +363,24 @@ def test_exact_sum_over_a_run_equals_one_location_calls(m, locations, pair):
         via_fim = crb_from_fim(fim_numeric(obs, CFG))
         assert (run[j].crb_theta, run[j].crb_range, run[j].identifiable) == (
             via_fim.crb_theta, via_fim.crb_range, via_fim.identifiable)
+
+
+def test_observations_keep_their_derivatives_across_kernel_calls():
+    # ExactSum forms and centres its rows in one reused buffer; an
+    # observation's psi is never part of such a buffer
+    for mode, topology in PAIRS:
+        g = bi_geom(1025, 8, 35.0) if topology is Topology.BISTATIC_NEAR_FAR_TX else mono_geom(1025)
+        first = build_observation(g, target(18.0, 0.3), CARRIER, mode, topology)
+        second = build_observation(g, target(40.0, -0.2), CARRIER, mode, topology)
+        kept = [(f.psi.copy(), f.psi) for obs in (first, second) for f in (obs.a, obs.b)]
+        crb_exact_sum(g, [target(10.0 + j, 0.02 * j) for j in range(70)], CARRIER, CFG,
+                      mode, topology)
+        crb_exact_sum(g, (target(25.0, 0.4),), CARRIER, CFG, mode, topology)
+        build_observation(g, target(33.0, 0.5), CARRIER, mode, topology)
+        crb_from_fim(fim_numeric(first, CFG))
+        for copy, psi in kept:
+            assert np.array_equal(psi, copy)
+        assert not np.shares_memory(first.a.psi, second.a.psi)
 
 
 def test_phase_derivs_refuse_a_target_on_an_element():
