@@ -13,7 +13,7 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import NoneType
 from typing import get_args, get_origin
 
@@ -42,15 +42,17 @@ from .steering import build_observation
 MAX_SWEEP_POINTS = 10_000
 
 # points with more transmit or receive elements than this are refused before
-# any point is evaluated when a per-element method runs. Measured tracemalloc
-# peaks at M = 100 001 and 1 000 001, every mode/topology with a transmit
-# factor: under 49 B per element for ExactSum or NumericalFim, one location
-# or a run of them (49 MB at this cap): the kernel's 32 B workspace and the
-# element offsets. The cap was set on 89 B, which its test still asserts. The Monte Carlo search holds coarse
-# factors of ObservationGridBuilder.location_bytes per grid location, read
-# from the kernel's layout (362 MB for fig8 at M=1025, N=8 on a 181x121
-# grid), refused above MAX_COARSE_FACTOR_BYTES. The closed forms are O(1)
-# in M.
+# any point is evaluated when ExactSum, NumericalFim or Monte Carlo runs.
+# Basis: tracemalloc peaks at M = 100 001 and 1 000 001, every mode/topology
+# with a transmit factor, are under 49 B per element for ExactSum and
+# NumericalFim, one location or a run of them (49 MB at this cap): the
+# kernel's 32 B workspace and the element offsets. Its test asserts under
+# 52 B. The closed forms are O(1) in M and stay uncapped.
+#
+# The Monte Carlo search is bounded on its own: its coarse factors take
+# ObservationGridBuilder.location_bytes per grid location, read from the
+# kernel's layout (362 MB for fig8 at M=1025, N=8 on a 181x121 grid), and a
+# point whose factors exceed MAX_COARSE_FACTOR_BYTES is refused.
 MAX_ELEMENTS = 1_000_001
 MAX_COARSE_FACTOR_BYTES = 2 * 2**30
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
@@ -337,7 +339,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
 def _eval_method(method: CrbMethod, targets, scn: SensingScenario,
                  ncfg: NoiseAndPowerConfig, regime: str) -> list:
     """One result per target of a run: points that share scn's geometry,
-    carrier, mode and topology and the noise config ncfg."""
+    carrier, mode and topology and the noise config ncfg. ExactSum sums the
+    run in blocks; NumericalFim evaluates it target by target, which costs
+    less for a lone target (an M sweep's run) and which run_experiment
+    uses for both when a config lists both."""
     # evaluators are looked up as module globals at call time, so that a
     # wrapper installed on a module binding (a tracer) sees every call
     g, c, mode, topology = scn.geometry, scn.carrier, scn.mode, scn.topology
@@ -424,10 +429,16 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
 
     Each method is evaluated once per run: consecutive points that share
     one geometry and one noise object (validate_config builds each once).
-    Monte Carlo, when configured, runs once per sweep point.
+    ExactSum and NumericalFim give the same bits, so a config that lists
+    both evaluates each run once, on NumericalFim's path, and gives
+    ExactSum copies relabelled EXACT_SUM. Monte Carlo, when configured,
+    runs once per sweep point.
     """
     points = validate_config(cfg)
     methods = [CrbMethod(name) for name in cfg.methods]
+    shared = CrbMethod.NUMERICAL_FIM in methods
+    sources = [CrbMethod.NUMERICAL_FIM if shared and m is CrbMethod.EXACT_SUM else m
+               for m in methods]
     results = [[] for _ in methods]
     reports = [] if cfg.montecarlo else None
     for _, run in itertools.groupby(points, _run_key):
@@ -436,8 +447,12 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
         if reports is not None:
             reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
         targets = [s.target for s, _, _ in run]
-        for method, out in zip(methods, results):
-            out += _eval_method(method, targets, scn, ncfg, cfg.asymptotic_regime)
+        done = {}
+        for method, source, out in zip(methods, sources, results):
+            if source not in done:
+                done[source] = _eval_method(source, targets, scn, ncfg, cfg.asymptotic_regime)
+            out += (done[source] if source is method
+                    else [replace(res, method=method) for res in done[source]])
     return SweepTable(cfg, points, results, reports)
 
 

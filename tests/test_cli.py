@@ -358,6 +358,24 @@ def test_target_on_a_transmit_element_exits_3(method, capsys):
     assert captured.err == "numerical failure: target coincides with a transmit element\n"
 
 
+@pytest.mark.parametrize("both", ["ExactSum, NumericalFim", "NumericalFim, ExactSum"])
+def test_both_fim_methods_fail_as_exact_sum_alone(both, capsys):
+    # a config that lists both evaluates them once, on NumericalFim's path:
+    # a target on a transmit element fails there as ExactSum alone fails
+    def run(methods):
+        code = main(["preset", "fig2", "--set", "scenario.target_angle_deg=90",
+                     "--set", "scenario.target_range_m=0.1256",
+                     "--set", f"methods.use={methods}", "--set", "sweep.values=9,17"])
+        return code, capsys.readouterr()
+
+    code, alone = run("ExactSum")
+    assert code == 3
+    code, captured = run(both)
+    assert code == 3
+    assert captured.out == alone.out == ""
+    assert captured.err == alone.err
+
+
 @pytest.mark.parametrize("overrides", [
     ["scenario.snr_db=4000"],
     ["sweep.axis=snr_db", "sweep.values=4000"],

@@ -30,6 +30,7 @@ from nfcrb.fim import (
     CrbMethod,
     CrbResult,
     DET_REL_TOL,
+    SINGULAR_WARNING,
     FimMatrix,
     NoiseAndPowerConfig,
     crb_exact_sum,
@@ -433,21 +434,63 @@ def test_exact_sum_frozen_values():
         assert rel_err(res.crb_range, cr) < 1e-12
 
 
+def _bound(res):
+    """Everything a CSV row takes from a CrbResult: all of it but method."""
+    return res.crb_theta, res.crb_range, res.identifiable, res.warnings
+
+
+def _numeric_fim(geom, tgt, cfg, mode, topology):
+    return crb_from_fim(fim_numeric(build_observation(geom, tgt, CARRIER, mode, topology), cfg))
+
+
+# run_experiment evaluates a config that lists both methods once, on
+# NumericalFim's path, and gives ExactSum those bits
 @pytest.mark.parametrize("mode,topology,geom,tgt", [
     (Mode.MIMO, Topology.MONOSTATIC, mono_geom(17), target(8.0, -0.6)),
     (Mode.PHASED, Topology.MONOSTATIC, mono_geom(33), target(25.0, 0.9)),
     (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(17, 8, 35.0), target(18.0, 0.2)),
     (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(65, 4, 50.0), target(12.0, -0.4)),
+    # beamformed bistatic: no transmit factor, and the receive phase is
+    # linear in the element index
+    (Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(17, 8, 35.0), target(18.0, 0.2)),
+    (Mode.MIMO, Topology.MONOSTATIC, mono_geom(1), target(10.0, 0.3)),
+    (Mode.PHASED, Topology.MONOSTATIC, mono_geom(1), target(10.0, 0.3)),
+    (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(1, 8, 35.0), target(18.0, 0.3)),
+    # a finite but huge range: the block is singular at working precision
+    (Mode.MIMO, Topology.MONOSTATIC, mono_geom(9), target(1e200, 0.3)),
 ])
 def test_exact_sum_equals_numeric_fim(mode, topology, geom, tgt):
     cfg = NoiseAndPowerConfig.from_snr(5.0, time_bandwidth=2.0)
     via_sum = crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode, topology)[0]
-    obs = build_observation(geom, tgt, CARRIER, mode, topology)
-    via_fim = crb_from_fim(fim_numeric(obs, cfg))
-    assert via_sum.identifiable and via_fim.identifiable
+    via_fim = _numeric_fim(geom, tgt, cfg, mode, topology)
+    # identifiable only with a transmit aperture in the observation (more
+    # than one element, not beamformed bistatic) at a range it is not lost at
+    beamformed_bistatic = mode is Mode.PHASED and topology is Topology.BISTATIC_NEAR_FAR_TX
+    identifiable = geom.num_tx > 1 and not beamformed_bistatic and tgt.range_m < 1e100
+    assert via_sum.identifiable is identifiable
+    assert (SINGULAR_WARNING in via_sum.warnings) is not identifiable
     # one kernel, one reduction, one inversion: the same bits
-    assert via_sum.crb_theta == via_fim.crb_theta
-    assert via_sum.crb_range == via_fim.crb_range
+    assert _bound(via_sum) == _bound(via_fim)
+    assert (via_sum.method, via_fim.method) == (CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM)
+
+
+@pytest.mark.parametrize("mode,topology", PAIRS)
+def test_blocked_exact_sum_run_equals_numeric_fim_per_location(mode, topology):
+    # 40 locations at M = 1025 fill one block of _BLOCK_ELEMENTS // 1025 and
+    # part of a second; a monostatic run holds a singular one (the bistatic
+    # receive direction is not finite at 1e200 m)
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    geom = bi_geom(1025, 8, 35.0) if bistatic else mono_geom(1025)
+    targets = [target(3.0 + 2.0 * j, -1.2 + 0.06 * j) for j in range(40)]
+    if not bistatic:
+        targets[33] = target(1e200, 0.3)
+    assert 3 <= _BLOCK_ELEMENTS // 1025 < len(targets)
+    run = crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
+    assert len(run) == len(targets)
+    for res, tgt in zip(run, targets):
+        assert _bound(res) == _bound(_numeric_fim(geom, tgt, CFG, mode, topology))
+    if not bistatic:
+        assert SINGULAR_WARNING in run[33].warnings
 
 
 def test_mode_ratio_is_two_over_m():
