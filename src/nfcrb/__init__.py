@@ -35,6 +35,7 @@ from .experiment import (
     csv_text,
     parse_config_file,
     parse_config_text,
+    preset,
     presets,
     run_experiment,
     serialize_config,

@@ -18,7 +18,7 @@ from .experiment import (
     csv_text,
     parse_config_file,
     parse_config_text,
-    presets,
+    preset,
     run_experiment,
     serialize_config,
 )
@@ -65,21 +65,16 @@ def _parser() -> argparse.ArgumentParser:
 def _load_config(args):
     if args.command == "run":
         return parse_config_file(args.config, overrides=args.overrides)
-    table = presets()
-    if args.name not in table:
-        raise ConfigError(
-            f"unknown preset {args.name!r}; available: {', '.join(table)}"
-        )
     # route presets through the serializer so --set semantics match `run`
-    return parse_config_text(serialize_config(table[args.name]), overrides=args.overrides)
+    return parse_config_text(serialize_config(preset(args.name)), overrides=args.overrides)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "list-presets":
-        for name in presets():
-            print(f"{name}  {PRESET_SUMMARIES[name]}")
+        for name, summary in PRESET_SUMMARIES.items():
+            print(f"{name}  {summary}")
         return 0
 
     try:

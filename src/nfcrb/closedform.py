@@ -27,6 +27,12 @@ from .fim import (
     receive_sums,
 )
 
+# powers of pi in the bounds, taken once: the same floats wherever they sit
+# in a product. Products of them with other constants are left to run in
+# their written order.
+_PI_SQ = math.pi ** 2
+_PI_CUBE = math.pi ** 3
+
 
 def _stable_terms(u: float, th: float):
     # shared pieces of the closed forms, arranged to avoid cancellation for
@@ -38,17 +44,52 @@ def _stable_terms(u: float, th: float):
     s_plus, s_minus = math.sqrt(a_plus), math.sqrt(a_minus)
     root_diff = -2.0 * u * sth / (s_minus + s_plus)
     log_ratio = math.log1p(-2.0 * u * sth / a_plus)
-    span = math.atan(0.5 * u / cth - math.tan(th)) + math.atan(0.5 * u / cth + math.tan(th))
+    half, tth = 0.5 * u / cth, math.tan(th)
+    span = math.atan(half - tth) + math.atan(half + tth)
     rise = math.asinh((0.5 * u - sth) / cth) - math.asinh((-0.5 * u - sth) / cth)
     return s_minus, s_plus, root_diff, log_ratio, span, rise
 
 
-def _check_transmit_regular(geom: ArrayGeometry, tgt: TargetLocation):
+def _transmit_eps(geom: ArrayGeometry, tgt: TargetLocation) -> float:
+    """The spacing-to-range ratio eps = d_tx/r of a target the closed forms
+    can evaluate, else the reason they cannot."""
     # the float cos of pi/2 is ~6e-17, so gate on the angle itself
     if abs(tgt.angle_rad) >= math.pi / 2:
         raise SingularGeometryError("closed forms are singular at theta = +-pi/2")
-    if epsilon_tx(geom, tgt) >= 1.0:
+    eps = epsilon_tx(geom, tgt)
+    if eps >= 1.0:
         raise DomainError("element spacing must be smaller than the target range")
+    return eps
+
+
+def _closed_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig,
+                 eps: float) -> tuple:
+    """The fields of intermediates_closed's record, in order, as plain
+    scalars, at a target whose ratio eps _transmit_eps gave."""
+    lam = carrier.wavelength
+    r, th = tgt.range_m, tgt.angle_rad
+    u = geom.num_tx * eps
+    sth, cth = math.sin(th), math.cos(th)
+    c2th = math.cos(2.0 * th)
+    _, _, root_diff, log_ratio, span, rise = _stable_terms(u, th)
+
+    angle_power = (4.0 * _PI_SQ * r * r * cth * cth / (lam * lam * eps)) * (
+        u + sth * log_ratio - (c2th / cth) * span
+    )
+    angle_im = (2.0 * math.pi * r * cth / (lam * eps)) * (root_diff + rise * sth)
+    cross_power = (4.0 * _PI_SQ * r * cth / (lam * lam * eps)) * (
+        u * sth - 0.5 * c2th * log_ratio - span * math.sin(2.0 * th)
+    )
+    range_power = (4.0 * _PI_SQ / (lam * lam * eps)) * (
+        sth * sth * u - log_ratio * cth * cth * sth + span * cth * c2th
+    )
+    range_im = (2.0 * math.pi / (lam * eps)) * (rise * cth * cth - sth * root_diff)
+
+    rx_a = rx_s = rx_k = 0.0
+    if geom.array_separation > 0.0:
+        rx_a, rx_s, rx_k = receive_sums(geom, tgt, carrier)
+    return (max(angle_power, 0.0), -1j * angle_im, cross_power, max(range_power, 0.0),
+            1j * range_im, rx_a, rx_s, rx_k)
 
 
 def intermediates_closed(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> IntermediateParams:
@@ -63,47 +104,14 @@ def intermediates_closed(geom: ArrayGeometry, tgt: TargetLocation, carrier: Carr
     whenever the geometry is bistatic; they involve no integral
     approximation.
     """
-    _check_transmit_regular(geom, tgt)
-    lam = carrier.wavelength
-    r, th = tgt.range_m, tgt.angle_rad
-    eps = epsilon_tx(geom, tgt)
-    u = geom.num_tx * eps
-    sth, cth = math.sin(th), math.cos(th)
-    c2th = math.cos(2.0 * th)
-    _, _, root_diff, log_ratio, span, rise = _stable_terms(u, th)
-
-    angle_power = (4.0 * math.pi ** 2 * r * r * cth * cth / (lam * lam * eps)) * (
-        u + sth * log_ratio - (c2th / cth) * span
-    )
-    angle_im = (2.0 * math.pi * r * cth / (lam * eps)) * (root_diff + rise * sth)
-    cross_power = (4.0 * math.pi ** 2 * r * cth / (lam * lam * eps)) * (
-        u * sth - 0.5 * c2th * log_ratio - span * math.sin(2.0 * th)
-    )
-    range_power = (4.0 * math.pi ** 2 / (lam * lam * eps)) * (
-        sth * sth * u - log_ratio * cth * cth * sth + span * cth * c2th
-    )
-    range_im = (2.0 * math.pi / (lam * eps)) * (rise * cth * cth - sth * root_diff)
-
-    rx_a = rx_s = rx_k = 0.0
-    if geom.array_separation > 0.0:
-        rx_a, rx_s, rx_k = receive_sums(geom, tgt, carrier)
-    return IntermediateParams(
-        angle_power=max(angle_power, 0.0),
-        angle_overlap=-1j * angle_im,
-        cross_power=cross_power,
-        range_power=max(range_power, 0.0),
-        range_overlap=1j * range_im,
-        rx_angle_power=rx_a,
-        rx_range_power=rx_s,
-        rx_cross_power=rx_k,
-    )
+    return IntermediateParams(*_closed_sums(geom, tgt, carrier, _transmit_eps(geom, tgt)))
 
 
-def _model_warnings(geom: ArrayGeometry, tgt: TargetLocation) -> tuple:
+def _model_warnings(geom: ArrayGeometry, tgt: TargetLocation, eps: float) -> tuple:
     w = []
-    if epsilon_tx(geom, tgt) >= EPS_WARN_THRESHOLD:
+    if eps >= EPS_WARN_THRESHOLD:
         w.append(
-            f"tx spacing-to-range ratio {epsilon_tx(geom, tgt):.3g} >= "
+            f"tx spacing-to-range ratio {eps:.3g} >= "
             f"{EPS_WARN_THRESHOLD}; closed-form intermediates lose accuracy"
         )
     if not amplitude_model_valid(geom, tgt):
@@ -119,32 +127,34 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
     far-field receive) need array_separation > 0; beamformed bistatic data
     leave a rank-one angle/range information block, so nothing is
     identifiable there. The block is formed from the uncentred
-    intermediates, M sum(x y) - sum(x) sum(y) per entry.
+    intermediates (intermediates_closed's sums, read as plain scalars),
+    M sum(x y) - sum(x) sum(y) per entry.
     """
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         if geom.array_separation <= 0.0:
             raise DomainError("bistatic bounds require array_separation > 0")
         if mode is Mode.PHASED:
             return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM)
-    ip = intermediates_closed(geom, tgt, carrier)
-    warnings = _model_warnings(geom, tgt)
+    eps = _transmit_eps(geom, tgt)
+    a_pow, a_ov, c_pow, r_pow, r_ov, rx_a, rx_s, rx_k = _closed_sums(geom, tgt, carrier, eps)
+    warnings = _model_warnings(geom, tgt, eps)
     if geom.num_tx < 2:
         # no transmit baseline: monostatic information vanishes and the
         # receive-only bistatic block is rank one, exactly in both cases
         return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM, warnings)
     prefactor = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
     m = float(geom.num_tx)
-    cross_ov = (ip.angle_overlap.conjugate() * ip.range_overlap).real
+    cross_ov = (a_ov.conjugate() * r_ov).real
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         n = float(geom.num_rx)
-        aa = m * ip.rx_angle_power + n * ip.angle_power - (n / m) * abs(ip.angle_overlap) ** 2
-        pp = m * ip.rx_range_power + n * ip.range_power - (n / m) * abs(ip.range_overlap) ** 2
-        ee = m * ip.rx_cross_power + n * ip.cross_power - (n / m) * cross_ov
+        aa = m * rx_a + n * a_pow - (n / m) * abs(a_ov) ** 2
+        pp = m * rx_s + n * r_pow - (n / m) * abs(r_ov) ** 2
+        ee = m * rx_k + n * c_pow - (n / m) * cross_ov
         scale = prefactor * m
     else:
-        aa = m * ip.angle_power - abs(ip.angle_overlap) ** 2
-        pp = m * ip.range_power - abs(ip.range_overlap) ** 2
-        ee = m * ip.cross_power - cross_ov
+        aa = m * a_pow - abs(a_ov) ** 2
+        pp = m * r_pow - abs(r_ov) ** 2
+        ee = m * c_pow - cross_ov
         # orthogonal waveforms see the information twice (transmit and
         # receive); halving the scale is exact
         scale = prefactor * m * 0.5 if mode is Mode.MIMO else prefactor
@@ -157,25 +167,18 @@ class AsymptoticRegime(enum.Enum):
     SMALL_APERTURE = "SmallAperture"
 
 
-def _guarded(crb_t, crb_r, method, warnings) -> CrbResult:
-    # asymptotic and Taylor formulas can leave their validity region; never
-    # emit a negative, NaN or infinite bound as identifiable
-    ok_t = math.isfinite(crb_t) and crb_t >= 0.0
-    ok_r = math.isfinite(crb_r) and crb_r >= 0.0
-    if not (ok_t and ok_r):
-        return CrbResult.unidentifiable(
-            method, warnings + ("formula left its validity region; bound dropped",))
-    return CrbResult(crb_theta=crb_t, crb_range=crb_r, identifiable=True,
-                     method=method, warnings=warnings)
+# asymptotic and Taylor formulas can leave their validity region: a bound
+# outside [0, inf) is never emitted as identifiable. Each evaluator checks
+# its bounds and builds an in-range result itself; a plane-wave or
+# small-aperture angle bound is kept for reference curves, flagged as
+# carrying no range information.
+_NO_RANGE = ("no range information in this model",)
 
 
-def _range_blind(crb_t, method, warnings) -> CrbResult:
-    # finite angle bound, no range information: reported unidentifiable
-    # with the angle value preserved for reference curves
-    if not (math.isfinite(crb_t) and crb_t >= 0.0):
-        return CrbResult.unidentifiable(method, warnings)
-    return CrbResult(crb_theta=crb_t, crb_range=math.inf, identifiable=False,
-                     method=method, warnings=warnings + ("no range information in this model",))
+def _guarded(method, warnings) -> CrbResult:
+    """The result of a bound that left [0, inf)."""
+    return CrbResult.unidentifiable(
+        method, warnings + ("formula left its validity region; bound dropped",))
 
 
 def crb_asymptotic(
@@ -227,51 +230,59 @@ def crb_asymptotic(
         if regime is AsymptoticRegime.SMALL_APERTURE:
             lever = (r / (sep - r)) ** 2
             crb_t = pref * 3.0 * lam * lam / (
-                math.pi ** 2 * n * (d_r * d_r * lever * (n * n - 1.0) + d_t * d_t * m * m))
-            return _range_blind(crb_t, method, warns + ("range bound diverges in this regime",))
-        crb_t = pref * lam * lam / (
-            math.pi ** 2 * r * r * n
-            * (d_r * d_r * (n * n - 1.0) / (3.0 * (sep - r) ** 2) + 4.0))
-        return _range_blind(crb_t, method, warns + ("range bound grows without limit with the aperture",))
+                _PI_SQ * n * (d_r * d_r * lever * (n * n - 1.0) + d_t * d_t * m * m))
+            warns = warns + ("range bound diverges in this regime",)
+        else:
+            crb_t = pref * lam * lam / (
+                _PI_SQ * r * r * n
+                * (d_r * d_r * (n * n - 1.0) / (3.0 * (sep - r) ** 2) + 4.0))
+            warns = warns + ("range bound grows without limit with the aperture",)
+        if 0.0 <= crb_t < math.inf:
+            return CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
+        return CrbResult.unidentifiable(method, warns)
 
     # monostatic
     if abs(th) >= math.pi / 2:
         raise SingularGeometryError("asymptotic bounds are singular at theta = +-pi/2")
     if regime is AsymptoticRegime.SMALL_APERTURE:
         if mode is Mode.MIMO:
-            crb_t = pref * 3.0 * lam * lam / (2.0 * math.pi ** 2 * d_t * d_t * m ** 3 * cth * cth)
+            crb_t = pref * 3.0 * lam * lam / (2.0 * _PI_SQ * d_t * d_t * m ** 3 * cth * cth)
         else:
-            crb_t = pref * 3.0 * lam * lam / (math.pi ** 2 * d_t * d_t * m ** 4 * cth * cth)
-        return _range_blind(crb_t, method, warns + ("range bound diverges in this regime",))
+            crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m ** 4 * cth * cth)
+        warns = warns + ("range bound diverges in this regime",)
+        if 0.0 <= crb_t < math.inf:
+            return CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
+        return CrbResult.unidentifiable(method, warns)
 
     if regime is AsymptoticRegime.INFINITE_APERTURE:
         if mode is Mode.MIMO:
-            crb_t = pref * lam * lam * d_t * sth * sth / (8.0 * math.pi ** 3 * r ** 3 * cth)
-            crb_r = pref * lam * lam * d_t * cth / (8.0 * math.pi ** 3 * r)
+            crb_t = pref * lam * lam * d_t * sth * sth / (8.0 * _PI_CUBE * r ** 3 * cth)
+            crb_r = pref * lam * lam * d_t * cth / (8.0 * _PI_CUBE * r)
         else:
-            crb_t = pref * lam * lam * d_t * sth * sth / (4.0 * m * math.pi ** 3 * r ** 3 * cth)
-            crb_r = pref * lam * lam * d_t * cth / (4.0 * m * math.pi ** 3 * r)
+            crb_t = pref * lam * lam * d_t * sth * sth / (4.0 * m * _PI_CUBE * r ** 3 * cth)
+            crb_r = pref * lam * lam * d_t * cth / (4.0 * m * _PI_CUBE * r)
         if th == 0.0:
             warns = warns + ("angle limit degenerates to 0 at boresight",)
-        return _guarded(crb_t, crb_r, method, warns)
-
-    # large aperture: leading-order aperture expansion
-    if u <= 0.0 or cth <= 0.0:
-        raise SingularGeometryError("large-aperture expansion needs u > 0 and |theta| < pi/2")
-    log_t = math.log(u / cth)
-    core = math.pi * u / cth - 4.0 * log_t * log_t
-    c2th = math.cos(2.0 * th)
-    num_t = lam * lam * (
-        (u * sth) ** 2 + math.pi * u * cth * c2th - 4.0 * (cth * cth * log_t + sth * sth) ** 2)
-    num_r = lam * lam * (
-        u * u + math.pi * u * c2th / cth - 4.0 * (log_t - 1.0) ** 2 * sth * sth)
-    if mode is Mode.MIMO:
-        crb_t = pref * num_t / (8.0 * math.pi ** 2 * r * r * m * core * cth * cth)
-        crb_r = pref * num_r / (8.0 * math.pi ** 2 * m * core)
     else:
-        crb_t = pref * num_t / (4.0 * math.pi ** 2 * r * r * m * m * core * cth * cth)
-        crb_r = pref * num_r / (4.0 * math.pi ** 2 * m * m * core)
-    return _guarded(crb_t, crb_r, method, warns)
+        # large aperture: leading-order aperture expansion
+        if u <= 0.0 or cth <= 0.0:
+            raise SingularGeometryError("large-aperture expansion needs u > 0 and |theta| < pi/2")
+        log_t = math.log(u / cth)
+        core = math.pi * u / cth - 4.0 * log_t * log_t
+        c2th = math.cos(2.0 * th)
+        num_t = lam * lam * (
+            (u * sth) ** 2 + math.pi * u * cth * c2th - 4.0 * (cth * cth * log_t + sth * sth) ** 2)
+        num_r = lam * lam * (
+            u * u + math.pi * u * c2th / cth - 4.0 * (log_t - 1.0) ** 2 * sth * sth)
+        if mode is Mode.MIMO:
+            crb_t = pref * num_t / (8.0 * _PI_SQ * r * r * m * core * cth * cth)
+            crb_r = pref * num_r / (8.0 * _PI_SQ * m * core)
+        else:
+            crb_t = pref * num_t / (4.0 * _PI_SQ * r * r * m * m * core * cth * cth)
+            crb_r = pref * num_r / (4.0 * _PI_SQ * m * m * core)
+    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf:
+        return CrbResult(crb_t, crb_r, True, method, warns)
+    return _guarded(method, warns)
 
 
 def crb_taylor(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> CrbResult:
@@ -295,12 +306,14 @@ def crb_taylor(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> CrbR
     # range numerator shared by both modes
     inner = 15.0 * r * r + (d_t * math.sin(th)) ** 2 * (m2 - 4.0)
     if mode is Mode.MIMO:
-        crb_t = pref * 3.0 * lam * lam / (2.0 * math.pi ** 2 * d_t * d_t * m * (m2 - 1.0) * cth * cth)
+        crb_t = pref * 3.0 * lam * lam / (2.0 * _PI_SQ * d_t * d_t * m * (m2 - 1.0) * cth * cth)
         crb_r = pref * 6.0 * lam * lam * r * r * inner / (quartic * m * (m2 - 1.0) * (m2 - 4.0))
     else:
-        crb_t = pref * 3.0 * lam * lam / (math.pi ** 2 * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
+        crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
         crb_r = pref * 12.0 * lam * lam * r * r * inner / (quartic * m2 * (m2 - 1.0) * (m2 - 4.0))
-    return _guarded(crb_t, crb_r, CrbMethod.TAYLOR, ())
+    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf:
+        return CrbResult(crb_t, crb_r, True, CrbMethod.TAYLOR)
+    return _guarded(CrbMethod.TAYLOR, ())
 
 
 def crb_farfield_upw(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topology: Topology) -> CrbResult:
@@ -316,17 +329,19 @@ def crb_farfield_upw(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, t
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         if mode is Mode.PHASED:
             return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
-        denom = math.pi ** 2 * n * (d_r * d_r * (n * n - 1.0) + d_t * d_t * (m2 - 1.0)) * cth * cth
+        denom = _PI_SQ * n * (d_r * d_r * (n * n - 1.0) + d_t * d_t * (m2 - 1.0)) * cth * cth
         if denom <= 0.0:
             return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
-        return _range_blind(pref * 3.0 * lam * lam / denom, CrbMethod.FARFIELD_UPW, ())
-    if m < 2:
+        crb_t = pref * 3.0 * lam * lam / denom
+    elif m < 2:
         return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
-    if mode is Mode.MIMO:
-        crb_t = pref * 3.0 * lam * lam / (2.0 * math.pi ** 2 * d_t * d_t * m * (m2 - 1.0) * cth * cth)
+    elif mode is Mode.MIMO:
+        crb_t = pref * 3.0 * lam * lam / (2.0 * _PI_SQ * d_t * d_t * m * (m2 - 1.0) * cth * cth)
     else:
-        crb_t = pref * 3.0 * lam * lam / (math.pi ** 2 * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
-    return _range_blind(crb_t, CrbMethod.FARFIELD_UPW, ())
+        crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
+    if 0.0 <= crb_t < math.inf:
+        return CrbResult(crb_t, math.inf, False, CrbMethod.FARFIELD_UPW, _NO_RANGE)
+    return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
 
 
 def boresight_range_crb(aperture_ratio: float, num_rx: int, wavelength: float, cfg: NoiseAndPowerConfig) -> float:
@@ -342,7 +357,7 @@ def boresight_range_crb(aperture_ratio: float, num_rx: int, wavelength: float, c
         raise DomainError("aperture ratio must be positive")
     shape = math.atan(x) / x - (math.asinh(x) / x) ** 2
     pref = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
-    return pref * wavelength ** 2 / (4.0 * math.pi ** 2 * num_rx * shape)
+    return pref * wavelength ** 2 / (4.0 * _PI_SQ * num_rx * shape)
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float) -> float:

@@ -13,7 +13,7 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType
 from typing import get_args, get_origin
 
@@ -26,7 +26,14 @@ from .closedform import (
 )
 from .errors import ConfigError, NfcrbError
 from .estimator import GridSpec, ObservationGridBuilder, monte_carlo_rmse
-from .fim import CrbMethod, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
+from .fim import (
+    CrbMethod,
+    CrbResult,
+    NoiseAndPowerConfig,
+    crb_exact_sum,
+    crb_from_fim,
+    fim_numeric,
+)
 from .geometry import (
     ArrayGeometry,
     CarrierConfig,
@@ -252,6 +259,16 @@ def _window_in_range(geom: ArrayGeometry, carrier: CarrierConfig, range_m: float
     return reach * reach < math.inf and 2.0 * math.pi * reach / carrier.wavelength < math.inf
 
 
+def _receive_in_range(geom: ArrayGeometry, range_m: float) -> bool:
+    """Whether a bistatic point's receive terms are finite floats. The
+    direction-sine derivatives (steering.direction_sine_derivs) form
+    l^2 = R^2 + r^2 - 2 R r cos(theta) to the receive centre and l^2 sqrt(l^2),
+    and their numerators r (R^2 + r^2 - R r cos(theta)) and R r^2: all of
+    order (r + R)^3, which must be a finite float."""
+    reach = range_m + geom.array_separation
+    return reach * reach * reach < math.inf
+
+
 def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: CarrierConfig,
                     where: str):
     """The checks that depend on a point's geometry only: carrier range,
@@ -285,7 +302,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
     with a warning on that point, and a count below 1 is refused before
     rounding; monostatic scenarios receive on the transmit array, so N is
     forced to M there. Each geometry is checked once (_check_geometry),
-    and with Monte Carlo each point's search window (_window_in_range).
+    each bistatic point's receive terms (_receive_in_range), and with Monte
+    Carlo each point's search window (_window_in_range).
     """
     axis = cfg.sweep.axis
     mono = cfg.topology is Topology.MONOSTATIC
@@ -318,9 +336,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 )
             tgt = TargetLocation(range_m=range_m, angle_rad=math.radians(angle_deg))
             carrier = carrier or CarrierConfig(carrier_freq=cfg.carrier_freq_hz)
-            ncfg = noises.get(snr_db)
+            # -0 dB is keyed apart from 0, so that each is echoed as configured
+            snr_key = snr_db if snr_db else repr(snr_db)
+            ncfg = noises.get(snr_key)
             if ncfg is None:
-                ncfg = noises[snr_db] = NoiseAndPowerConfig.from_snr(
+                ncfg = noises[snr_key] = NoiseAndPowerConfig.from_snr(
                     snr_db, time_bandwidth=cfg.time_bandwidth)
             scn = SensingScenario(geom, tgt, carrier, cfg.mode, cfg.topology)
         except ConfigError:
@@ -329,6 +349,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
             raise ConfigError(f"sweep point {axis}={v!r}: {exc}") from exc
         if new_geom:
             _check_geometry(cfg, geom, carrier, f"sweep point {axis}={v!r}")
+        if not mono and not _receive_in_range(geom, range_m):
+            raise ConfigError(f"sweep point {axis}={v!r}: the receive terms at target_range_m = "
+                              f"{range_m!r} overflow: (r + R)^3 is past the float range")
         if cfg.montecarlo and not _window_in_range(geom, carrier, range_m, cfg.montecarlo):
             raise ConfigError(f"sweep point {axis}={v!r}: the Monte Carlo range window's "
                               "far edge is past the float range")
@@ -452,7 +475,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
             if source not in done:
                 done[source] = _eval_method(source, targets, scn, ncfg, cfg.asymptotic_regime)
             out += (done[source] if source is method
-                    else [replace(res, method=method) for res in done[source]])
+                    else [CrbResult(res.crb_theta, res.crb_range, res.identifiable, method,
+                                    res.warnings) for res in done[source]])
     return SweepTable(cfg, points, results, reports)
 
 
@@ -506,7 +530,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     lines = [
         "# near-field angle/range CRB sweep",
         f"# mode={cfg.mode.value} topology={cfg.topology.value} "
-        f"axis={cfg.sweep.axis} points={len(cfg.sweep.points())}",
+        f"axis={cfg.sweep.axis} points={len(table.points)}",
         f"# methods={','.join(cfg.methods)}",
         "# units: theta_rad in radians (CLI angles are degrees); "
         "crb_theta in rad^2, crb_r in m^2" + (", both emitted as 10*log10" if db else ""),
@@ -526,6 +550,9 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     heads = [f"{name},{cfg.mode.value},{cfg.topology.value}," for name in cfg.methods]
     tails = (_mc_cells(cfg, table.reports) if table.reports is not None
              else itertools.repeat(""))
+    # the warnings cell of each distinct (point notes, result notes) pair:
+    # a sweep repeats few of them (every fig4-fig7 row has the rounding note)
+    notes_cells = {}
     for i, (cells, (_, _, warns), tail) in enumerate(
             zip(_scenario_cells(table.points), table.points, tails)):
         for head, results in zip(heads, table.results):
@@ -533,7 +560,10 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
             theta, rng = res.crb_theta, res.crb_range
             if db:
                 theta, rng = _db_of(theta), _db_of(rng)
-            notes = _text_cell("; ".join(warns + res.warnings))
+            notes = notes_cells.get((warns, res.warnings))
+            if notes is None:
+                notes = notes_cells[warns, res.warnings] = _text_cell(
+                    "; ".join(warns + res.warnings))
             lines.append(f"{head}{cells},{theta:.17g},{rng:.17g},"
                          f"{_BOOL_TEXT[res.identifiable]},{notes}{tail}")
     lines.append("")
@@ -735,21 +765,34 @@ _ALL_MONO = ("ClosedForm", "ExactSum", "NumericalFim", "Taylor", "FarFieldUPW")
 _CURVE_MONO = ("ClosedForm", "ExactSum", "Taylor", "FarFieldUPW")
 
 
+_M_SWEEP = SweepSpec(axis="M", values=_MONO_M_VALUES)
+_THETA_SWEEP = SweepSpec(axis="theta", start=-75.0, stop=75.0, step=2.5)
+_R_SWEEP = SweepSpec(axis="r", start=5.0, stop=500.0, factor=_GEOM_FACTOR)
+
+# name -> builder of that preset's config, so that a run builds only its own
+_PRESET_BUILDERS = {
+    "fig2": lambda: _mono(Mode.MIMO, _M_SWEEP, _ALL_MONO),
+    "fig3": lambda: _mono(Mode.PHASED, _M_SWEEP, _ALL_MONO),
+    "fig4": lambda: _mono(Mode.MIMO, _THETA_SWEEP, _CURVE_MONO, num_tx=1024),
+    "fig5": lambda: _mono(Mode.PHASED, _THETA_SWEEP, _CURVE_MONO, num_tx=1024),
+    "fig6": lambda: _mono(Mode.MIMO, _R_SWEEP, _CURVE_MONO, num_tx=1024),
+    "fig7": lambda: _mono(Mode.PHASED, _R_SWEEP, _CURVE_MONO, num_tx=1024),
+    "fig8": lambda: _bistatic_mc(snr_db=0.0, refine_levels=3),
+    "fig9": lambda: _bistatic_mc(snr_db=10.0, refine_levels=6),
+}
+
+
 def presets() -> dict:
     """Named configs reproducing each figure's data series."""
-    m_sweep = SweepSpec(axis="M", values=_MONO_M_VALUES)
-    th_sweep = SweepSpec(axis="theta", start=-75.0, stop=75.0, step=2.5)
-    r_sweep = SweepSpec(axis="r", start=5.0, stop=500.0, factor=_GEOM_FACTOR)
-    return {
-        "fig2": _mono(Mode.MIMO, m_sweep, _ALL_MONO),
-        "fig3": _mono(Mode.PHASED, m_sweep, _ALL_MONO),
-        "fig4": _mono(Mode.MIMO, th_sweep, _CURVE_MONO, num_tx=1024),
-        "fig5": _mono(Mode.PHASED, th_sweep, _CURVE_MONO, num_tx=1024),
-        "fig6": _mono(Mode.MIMO, r_sweep, _CURVE_MONO, num_tx=1024),
-        "fig7": _mono(Mode.PHASED, r_sweep, _CURVE_MONO, num_tx=1024),
-        "fig8": _bistatic_mc(snr_db=0.0, refine_levels=3),
-        "fig9": _bistatic_mc(snr_db=10.0, refine_levels=6),
-    }
+    return {name: build() for name, build in _PRESET_BUILDERS.items()}
+
+
+def preset(name: str) -> ExperimentConfig:
+    """The config of one named preset, built alone."""
+    build = _PRESET_BUILDERS.get(name)
+    if build is None:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(_PRESET_BUILDERS)}")
+    return build()
 
 
 PRESET_SUMMARIES = {

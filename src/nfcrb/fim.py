@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,9 @@ class NoiseAndPowerConfig:
     snr_linear is gamma = P|kappa|^2/(N0 B); time_bandwidth is L = B T_p.
     When only snr_linear is given the remaining fields become normalized
     representatives (P = gamma, N0 = B = 1, |kappa| = 1); when raw physical
-    values are supplied they must be consistent with snr_linear.
+    values are supplied they must be consistent with snr_linear. snr_db is
+    the value from_snr was given, else 10 log10(snr_linear): the dB round
+    trip can move the last digit (3 dB comes back as 2.9999999999999991).
     """
 
     snr_linear: float
@@ -59,6 +61,7 @@ class NoiseAndPowerConfig:
     total_power: float | None = None
     noise_psd: float = 1.0
     bandwidth: float = 1.0
+    snr_db: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.snr_linear < math.inf:
@@ -82,22 +85,21 @@ class NoiseAndPowerConfig:
                     "inconsistent power/noise fields: "
                     f"P|kappa|^2/(N0 B) = {implied}, snr_linear = {self.snr_linear}"
                 )
+        object.__setattr__(self, "snr_db", 10.0 * math.log10(self.snr_linear))
 
     @property
     def pulse_duration(self) -> float:
         return self.time_bandwidth / self.bandwidth
 
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr_linear)
-
     @classmethod
     def from_snr(cls, snr_db: float, time_bandwidth: float = 1.0) -> "NoiseAndPowerConfig":
         """Normalized representative config from an SNR in dB."""
         try:
-            return cls(snr_linear=10.0 ** (snr_db / 10.0), time_bandwidth=time_bandwidth)
+            cfg = cls(snr_linear=10.0 ** (snr_db / 10.0), time_bandwidth=time_bandwidth)
         except OverflowError:
             raise ConfigError(f"snr_db = {snr_db} overflows the linear SNR") from None
+        object.__setattr__(cfg, "snr_db", float(snr_db))
+        return cfg
 
     @classmethod
     def from_physical(
@@ -189,10 +191,7 @@ class CrbResult:
 
     @classmethod
     def unidentifiable(cls, method: CrbMethod, warnings: tuple = ()) -> "CrbResult":
-        return cls(
-            crb_theta=math.inf, crb_range=math.inf,
-            identifiable=False, method=method, warnings=warnings,
-        )
+        return cls(math.inf, math.inf, False, method, warnings)
 
 
 def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) -> float:
@@ -265,11 +264,8 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     det = q00 * q11 - q01 * q10
     if not det > DET_REL_TOL * q00 * q11:
         return CrbResult.unidentifiable(method, warnings + (SINGULAR_WARNING,))
-    return CrbResult(
-        crb_theta=float(scale * q11 * fa * fa / det),
-        crb_range=float(scale * q00 * fb * fb / det),
-        identifiable=True, method=method, warnings=warnings,
-    )
+    return CrbResult(float(scale * q11 * fa * fa / det), float(scale * q00 * fb * fb / det),
+                     True, method, warnings)
 
 
 def crb_from_fim(fim: FimMatrix) -> CrbResult:

@@ -144,6 +144,13 @@ def steering_factors(
     return a, (a if topology is Topology.MONOSTATIC else b)
 
 
+def _shared(column: np.ndarray) -> bool:
+    """Whether every entry of a float column has the first one's bits
+    (+0.0 and -0.0 are different operands)."""
+    bits = column.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
 def phase_derivs(
     geom: ArrayGeometry,
     carrier: CarrierConfig,
@@ -179,15 +186,25 @@ def phase_derivs(
     k = 2.0 * math.pi / carrier.wavelength
     if np.isscalar(thetas):
         th, r = float(thetas), float(ranges)
-        sth, cth = math.sin(th), math.cos(th)
         locations = ()
     else:
-        # one location per row, sin and cos taken per location as a lone
-        # location takes them
+        # one location per row. A sweep varies theta or r, not both: a value
+        # every location shares is passed on as one float, the same operand,
+        # which numpy runs contiguous-by-scalar instead of as a stride-0
+        # column. One of the two at most, so the receive rows keep their
+        # (P, 1) factors when a run repeats one target
         th, r = (np.array(x, dtype=float)[:, None] for x in (thetas, ranges))
+        locations = (th.shape[0],)
+        if _shared(th):
+            th = float(th[0, 0])
+        elif _shared(r):
+            r = float(r[0, 0])
+    if isinstance(th, float):
+        sth, cth = math.sin(th), math.cos(th)
+    else:
+        # sin and cos per location, as a lone location takes them
         sth, cth = (np.array([f(t) for t in th[:, 0].tolist()])[:, None]
                     for f in (math.sin, math.cos))
-        locations = (th.shape[0],)
 
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         knd = k * (geom.rx_indices() * geom.rx_spacing)

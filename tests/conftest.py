@@ -173,7 +173,8 @@ def _oracle_cell(text: str) -> str:
 def csv_text_oracle(cfg, rows, db=False):
     """The CSV renderer as it was before its per-type fast path: every cell
     through one isinstance chain and one generic quote scan. csv_text must
-    give the same bytes."""
+    give the same bytes. The header counts the points the rows hold, one row
+    per point and method."""
     from nfcrb.experiment import BASE_COLUMNS, MC_COLUMNS, _db_of
 
     cols = list(BASE_COLUMNS) + (list(MC_COLUMNS) if cfg.montecarlo else [])
@@ -183,7 +184,7 @@ def csv_text_oracle(cfg, rows, db=False):
     out = [
         "# near-field angle/range CRB sweep\n",
         f"# mode={cfg.mode.value} topology={cfg.topology.value} "
-        f"axis={cfg.sweep.axis} points={len(cfg.sweep.points())}\n",
+        f"axis={cfg.sweep.axis} points={len(rows) // len(cfg.methods)}\n",
         f"# methods={','.join(cfg.methods)}\n",
         "# units: theta_rad in radians (CLI angles are degrees); "
         "crb_theta in rad^2, crb_r in m^2"

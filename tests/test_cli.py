@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -345,6 +346,25 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", ["ExactSum, ClosedForm",
+                                     "NumericalFim, FarFieldUPW, Asymptotic"])
+def test_bistatic_receive_terms_past_the_float_range_exit_2(methods, tmp_path, capsys):
+    # at r = 1e200 m, (r + R)^3 overflows: the receive terms gave a NaN block
+    # read as singular (exit 0, with numpy's RuntimeWarning, which this suite
+    # turns into an error) or an OverflowError (exit 3); the point is
+    # refused before any is evaluated
+    path = tmp_path / "far.ini"
+    path.write_text(BISTATIC_SINGULAR_INI)
+    code = main(["run", "--config", str(path), "--set", "scenario.separation_m=35",
+                 "--set", "scenario.target_range_m=1e200", "--set", f"methods.use={methods}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: sweep point M=9: the receive terms at "
+                            "target_range_m = 1e+200 overflow: (r + R)^3 is past the "
+                            "float range\n")
+
+
 @pytest.mark.parametrize("method", ["ExactSum", "NumericalFim"])
 def test_target_on_a_transmit_element_exits_3(method, capsys):
     # element m = 2 of nine sits at 2 x 0.0628 m = 0.1256 m on the array
@@ -494,6 +514,28 @@ def test_monte_carlo_coarse_factor_over_budget_exits_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error:") and "coarse factor" in proc.stderr
+
+
+@pytest.mark.parametrize("name", list(experiment.PRESET_SUMMARIES))
+def test_preset_command_runs_the_presets_config(name, capsys):
+    # the command builds its one preset; it must be the config presets()
+    # gives, run and rendered (Monte Carlo shrunk by --set and by replace)
+    cfg, args = presets()[name], []
+    if cfg.montecarlo:
+        small = {"trials": 2, "theta_points": 31, "range_points": 21}
+        cfg = replace(cfg, montecarlo=replace(cfg.montecarlo, **small))
+        for key, value in small.items():
+            args += ["--set", f"montecarlo.{key}={value}"]
+    assert main(["preset", name, *args]) == 0
+    assert capsys.readouterr().out == csv_text(cfg, run_experiment(cfg))
+
+
+def test_unknown_preset_lists_every_preset(capsys):
+    assert main(["preset", "fig1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: unknown preset 'fig1'; available: "
+                            "fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9\n")
 
 
 def test_list_presets(capsys):

@@ -3,7 +3,9 @@ config round trip."""
 
 import csv
 import dataclasses
+import hashlib
 import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_text_oracle
 from nfcrb import experiment
+from nfcrb.closedform import crb_closed
 from nfcrb.errors import ConfigError
 from nfcrb.estimator import (
     GridSpec,
@@ -461,6 +464,24 @@ def test_csv_db_columns():
     assert float(parsed[1]["crb_r_db"]) == math.inf
 
 
+def test_snr_db_cells_echo_the_configured_value():
+    # 10 log10(10^(x/10)) can move x's last digit (3 dB came back as
+    # 2.9999999999999991); the cells and rows give x as configured, -0 apart
+    # from 0, and the bounds still read the linear SNR 10^(x/10)
+    grid = tuple(0.5 * k for k in range(-60, 61)) + (-0.0,)
+    cfg = mono_cfg(sweep=SweepSpec(axis="snr_db", values=grid), methods=("ClosedForm",))
+    table = run_experiment(cfg)
+    assert [repr(row["snr_db"]) for row in table.rows()] == [repr(x) for x in grid]
+    col = BASE_COLUMNS.index("snr_db")
+    body = csv_text(cfg, table).splitlines()[5:]
+    assert [line.split(",")[col] for line in body] == [f"{x:.17g}" for x in grid]
+    for (scn, ncfg, _), x, res in zip(table.points, grid, table.results[0]):
+        linear = NoiseAndPowerConfig(10.0 ** (x / 10.0))
+        assert ncfg.snr_linear == linear.snr_linear and ncfg == linear
+        assert res == crb_closed(scn.geometry, scn.target, scn.carrier, linear,
+                                 scn.mode, scn.topology)
+
+
 def test_empty_sweep_is_refused():
     with pytest.raises(ConfigError, match="no points"):
         mono_cfg(sweep=SweepSpec(axis="M", values=()))
@@ -570,6 +591,44 @@ def test_csv_text_matches_the_oracle_on_any_cell(drawn):
     cfg, table = drawn
     for db in (False, True):
         assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
+
+
+# every bound method on every mode and topology, off the presets' inputs:
+# angles to +-89.9 deg, ranges from inside the aperture to 1e6 m, M = 1, 3,
+# 9 and 1025 (from 1024, so each row carries the rounding note), and snr_db
+# values whose dB cells round-trip. NumericalFim runs on its own, so that
+# ExactSum's blocked runs are what the other configs evaluate.
+_GOLDEN_THETAS = (-89.9, -60.0, -30.0, -5.0, 0.0, 5.0, 30.0, 60.0, 89.9)
+_GOLDEN_RANGES = (0.1, 0.3, 1.0, 3.0, 10.0, 34.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+# sha256 of _golden_grid_text(), recorded before the per-point evaluators
+# were trimmed
+GOLDEN_GRID_DIGEST = "4ebffb464bcfd8e1a3461df48fc1e8413189147fc89cc39b9df1417701717e59"
+
+
+def _golden_grid_text() -> str:
+    out = []
+    for mode, topology in itertools.product(Mode, Topology):
+        bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+        methods = tuple(m for m in experiment.METHOD_NAMES
+                        if m != "NumericalFim" and not (bistatic and m == "Taylor"))
+        for num_tx, (snr_db, regime), (sweep, angle_deg), use in itertools.product(
+                (1, 3, 9, 1024), zip((-10.0, 0.0, 20.0), experiment.REGIME_NAMES),
+                ((SweepSpec(axis="theta", values=_GOLDEN_THETAS), 0.0),
+                 (SweepSpec(axis="r", values=_GOLDEN_RANGES), -60.0)),
+                (methods, ("NumericalFim",))):
+            cfg = ExperimentConfig(
+                num_tx=num_tx, num_rx=8, separation_m=35.0 if bistatic else 0.0,
+                target_range_m=5.0, target_angle_deg=angle_deg, snr_db=snr_db,
+                mode=mode, topology=topology, sweep=sweep, methods=use,
+                asymptotic_regime=regime)
+            table = run_experiment(cfg)
+            out += [csv_text(cfg, table), csv_text(cfg, table, db=True)]
+    return "".join(out)
+
+
+def test_golden_grid_keeps_its_bytes():
+    text = _golden_grid_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GRID_DIGEST
 
 
 # --- INI parsing --------------------------------------------------------------------
@@ -771,6 +830,16 @@ def test_preset_catalog():
     for name, cfg in cat.items():
         validate_config(cfg)
         _assert_round_trip(cfg)
+
+
+def test_preset_tables_list_the_same_names_in_order():
+    names = list(PRESET_SUMMARIES)
+    assert list(presets()) == names == list(experiment._PRESET_BUILDERS)
+    for name, cfg in presets().items():
+        assert experiment.preset(name) == cfg
+    with pytest.raises(ConfigError, match="unknown preset 'fig1'; available: "
+                                          + ", ".join(names) + "$"):
+        experiment.preset("fig1")
 
 
 def test_preset_contents():
