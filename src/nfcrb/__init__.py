@@ -18,7 +18,6 @@ from .errors import (
     DegenerateGeometryError,
     DomainError,
     NfcrbError,
-    NumericalError,
     SingularGeometryError,
 )
 from .estimator import (
@@ -78,7 +77,6 @@ from .steering import (
     PhaseFactor,
     build_observation,
     direction_sine_derivs,
-    observation_from_scenario,
     phase_derivs,
     steering_factors,
 )

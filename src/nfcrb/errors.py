@@ -19,7 +19,3 @@ class DegenerateGeometryError(DomainError):
 
 class ConfigError(NfcrbError):
     """Invalid experiment/CLI configuration."""
-
-
-class NumericalError(NfcrbError):
-    """A numerical procedure failed (ill-conditioning, non-finite values)."""

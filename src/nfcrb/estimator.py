@@ -3,7 +3,8 @@
 The matched-field statistic |g(theta, r)^H y|^2 / ||g||^2 is the likelihood
 surface for a single snapshot with unknown complex reflection coefficient;
 its maximizer is the ML location estimate. One function, _ml_stat, evaluates
-it over the conjugated factor columns of g = b (x) a. The search calls it on
+it as |g^T y*|^2 over the factor columns of g = b (x) a as the kernel forms
+them, so the snapshot is conjugated, not the factors. The search calls it on
 a coarse rectangular grid, whose factors are formed once per Monte Carlo
 run, and then at each level of a local step-halving refinement.
 """
@@ -27,7 +28,7 @@ from .geometry import (
     Topology,
 )
 from .signalsim import synth_snapshot
-from .steering import observation_from_scenario, steering_factors
+from .steering import build_observation, steering_factors
 
 # Cells within AMBIGUITY_REL_TOL of the peak form the near-peak set. A
 # healthy mainlobe keeps that set compact and interior; a ridge or aliased
@@ -171,24 +172,18 @@ def _paired_grid(thetas_axis: np.ndarray, ranges_axis: np.ndarray):
     return th, ra
 
 
-def _conjugated_factors(builder: ObservationGridBuilder, thetas, ranges):
-    """(A*, B*) at paired locations; B* is A* when the kernel aliases b to a."""
-    a, b = builder.factor_matrices(thetas, ranges)
-    a_conj = a.conj()
-    return a_conj, (a_conj if b is a else b.conj())
-
-
-def _ml_stat(ymat: np.ndarray, a_conj: np.ndarray, b_conj: np.ndarray) -> np.ndarray:
-    """|g^H y|^2 / ||g||^2 at each column of the conjugated factors, with
-    ymat = y.reshape(rx_len, tx_len), so that g^H y = sum(B* * (ymat @ A*))
-    down each column and ||g||^2 = ymat.size."""
-    p = a_conj.shape[1]
+def _ml_stat(ymat_conj: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|g^H y|^2 / ||g||^2 at each column of the factors (A, B), with
+    ymat_conj = conj(y).reshape(rx_len, tx_len): g^T y* = sum(B * (ymat_conj
+    @ A)) down each column is the conjugate of g^H y, and ||g||^2 =
+    ymat_conj.size."""
+    p = a.shape[1]
     stat = np.empty(p)
     for s in range(0, p, _CHUNK):
         sl = slice(s, min(s + _CHUNK, p))
-        c = ymat @ a_conj[:, sl]
-        val = np.einsum("nj,nj->j", b_conj[:, sl], c)
-        stat[sl] = (val.real**2 + val.imag**2) / ymat.size
+        c = ymat_conj @ a[:, sl]
+        val = np.einsum("nj,nj->j", b[:, sl], c)
+        stat[sl] = (val.real**2 + val.imag**2) / ymat_conj.size
     return stat
 
 
@@ -211,7 +206,7 @@ def _argmax_with_ambiguity(stat: np.ndarray, n_ranges: int):
     return it, ir, ambiguous
 
 
-def _refine(builder: ObservationGridBuilder, ymat: np.ndarray, grid: GridSpec,
+def _refine(builder: ObservationGridBuilder, ymat_conj: np.ndarray, grid: GridSpec,
             best_t: float, best_r: float):
     step_t, step_r = grid.theta_step, grid.range_step
     offsets = np.arange(-4, 5, dtype=float)
@@ -219,7 +214,7 @@ def _refine(builder: ObservationGridBuilder, ymat: np.ndarray, grid: GridSpec,
         step_t, step_r = step_t / 2.0, step_r / 2.0
         ts = np.clip(best_t + offsets * step_t, *grid.theta_range)
         rs = np.clip(best_r + offsets * step_r, *grid.range_range)
-        stat = _ml_stat(ymat, *_conjugated_factors(builder, *_paired_grid(ts, rs)))
+        stat = _ml_stat(ymat_conj, *builder.factor_matrices(*_paired_grid(ts, rs)))
         it, ir = divmod(int(np.argmax(stat)), rs.size)
         best_t, best_r = float(ts[it]), float(rs[ir])
     return best_t, best_r
@@ -233,14 +228,13 @@ class _PreparedMlSearch:
         self.grid = grid
         self.thetas = grid.theta_values()
         self.ranges = grid.range_values()
-        self.a_conj, self.b_conj = _conjugated_factors(
-            builder, *_paired_grid(self.thetas, self.ranges))
+        self.a, self.b = builder.factor_matrices(*_paired_grid(self.thetas, self.ranges))
 
     def estimate(self, y: np.ndarray) -> EstimateResult:
-        ymat = y.reshape(self.builder.rx_len, self.builder.tx_len)
-        stat = _ml_stat(ymat, self.a_conj, self.b_conj)
+        ymat_conj = y.conj().reshape(self.builder.rx_len, self.builder.tx_len)
+        stat = _ml_stat(ymat_conj, self.a, self.b)
         it, ir, ambiguous = _argmax_with_ambiguity(stat, self.ranges.size)
-        best_t, best_r = _refine(self.builder, ymat, self.grid,
+        best_t, best_r = _refine(self.builder, ymat_conj, self.grid,
                                  float(self.thetas[it]), float(self.ranges[ir]))
         return EstimateResult(theta=best_t, range_m=best_r, ambiguous=ambiguous)
 
@@ -260,7 +254,7 @@ def monte_carlo_rmse(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    obs = observation_from_scenario(scn)
+    obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
     builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
     prepared = _PreparedMlSearch(builder, grid)
     tgt = scn.target

@@ -58,8 +58,11 @@ MAX_SWEEP_POINTS = 10_000
 #
 # The Monte Carlo search is bounded on its own: its coarse factors take
 # ObservationGridBuilder.location_bytes per grid location, read from the
-# kernel's layout (362 MB for fig8 at M=1025, N=8 on a 181x121 grid), and a
-# point whose factors exceed MAX_COARSE_FACTOR_BYTES is refused.
+# kernel's layout (362 MB held for fig8 at M=1025, N=8 on a 181x121 grid),
+# and a point whose factors exceed MAX_COARSE_FACTOR_BYTES is refused.
+# Forming them peaks at 1.5x what is held (the real phase argument beside
+# the complex factor it becomes in place; its test asserts under 1.6x), so
+# a point at the budget peaks near 3 GiB.
 MAX_ELEMENTS = 1_000_001
 MAX_COARSE_FACTOR_BYTES = 2 * 2**30
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))

@@ -27,7 +27,6 @@ from .geometry import (
     ArrayGeometry,
     CarrierConfig,
     Mode,
-    SensingScenario,
     TargetLocation,
     Topology,
 )
@@ -131,14 +130,19 @@ def steering_factors(
         nd = (geom.rx_indices() * geom.rx_spacing)[:, None]
         k_rx = 2j * math.pi / lam
         # sin(phi) = r sin(theta) / l
-        b = np.exp(k_rx * nd * (r * np.sin(th) / np.sqrt(_receive_path_sq(R, r, th))))
+        b = np.multiply(k_rx * nd, r * np.sin(th) / np.sqrt(_receive_path_sq(R, r, th)))
+        np.exp(b, out=b)
         if mode is Mode.PHASED:
             return absent, b
 
     md = (geom.tx_indices() * geom.tx_spacing)[:, None]
     rm = np.sqrt(r * r - 2.0 * r * md * np.sin(th) + md * md)
     k_tx = -2j * math.pi / lam
-    a = np.exp(k_tx * rm)
+    # each complex phase array becomes its factor in place: a search's coarse
+    # factor peaks at r_m beside a, 1.5x the factor it holds
+    a = np.multiply(k_tx, rm)
+    del rm
+    np.exp(a, out=a)
     if mode is Mode.PHASED:
         return a, absent
     return a, (a if topology is Topology.MONOSTATIC else b)
@@ -263,7 +267,3 @@ def build_observation(
     a = factor(0, psi_a)
     b = a if psi_b is psi_a else factor(1, psi_b)
     return ObservationVector(a, b, mode, topology, geom.num_tx)
-
-
-def observation_from_scenario(scn: SensingScenario) -> ObservationVector:
-    return build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)

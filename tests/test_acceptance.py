@@ -9,6 +9,7 @@ numbers in its message. Criteria that the implementation does not meet are
 left failing rather than loosened.
 """
 
+import hashlib
 import math
 import time
 
@@ -36,7 +37,7 @@ from nfcrb.closedform import (
     intermediates_closed,
 )
 from nfcrb.cli import main as cli_main
-from nfcrb.experiment import presets, run_experiment
+from nfcrb.experiment import csv_text, presets, run_experiment
 from nfcrb.fim import (
     NoiseAndPowerConfig,
     crb_exact_sum,
@@ -322,13 +323,26 @@ def test_criterion_08_unidentifiable_guards():
     assert ok, line
 
 
+# sha256 of csv_text at the presets' 500 trials, recorded before the search
+# read the kernel's factors unconjugated: a flipped near-tie changes them
+MC_PRESET_DIGESTS = {
+    "fig8": "45ddcec69f5fc9377c587896d02ff00fd6f15daeac21ee23ec16e75e37e454af",
+    "fig9": "a0168323e9c7bb512bbf35f8bf3560c6ece77bde3c3e4488d2eab5a46ae31db5",
+}
+
+
 def test_criterion_09_monte_carlo_respects_the_bound():
     t0 = time.perf_counter()
     ok = True
     details = []
     for name in ("fig8", "fig9"):
         cfg = presets()[name]
-        rows = [r for r in run_experiment(cfg).rows() if r["method"] == "ClosedForm"]
+        table = run_experiment(cfg)
+        digest = hashlib.sha256(csv_text(cfg, table).encode()).hexdigest()
+        if digest != MC_PRESET_DIGESTS[name]:
+            ok = False
+            details.append(f"{name} CSV sha256 {digest}")
+        rows = [r for r in table.rows() if r["method"] == "ClosedForm"]
         slack = 1.0 - 2.0 / math.sqrt(rows[0]["trials"])
         for row in rows:
             t_margin = row["rmse_theta_rad"] ** 2 / (row["crb_theta_rad2"] * slack)

@@ -9,14 +9,15 @@ import pytest
 from conftest import CARRIER, bi_geom, mono_geom, target
 from nfcrb.errors import ConfigError
 from nfcrb.estimator import (
+    _CHUNK,
     GridSpec,
     ObservationGridBuilder,
-    _conjugated_factors,
     _ml_stat,
     _paired_grid,
     _PreparedMlSearch,
     monte_carlo_rmse,
 )
+from nfcrb.experiment import presets, validate_config
 from nfcrb.fim import NoiseAndPowerConfig
 from nfcrb.geometry import Mode, SensingScenario, TargetLocation, Topology
 from nfcrb.signalsim import synth_snapshot
@@ -117,7 +118,7 @@ def test_statistic_is_the_normalised_matched_field_power(mode, topology):
         return np.array(out)
 
     th, ra = rng.uniform(-1.2, 1.2, 50), rng.uniform(6.0, 40.0, 50)
-    stat = _ml_stat(ymat, *_conjugated_factors(builder, th, ra))
+    stat = _ml_stat(ymat.conj(), *builder.factor_matrices(th, ra))
     np.testing.assert_allclose(stat, brute(th, ra), rtol=1e-12, atol=0.0)
 
     # without refinement the search returns the brute-force argmax
@@ -129,6 +130,69 @@ def test_statistic_is_the_normalised_matched_field_power(mode, topology):
     assert want[best] - runner_up > 1e-9 * want[best]  # no near-tie to flip
     est = _PreparedMlSearch(builder, grid).estimate(y)
     assert (est.theta, est.range_m) == (th[best], ra[best])
+
+
+def conjugated_factor_stat(ymat, a, b):
+    """The statistic as g^H y over conjugated copies of the factors: the
+    form the search reads as g^T y* over the factors themselves."""
+    a_conj = a.conj()
+    b_conj = a_conj if b is a else b.conj()
+    p = a.shape[1]
+    stat = np.empty(p)
+    for s in range(0, p, _CHUNK):
+        sl = slice(s, min(s + _CHUNK, p))
+        val = np.einsum("nj,nj->j", b_conj[:, sl], ymat @ a_conj[:, sl])
+        stat[sl] = (val.real**2 + val.imag**2) / ymat.size
+    return stat
+
+
+def assert_stat_bits(builder, y, th, ra):
+    ymat = y.reshape(builder.rx_len, builder.tx_len)
+    a, b = builder.factor_matrices(th, ra)
+    want = conjugated_factor_stat(ymat, a, b)
+    assert _ml_stat(y.conj().reshape(ymat.shape), a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode,topology", [(mode, topology) for mode in Mode
+                                           for topology in Topology])
+def test_statistic_keeps_the_conjugated_factor_bits(mode, topology):
+    # |g^T y*| = |g^H y| holds bit for bit when the product and the
+    # column sums conjugate exactly under conjugated operands
+    geom = mono_geom(33) if topology is Topology.MONOSTATIC else bi_geom(33, 8, 35.0)
+    builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal(builder.rx_len * builder.tx_len * 2).view(complex)
+    assert_stat_bits(builder, y, rng.uniform(-1.2, 1.2, 300), rng.uniform(6.0, 40.0, 300))
+    grid = window(target(18.0, 0.3), 21, 15, refine_levels=4)
+    step_t, step_r = grid.theta_step, grid.range_step
+    offsets = np.arange(-4, 5, dtype=float)
+    for _ in range(grid.refine_levels):
+        step_t, step_r = step_t / 2.0, step_r / 2.0
+        best_t, best_r = rng.uniform(*grid.theta_range), rng.uniform(*grid.range_range)
+        ts = np.clip(best_t + offsets * step_t, *grid.theta_range)
+        rs = np.clip(best_r + offsets * step_r, *grid.range_range)
+        assert_stat_bits(builder, y, *_paired_grid(ts, rs))
+
+
+@pytest.mark.parametrize("num_tx", [65, 257, 1025])
+def test_statistic_keeps_the_conjugated_factor_bits_on_the_preset_grids(num_tx):
+    # fig8/fig9's coarse grids with their own snapshots; at M = 1025 a
+    # 31 x 21 grid over the same window, since the full one holds 362 MB
+    snapshots = []
+    for name in ("fig8", "fig9"):
+        cfg = presets()[name]
+        scn, ncfg, _ = next(p for p in validate_config(cfg) if p[0].geometry.num_tx == num_tx)
+        obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
+        snapshots += [synth_snapshot(obs, ncfg, seed=(cfg.montecarlo.master_seed, t),
+                                     true_target=scn.target).y for t in range(2)]
+    mc = cfg.montecarlo  # fig8 and fig9 share the window
+    points = (31, 21) if num_tx == 1025 else (mc.theta_points, mc.range_points)
+    grid = GridSpec.around(scn.target, mc.theta_halfspan_deg, points[0],
+                           mc.range_span_frac, points[1], 0)
+    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
+    th, ra = _paired_grid(grid.theta_values(), grid.range_values())
+    for y in snapshots:
+        assert_stat_bits(builder, y, th, ra)
 
 
 def on_grid_recovery(mode, topology, geom):

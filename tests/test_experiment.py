@@ -265,8 +265,23 @@ def test_coarse_factor_count_is_the_bytes_the_search_holds(mode, topology):
                            range_span_frac=0.2, range_points=3, refine_levels=0)
     builder = ObservationGridBuilder(geom, scn.carrier, mode, topology)
     search = _PreparedMlSearch(builder, grid)
-    held = search.a_conj.nbytes + (0 if search.b_conj is search.a_conj else search.b_conj.nbytes)
+    held = search.a.nbytes + (0 if search.b is search.a else search.b.nbytes)
     assert builder.location_bytes * 15 == held
+
+
+def test_coarse_factor_peak_is_half_again_the_factor_held():
+    # the basis of MAX_COARSE_FACTOR_BYTES' transient: each factor is formed
+    # in place over its 8 B real phase argument, so the peak is ~1.5x the
+    # 16 B complex factor held (fig9 at M=257: 93 MB held)
+    cfg = presets()["fig9"]
+    scn = next(p[0] for p in validate_config(cfg) if p[0].geometry.num_tx == 257)
+    mc = cfg.montecarlo
+    grid = GridSpec.around(scn.target, mc.theta_halfspan_deg, mc.theta_points,
+                           mc.range_span_frac, mc.range_points, mc.refine_levels)
+    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
+    held = builder.location_bytes * mc.theta_points * mc.range_points
+    peak = _traced_peak(lambda: _PreparedMlSearch(builder, grid))
+    assert peak < 1.6 * held, peak / held
 
 
 def test_receive_element_count_is_capped():
