@@ -34,11 +34,11 @@ _PI_SQ = math.pi ** 2
 _PI_CUBE = math.pi ** 3
 
 
-def _stable_terms(u: float, th: float):
+def _stable_terms(u: float, th: float, sth: float, cth: float):
     # shared pieces of the closed forms, arranged to avoid cancellation for
     # small u: differences of near-equal square roots and logarithms of
-    # near-unity ratios are rewritten via their exact difference forms
-    sth, cth = math.sin(th), math.cos(th)
+    # near-unity ratios are rewritten via their exact difference forms.
+    # sth and cth are sin(th) and cos(th), as the caller has taken them
     a_plus = 0.25 * u * u + u * sth + 1.0
     a_minus = 0.25 * u * u - u * sth + 1.0
     s_plus, s_minus = math.sqrt(a_plus), math.sqrt(a_minus)
@@ -71,7 +71,7 @@ def _closed_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
     u = geom.num_tx * eps
     sth, cth = math.sin(th), math.cos(th)
     c2th = math.cos(2.0 * th)
-    _, _, root_diff, log_ratio, span, rise = _stable_terms(u, th)
+    _, _, root_diff, log_ratio, span, rise = _stable_terms(u, th, sth, cth)
 
     angle_power = (4.0 * _PI_SQ * r * r * cth * cth / (lam * lam * eps)) * (
         u + sth * log_ratio - (c2th / cth) * span

@@ -236,17 +236,24 @@ def _round_odd(m: int):
     return m + 1, (f"num_tx {m} is even; rounded up to {m + 1}",)
 
 
-def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig) -> bool:
-    """Whether lambda^2 (the closed forms divide by it) and, unless the arrays
-    have no extent, (k^2 sum (n d)^2)^2 over both arrays are normal floats:
-    that sum sets the size of an information entry, and the 2x2
-    determinant multiplies two of them."""
+def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig, topology: Topology) -> bool:
+    """Whether lambda^2 (the closed forms divide by it) and, unless both
+    arrays are single elements, (k^2 sum (n d)^2)^2 over the transmit and
+    the receive array are normal floats: that sum sets the size of an
+    information entry, and the 2x2 determinant multiplies two of them. A
+    monostatic point receives on the transmit array, so it counts that
+    array twice. A spacing whose square underflows makes the sum 0 and is
+    refused, as its information is."""
     lam2 = carrier.wavelength * carrier.wavelength
-    moment = (g.num_tx * (g.num_tx * g.num_tx - 1) * g.tx_spacing * g.tx_spacing
-              + g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing) / 12.0
-    info = 4.0 * math.pi ** 2 / lam2 * moment if lam2 > 0.0 else math.inf
+    tx = g.num_tx * (g.num_tx * g.num_tx - 1) * g.tx_spacing * g.tx_spacing
+    if topology is Topology.MONOSTATIC:
+        rx, lone = tx, g.num_tx == 1
+    else:
+        rx = g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing
+        lone = g.num_tx == g.num_rx == 1
+    info = 4.0 * math.pi ** 2 / lam2 * ((tx + rx) / 12.0) if lam2 > 0.0 else math.inf
     return (sys.float_info.min <= lam2 < math.inf
-            and (moment == 0.0 or sys.float_info.min <= info * info < math.inf))
+            and (lone or sys.float_info.min <= info * info < math.inf))
 
 
 def _window_in_range(geom: ArrayGeometry, carrier: CarrierConfig, range_m: float,
@@ -276,10 +283,13 @@ def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: Carrier
                     where: str):
     """The checks that depend on a point's geometry only: carrier range,
     element cap and Monte Carlo coarse-factor budget."""
-    if not _carrier_in_range(geom, carrier):
+    if not _carrier_in_range(geom, carrier, cfg.topology):
+        spacings = (f"tx_spacing_m = {cfg.tx_spacing_m!r} (transmit and receive)"
+                    if cfg.topology is Topology.MONOSTATIC else
+                    f"tx_spacing_m = {cfg.tx_spacing_m!r} and rx_spacing_m = {cfg.rx_spacing_m!r}")
         raise ConfigError(
-            f"{where}: carrier_freq_hz = {cfg.carrier_freq_hz!r} is out of range: the "
-            "bounds need lambda^2 and (k^2 sum (n d)^2)^2 normal floats")
+            f"{where}: carrier_freq_hz = {cfg.carrier_freq_hz!r} is out of range with "
+            f"{spacings}: the bounds need lambda^2 and (k^2 sum (n d)^2)^2 normal floats")
     mc = cfg.montecarlo
     per_element = mc is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
     if per_element and max(geom.num_tx, geom.num_rx) > MAX_ELEMENTS:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,12 +176,12 @@ class IntermediateParams:
             raise DomainError("power sums must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CrbResult:
+class CrbResult(NamedTuple):
     """Bounds on angle (rad^2) and range (m^2) variance.
 
     Unidentifiable scenarios carry +inf bounds; warnings collect regime or
-    validity notes without changing values.
+    validity notes without changing values. A tuple record: immutable and
+    hashable, and built at tuple cost, which every bound row pays.
     """
 
     crb_theta: float
@@ -264,7 +265,7 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     det = q00 * q11 - q01 * q10
     if not det > DET_REL_TOL * q00 * q11:
         return CrbResult.unidentifiable(method, warnings + (SINGULAR_WARNING,))
-    return CrbResult(float(scale * q11 * fa * fa / det), float(scale * q00 * fb * fb / det),
+    return CrbResult(scale * q11 * fa * fa / det, scale * q00 * fb * fb / det,
                      True, method, warnings)
 
 

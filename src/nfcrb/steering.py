@@ -220,12 +220,16 @@ def phase_derivs(
     if work is None:
         work = np.empty((4, *locations, nd.size))
     w0, w1, w2, w3 = work
-    # in units of r: u = m d_tx/r, rho = r_m/r
-    u = np.divide(nd, r, out=w0)
+    # in units of r: u = m d_tx/r, rho = r_m/r. A range every location
+    # shares (a theta sweep) gives u and u^2 as one row each, in the first
+    # rows of their planes, which the (P, 1) sin and cos columns broadcast
+    # against
+    u_at, uu_at = (w0[0], w3[0]) if locations and isinstance(r, float) else (w0, w3)
+    u = np.divide(nd, r, out=u_at)
     us = np.multiply(u, sth, out=w1)
     # the derivatives divide by r_m: (r_m/r)^2 = 1 - 2 u sin(theta) + u^2
     rm2 = np.subtract(1.0, np.multiply(2.0, us, out=w2), out=w2)
-    np.add(rm2, np.multiply(u, u, out=w3), out=rm2)
+    np.add(rm2, np.multiply(u, u, out=uu_at), out=rm2)
     if not rm2.min() > 0.0:
         raise DegenerateGeometryError("target coincides with a transmit element")
     mc = np.multiply(u, cth, out=w2)

@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import (
     CARRIER,
@@ -45,7 +44,7 @@ from nfcrb.fim import (
     fim_numeric,
     intermediates_exact,
 )
-from nfcrb.geometry import ArrayGeometry, Mode, Topology
+from nfcrb.geometry import Mode, Topology
 from nfcrb.signalsim import (
     WaveformConfig,
     mimo_chain_demo,

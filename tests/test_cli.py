@@ -437,6 +437,25 @@ def test_out_of_range_carrier_exits_2(freq, method, capsys):
     assert f"carrier_freq_hz = {float(freq)!r} is out of range" in captured.err
 
 
+@pytest.mark.parametrize("overrides", [
+    # Taylor divided by an underflowed quartic (exit 3)
+    ["preset", "fig2", "--set", "scenario.tx_spacing_m=1e-170", "--set", "sweep.values=9"],
+    # ExactSum printed an inf row, Asymptotic finite "identifiable" bounds (exit 0)
+    ["preset", "fig4", "--set", "scenario.tx_spacing_m=1e-300", "--set", "methods.use=ExactSum",
+     "--set", "sweep.values=30"],
+    ["preset", "fig4", "--set", "scenario.tx_spacing_m=1e-297",
+     "--set", "methods.use=Asymptotic", "--set", "sweep.values=30"],
+])
+def test_underflowing_transmit_spacing_exits_2(overrides, capsys):
+    # a monostatic point receives on the transmit array, so (k^2 sum (m d)^2)^2
+    # underflows whatever rx_spacing_m says
+    assert main(overrides) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+    assert "tx_spacing_m = 1e-" in captured.err and "is out of range" in captured.err
+
+
 def test_carriers_far_from_physical_still_run(capsys):
     # the limit is numeric, not physical: these carriers give finite bounds
     for freq in ("1e-60", "1e60"):

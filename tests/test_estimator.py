@@ -19,7 +19,7 @@ from nfcrb.estimator import (
 )
 from nfcrb.experiment import presets, validate_config
 from nfcrb.fim import NoiseAndPowerConfig
-from nfcrb.geometry import Mode, SensingScenario, TargetLocation, Topology
+from nfcrb.geometry import Mode, SensingScenario, Topology
 from nfcrb.signalsim import synth_snapshot
 from nfcrb.steering import build_observation
 

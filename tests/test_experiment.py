@@ -411,7 +411,7 @@ def test_a_config_listing_both_fim_methods_evaluates_each_point_once(monkeypatch
                          scn.mode, scn.topology)[0]
         # every field, method included, and the bounds to the bit
         assert res == alone and res.method is CrbMethod.EXACT_SUM
-        assert replace(fim_res, method=CrbMethod.EXACT_SUM) == alone
+        assert fim_res._replace(method=CrbMethod.EXACT_SUM) == alone
     rows = table.rows()
     for method in ("ExactSum", "NumericalFim"):
         assert [r["crb_theta_rad2"] for r in rows if r["method"] == method] == [
@@ -509,7 +509,7 @@ def test_csv_quotes_cells_with_commas():
     table = run_experiment(cfg)
     text_value = 'near, "very" near\nsecond line'
     (res,), = table.results
-    table = replace(table, results=[[replace(res, warnings=(text_value,))]])
+    table = replace(table, results=[[res._replace(warnings=(text_value,))]])
     text = csv_text(cfg, table)
     # RFC 4180: the cell is quoted and its quotes are doubled
     assert ',"near, ""very"" near\nsecond line"\n' in text
@@ -644,6 +644,19 @@ def _golden_grid_text() -> str:
 def test_golden_grid_keeps_its_bytes():
     text = _golden_grid_text()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GRID_DIGEST
+
+
+# sha256 of the repr of every fig2-fig7 result, in preset, method and point
+# order, recorded while CrbResult was a frozen dataclass: each field keeps
+# its value and its type, and the record its repr
+PRESET_RESULTS_REPR_DIGEST = "da210e2cab328f70a939dbdca4566ba44a1922d2c7aac50733e7a48073eeab95"
+
+
+def test_preset_results_keep_their_repr():
+    text = "\n".join(repr(res) for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+                     for results in run_experiment(presets()[name]).results
+                     for res in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_RESULTS_REPR_DIGEST
 
 
 # --- INI parsing --------------------------------------------------------------------

@@ -25,6 +25,7 @@ from conftest import (
 )
 from nfcrb.closedform import crb_closed
 from nfcrb.errors import ConfigError, DegenerateGeometryError, DomainError
+from nfcrb.experiment import presets
 from nfcrb.fim import (
     _BLOCK_ELEMENTS,
     CrbMethod,
@@ -373,6 +374,36 @@ def test_exact_sum_over_a_run_equals_one_location_calls(drawn):
         via_fim = crb_from_fim(fim_numeric(obs, CFG))
         assert (run[j].crb_theta, run[j].crb_range, run[j].identifiable) == (
             via_fim.crb_theta, via_fim.crb_range, via_fim.identifiable)
+
+
+def test_theta_sweep_rows_equal_one_location_calls():
+    # fig4's theta grid at r = 10 m: the run shares r, so the kernel forms
+    # u = m d/r and u^2 as one row per block; each location's rows must be
+    # the lone-location path's to the bit, in every mode and topology
+    thetas = [math.radians(v) for v in presets()["fig4"].sweep.points()]
+    ranges = [10.0] * len(thetas)
+    for mode, topology in PAIRS:
+        bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+        geom = bi_geom(1025, 8, 35.0) if bistatic else mono_geom(1025)
+        run_psi = phase_derivs(geom, CARRIER, mode, topology, thetas, ranges)
+        run = crb_exact_sum(geom, [target(10.0, th) for th in thetas], CARRIER, CFG,
+                            mode, topology)
+        for j, th in enumerate(thetas):
+            alone = phase_derivs(geom, CARRIER, mode, topology, th, 10.0)
+            for over_run, psi in zip(run_psi, alone):
+                assert over_run[:, j].tobytes() == psi.tobytes()
+            assert run[j] == crb_exact_sum(geom, (target(10.0, th),), CARRIER, CFG,
+                                           mode, topology)[0]
+
+
+def test_crb_result_is_an_immutable_hashable_record():
+    res = CrbResult(1.0, 2.0, True, CrbMethod.TAYLOR, ("note",))
+    with pytest.raises(AttributeError):
+        res.crb_theta = 3.0
+    twin = CrbResult(1.0, 2.0, True, CrbMethod.TAYLOR, ("note",))
+    assert res == twin and hash(res) == hash(twin)
+    assert res != res._replace(method=CrbMethod.CLOSED_FORM)
+    assert CrbResult(1.0, 2.0, True, CrbMethod.TAYLOR).warnings == ()
 
 
 def test_observations_keep_their_derivatives_across_kernel_calls():

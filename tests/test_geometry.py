@@ -181,7 +181,8 @@ def test_half_integer_rx_indices_for_even_counts():
 
 def span(geom, tgt):
     # the angular span term of the closed forms, at u = aperture / range
-    return _stable_terms(geom.tx_aperture / tgt.range_m, tgt.angle_rad)[4]
+    th = tgt.angle_rad
+    return _stable_terms(geom.tx_aperture / tgt.range_m, th, math.sin(th), math.cos(th))[4]
 
 
 def test_angular_span_broadside():

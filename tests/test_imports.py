@@ -1,4 +1,4 @@
-"""Every name a package module imports is used there, or marked
+"""Every name a package or test module imports is used there, or marked
 `# noqa: F401` on its import line."""
 
 import ast
@@ -8,7 +8,8 @@ import pytest
 
 import nfcrb
 
-MODULES = sorted(Path(nfcrb.__file__).parent.glob("*.py"))
+MODULES = (sorted(Path(nfcrb.__file__).parent.glob("*.py"))
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:
