@@ -63,9 +63,7 @@ from .geometry import (
     epsilon_tx,
 )
 from .signalsim import (
-    Snapshot,
     WaveformConfig,
-    WaveformFamily,
     mimo_chain_demo,
     orthogonal_codes,
     phased_chain_demo,

@@ -173,6 +173,11 @@ class AsymptoticRegime(enum.Enum):
 # small-aperture angle bound is kept for reference curves, flagged as
 # carrying no range information.
 _NO_RANGE = ("no range information in this model",)
+# 2 gamma L = 1, so that each formula's prefactor 1/(2 gamma L) is 1. A
+# formula whose bounds leave [0, inf) at the configured gamma L but not at
+# this one was taken out by gamma L, not by its geometry: that result stays
+# identifiable, with its out-of-range bound, for run_experiment to refuse
+_UNIT_PREFACTOR = NoiseAndPowerConfig(snr_linear=0.5)
 
 
 def _guarded(method, warnings) -> CrbResult:
@@ -280,7 +285,9 @@ def crb_asymptotic(
         else:
             crb_t = pref * num_t / (4.0 * _PI_SQ * r * r * m * m * core * cth * cth)
             crb_r = pref * num_r / (4.0 * _PI_SQ * m * m * core)
-    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf:
+    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
+            crb_asymptotic(geom, tgt, carrier, _UNIT_PREFACTOR, regime, mode, topology)
+            .identifiable):
         return CrbResult(crb_t, crb_r, True, method, warns)
     return _guarded(method, warns)
 
@@ -311,7 +318,8 @@ def crb_taylor(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> CrbR
     else:
         crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
         crb_r = pref * 12.0 * lam * lam * r * r * inner / (quartic * m2 * (m2 - 1.0) * (m2 - 4.0))
-    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf:
+    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
+            crb_taylor(geom, tgt, carrier, _UNIT_PREFACTOR, mode).identifiable):
         return CrbResult(crb_t, crb_r, True, CrbMethod.TAYLOR)
     return _guarded(CrbMethod.TAYLOR, ())
 

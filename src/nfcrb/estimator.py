@@ -263,8 +263,7 @@ def monte_carlo_rmse(
     se_range = 0.0
     ambiguous = 0
     for t in range(trials):
-        snap = synth_snapshot(obs, cfg, seed=(master_seed, t), true_target=tgt)
-        est = prepared.estimate(snap.y)
+        est = prepared.estimate(synth_snapshot(obs, cfg, seed=(master_seed, t)))
         se_theta += (est.theta - tgt.angle_rad) ** 2
         se_range += (est.range_m - tgt.range_m) ** 2
         ambiguous += est.ambiguous

@@ -279,6 +279,31 @@ def _receive_in_range(geom: ArrayGeometry, range_m: float) -> bool:
     return reach * reach * reach < math.inf
 
 
+def _snr_in_range(ncfg: NoiseAndPowerConfig) -> bool:
+    """Whether 2 gamma L and its reciprocal are normal floats. Every bound is
+    1/(2 gamma L) times a factor of the geometry alone: the closed forms form
+    that prefactor, the exact sums scale their information by 2 gamma L / M
+    or M, and neither may lose bits to it."""
+    two_gl = 2.0 * ncfg.snr_linear * ncfg.time_bandwidth
+    return sys.float_info.min <= two_gl < math.inf and sys.float_info.min <= 1.0 / two_gl
+
+
+def _first_out_of_range(method: CrbMethod, results) -> int | None:
+    """Index of the first result with a bound outside the normal float range
+    [sys.float_info.min, inf), else None: an identifiable bound of +inf, or
+    any bound below the range, 0 included, bar Asymptotic's, which is 0 at
+    boresight by the model. A non-identifiable bound of +inf is the absent
+    one."""
+    low, inf = sys.float_info.min, math.inf
+    zero_ok = method is CrbMethod.ASYMPTOTIC
+    for i, (t, r, identifiable, _, _) in enumerate(results):
+        if zero_ok:
+            t, r = t or low, r or low
+        if not (low <= t < inf and low <= r < inf if identifiable else low <= t and low <= r):
+            return i
+    return None
+
+
 def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: CarrierConfig,
                     where: str):
     """The checks that depend on a point's geometry only: carrier range,
@@ -315,8 +340,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
     with a warning on that point, and a count below 1 is refused before
     rounding; monostatic scenarios receive on the transmit array, so N is
     forced to M there. Each geometry is checked once (_check_geometry),
-    each bistatic point's receive terms (_receive_in_range), and with Monte
-    Carlo each point's search window (_window_in_range).
+    each noise config's 2 gamma L (_snr_in_range), each bistatic point's
+    receive terms (_receive_in_range), and with Monte Carlo each point's
+    search window (_window_in_range).
     """
     axis = cfg.sweep.axis
     mono = cfg.topology is Topology.MONOSTATIC
@@ -355,6 +381,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
             if ncfg is None:
                 ncfg = noises[snr_key] = NoiseAndPowerConfig.from_snr(
                     snr_db, time_bandwidth=cfg.time_bandwidth)
+                if not _snr_in_range(ncfg):
+                    raise ConfigError(
+                        f"sweep point {axis}={v!r}: snr_db = {snr_db!r} and time_bandwidth = "
+                        f"{cfg.time_bandwidth!r} put 2 gamma L past the normal float range")
             scn = SensingScenario(geom, tgt, carrier, cfg.mode, cfg.topology)
         except ConfigError:
             raise
@@ -395,6 +425,16 @@ def _eval_method(method: CrbMethod, targets, scn: SensingScenario,
     if method is CrbMethod.TAYLOR:
         return [crb_taylor(g, t, c, ncfg, mode) for t in targets]
     return [crb_farfield_upw(g, t, c, ncfg, mode, topology) for t in targets]
+
+
+def _out_of_range_error(method: CrbMethod, res: CrbResult, point) -> ConfigError:
+    scn, ncfg, _ = point
+    return ConfigError(
+        f"{method.value} at M = {scn.geometry.num_tx}, theta_rad = {scn.target.angle_rad!r}, "
+        f"r_m = {scn.target.range_m!r} gives crb_theta_rad2 = {res.crb_theta!r} and crb_r_m2 = "
+        f"{res.crb_range!r}, outside the normal float range [{sys.float_info.min!r}, inf): "
+        f"the bounds scale as 1/(gamma L), and snr_db = {ncfg.snr_db!r} with "
+        f"time_bandwidth = {ncfg.time_bandwidth!r} is out of their range at this point")
 
 
 def _run_key(point) -> tuple:
@@ -467,8 +507,9 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
     one geometry and one noise object (validate_config builds each once).
     ExactSum and NumericalFim give the same bits, so a config that lists
     both evaluates each run once, on NumericalFim's path, and gives
-    ExactSum copies relabelled EXACT_SUM. Monte Carlo, when configured,
-    runs once per sweep point.
+    ExactSum copies relabelled EXACT_SUM. A bound outside the normal float
+    range is refused (_first_out_of_range) as soon as its method has run.
+    Monte Carlo, when configured, runs once per sweep point.
     """
     points = validate_config(cfg)
     methods = [CrbMethod(name) for name in cfg.methods]
@@ -480,16 +521,20 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
     for _, run in itertools.groupby(points, _run_key):
         run = list(run)
         scn, ncfg, _ = run[0]
-        if reports is not None:
-            reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
         targets = [s.target for s, _, _ in run]
         done = {}
         for method, source, out in zip(methods, sources, results):
             if source not in done:
                 done[source] = _eval_method(source, targets, scn, ncfg, cfg.asymptotic_regime)
+                bad = _first_out_of_range(source, done[source])
+                if bad is not None:
+                    raise _out_of_range_error(source, done[source][bad], run[bad])
             out += (done[source] if source is method
                     else [CrbResult(res.crb_theta, res.crb_range, res.identifiable, method,
                                     res.warnings) for res in done[source]])
+        # after the bounds, so that a refused run spends no trials
+        if reports is not None:
+            reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
     return SweepTable(cfg, points, results, reports)
 
 

@@ -46,22 +46,18 @@ _BLOCK_ELEMENTS = 32_768
 
 @dataclass(frozen=True)
 class NoiseAndPowerConfig:
-    """Power, noise, and integration bookkeeping.
+    """SNR and integration bookkeeping.
 
     snr_linear is gamma = P|kappa|^2/(N0 B); time_bandwidth is L = B T_p.
-    When only snr_linear is given the remaining fields become normalized
-    representatives (P = gamma, N0 = B = 1, |kappa| = 1); when raw physical
-    values are supplied they must be consistent with snr_linear. snr_db is
-    the value from_snr was given, else 10 log10(snr_linear): the dB round
-    trip can move the last digit (3 dB comes back as 2.9999999999999991).
+    The bounds see the power budget only through gamma L, so the model is
+    kept in one normalisation: N0 = B = 1 and kappa = 1, which makes the
+    transmit power P = gamma and the pulse duration T_p = L. snr_db is the
+    value from_snr was given, else 10 log10(snr_linear): the dB round trip
+    can move the last digit (3 dB comes back as 2.9999999999999991).
     """
 
     snr_linear: float
     time_bandwidth: float = 1.0
-    reflection_coeff: complex = 1.0 + 0.0j
-    total_power: float | None = None
-    noise_psd: float = 1.0
-    bandwidth: float = 1.0
     snr_db: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -69,59 +65,17 @@ class NoiseAndPowerConfig:
             raise ConfigError(f"snr_linear must be finite and > 0, got {self.snr_linear}")
         if not 1.0 <= self.time_bandwidth < math.inf:
             raise ConfigError(f"time_bandwidth must be finite and >= 1, got {self.time_bandwidth}")
-        if not (0.0 < self.noise_psd < math.inf and 0.0 < self.bandwidth < math.inf):
-            raise ConfigError("noise_psd and bandwidth must be positive and finite")
-        k2 = abs(self.reflection_coeff) ** 2
-        if not 0.0 < k2 < math.inf:
-            raise ConfigError("reflection_coeff must be nonzero and finite")
-        if self.total_power is None:
-            object.__setattr__(
-                self, "total_power",
-                self.snr_linear * self.noise_psd * self.bandwidth / k2,
-            )
-        else:
-            implied = self.total_power * k2 / (self.noise_psd * self.bandwidth)
-            if not abs(implied - self.snr_linear) <= 1e-9 * self.snr_linear:
-                raise ConfigError(
-                    "inconsistent power/noise fields: "
-                    f"P|kappa|^2/(N0 B) = {implied}, snr_linear = {self.snr_linear}"
-                )
         object.__setattr__(self, "snr_db", 10.0 * math.log10(self.snr_linear))
-
-    @property
-    def pulse_duration(self) -> float:
-        return self.time_bandwidth / self.bandwidth
 
     @classmethod
     def from_snr(cls, snr_db: float, time_bandwidth: float = 1.0) -> "NoiseAndPowerConfig":
-        """Normalized representative config from an SNR in dB."""
+        """Config from an SNR in dB."""
         try:
             cfg = cls(snr_linear=10.0 ** (snr_db / 10.0), time_bandwidth=time_bandwidth)
         except OverflowError:
             raise ConfigError(f"snr_db = {snr_db} overflows the linear SNR") from None
         object.__setattr__(cfg, "snr_db", float(snr_db))
         return cfg
-
-    @classmethod
-    def from_physical(
-        cls,
-        total_power: float,
-        noise_psd: float,
-        bandwidth: float,
-        pulse_duration: float,
-        reflection_coeff: complex = 1.0 + 0.0j,
-    ) -> "NoiseAndPowerConfig":
-        if total_power <= 0 or pulse_duration <= 0:
-            raise ConfigError("total_power and pulse_duration must be positive")
-        gamma = total_power * abs(reflection_coeff) ** 2 / (noise_psd * bandwidth)
-        return cls(
-            snr_linear=gamma,
-            time_bandwidth=bandwidth * pulse_duration,
-            reflection_coeff=reflection_coeff,
-            total_power=total_power,
-            noise_psd=noise_psd,
-            bandwidth=bandwidth,
-        )
 
 
 @dataclass(frozen=True)
@@ -196,12 +150,12 @@ class CrbResult(NamedTuple):
 
 
 def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) -> float:
-    """Coherent post-filter signal energy per observation entry, |rho/kappa|^2.
+    """Coherent post-filter signal energy per observation entry, |rho|^2.
 
-    T_p P / M when transmitters send orthogonal waveforms (power split),
-    T_p P M when they beamform (coherent gain).
+    T_p P / M = L gamma / M when transmitters send orthogonal waveforms
+    (power split), L gamma M when they beamform (coherent gain).
     """
-    s = cfg.pulse_duration * cfg.total_power
+    s = cfg.time_bandwidth * cfg.snr_linear
     return s / tx_array_size if mode is Mode.MIMO else s * tx_array_size
 
 
@@ -222,27 +176,28 @@ def _reduced_block(psi_a, psi_b, cfg: NoiseAndPowerConfig, tx_array_size: int, m
     amplitude projected out, from the factors' phase derivatives (see
     fim_numeric); arrays over the locations of a (2, P, len) psi. in_place
     centres each psi where it lies, which a caller whose psi is scratch may
-    ask for."""
-    energy = mode_energy_scale(cfg, tx_array_size, mode)
-    scale = (2.0 / cfg.noise_psd) * abs(complex(cfg.reflection_coeff)) ** 2 * energy
+    ask for. At an extreme gamma L an entry may overflow to +inf, which
+    _inverse_diagonal reads as information past the float range."""
+    scale = 2.0 * mode_energy_scale(cfg, tx_array_size, mode)
     cent_a = _centred_gram(psi_a, psi_a if in_place else None)
     cent_b = cent_a if psi_b is psi_a else _centred_gram(psi_b, psi_b if in_place else None)
     len_a, len_b = psi_a.shape[-1], psi_b.shape[-1]
-    return [scale * (len_a * qb + len_b * qa) for qa, qb in zip(cent_a, cent_b)]
+    with np.errstate(over="ignore"):
+        return [scale * (len_a * qb + len_b * qa) for qa, qb in zip(cent_a, cent_b)]
 
 
 def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
-    """Angle/range block of F = (2/N0) Re{J^H J} for the mean w = rho g,
-    J = dw/d(theta,r,k_re,k_im), with the amplitude (k_re, k_im)
-    Schur-complemented out.
+    """Angle/range block of F = 2 Re{J^H J} (N0 = 1) for the mean
+    w = kappa rho g at kappa = 1, J = dw/d(theta,r,k_re,k_im), with the
+    amplitude kappa = k_re + j k_im Schur-complemented out.
 
-    rho = kappa sqrt(T_p P/M) in MIMO mode (power split across transmitters)
-    and kappa sqrt(T_p P M) in phased mode (coherent transmit gain).
+    rho = sqrt(T_p P/M) in MIMO mode (power split across transmitters) and
+    sqrt(T_p P M) in phased mode (coherent transmit gain).
 
     The complement projects g out of the partials: P(b_x (x) a + b (x) a_x) =
     b'_x (x) a + b (x) a'_x with a', b' the centred factor partials, two
     orthogonal terms, so by <b1 (x) a1, b2 (x) a2> = <b1, b2><a1, a2>,
-    Q = (2/N0)|rho|^2 (M <b'_x, b'_y> + N <a'_x, a'_y>) for the unit-modulus
+    Q = 2|rho|^2 (M <b'_x, b'_y> + N <a'_x, a'_y>) for the unit-modulus
     factors, formed in O(M + N) from their real phase derivatives.
     """
     q = _reduced_block(obs.a.psi, obs.b.psi, cfg, obs.tx_array_size, obs.mode)
@@ -258,7 +213,12 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     The entries are first taken to D q D with D = diag(2^-a, 2^-b) bringing
     q00 and q11 near 1, so det neither overflows nor underflows at an
     extreme SNR. Powers of two scale exactly: no bit of a bound moves while
-    the unscaled arithmetic stays in the normal range."""
+    the unscaled arithmetic stays in the normal range. A q00 or q11 that
+    overflowed to +inf is information past the float range, not a singular
+    block: its bounds lie beneath the normal range and are returned as 0,
+    identifiable, which run_experiment refuses."""
+    if q00 == math.inf or q11 == math.inf:
+        return CrbResult(0.0, 0.0, True, method, warnings)
     fa = 2.0 ** -(math.frexp(q00)[1] // 2)
     fb = 2.0 ** -(math.frexp(q11)[1] // 2)
     q00, q01, q10, q11 = q00 * fa * fa, q01 * fa * fb, q10 * fa * fb, q11 * fb * fb

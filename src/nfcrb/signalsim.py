@@ -6,7 +6,6 @@ small sampled transmit/propagate/filter chain that must collapse to that
 same model. The chain is the ground truth for the shortcut.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,43 +19,31 @@ from .steering import ObservationVector, steering_factors
 DEMO_MAX_ELEMENTS = 16
 
 
-class WaveformFamily(enum.Enum):
-    ORTHOGONAL_CODES = "OrthogonalCodes"
-    SINGLE_PULSE = "SinglePulse"
-
-
 @dataclass(frozen=True)
 class WaveformConfig:
     """Sampled baseband waveform set for one coherent processing interval.
 
-    The chain samples at the bandwidth rate, so the sample count must equal
-    the time-bandwidth product B*T_p.
+    The chain samples at the bandwidth rate, so the interval lasts
+    num_samples_per_cpi / bandwidth and its time-bandwidth product is the
+    sample count.
     """
 
     num_samples_per_cpi: int
-    cpi_duration: float
     bandwidth: float
-    waveform_family: WaveformFamily = WaveformFamily.ORTHOGONAL_CODES
 
     def __post_init__(self):
         if self.num_samples_per_cpi < 1:
             raise ConfigError("num_samples_per_cpi must be a positive integer")
-        if self.cpi_duration <= 0.0:
-            raise ConfigError("cpi_duration must be positive")
-        if self.bandwidth <= 0.0:
-            raise ConfigError("bandwidth must be positive")
-        tb = self.time_bandwidth
-        if tb < 1.0 - 1e-12:
-            raise ConfigError("time-bandwidth product must be >= 1")
-        if abs(tb - self.num_samples_per_cpi) > 1e-6 * tb:
-            raise ConfigError(
-                "num_samples_per_cpi must equal bandwidth * cpi_duration "
-                f"(got {self.num_samples_per_cpi} samples for B*T_p = {tb:g})"
-            )
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ConfigError("bandwidth must be positive and finite")
+
+    @property
+    def cpi_duration(self) -> float:
+        return self.num_samples_per_cpi / self.bandwidth
 
     @property
     def time_bandwidth(self) -> float:
-        return self.bandwidth * self.cpi_duration
+        return float(self.num_samples_per_cpi)
 
     @classmethod
     def orthogonal(cls, num_codes: int, bandwidth: float = 1.0) -> "WaveformConfig":
@@ -66,30 +53,7 @@ class WaveformConfig:
         n = 1
         while n < num_codes:
             n *= 2
-        return cls(
-            num_samples_per_cpi=n,
-            cpi_duration=n / bandwidth,
-            bandwidth=bandwidth,
-            waveform_family=WaveformFamily.ORTHOGONAL_CODES,
-        )
-
-    @classmethod
-    def single_pulse(cls, num_samples: int, bandwidth: float = 1.0) -> "WaveformConfig":
-        return cls(
-            num_samples_per_cpi=num_samples,
-            cpi_duration=num_samples / bandwidth,
-            bandwidth=bandwidth,
-            waveform_family=WaveformFamily.SINGLE_PULSE,
-        )
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One post-matched-filter observation and the truth that generated it."""
-
-    y: np.ndarray
-    true_params: tuple  # (range_m, angle_rad)
-    seed: object
+        return cls(num_samples_per_cpi=n, bandwidth=bandwidth)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -106,31 +70,27 @@ def reflection_amplitude(
     tx_array_size: int,
     mode: Mode,
 ) -> complex:
-    """rho = kappa sqrt(T_p P / M) (orthogonal waveforms) or kappa sqrt(T_p P M).
-
-    kappa is location-independent, as in the bound derivation.
-    """
-    return complex(cfg.reflection_coeff) * math.sqrt(mode_energy_scale(cfg, tx_array_size, mode))
+    """rho = sqrt(T_p P / M) (orthogonal waveforms) or sqrt(T_p P M), the
+    amplitude of the echo at the reflection coefficient kappa = 1."""
+    return complex(math.sqrt(mode_energy_scale(cfg, tx_array_size, mode)))
 
 
 def synth_snapshot(
     obs: ObservationVector,
     cfg: NoiseAndPowerConfig,
     seed,
-    true_target: TargetLocation | None = None,
     include_noise: bool = True,
-) -> Snapshot:
-    """Draw y = rho g + n with i.i.d. complex Gaussian noise of variance N0.
+) -> np.ndarray:
+    """Draw the observation y = rho g + n, with i.i.d. complex Gaussian noise
+    of variance N0 = 1.
 
     Deterministic in seed (counter-based generator); seed may be an int or a
     tuple of ints for substream derivation.
     """
     y = reflection_amplitude(cfg, obs.tx_array_size, obs.mode) * obs.g
     if include_noise:
-        y = y + _complex_noise(_rng(seed), y.shape, cfg.noise_psd)
-    params = (np.nan, np.nan) if true_target is None else (
-        true_target.range_m, true_target.angle_rad)
-    return Snapshot(y=y, true_params=params, seed=seed)
+        y = y + _complex_noise(_rng(seed), y.shape, 1.0)
+    return y
 
 
 def _hadamard(order: int) -> np.ndarray:
@@ -201,10 +161,13 @@ def mimo_chain_demo(
     seed,
     include_noise: bool = True,
     delay_mismatch_samples: int = 0,
-) -> Snapshot:
-    """Orthogonal-waveform chain: transmit, superpose at each receiver, filter.
+) -> np.ndarray:
+    """Orthogonal-waveform chain: transmit, superpose at each receiver,
+    filter; returns the observation y.
 
-    Each transmitter sends its own +/-1 code at power P/M. After matched
+    With N0 = 1 and kappa = 1, the total transmit power at the waveforms'
+    bandwidth B is P = gamma B. Each transmitter sends its own +/-1 code at
+    power P/M. After matched
     filtering against code m at receiver n, the (n, m) output stacks into a
     vector aligned with g = b (x) a, so the noiseless chain reproduces
     synth_snapshot exactly. A common propagation delay is assumed and
@@ -213,28 +176,19 @@ def mimo_chain_demo(
     noise). Off-peak code correlations are otherwise not modeled as zero.
     """
     _demo_scale_check(geom)
-    if waveforms.waveform_family is not WaveformFamily.ORTHOGONAL_CODES:
-        raise ConfigError("the orthogonal-waveform chain needs OrthogonalCodes")
     codes = orthogonal_codes(geom.num_tx, waveforms.num_samples_per_cpi)
 
     a, b = _physical_factors(geom, tgt, carrier)
-    kap = complex(cfg.reflection_coeff)
-    amp = kap * math.sqrt(cfg.total_power / geom.num_tx)
+    amp = math.sqrt(cfg.snr_linear * waveforms.bandwidth / geom.num_tx)
 
     # (N, S) superposition of all transmit codes seen through the two-way phases
     samples = amp * np.outer(b, a @ codes)
     if include_noise:
         # white noise sampled at rate B: per-sample complex variance N0 B
-        samples = samples + _complex_noise(
-            _rng(seed), samples.shape, cfg.noise_psd * waveforms.bandwidth)
+        samples = samples + _complex_noise(_rng(seed), samples.shape, waveforms.bandwidth)
 
     refs = _shifted(codes, delay_mismatch_samples)
-    filtered = _matched_filter(samples, refs, waveforms)
-    return Snapshot(
-        y=filtered.reshape(-1),
-        true_params=(tgt.range_m, tgt.angle_rad),
-        seed=seed,
-    )
+    return _matched_filter(samples, refs, waveforms).reshape(-1)
 
 
 def phased_chain_demo(
@@ -247,8 +201,10 @@ def phased_chain_demo(
     seed,
     include_noise: bool = True,
     delay_mismatch_samples: int = 0,
-) -> Snapshot:
-    """Beamformed chain: one waveform through weights conj(a(steer))/sqrt(M).
+) -> np.ndarray:
+    """Beamformed chain: one waveform at power P = gamma B (as in
+    mimo_chain_demo) through weights conj(a(steer))/sqrt(M); returns the
+    observation y.
 
     With the beam steered at the true location the filtered output is
     rho b (monostatic b := a); steering elsewhere scales the signal by
@@ -262,20 +218,13 @@ def phased_chain_demo(
     # monostatic layout carries a only
     a_steer = steering_factors(geom, carrier, Mode.PHASED, Topology.MONOSTATIC,
                                [steer_at.angle_rad], [steer_at.range_m])[0][:, 0]
-    kap = complex(cfg.reflection_coeff)
     # ||a|| = sqrt(M) normalizes the beamformer to unit total power
     gain = a_true @ a_steer.conj() / math.sqrt(geom.num_tx)
-    amp = kap * math.sqrt(cfg.total_power) * gain
+    amp = math.sqrt(cfg.snr_linear * waveforms.bandwidth) * gain
 
     samples = amp * np.outer(b, pulse)
     if include_noise:
-        samples = samples + _complex_noise(
-            _rng(seed), samples.shape, cfg.noise_psd * waveforms.bandwidth)
+        samples = samples + _complex_noise(_rng(seed), samples.shape, waveforms.bandwidth)
 
     refs = _shifted(pulse[None, :], delay_mismatch_samples)
-    filtered = _matched_filter(samples, refs, waveforms)
-    return Snapshot(
-        y=filtered.reshape(-1),
-        true_params=(tgt.range_m, tgt.angle_rad),
-        seed=seed,
-    )
+    return _matched_filter(samples, refs, waveforms).reshape(-1)

@@ -136,15 +136,15 @@ def kron_partials(obs, carrier=CARRIER):
 
 def kron_fim_oracle(obs, cfg, carrier=CARRIER):
     """The brute-force FIM over the length-M*N observation: the Jacobian of
-    w = rho g as columns of the Kronecker vectors, then (2/N0) Re{J^H J},
-    and the Schur complement of its amplitude block."""
+    w = kappa rho g at kappa = 1 as columns of the Kronecker vectors, then
+    (2/N0) Re{J^H J} at N0 = 1, and the Schur complement of its amplitude
+    block."""
     root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, obs.mode))
-    kap = complex(cfg.reflection_coeff)
     g_theta, g_range = kron_partials(obs, carrier)
     jac = np.column_stack([
-        kap * root * g_theta, kap * root * g_range, root * obs.g, 1j * root * obs.g,
+        root * g_theta, root * g_range, root * obs.g, 1j * root * obs.g,
     ])
-    f = (2.0 / cfg.noise_psd) * (jac.conj().T @ jac).real
+    f = 2.0 * (jac.conj().T @ jac).real
     f = 0.5 * (f + f.T)
     return f, schur_complement(f)
 

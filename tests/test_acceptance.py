@@ -361,41 +361,45 @@ def test_criterion_09_monte_carlo_respects_the_bound():
 
 
 def test_criterion_10_chain_collapse_and_noise_level():
+    # every mode and topology at bandwidth B = 1, and the MIMO chain at B = 2,
+    # where its power P = gamma B and per-sample noise N0 B are not 1
+    cases = [(mode, topo, 1.0) for mode in (Mode.MIMO, Mode.PHASED)
+             for topo in (Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX)]
     worst = 0.0
-    for mode in (Mode.MIMO, Mode.PHASED):
-        for topo in (Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX):
-            geom = mono_geom(5) if topo is Topology.MONOSTATIC else bi_geom(5, 4, 35.0)
-            tgt = target(9.0, 0.25)
-            wf = WaveformConfig.orthogonal(5)
-            cfg = NoiseAndPowerConfig.from_snr(0.0, wf.time_bandwidth)
-            if mode is Mode.MIMO:
-                got = mimo_chain_demo(geom, tgt, CARRIER, wf, cfg, seed=0,
-                                      include_noise=False).y
-            else:
-                got = phased_chain_demo(geom, tgt, CARRIER, wf, cfg, steer_at=tgt,
-                                        seed=0, include_noise=False).y
-            obs = build_observation(geom, tgt, CARRIER, mode, topo)
-            want = synth_snapshot(obs, cfg, seed=0, include_noise=False).y
-            worst = max(worst, float(np.max(np.abs(got - want))
-                                     / np.max(np.abs(want))))
+    for mode, topo, bandwidth in cases + [(Mode.MIMO, Topology.MONOSTATIC, 2.0)]:
+        geom = mono_geom(5) if topo is Topology.MONOSTATIC else bi_geom(5, 4, 35.0)
+        tgt = target(9.0, 0.25)
+        wf = WaveformConfig.orthogonal(5, bandwidth)
+        cfg = NoiseAndPowerConfig.from_snr(0.0, wf.time_bandwidth)
+        if mode is Mode.MIMO:
+            got = mimo_chain_demo(geom, tgt, CARRIER, wf, cfg, seed=0, include_noise=False)
+        else:
+            got = phased_chain_demo(geom, tgt, CARRIER, wf, cfg, steer_at=tgt,
+                                    seed=0, include_noise=False)
+        obs = build_observation(geom, tgt, CARRIER, mode, topo)
+        want = synth_snapshot(obs, cfg, seed=0, include_noise=False)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
 
     geom, tgt = mono_geom(5), target(9.0, 0.25)
-    wf = WaveformConfig.orthogonal(5)
-    cfg = NoiseAndPowerConfig.from_snr(0.0, wf.time_bandwidth)
-    total, count = 0.0, 0
-    for trial in range(10_000):
-        noisy = mimo_chain_demo(geom, tgt, CARRIER, wf, cfg, seed=(77, trial))
-        clean = mimo_chain_demo(geom, tgt, CARRIER, wf, cfg, seed=(77, trial),
-                                include_noise=False)
-        resid = noisy.y - clean.y
-        total += float(np.sum(resid.real ** 2 + resid.imag ** 2))
-        count += resid.size
-    var = total / count
-    ok = worst <= 1e-10 and abs(var - cfg.noise_psd) <= 0.05 * cfg.noise_psd
+    variances = []
+    for bandwidth in (1.0, 2.0):
+        wf = WaveformConfig.orthogonal(5, bandwidth)
+        cfg = NoiseAndPowerConfig.from_snr(0.0, wf.time_bandwidth)
+        total, count = 0.0, 0
+        for trial in range(10_000):
+            noisy = mimo_chain_demo(geom, tgt, CARRIER, wf, cfg, seed=(77, trial))
+            clean = mimo_chain_demo(geom, tgt, CARRIER, wf, cfg, seed=(77, trial),
+                                    include_noise=False)
+            resid = noisy - clean
+            total += float(np.sum(resid.real ** 2 + resid.imag ** 2))
+            count += resid.size
+        variances.append(total / count)
+    # the normalisation's N0 = 1
+    ok = worst <= 1e-10 and all(abs(var - 1.0) <= 0.05 for var in variances)
     ok, line = report(
         10, "sampled chain reproduces the analytic model",
-        ok, f"worst collapse rel {worst:.2e} (tol 1e-10); "
-            f"filtered noise variance {var:.4f} vs N0 {cfg.noise_psd:g} (+-5%)")
+        ok, f"worst collapse rel {worst:.2e} (tol 1e-10); filtered noise variance "
+            + ", ".join(f"{var:.4f}" for var in variances) + " at B = 1, 2 vs N0 1 (+-5%)")
     assert ok, line
 
 

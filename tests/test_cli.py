@@ -488,6 +488,25 @@ def test_extreme_snr_scales_the_bounds_exactly(capsys):
                 assert abs(float(row[col]) / (float(ref[col]) * factor) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("sets", [
+    ("fig2", "scenario.snr_db=-3070", "sweep.values=9"),
+    ("fig2", "scenario.snr_db=-3070", "sweep.values=9", "methods.use=Taylor"),
+    ("fig4", "scenario.snr_db=200", "scenario.time_bandwidth=1e300", "sweep.values=30"),
+    ("fig4", "scenario.snr_db=3000", "sweep.values=30"),
+    ("fig4", "scenario.snr_db=3000", "sweep.values=30", "methods.use=ExactSum"),
+], ids=["fig2-low", "fig2-low-taylor", "fig4-gamma-l-overflow", "fig4-high",
+        "fig4-high-exactsum"])
+def test_bounds_past_the_float_range_exit_2(sets, capsys):
+    # at an extreme gamma L the bounds leave the normal float range: +inf,
+    # subnormal or 0 marked identifiable, or an overflowed block called
+    # singular, are refused, not printed
+    name, *pairs = sets
+    assert main(["preset", name, *(a for p in pairs for a in ("--set", p))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert "snr_db" in captured.err and "time_bandwidth" in captured.err
+
+
 def test_singular_information_says_why(capsys):
     # at r = 1e200 m the angle/range block is singular at working precision:
     # the exact methods' rows carry that reason instead of a bare inf

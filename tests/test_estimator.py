@@ -1,6 +1,7 @@
 """Grid search, refinement, ambiguity flagging, and the Monte Carlo RMSE
 loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,13 @@ from nfcrb.estimator import (
     _PreparedMlSearch,
     monte_carlo_rmse,
 )
-from nfcrb.experiment import presets, validate_config
+from nfcrb.experiment import (
+    ExperimentConfig,
+    SweepSpec,
+    presets,
+    run_experiment,
+    validate_config,
+)
 from nfcrb.fim import NoiseAndPowerConfig
 from nfcrb.geometry import Mode, SensingScenario, Topology
 from nfcrb.signalsim import synth_snapshot
@@ -183,8 +190,8 @@ def test_statistic_keeps_the_conjugated_factor_bits_on_the_preset_grids(num_tx):
         cfg = presets()[name]
         scn, ncfg, _ = next(p for p in validate_config(cfg) if p[0].geometry.num_tx == num_tx)
         obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
-        snapshots += [synth_snapshot(obs, ncfg, seed=(cfg.montecarlo.master_seed, t),
-                                     true_target=scn.target).y for t in range(2)]
+        snapshots += [synth_snapshot(obs, ncfg, seed=(cfg.montecarlo.master_seed, t))
+                      for t in range(2)]
     mc = cfg.montecarlo  # fig8 and fig9 share the window
     points = (31, 21) if num_tx == 1025 else (mc.theta_points, mc.range_points)
     grid = GridSpec.around(scn.target, mc.theta_halfspan_deg, points[0],
@@ -199,9 +206,9 @@ def on_grid_recovery(mode, topology, geom):
     tgt = target(18.0, 0.3)
     grid = window(tgt, 41, 31, refine_levels=0)
     obs = build_observation(geom, tgt, CARRIER, mode, topology)
-    snap = synth_snapshot(obs, CFG10, seed=0, true_target=tgt, include_noise=False)
+    y = synth_snapshot(obs, CFG10, seed=0, include_noise=False)
     builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
-    return _PreparedMlSearch(builder, grid).estimate(snap.y), tgt
+    return _PreparedMlSearch(builder, grid).estimate(y), tgt
 
 
 def test_noiseless_on_grid_recovery_is_exact():
@@ -231,7 +238,7 @@ def test_refinement_tightens_quantization():
     tgt = target(18.0, 0.3)
     truth = target(18.037, 0.3012)   # off every grid node
     obs = build_observation(geom, truth, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
-    y = synth_snapshot(obs, CFG10, seed=0, include_noise=False).y
+    y = synth_snapshot(obs, CFG10, seed=0, include_noise=False)
     builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
     errs = []
     for levels in (0, 2, 4):
@@ -253,8 +260,7 @@ def test_noisy_recovery_rate_moderate_snr():
     hits = 0
     trials = 60
     for t in range(trials):
-        snap = synth_snapshot(obs, CFG10, seed=(5, t), true_target=tgt)
-        est = search.estimate(snap.y)
+        est = search.estimate(synth_snapshot(obs, CFG10, seed=(5, t)))
         ok_t = abs(est.theta - tgt.angle_rad) <= 3.0 * grid.theta_step
         ok_r = abs(est.range_m - tgt.range_m) <= 3.0 * grid.range_step
         hits += ok_t and ok_r
@@ -291,10 +297,40 @@ def test_monte_carlo_counts_the_ambiguous_trials():
     obs = build_observation(scn.geometry, scn.target, CARRIER, scn.mode, scn.topology)
     search = _PreparedMlSearch(
         ObservationGridBuilder(scn.geometry, CARRIER, scn.mode, scn.topology), grid)
-    flags = [search.estimate(synth_snapshot(obs, cfg, seed=(9, t), true_target=scn.target).y)
-             .ambiguous for t in range(12)]
+    flags = [search.estimate(synth_snapshot(obs, cfg, seed=(9, t))).ambiguous
+             for t in range(12)]
     assert rep.ambiguous_trials == sum(flags)
     assert 0 < rep.ambiguous_trials < rep.trials
+
+
+# the estimator is efficient off the presets, in each identifiable mode and
+# topology: M = 17, r = 3 m, theta = 20 deg, 30 dB, L = 1, fig9's search
+# window and refinement, 500 trials at one recorded seed per case. The band
+# 1 +- 3/sqrt(2T) (about three standard errors of an RMSE ratio over T
+# trials) is fixed before the run. A final refinement step below 0.2
+# sqrt(CRB) keeps quantization from passing for efficiency.
+@pytest.mark.parametrize("mode,topology,seed", [
+    (Mode.MIMO, Topology.MONOSTATIC, 1),
+    (Mode.PHASED, Topology.MONOSTATIC, 1),
+    (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, 1),
+], ids=["mimo-monostatic", "phased-monostatic", "mimo-bistatic"])
+def test_monte_carlo_reaches_the_bound_off_the_presets(mode, topology, seed):
+    mc = dataclasses.replace(presets()["fig9"].montecarlo, trials=500, master_seed=seed)
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    cfg = ExperimentConfig(
+        num_tx=17, num_rx=8, separation_m=35.0 if bistatic else 0.0, target_range_m=3.0,
+        target_angle_deg=20.0, snr_db=30.0, mode=mode, topology=topology,
+        sweep=SweepSpec(axis="M", values=(17,)), methods=("ExactSum",), montecarlo=mc)
+    table = run_experiment(cfg)
+    ((bound,),), (rep,) = table.results, table.reports
+    band = 3.0 / math.sqrt(2 * rep.trials)
+    assert abs(rep.rmse_theta / math.sqrt(bound.crb_theta) - 1.0) <= band
+    assert abs(rep.rmse_range / math.sqrt(bound.crb_range) - 1.0) <= band
+    grid = GridSpec.around(table.points[0][0].target, mc.theta_halfspan_deg, mc.theta_points,
+                           mc.range_span_frac, mc.range_points, mc.refine_levels)
+    final = 2.0 ** -mc.refine_levels
+    assert grid.theta_step * final <= 0.2 * math.sqrt(bound.crb_theta)
+    assert grid.range_step * final <= 0.2 * math.sqrt(bound.crb_range)
 
 
 def test_monte_carlo_rejects_zero_trials():

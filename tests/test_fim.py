@@ -61,20 +61,8 @@ FROZEN = {
 def test_from_snr_normalized_representative():
     cfg = NoiseAndPowerConfig.from_snr(10.0, time_bandwidth=4.0)
     assert cfg.snr_linear == pytest.approx(10.0)
-    assert cfg.total_power == pytest.approx(10.0)  # P = gamma when N0 = B = |k| = 1
-    assert cfg.noise_psd == 1.0 and cfg.bandwidth == 1.0
-    assert cfg.pulse_duration == pytest.approx(4.0)
+    assert cfg.time_bandwidth == 4.0
     assert cfg.snr_db == pytest.approx(10.0)
-
-
-def test_from_physical_consistency():
-    cfg = NoiseAndPowerConfig.from_physical(
-        total_power=8.0, noise_psd=2.0, bandwidth=4.0, pulse_duration=3.0,
-        reflection_coeff=0.5j)
-    assert cfg.snr_linear == pytest.approx(8.0 * 0.25 / 8.0)
-    assert cfg.time_bandwidth == pytest.approx(12.0)
-    with pytest.raises(ConfigError):
-        NoiseAndPowerConfig(snr_linear=1.0, total_power=5.0)  # implies snr 5, not 1
 
 
 def test_config_rejects_bad_values():
@@ -82,15 +70,11 @@ def test_config_rejects_bad_values():
         NoiseAndPowerConfig(snr_linear=0.0)
     with pytest.raises(ConfigError):
         NoiseAndPowerConfig(snr_linear=1.0, time_bandwidth=0.5)
-    with pytest.raises(ConfigError):
-        NoiseAndPowerConfig(snr_linear=1.0, reflection_coeff=0.0)
-    with pytest.raises(ConfigError):
-        NoiseAndPowerConfig(snr_linear=1.0, noise_psd=-1.0)
 
 
 def test_mode_energy_scale():
     cfg = NoiseAndPowerConfig.from_snr(3.0, time_bandwidth=8.0)
-    s = cfg.pulse_duration * cfg.total_power
+    s = cfg.time_bandwidth * cfg.snr_linear
     assert mode_energy_scale(cfg, 65, Mode.MIMO) == pytest.approx(s / 65.0)
     assert mode_energy_scale(cfg, 65, Mode.PHASED) == pytest.approx(s * 65.0)
 
@@ -108,14 +92,13 @@ def fd_fim_oracle(geom, tgt, mode, topology, cfg):
     """Independent FIM: mean vector differentiated by central differences,
     no analytic steering derivatives involved."""
     root = math.sqrt(mode_energy_scale(cfg, geom.num_tx, mode))
-    kap = complex(cfg.reflection_coeff)
 
     def mean(th, r, kr, ki):
         g = build_observation(geom, target(r, th), CARRIER, mode, topology).g
         return (kr + 1j * ki) * root * g
 
     th0, r0 = tgt.angle_rad, tgt.range_m
-    kr0, ki0 = kap.real, kap.imag
+    kr0, ki0 = 1.0, 0.0   # kappa = 1
     h = (1e-7, 1e-6, 1e-6, 1e-6)
     base = (th0, r0, kr0, ki0)
     cols = []
@@ -126,7 +109,7 @@ def fd_fim_oracle(geom, tgt, mode, topology, cfg):
         dn[i] -= h[i]
         cols.append((mean(*up) - mean(*dn)) / (2.0 * h[i]))
     jac = np.column_stack(cols)
-    return (2.0 / cfg.noise_psd) * (jac.conj().T @ jac).real
+    return 2.0 * (jac.conj().T @ jac).real   # 2/N0, N0 = 1
 
 
 @pytest.mark.parametrize("mode,topology", [
@@ -157,8 +140,7 @@ def test_factored_fim_matches_kronecker_oracle(mode, topology, num_tx, num_rx):
     sep = 35.0 if topology is Topology.BISTATIC_NEAR_FAR_TX else 0.0
     geom = ArrayGeometry(num_tx, num_rx, 0.0628, 0.0628, sep)
     obs = build_observation(geom, target(18.0, 0.3), CARRIER, mode, topology)
-    cfg = NoiseAndPowerConfig(snr_linear=2.0, time_bandwidth=3.0,
-                              reflection_coeff=0.6 - 0.8j, total_power=2.0)
+    cfg = NoiseAndPowerConfig(snr_linear=2.0, time_bandwidth=3.0)
     got = fim_numeric(obs, cfg)
     want, schur = kron_fim_oracle(obs, cfg)
     # the oracle's complement cancels down from the scale of its angle/range

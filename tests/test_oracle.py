@@ -10,8 +10,9 @@ the phase derivatives over the entries of g:
 
     Q_xy = c * (sum psi_x psi_y - sum psi_x sum psi_y / K),
 
-where c = (2/N0) |kappa|^2 T_p P / M (orthogonal waveforms) or
-(2/N0) |kappa|^2 T_p P M (beamformed), and K is the length of g. At 60
+where c = 2 L gamma / M (orthogonal waveforms) or 2 L gamma M
+(beamformed), and K is the length of g. By gamma = P |kappa|^2 / (N0 B) and
+L = B T_p, 2 L gamma is the physical model's (2/N0) |kappa|^2 T_p P. At 60
 digits the uncentred form loses nothing that matters.
 
 Both methods centre the real phase derivatives in double precision and
@@ -113,9 +114,9 @@ def oracle(geom, tgt, carrier, cfg, mode, topology):
             psi.append((d_th, d_r))
         size, second, first = _phase_moments(psi)
         q = [[second[x][y] - first[x] * first[y] / size for y in range(2)] for x in range(2)]
-        energy = mpmath.mpf(cfg.pulse_duration) * mpmath.mpf(cfg.total_power)
+        energy = mpmath.mpf(cfg.time_bandwidth) * mpmath.mpf(cfg.snr_linear)
         energy = energy / geom.num_tx if mode is Mode.MIMO else energy * geom.num_tx
-        c = 2 / mpmath.mpf(cfg.noise_psd) * abs(mpmath.mpc(cfg.reflection_coeff)) ** 2 * energy
+        c = 2 * energy
         det = q[0][0] * q[1][1] - q[0][1] * q[1][0]
         diag = q[0][0] * q[1][1]
         ratio = det / diag if diag > 0 else mpmath.mpf(0)
