@@ -32,6 +32,18 @@ from .fim import (
 # their written order.
 _PI_SQ = math.pi ** 2
 _PI_CUBE = math.pi ** 3
+_HALF_PI = math.pi / 2
+
+
+def _split_prefactor(cfg: NoiseAndPowerConfig) -> tuple:
+    """The prefactor 1/(2 gamma L) as (mantissa in [1, 2), power of two). A
+    bound formed with the mantissa and multiplied by the power last has the
+    bits of the product formed with the prefactor wherever that product
+    stays in the normal range, since powers of two scale exactly. Where only
+    the bound is past the range, the last multiplication gives +inf, not an
+    intermediate overflowed before a division (math.ldexp would raise)."""
+    mant, exp = math.frexp(1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth))
+    return 2.0 * mant, 2.0 ** (exp - 1)
 
 
 def _stable_terms(u: float, th: float, sth: float, cth: float):
@@ -54,7 +66,7 @@ def _transmit_eps(geom: ArrayGeometry, tgt: TargetLocation) -> float:
     """The spacing-to-range ratio eps = d_tx/r of a target the closed forms
     can evaluate, else the reason they cannot."""
     # the float cos of pi/2 is ~6e-17, so gate on the angle itself
-    if abs(tgt.angle_rad) >= math.pi / 2:
+    if abs(tgt.angle_rad) >= _HALF_PI:
         raise SingularGeometryError("closed forms are singular at theta = +-pi/2")
     eps = epsilon_tx(geom, tgt)
     if eps >= 1.0:
@@ -142,7 +154,7 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
         # no transmit baseline: monostatic information vanishes and the
         # receive-only bistatic block is rank one, exactly in both cases
         return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM, warnings)
-    prefactor = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
+    mant, pow2 = _split_prefactor(cfg)
     m = float(geom.num_tx)
     cross_ov = (a_ov.conjugate() * r_ov).real
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
@@ -150,15 +162,15 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
         aa = m * rx_a + n * a_pow - (n / m) * abs(a_ov) ** 2
         pp = m * rx_s + n * r_pow - (n / m) * abs(r_ov) ** 2
         ee = m * rx_k + n * c_pow - (n / m) * cross_ov
-        scale = prefactor * m
+        scale = mant * m
     else:
         aa = m * a_pow - abs(a_ov) ** 2
         pp = m * r_pow - abs(r_ov) ** 2
         ee = m * c_pow - cross_ov
         # orthogonal waveforms see the information twice (transmit and
         # receive); halving the scale is exact
-        scale = prefactor * m * 0.5 if mode is Mode.MIMO else prefactor
-    return _inverse_diagonal(aa, ee, ee, pp, CrbMethod.CLOSED_FORM, scale, warnings)
+        scale = mant * m * 0.5 if mode is Mode.MIMO else mant
+    return _inverse_diagonal(aa, ee, ee, pp, CrbMethod.CLOSED_FORM, scale, warnings, pow2)
 
 
 class AsymptoticRegime(enum.Enum):
@@ -188,168 +200,223 @@ def _guarded(method, warnings) -> CrbResult:
 
 def crb_asymptotic(
     geom: ArrayGeometry,
-    tgt: TargetLocation,
+    targets,
     carrier: CarrierConfig,
     cfg: NoiseAndPowerConfig,
     regime: AsymptoticRegime,
     mode: Mode,
     topology: Topology,
-) -> CrbResult:
-    """Regime-limit bounds.
+) -> list:
+    """Regime-limit bounds at each of the targets, in order.
 
-    Monostatic: LARGE_APERTURE keeps the leading aperture terms, trusted for
-    aperture >> range; INFINITE_APERTURE is the aperture-to-infinity limit;
-    SMALL_APERTURE is the continuum (M^3 rather than M(M^2-1)) plane-wave
-    angle bound, with no range information surviving there. Bistatic: the
-    boresight limits, with range information vanishing as the aperture
-    grows.
+    They approximate the exact-distance bound (ExactSum) in a limit of the
+    aperture-to-range ratio u = M d_tx/r. Monostatic: LARGE_APERTURE keeps
+    the leading aperture terms, trusted for aperture >> range;
+    INFINITE_APERTURE is the aperture-to-infinity limit; SMALL_APERTURE is
+    the continuum (M^3 rather than M(M^2-1)) plane-wave angle bound, with no
+    range information surviving there. Bistatic: the boresight limits, with
+    range information vanishing as the aperture grows. A limit states no
+    error at finite u; its judges are ClosedForm as u grows (criterion 4,
+    M = 100 001 at u = 1e3 and 1e4) and ExactSum as u shrinks (within 2e-4
+    at u <= 1e-2), and a target far from its regime carries a warning.
+
+    What no target changes is formed once per run; each target's own
+    arithmetic is a one-target run's, in the same order, so a run gives its
+    targets' one-target results, and raises where the first of them would.
     """
     lam = carrier.wavelength
     m, n = geom.num_tx, geom.num_rx
     d_t, d_r = geom.tx_spacing, geom.rx_spacing
-    r, th = tgt.range_m, tgt.angle_rad
     sep = geom.array_separation
-    pref = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
-    u = m * d_t / r
-    sth, cth = math.sin(th), math.cos(th)
+    mant, pow2 = _split_prefactor(cfg)
     method = CrbMethod.ASYMPTOTIC
-
-    warns = []
-    if regime is AsymptoticRegime.LARGE_APERTURE and u < 10.0:
-        warns.append(f"aperture-to-range ratio {u:.3g} is below the large-aperture regime")
-    elif regime is AsymptoticRegime.INFINITE_APERTURE and u < 100.0:
-        warns.append(f"aperture-to-range ratio {u:.3g} is far from the infinite-aperture limit")
-    elif regime is AsymptoticRegime.SMALL_APERTURE and u > 0.1:
-        warns.append(f"aperture-to-range ratio {u:.3g} is above the small-aperture regime")
-    warns = tuple(warns)
-
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        if mode is Mode.PHASED:
-            return CrbResult.unidentifiable(method, warns)
-        if sep <= 0.0:
-            raise DomainError("bistatic asymptotics require array_separation > 0")
-        if th != 0.0:
-            warns = warns + ("boresight-only formula evaluated off boresight",)
-        if sep == r:
-            raise SingularGeometryError("target range equals the array separation")
-        if regime is AsymptoticRegime.SMALL_APERTURE:
-            lever = (r / (sep - r)) ** 2
-            crb_t = pref * 3.0 * lam * lam / (
-                _PI_SQ * n * (d_r * d_r * lever * (n * n - 1.0) + d_t * d_t * m * m))
-            warns = warns + ("range bound diverges in this regime",)
-        else:
-            crb_t = pref * lam * lam / (
-                _PI_SQ * r * r * n
-                * (d_r * d_r * (n * n - 1.0) / (3.0 * (sep - r) ** 2) + 4.0))
-            warns = warns + ("range bound grows without limit with the aperture",)
-        if 0.0 <= crb_t < math.inf:
-            return CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
-        return CrbResult.unidentifiable(method, warns)
-
-    # monostatic
-    if abs(th) >= math.pi / 2:
-        raise SingularGeometryError("asymptotic bounds are singular at theta = +-pi/2")
-    if regime is AsymptoticRegime.SMALL_APERTURE:
-        if mode is Mode.MIMO:
-            crb_t = pref * 3.0 * lam * lam / (2.0 * _PI_SQ * d_t * d_t * m ** 3 * cth * cth)
-        else:
-            crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m ** 4 * cth * cth)
-        warns = warns + ("range bound diverges in this regime",)
-        if 0.0 <= crb_t < math.inf:
-            return CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
-        return CrbResult.unidentifiable(method, warns)
-
-    if regime is AsymptoticRegime.INFINITE_APERTURE:
-        if mode is Mode.MIMO:
-            crb_t = pref * lam * lam * d_t * sth * sth / (8.0 * _PI_CUBE * r ** 3 * cth)
-            crb_r = pref * lam * lam * d_t * cth / (8.0 * _PI_CUBE * r)
-        else:
-            crb_t = pref * lam * lam * d_t * sth * sth / (4.0 * m * _PI_CUBE * r ** 3 * cth)
-            crb_r = pref * lam * lam * d_t * cth / (4.0 * m * _PI_CUBE * r)
-        if th == 0.0:
-            warns = warns + ("angle limit degenerates to 0 at boresight",)
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    mimo = mode is Mode.MIMO
+    # the left prefixes of the written products that no target changes
+    md, pll, pll3, lam2 = m * d_t, mant * lam * lam, mant * 3.0 * lam * lam, lam * lam
+    if bistatic:
+        pi_n, rx_lever, tx_small = _PI_SQ * n, d_r * d_r, d_t * d_t * m * m
+        rx_large = d_r * d_r * (n * n - 1.0)
+    elif regime is AsymptoticRegime.SMALL_APERTURE:
+        den_small = (2.0 * _PI_SQ * d_t * d_t * m ** 3 if mimo
+                     else _PI_SQ * d_t * d_t * m ** 4)
+    elif regime is AsymptoticRegime.INFINITE_APERTURE:
+        pll_d = pll * d_t
+        den_inf = 8.0 * _PI_CUBE if mimo else 4.0 * m * _PI_CUBE
     else:
-        # large aperture: leading-order aperture expansion
-        if u <= 0.0 or cth <= 0.0:
-            raise SingularGeometryError("large-aperture expansion needs u > 0 and |theta| < pi/2")
-        log_t = math.log(u / cth)
-        core = math.pi * u / cth - 4.0 * log_t * log_t
-        c2th = math.cos(2.0 * th)
-        num_t = lam * lam * (
-            (u * sth) ** 2 + math.pi * u * cth * c2th - 4.0 * (cth * cth * log_t + sth * sth) ** 2)
-        num_r = lam * lam * (
-            u * u + math.pi * u * c2th / cth - 4.0 * (log_t - 1.0) ** 2 * sth * sth)
-        if mode is Mode.MIMO:
-            crb_t = pref * num_t / (8.0 * _PI_SQ * r * r * m * core * cth * cth)
-            crb_r = pref * num_r / (8.0 * _PI_SQ * m * core)
+        den_t = 8.0 * _PI_SQ if mimo else 4.0 * _PI_SQ
+        den_r = 8.0 * _PI_SQ * m if mimo else 4.0 * _PI_SQ * m * m
+
+    out = []
+    for tgt in targets:
+        r, th = tgt.range_m, tgt.angle_rad
+        u = md / r
+        sth, cth = math.sin(th), math.cos(th)
+        if regime is AsymptoticRegime.LARGE_APERTURE and u < 10.0:
+            warns = (f"aperture-to-range ratio {u:.3g} is below the large-aperture regime",)
+        elif regime is AsymptoticRegime.INFINITE_APERTURE and u < 100.0:
+            warns = (f"aperture-to-range ratio {u:.3g} is far from the infinite-aperture limit",)
+        elif regime is AsymptoticRegime.SMALL_APERTURE and u > 0.1:
+            warns = (f"aperture-to-range ratio {u:.3g} is above the small-aperture regime",)
         else:
-            crb_t = pref * num_t / (4.0 * _PI_SQ * r * r * m * m * core * cth * cth)
-            crb_r = pref * num_r / (4.0 * _PI_SQ * m * m * core)
-    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
-            crb_asymptotic(geom, tgt, carrier, _UNIT_PREFACTOR, regime, mode, topology)
-            .identifiable):
-        return CrbResult(crb_t, crb_r, True, method, warns)
-    return _guarded(method, warns)
+            warns = ()
+
+        if bistatic:
+            if mode is Mode.PHASED:
+                out.append(CrbResult.unidentifiable(method, warns))
+                continue
+            if sep <= 0.0:
+                raise DomainError("bistatic asymptotics require array_separation > 0")
+            if th != 0.0:
+                warns = warns + ("boresight-only formula evaluated off boresight",)
+            if sep == r:
+                raise SingularGeometryError("target range equals the array separation")
+            if regime is AsymptoticRegime.SMALL_APERTURE:
+                lever = (r / (sep - r)) ** 2
+                crb_t = pll3 / (pi_n * (rx_lever * lever * (n * n - 1.0) + tx_small)) * pow2
+                warns = warns + ("range bound diverges in this regime",)
+            else:
+                lever = rx_large / (3.0 * (sep - r) ** 2) + 4.0
+                crb_t = pll / (_PI_SQ * r * r * n * lever) * pow2
+                warns = warns + ("range bound grows without limit with the aperture",)
+            out.append(CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
+                       if 0.0 <= crb_t < math.inf else CrbResult.unidentifiable(method, warns))
+            continue
+
+        # monostatic
+        if abs(th) >= _HALF_PI:
+            raise SingularGeometryError("asymptotic bounds are singular at theta = +-pi/2")
+        if regime is AsymptoticRegime.SMALL_APERTURE:
+            crb_t = pll3 / (den_small * cth * cth) * pow2
+            warns = warns + ("range bound diverges in this regime",)
+            out.append(CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
+                       if 0.0 <= crb_t < math.inf else CrbResult.unidentifiable(method, warns))
+            continue
+        if regime is AsymptoticRegime.INFINITE_APERTURE:
+            crb_t = pll_d * sth * sth / (den_inf * r ** 3 * cth) * pow2
+            crb_r = pll_d * cth / (den_inf * r) * pow2
+            if th == 0.0:
+                warns = warns + ("angle limit degenerates to 0 at boresight",)
+        else:
+            # large aperture: leading-order aperture expansion
+            if u <= 0.0 or cth <= 0.0:
+                raise SingularGeometryError(
+                    "large-aperture expansion needs u > 0 and |theta| < pi/2")
+            log_t = math.log(u / cth)
+            core = math.pi * u / cth - 4.0 * log_t * log_t
+            c2th = math.cos(2.0 * th)
+            num_t = lam2 * ((u * sth) ** 2 + math.pi * u * cth * c2th
+                            - 4.0 * (cth * cth * log_t + sth * sth) ** 2)
+            num_r = lam2 * (
+                u * u + math.pi * u * c2th / cth - 4.0 * (log_t - 1.0) ** 2 * sth * sth)
+            den = den_t * r * r * m if mimo else den_t * r * r * m * m
+            crb_t = mant * num_t / (den * core * cth * cth) * pow2
+            crb_r = mant * num_r / (den_r * core) * pow2
+        if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
+                crb_asymptotic(geom, (tgt,), carrier, _UNIT_PREFACTOR, regime, mode, topology)[0]
+                .identifiable):
+            out.append(CrbResult(crb_t, crb_r, True, method, warns))
+        else:
+            out.append(_guarded(method, warns))
+    return out
 
 
-def crb_taylor(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> CrbResult:
-    """Bounds under the second-order (Fresnel) distance approximation.
+def crb_taylor(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> list:
+    """Monostatic bounds under the second-order (Fresnel) distance
+    approximation, at each of the targets, in order.
 
-    The angle bound collapses to the plane-wave reference; the range bound
-    stays finite but scales differently from the exact-distance result.
+    They are the exact bounds of the quadratic-phase model, which is what
+    judges them: a finite-difference FIM of that model agrees to 1e-5
+    (test_taylor_matches_quadratic_phase_fim_oracle). The angle bound
+    collapses to the plane-wave reference (to 1e-12, criterion 6); the range
+    bound stays finite but scales differently from the exact-distance one.
+
+    The prefactor 1/(2 gamma L) and what no target changes are formed once
+    per run; each target's own arithmetic is a one-target run's, in the
+    same order, so a run gives its targets' one-target results, and raises
+    where the first of them would.
     """
     lam = carrier.wavelength
     m = geom.num_tx
     d_t = geom.tx_spacing
-    r, th = tgt.range_m, tgt.angle_rad
-    if abs(th) >= math.pi / 2:
-        raise SingularGeometryError("Taylor bounds are singular at theta = +-pi/2")
-    cth = math.cos(th)
-    if m < 3:
-        return CrbResult.unidentifiable(CrbMethod.TAYLOR)
-    pref = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
+    mant, pow2 = _split_prefactor(cfg)
     m2 = float(m) * m
-    quartic = (math.pi * d_t * d_t * cth * cth) ** 2
-    # range numerator shared by both modes
-    inner = 15.0 * r * r + (d_t * math.sin(th)) ** 2 * (m2 - 4.0)
+    m2_1, m2_4 = m2 - 1.0, m2 - 4.0
+    # the left prefixes of the written products that no target changes
+    num_t, pi_dd = mant * 3.0 * lam * lam, math.pi * d_t * d_t
     if mode is Mode.MIMO:
-        crb_t = pref * 3.0 * lam * lam / (2.0 * _PI_SQ * d_t * d_t * m * (m2 - 1.0) * cth * cth)
-        crb_r = pref * 6.0 * lam * lam * r * r * inner / (quartic * m * (m2 - 1.0) * (m2 - 4.0))
+        den_t, num_r, m_r = 2.0 * _PI_SQ * d_t * d_t * m * m2_1, mant * 6.0 * lam * lam, m
     else:
-        crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
-        crb_r = pref * 12.0 * lam * lam * r * r * inner / (quartic * m2 * (m2 - 1.0) * (m2 - 4.0))
-    if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
-            crb_taylor(geom, tgt, carrier, _UNIT_PREFACTOR, mode).identifiable):
-        return CrbResult(crb_t, crb_r, True, CrbMethod.TAYLOR)
-    return _guarded(CrbMethod.TAYLOR, ())
+        den_t, num_r, m_r = _PI_SQ * d_t * d_t * m2 * m2_1, mant * 12.0 * lam * lam, m2
+    out = []
+    for tgt in targets:
+        r, th = tgt.range_m, tgt.angle_rad
+        if abs(th) >= _HALF_PI:
+            raise SingularGeometryError("Taylor bounds are singular at theta = +-pi/2")
+        if m < 3:
+            out.append(CrbResult.unidentifiable(CrbMethod.TAYLOR))
+            continue
+        cth = math.cos(th)
+        quartic = (pi_dd * cth * cth) ** 2
+        # range numerator shared by both modes
+        inner = 15.0 * r * r + (d_t * math.sin(th)) ** 2 * m2_4
+        crb_t = num_t / (den_t * cth * cth) * pow2
+        crb_r = num_r * r * r * inner / (quartic * m_r * m2_1 * m2_4) * pow2
+        if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
+                crb_taylor(geom, (tgt,), carrier, _UNIT_PREFACTOR, mode)[0].identifiable):
+            out.append(CrbResult(crb_t, crb_r, True, CrbMethod.TAYLOR))
+        else:
+            out.append(_guarded(CrbMethod.TAYLOR, ()))
+    return out
 
 
-def crb_farfield_upw(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topology: Topology) -> CrbResult:
-    """Plane-wave reference bounds: finite for angle, none for range."""
+def crb_farfield_upw(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mode,
+                     topology: Topology) -> list:
+    """Plane-wave reference bounds at each of the targets, in order: finite
+    for angle, none for range.
+
+    They are the exact angle bounds of the linear-phase (far-field) model
+    over the discrete M(M^2 - 1) aperture, which is what judges them; the
+    exact-distance bound (ExactSum) approaches their continuum form to 2e-4
+    at an aperture-to-range ratio of 1e-2 and below.
+
+    What no target changes is formed once per run; each target's own
+    arithmetic is a one-target run's, in the same order, so a run gives its
+    targets' one-target results, and raises where the first of them would.
+    """
     lam = carrier.wavelength
     m, n = geom.num_tx, geom.num_rx
     d_t, d_r = geom.tx_spacing, geom.rx_spacing
-    if abs(tgt.angle_rad) >= math.pi / 2:
-        raise SingularGeometryError("plane-wave bounds are singular at theta = +-pi/2")
-    cth = math.cos(tgt.angle_rad)
-    pref = 1.0 / (2.0 * cfg.snr_linear * cfg.time_bandwidth)
+    mant, pow2 = _split_prefactor(cfg)
     m2 = float(m) * m
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        if mode is Mode.PHASED:
-            return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
-        denom = _PI_SQ * n * (d_r * d_r * (n * n - 1.0) + d_t * d_t * (m2 - 1.0)) * cth * cth
-        if denom <= 0.0:
-            return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
-        crb_t = pref * 3.0 * lam * lam / denom
-    elif m < 2:
-        return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
-    elif mode is Mode.MIMO:
-        crb_t = pref * 3.0 * lam * lam / (2.0 * _PI_SQ * d_t * d_t * m * (m2 - 1.0) * cth * cth)
+    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    # the left prefixes of the written products that no target changes
+    num = mant * 3.0 * lam * lam
+    if bistatic:
+        none = mode is Mode.PHASED
+        den = _PI_SQ * n * (d_r * d_r * (n * n - 1.0) + d_t * d_t * (m2 - 1.0))
     else:
-        crb_t = pref * 3.0 * lam * lam / (_PI_SQ * d_t * d_t * m2 * (m2 - 1.0) * cth * cth)
-    if 0.0 <= crb_t < math.inf:
-        return CrbResult(crb_t, math.inf, False, CrbMethod.FARFIELD_UPW, _NO_RANGE)
-    return CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW)
+        none = m < 2
+        den = (2.0 * _PI_SQ * d_t * d_t * m * (m2 - 1.0) if mode is Mode.MIMO
+               else _PI_SQ * d_t * d_t * m2 * (m2 - 1.0))
+    out = []
+    for tgt in targets:
+        th = tgt.angle_rad
+        if abs(th) >= _HALF_PI:
+            raise SingularGeometryError("plane-wave bounds are singular at theta = +-pi/2")
+        if none:
+            out.append(CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW))
+            continue
+        cth = math.cos(th)
+        denom = den * cth * cth
+        if bistatic and denom <= 0.0:
+            out.append(CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW))
+            continue
+        crb_t = num / denom * pow2
+        out.append(CrbResult(crb_t, math.inf, False, CrbMethod.FARFIELD_UPW, _NO_RANGE)
+                   if 0.0 <= crb_t < math.inf
+                   else CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW))
+    return out
 
 
 def boresight_range_crb(aperture_ratio: float, num_rx: int, wavelength: float, cfg: NoiseAndPowerConfig) -> float:

@@ -342,11 +342,15 @@ def validate_config(cfg: ExperimentConfig) -> list:
     forced to M there. Each geometry is checked once (_check_geometry),
     each noise config's 2 gamma L (_snr_in_range), each bistatic point's
     receive terms (_receive_in_range), and with Monte Carlo each point's
-    search window (_window_in_range).
+    search window (_window_in_range). Each distinct transmit count is
+    rounded, and each distinct snr_db keyed, once.
     """
     axis = cfg.sweep.axis
     mono = cfg.topology is Topology.MONOSTATIC
-    geoms, noises, carrier = {}, {}, None
+    geoms, noises, rounded, carrier = {}, {}, {}, None
+    # -0 dB is keyed apart from 0, so that each is echoed as configured; a
+    # sweep that does not vary snr_db keys its one value once
+    snr_key = cfg.snr_db if cfg.snr_db else repr(cfg.snr_db)
     points = []
     for v in cfg.sweep.points():
         num_tx, angle_deg, range_m, snr_db = (
@@ -361,7 +365,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
             range_m = float(v)
         else:
             snr_db = float(v)
-        num_tx, warns = _round_odd(num_tx)
+            snr_key = snr_db if snr_db else repr(snr_db)
+        odd = rounded.get(num_tx)
+        if odd is None:
+            odd = rounded[num_tx] = _round_odd(num_tx)
+        num_tx, warns = odd
         try:
             geom = geoms.get(num_tx)
             new_geom = geom is None
@@ -375,8 +383,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 )
             tgt = TargetLocation(range_m=range_m, angle_rad=math.radians(angle_deg))
             carrier = carrier or CarrierConfig(carrier_freq=cfg.carrier_freq_hz)
-            # -0 dB is keyed apart from 0, so that each is echoed as configured
-            snr_key = snr_db if snr_db else repr(snr_db)
             ncfg = noises.get(snr_key)
             if ncfg is None:
                 ncfg = noises[snr_key] = NoiseAndPowerConfig.from_snr(
@@ -402,29 +408,33 @@ def validate_config(cfg: ExperimentConfig) -> list:
     return points
 
 
-def _eval_method(method: CrbMethod, targets, scn: SensingScenario,
-                 ncfg: NoiseAndPowerConfig, regime: str) -> list:
-    """One result per target of a run: points that share scn's geometry,
-    carrier, mode and topology and the noise config ncfg. ExactSum sums the
-    run in blocks; NumericalFim evaluates it target by target, which costs
-    less for a lone target (an M sweep's run) and which run_experiment
-    uses for both when a config lists both."""
-    # evaluators are looked up as module globals at call time, so that a
-    # wrapper installed on a module binding (a tracer) sees every call
-    g, c, mode, topology = scn.geometry, scn.carrier, scn.mode, scn.topology
-    if method is CrbMethod.EXACT_SUM:
-        return crb_exact_sum(g, targets, c, ncfg, mode, topology)
-    if method is CrbMethod.CLOSED_FORM:
-        return [crb_closed(g, t, c, ncfg, mode, topology) for t in targets]
-    if method is CrbMethod.NUMERICAL_FIM:
-        return [crb_from_fim(fim_numeric(build_observation(g, t, c, mode, topology), ncfg))
-                for t in targets]
-    if method is CrbMethod.ASYMPTOTIC:
-        reg = AsymptoticRegime(regime)
-        return [crb_asymptotic(g, t, c, ncfg, reg, mode, topology) for t in targets]
-    if method is CrbMethod.TAYLOR:
-        return [crb_taylor(g, t, c, ncfg, mode) for t in targets]
-    return [crb_farfield_upw(g, t, c, ncfg, mode, topology) for t in targets]
+# one evaluator per method: (targets, scn, ncfg, regime) -> one result per
+# target of a run, points that share scn's geometry, carrier, mode and
+# topology and the noise config ncfg. ExactSum sums the run in blocks, and
+# Taylor, FarFieldUPW and Asymptotic form once per run what its targets
+# share. ClosedForm and NumericalFim evaluate target by target: NumericalFim
+# costs less so for a lone target (an M sweep's run), and run_experiment
+# uses it for both exact methods when a config lists both. Each looks its
+# bound function up as a module global at call time, so that a wrapper
+# installed on a module binding (a tracer) sees every call
+_EVALUATORS = {
+    CrbMethod.EXACT_SUM: lambda targets, scn, ncfg, regime: crb_exact_sum(
+        scn.geometry, targets, scn.carrier, ncfg, scn.mode, scn.topology),
+    CrbMethod.CLOSED_FORM: lambda targets, scn, ncfg, regime: [
+        crb_closed(scn.geometry, t, scn.carrier, ncfg, scn.mode, scn.topology)
+        for t in targets],
+    CrbMethod.NUMERICAL_FIM: lambda targets, scn, ncfg, regime: [
+        crb_from_fim(fim_numeric(build_observation(
+            scn.geometry, t, scn.carrier, scn.mode, scn.topology), ncfg))
+        for t in targets],
+    CrbMethod.ASYMPTOTIC: lambda targets, scn, ncfg, regime: crb_asymptotic(
+        scn.geometry, targets, scn.carrier, ncfg, AsymptoticRegime(regime), scn.mode,
+        scn.topology),
+    CrbMethod.TAYLOR: lambda targets, scn, ncfg, regime: crb_taylor(
+        scn.geometry, targets, scn.carrier, ncfg, scn.mode),
+    CrbMethod.FARFIELD_UPW: lambda targets, scn, ncfg, regime: crb_farfield_upw(
+        scn.geometry, targets, scn.carrier, ncfg, scn.mode, scn.topology),
+}
 
 
 def _out_of_range_error(method: CrbMethod, res: CrbResult, point) -> ConfigError:
@@ -516,22 +526,30 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
     shared = CrbMethod.NUMERICAL_FIM in methods
     sources = [CrbMethod.NUMERICAL_FIM if shared and m is CrbMethod.EXACT_SUM else m
                for m in methods]
+    # each source is evaluated at its first position, and a later position
+    # with the same source reads that one's results: resolved here once, so
+    # that no run hashes a CrbMethod (Enum.__hash__ runs in Python)
+    owners = [sources.index(source) for source in sources]
+    evaluators = [_EVALUATORS[source] for source in sources]
     results = [[] for _ in methods]
     reports = [] if cfg.montecarlo else None
     for _, run in itertools.groupby(points, _run_key):
         run = list(run)
         scn, ncfg, _ = run[0]
         targets = [s.target for s, _, _ in run]
-        done = {}
-        for method, source, out in zip(methods, sources, results):
-            if source not in done:
-                done[source] = _eval_method(source, targets, scn, ncfg, cfg.asymptotic_regime)
-                bad = _first_out_of_range(source, done[source])
+        done = []
+        for i, (method, source, out) in enumerate(zip(methods, sources, results)):
+            if owners[i] == i:
+                res = evaluators[i](targets, scn, ncfg, cfg.asymptotic_regime)
+                bad = _first_out_of_range(source, res)
                 if bad is not None:
-                    raise _out_of_range_error(source, done[source][bad], run[bad])
-            out += (done[source] if source is method
-                    else [CrbResult(res.crb_theta, res.crb_range, res.identifiable, method,
-                                    res.warnings) for res in done[source]])
+                    raise _out_of_range_error(source, res[bad], run[bad])
+            else:
+                res = done[owners[i]]
+            done.append(res)
+            out += (res if source is method
+                    else [CrbResult(r.crb_theta, r.crb_range, r.identifiable, method,
+                                    r.warnings) for r in res])
         # after the bounds, so that a refused run spends no trials
         if reports is not None:
             reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
@@ -546,17 +564,29 @@ def _text_cell(text: str) -> str:
 
 
 def _scenario_cells(points) -> list:
-    """The M .. L cells of each point, one string per point; a run's
-    geometry cells are formatted once."""
-    cells, geom, geom_cells = [], None, ""
+    """The M .. L cells of each point, one string per point. A run's
+    geometry cells are formatted once, and so are its noise config's (snr_db
+    and L); a theta or r cell is formatted again only where its value's
+    bits change, so a sweep formats its axis column per point and the other
+    once. Equal values of one bit pattern print alike; 0.0 == -0.0 does not,
+    so a zero is never reused."""
+    cells, geom, geom_cells, noise, noise_cells = [], None, "", None, ""
+    th_prev = r_prev = None
     for scn, ncfg, _ in points:
         if scn.geometry is not geom:
             geom = scn.geometry
             geom_cells = (f"{geom.num_tx},{geom.num_rx},{geom.tx_spacing:.17g},"
                           f"{geom.rx_spacing:.17g},{geom.array_separation:.17g}")
+        if ncfg is not noise:
+            noise = ncfg
+            noise_cells = f"{ncfg.snr_db:.17g},{ncfg.time_bandwidth:.17g}"
         tgt = scn.target
-        cells.append(f"{geom_cells},{tgt.angle_rad:.17g},{tgt.range_m:.17g},"
-                     f"{ncfg.snr_db:.17g},{ncfg.time_bandwidth:.17g}")
+        th, r = tgt.angle_rad, tgt.range_m
+        if not (th is th_prev or th == th_prev != 0.0):
+            th_prev, th_cell = th, f"{th:.17g}"
+        if not (r is r_prev or r == r_prev != 0.0):
+            r_prev, r_cell = r, f"{r:.17g}"
+        cells.append(f"{geom_cells},{th_cell},{r_cell},{noise_cells}")
     return cells
 
 

@@ -204,11 +204,13 @@ def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
     return FimMatrix(np.reshape(q, (2, 2)))
 
 
-def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings: tuple = ()) -> CrbResult:
-    """scale times the diagonal of the inverse of [[q00, q01], [q10, q11]]
-    under the one identifiability rule of every bound, det > DET_REL_TOL q00
-    q11. The rule does not move when a parameter changes units (q -> D q D,
-    D diagonal); for a centred Gram it is what rounding of det warrants.
+def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings: tuple = (),
+                      pow2=1.0) -> CrbResult:
+    """scale times the diagonal of the inverse of [[q00, q01], [q10, q11]],
+    times the power of two pow2 last, under the one identifiability rule of
+    every bound, det > DET_REL_TOL q00 q11. The rule does not move when a
+    parameter changes units (q -> D q D, D diagonal); for a centred Gram it
+    is what rounding of det warrants.
 
     The entries are first taken to D q D with D = diag(2^-a, 2^-b) bringing
     q00 and q11 near 1, so det neither overflows nor underflows at an
@@ -225,7 +227,7 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     det = q00 * q11 - q01 * q10
     if not det > DET_REL_TOL * q00 * q11:
         return CrbResult.unidentifiable(method, warnings + (SINGULAR_WARNING,))
-    return CrbResult(scale * q11 * fa * fa / det, scale * q00 * fb * fb / det,
+    return CrbResult(scale * q11 * fa * fa / det * pow2, scale * q00 * fb * fb / det * pow2,
                      True, method, warnings)
 
 

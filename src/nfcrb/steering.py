@@ -148,6 +148,16 @@ def steering_factors(
     return a, (a if topology is Topology.MONOSTATIC else b)
 
 
+# A location is clear of every transmit element when cos^2(theta) exceeds
+# this times (1 + U)^2, U = (M - 1)/2 d_tx/r the largest |u| = |m| d_tx/r.
+# Basis: (r_m/r)^2 = 1 - 2 u s + u^2 = (u - s)^2 + 1 - s^2, where 1 - s^2
+# is within 2^-51 of cos^2(theta) for math's s = sin(theta) and cos, and
+# the float expression rounds within 2^-52 (1 + |u|)^2 of it; 2^-47 leaves
+# a margin of 2^4. Only a location within ~1e-7 (1 + U) of theta = +-pi/2
+# is checked element by element
+_GUARD_COS_SQ = 2.0 ** -47
+
+
 def _shared(column: np.ndarray) -> bool:
     """Whether every entry of a float column has the first one's bits
     (+0.0 and -0.0 are different operands)."""
@@ -203,12 +213,16 @@ def phase_derivs(
             th = float(th[0, 0])
         elif _shared(r):
             r = float(r[0, 0])
+    count = locations[0] if locations else 1
     if isinstance(th, float):
         sth, cth = math.sin(th), math.cos(th)
+        cos_sq = [cth * cth] * count
     else:
         # sin and cos per location, as a lone location takes them
-        sth, cth = (np.array([f(t) for t in th[:, 0].tolist()])[:, None]
-                    for f in (math.sin, math.cos))
+        ths = th[:, 0].tolist()
+        sins, coss = [math.sin(t) for t in ths], [math.cos(t) for t in ths]
+        sth, cth = np.array(sins)[:, None], np.array(coss)[:, None]
+        cos_sq = [c * c for c in coss]
 
     if topology is Topology.BISTATIC_NEAR_FAR_TX:
         knd = k * (geom.rx_indices() * geom.rx_spacing)
@@ -216,22 +230,31 @@ def phase_derivs(
         psi_b = np.array((g_th * knd, g_r * knd))
         if mode is Mode.PHASED:
             return np.zeros((2, *locations, 1)), psi_b
+    # the locations that _GUARD_COS_SQ does not clear, from Python scalars
+    half_d = geom.num_tx // 2 * geom.tx_spacing
+    near = []
+    for j, (c2, rj) in enumerate(zip(cos_sq, [r] * count if isinstance(r, float)
+                                     else r[:, 0].tolist())):
+        reach = 1.0 + half_d / rj
+        if not c2 > _GUARD_COS_SQ * reach * reach:
+            near.append((j,) if locations else ())
     nd = geom.tx_indices() * geom.tx_spacing
     if work is None:
         work = np.empty((4, *locations, nd.size))
     w0, w1, w2, w3 = work
     # in units of r: u = m d_tx/r, rho = r_m/r. A range every location
-    # shares (a theta sweep) gives u and u^2 as one row each, in the first
-    # rows of their planes, which the (P, 1) sin and cos columns broadcast
-    # against
-    u_at, uu_at = (w0[0], w3[0]) if locations and isinstance(r, float) else (w0, w3)
-    u = np.divide(nd, r, out=u_at)
+    # shares (a theta sweep) gives u as one row, the first of its plane,
+    # which the (P, 1) sin and cos columns broadcast against
+    u = np.divide(nd, r, out=w0[0] if locations and isinstance(r, float) else w0)
     us = np.multiply(u, sth, out=w1)
-    # the derivatives divide by r_m: (r_m/r)^2 = 1 - 2 u sin(theta) + u^2
-    rm2 = np.subtract(1.0, np.multiply(2.0, us, out=w2), out=w2)
-    np.add(rm2, np.multiply(u, u, out=uu_at), out=rm2)
-    if not rm2.min() > 0.0:
-        raise DegenerateGeometryError("target coincides with a transmit element")
+    # the derivatives divide by r_m: (r_m/r)^2 = 1 - 2 u sin(theta) + u^2,
+    # formed over the elements of each location the scalar bound left
+    for at in near:
+        u_at = u if u.ndim == 1 else u[at]
+        rm2 = np.subtract(1.0, np.multiply(2.0, us[at], out=w2[at]), out=w2[at])
+        np.add(rm2, np.multiply(u_at, u_at, out=w3[at]), out=rm2)
+        if not rm2.min() > 0.0:
+            raise DegenerateGeometryError("target coincides with a transmit element")
     mc = np.multiply(u, cth, out=w2)
     lin = np.subtract(1.0, us, out=w3)
     mc2 = np.multiply(mc, mc, out=w0)

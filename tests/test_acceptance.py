@@ -169,12 +169,12 @@ def test_criterion_04_infinite_aperture_limit():
         geom, tgt = mono_geom(m), target(r, th)
         for mode in (Mode.MIMO, Mode.PHASED):
             closed = crb_closed(geom, tgt, CARRIER, CFG0, mode, Topology.MONOSTATIC)
-            large = crb_asymptotic(geom, tgt, CARRIER, CFG0,
+            large = crb_asymptotic(geom, (tgt,), CARRIER, CFG0,
                                    AsymptoticRegime.LARGE_APERTURE,
-                                   mode, Topology.MONOSTATIC)
-            lim = crb_asymptotic(geom, tgt, CARRIER, CFG0,
+                                   mode, Topology.MONOSTATIC)[0]
+            lim = crb_asymptotic(geom, (tgt,), CARRIER, CFG0,
                                  AsymptoticRegime.INFINITE_APERTURE,
-                                 mode, Topology.MONOSTATIC)
+                                 mode, Topology.MONOSTATIC)[0]
             rt = rel_err(closed.crb_theta, large.crb_theta)
             rr = rel_err(closed.crb_range, large.crb_range)
             gaps[(mode, ratio)] = (rel_err(closed.crb_theta, lim.crb_theta),
@@ -195,9 +195,9 @@ def test_criterion_04_infinite_aperture_limit():
         tgt = target(r, 0.0)
         closed = crb_closed(bi, tgt, CARRIER, CFG0, Mode.MIMO,
                             Topology.BISTATIC_NEAR_FAR_TX)
-        lim = crb_asymptotic(bi, tgt, CARRIER, CFG0,
+        lim = crb_asymptotic(bi, (tgt,), CARRIER, CFG0,
                              AsymptoticRegime.LARGE_APERTURE,
-                             Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)
+                             Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0]
         rt = rel_err(closed.crb_theta, lim.crb_theta)
         details.append(f"bistatic boresight D/r={ratio:g}: theta {rt:.4e} (tol {tol:g})")
         if rt > tol:
@@ -217,8 +217,8 @@ def test_criterion_05_small_aperture_correction():
     for th in (0.0, math.pi / 6, math.pi / 3):
         tgt = target(r, th)
         closed = crb_closed(geom, tgt, CARRIER, CFG0, Mode.MIMO, Topology.MONOSTATIC)
-        upw = crb_farfield_upw(geom, tgt, CARRIER, CFG0, Mode.MIMO,
-                               Topology.MONOSTATIC)
+        upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG0, Mode.MIMO,
+                               Topology.MONOSTATIC)[0]
         ratio = closed.crb_theta / upw.crb_theta
         xi = 1.0  # the model's small-aperture angle factor: the plane-wave limit
         band_ok &= 0.6 < ratio <= 1.05
@@ -237,9 +237,9 @@ def test_criterion_06_taylor_angle_equals_plane_wave():
         for th in (0.0, 0.2, -0.2, 0.7, -0.7, 1.3, -1.3):
             tgt = target(10.0, th)
             for mode in (Mode.MIMO, Mode.PHASED):
-                tay = crb_taylor(geom, tgt, CARRIER, CFG0, mode)
-                upw = crb_farfield_upw(geom, tgt, CARRIER, CFG0, mode,
-                                       Topology.MONOSTATIC)
+                tay = crb_taylor(geom, (tgt,), CARRIER, CFG0, mode)[0]
+                upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG0, mode,
+                                       Topology.MONOSTATIC)[0]
                 worst = max(worst, rel_err(tay.crb_theta, upw.crb_theta))
     ok, line = report(
         6, "quadratic-phase angle bound equals the plane-wave bound",

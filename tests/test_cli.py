@@ -488,6 +488,35 @@ def test_extreme_snr_scales_the_bounds_exactly(capsys):
                 assert abs(float(row[col]) / (float(ref[col]) * factor) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("snr,sets", [
+    ("-3060", ("fig2", "sweep.values=1025")),
+    ("-3060", ("fig3", "sweep.values=1025")),
+    # at 100 MHz FarFieldUPW printed an unexplained inf,inf,false row and
+    # Asymptotic exited 2
+    ("-3075", ("fig2", "sweep.values=2049", "scenario.carrier_freq_hz=1e8",
+               "methods.use=ClosedForm,ExactSum,Taylor,FarFieldUPW,Asymptotic")),
+], ids=["fig2", "fig3", "fig2-100MHz"])
+def test_low_snr_bounds_that_fit_a_float_are_printed(snr, sets, capsys):
+    # every bound here fits a float, but ClosedForm's MIMO scale, Taylor's
+    # range numerator and the 1/(2 gamma L) lambda^2 prefix of the others
+    # overflowed before their division and the point exited 2; each bound is
+    # its 0 dB value times 10^(-snr_db/10)
+    name, *pairs = sets
+    rows = {}
+    for snr_db in ("0", snr):
+        argv = ["preset", name, "--set", f"scenario.snr_db={snr_db}"]
+        assert main(argv + [a for p in pairs for a in ("--set", p)]) == 0
+        rows[snr_db] = _rows(capsys.readouterr().out)
+    factor = 10.0 ** (-float(snr) / 10.0)
+    for row, ref in zip(rows[snr], rows["0"], strict=True):
+        assert (row["method"], row["identifiable"]) == (ref["method"], ref["identifiable"])
+        for col in ("crb_theta_rad2", "crb_r_m2"):
+            if ref[col] == "inf":
+                assert row[col] == "inf"
+            else:
+                assert abs(float(row[col]) / (float(ref[col]) * factor) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("sets", [
     ("fig2", "scenario.snr_db=-3070", "sweep.values=9"),
     ("fig2", "scenario.snr_db=-3070", "sweep.values=9", "methods.use=Taylor"),

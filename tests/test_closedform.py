@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CARRIER,
@@ -166,8 +168,8 @@ def test_model_warnings():
 # --- asymptotic regimes ------------------------------------------------------------
 
 def test_large_aperture_frozen_value_and_regime_warning():
-    res = crb_asymptotic(mono_geom(65), target(18.0, 0.3), CARRIER, CFG,
-                         AsymptoticRegime.LARGE_APERTURE, Mode.MIMO, Topology.MONOSTATIC)
+    res = crb_asymptotic(mono_geom(65), (target(18.0, 0.3),), CARRIER, CFG,
+                         AsymptoticRegime.LARGE_APERTURE, Mode.MIMO, Topology.MONOSTATIC)[0]
     assert rel_err(res.crb_theta, 3.8090698088409075e-09) < 1e-12
     assert rel_err(res.crb_range, 2.919690027960027e-07) < 1e-12
     assert any("below the large-aperture regime" in w for w in res.warnings)
@@ -181,9 +183,9 @@ def test_closed_form_approaches_infinite_aperture_limit():
         r = m * SPACING / (ratio * math.cos(th))
         geom, tgt = mono_geom(m), target(r, th)
         cl = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
-        lim = crb_asymptotic(geom, tgt, CARRIER, CFG,
+        lim = crb_asymptotic(geom, (tgt,), CARRIER, CFG,
                              AsymptoticRegime.INFINITE_APERTURE,
-                             Mode.MIMO, Topology.MONOSTATIC)
+                             Mode.MIMO, Topology.MONOSTATIC)[0]
         rels.append((rel_err(cl.crb_theta, lim.crb_theta),
                      rel_err(cl.crb_range, lim.crb_range)))
     assert rels[0][0] < 0.10 and rels[0][1] < 0.10
@@ -194,9 +196,9 @@ def test_closed_form_approaches_infinite_aperture_limit():
 def test_small_aperture_matches_scaled_plane_wave():
     m = 1025
     geom, tgt = mono_geom(m), target(5000.0, math.pi / 6)
-    small = crb_asymptotic(geom, tgt, CARRIER, CFG, AsymptoticRegime.SMALL_APERTURE,
-                           Mode.MIMO, Topology.MONOSTATIC)
-    upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
+    small = crb_asymptotic(geom, (tgt,), CARRIER, CFG, AsymptoticRegime.SMALL_APERTURE,
+                           Mode.MIMO, Topology.MONOSTATIC)[0]
+    upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)[0]
     # identical up to the discrete-vs-continuum factor (1 - 1/M^2)
     want = 1.0 - 1.0 / (m * m)
     assert small.crb_theta / upw.crb_theta == pytest.approx(want, rel=1e-12)
@@ -204,9 +206,9 @@ def test_small_aperture_matches_scaled_plane_wave():
 
 
 def test_infinite_aperture_boresight_warning():
-    res = crb_asymptotic(mono_geom(65), target(18.0, 0.0), CARRIER, CFG,
+    res = crb_asymptotic(mono_geom(65), (target(18.0, 0.0),), CARRIER, CFG,
                          AsymptoticRegime.INFINITE_APERTURE, Mode.MIMO,
-                         Topology.MONOSTATIC)
+                         Topology.MONOSTATIC)[0]
     assert res.crb_theta == 0.0
     assert any("degenerates" in w for w in res.warnings)
 
@@ -214,32 +216,32 @@ def test_infinite_aperture_boresight_warning():
 def test_bistatic_asymptotic_guards():
     geom = bi_geom(65, 8, 35.0)
     with pytest.raises(SingularGeometryError):
-        crb_asymptotic(geom, target(35.0, 0.0), CARRIER, CFG,
+        crb_asymptotic(geom, (target(35.0, 0.0),), CARRIER, CFG,
                        AsymptoticRegime.LARGE_APERTURE, Mode.MIMO,
-                       Topology.BISTATIC_NEAR_FAR_TX)
-    res = crb_asymptotic(geom, target(18.0, 0.2), CARRIER, CFG,
+                       Topology.BISTATIC_NEAR_FAR_TX)[0]
+    res = crb_asymptotic(geom, (target(18.0, 0.2),), CARRIER, CFG,
                          AsymptoticRegime.LARGE_APERTURE, Mode.MIMO,
-                         Topology.BISTATIC_NEAR_FAR_TX)
+                         Topology.BISTATIC_NEAR_FAR_TX)[0]
     assert any("off boresight" in w for w in res.warnings)
-    assert not crb_asymptotic(geom, target(18.0, 0.0), CARRIER, CFG,
+    assert not crb_asymptotic(geom, (target(18.0, 0.0),), CARRIER, CFG,
                               AsymptoticRegime.LARGE_APERTURE, Mode.PHASED,
-                              Topology.BISTATIC_NEAR_FAR_TX).identifiable
+                              Topology.BISTATIC_NEAR_FAR_TX)[0].identifiable
 
 
 def test_asymptotic_endfire_rejected():
     with pytest.raises(SingularGeometryError):
-        crb_asymptotic(mono_geom(65), target(18.0, math.pi / 2), CARRIER, CFG,
-                       AsymptoticRegime.LARGE_APERTURE, Mode.MIMO, Topology.MONOSTATIC)
+        crb_asymptotic(mono_geom(65), (target(18.0, math.pi / 2),), CARRIER, CFG,
+                       AsymptoticRegime.LARGE_APERTURE, Mode.MIMO, Topology.MONOSTATIC)[0]
 
 
 # --- Taylor bounds -----------------------------------------------------------------
 
 def test_taylor_frozen_values():
     tgt = target(10.0, math.pi / 6)
-    mimo = crb_taylor(mono_geom(65), tgt, CARRIER, CFG, Mode.MIMO)
+    mimo = crb_taylor(mono_geom(65), (tgt,), CARRIER, CFG, Mode.MIMO)[0]
     assert rel_err(mimo.crb_theta, 1.4973549133001509e-06) < 1e-12
     assert rel_err(mimo.crb_range, 0.07215781554497518) < 1e-12
-    phased = crb_taylor(mono_geom(65), tgt, CARRIER, CFG, Mode.PHASED)
+    phased = crb_taylor(mono_geom(65), (tgt,), CARRIER, CFG, Mode.PHASED)[0]
     assert rel_err(phased.crb_theta, 4.607245887077387e-08) < 1e-12
     assert rel_err(phased.crb_range, 0.0022202404783069284) < 1e-12
 
@@ -249,9 +251,9 @@ def test_taylor_angle_equals_plane_wave_identically():
         for th in (0.0, 0.3, -1.1):
             tgt = target(10.0, th)
             for mode in (Mode.MIMO, Mode.PHASED):
-                tay = crb_taylor(mono_geom(m), tgt, CARRIER, CFG, mode)
-                upw = crb_farfield_upw(mono_geom(m), tgt, CARRIER, CFG,
-                                       mode, Topology.MONOSTATIC)
+                tay = crb_taylor(mono_geom(m), (tgt,), CARRIER, CFG, mode)[0]
+                upw = crb_farfield_upw(mono_geom(m), (tgt,), CARRIER, CFG,
+                                       mode, Topology.MONOSTATIC)[0]
                 assert rel_err(tay.crb_theta, upw.crb_theta) < 1e-12
 
 
@@ -283,33 +285,33 @@ def test_taylor_matches_quadratic_phase_fim_oracle():
     q = fim[:2, :2] - fim[:2, 2:] @ np.linalg.inv(fim[2:, 2:]) @ fim[2:, :2]
     cov = np.linalg.inv(q)
 
-    res = crb_taylor(geom, tgt, CARRIER, CFG, Mode.MIMO)
+    res = crb_taylor(geom, (tgt,), CARRIER, CFG, Mode.MIMO)[0]
     assert rel_err(res.crb_theta, cov[0, 0]) < 1e-5
     assert rel_err(res.crb_range, cov[1, 1]) < 1e-5
 
 
 def test_taylor_needs_three_elements():
-    assert not crb_taylor(mono_geom(1), target(10.0, 0.0), CARRIER, CFG,
-                          Mode.MIMO).identifiable
+    assert not crb_taylor(mono_geom(1), (target(10.0, 0.0),), CARRIER, CFG,
+                          Mode.MIMO)[0].identifiable
     with pytest.raises(SingularGeometryError):
-        crb_taylor(mono_geom(65), target(10.0, math.pi / 2), CARRIER, CFG, Mode.MIMO)
+        crb_taylor(mono_geom(65), (target(10.0, math.pi / 2),), CARRIER, CFG, Mode.MIMO)[0]
 
 
 # --- plane-wave reference ------------------------------------------------------------
 
 def test_plane_wave_frozen_values():
-    res = crb_farfield_upw(mono_geom(65), target(18.0, 0.3), CARRIER, CFG,
-                           Mode.MIMO, Topology.MONOSTATIC)
+    res = crb_farfield_upw(mono_geom(65), (target(18.0, 0.3),), CARRIER, CFG,
+                           Mode.MIMO, Topology.MONOSTATIC)[0]
     assert rel_err(res.crb_theta, 1.230476385605047e-06) < 1e-12
     assert math.isinf(res.crb_range) and not res.identifiable
     assert any("no range information" in w for w in res.warnings)
 
-    bi = crb_farfield_upw(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG,
-                          Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)
+    bi = crb_farfield_upw(bi_geom(65, 8, 35.0), (target(18.0, 0.3),), CARRIER, CFG,
+                          Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0]
     assert rel_err(bi.crb_theta, 1.9701399372038817e-05) < 1e-12
-    assert not crb_farfield_upw(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER,
+    assert not crb_farfield_upw(bi_geom(65, 8, 35.0), (target(18.0, 0.3),), CARRIER,
                                 CFG, Mode.PHASED,
-                                Topology.BISTATIC_NEAR_FAR_TX).identifiable
+                                Topology.BISTATIC_NEAR_FAR_TX)[0].identifiable
 
 
 def test_xi_correction_values_and_domain():
@@ -327,12 +329,12 @@ def test_xi_correction_values_and_domain():
                 exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
                 assert exact.identifiable
                 # discrete M(M^2-1) plane-wave bound -> continuum M^3 bound
-                upw = crb_farfield_upw(geom, tgt, CARRIER, CFG, mode, Topology.MONOSTATIC)
+                upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
                 continuum = upw.crb_theta * (1.0 - 1.0 / (m * m))
                 assert abs(exact.crb_theta / continuum - 1.0) <= 2e-4
-                small = crb_asymptotic(geom, tgt, CARRIER, CFG,
+                small = crb_asymptotic(geom, (tgt,), CARRIER, CFG,
                                        AsymptoticRegime.SMALL_APERTURE, mode,
-                                       Topology.MONOSTATIC)
+                                       Topology.MONOSTATIC)[0]
                 assert rel_err(small.crb_theta, exact.crb_theta) <= 2e-4
 
 
@@ -357,3 +359,71 @@ def test_boresight_bound_guards():
     with pytest.raises(DomainError):
         bistatic_range_crb_minimizer(bi_geom(9, 8, 35.0), target(18.0, 0.1),
                                      CARRIER, CFG)
+
+
+# --- run-shaped evaluators ------------------------------------------------------------
+
+# snr_db values that reach every path: -3070 and +3000 dB take bounds past
+# the float range (Taylor's unit-prefactor re-check, guarded formulas),
+# -3060 dB bounds that fit only through the split prefactor
+_RUN_SNR_DB = (-3070.0, -3060.0, -10.0, 0.0, 20.0, 3000.0)
+_RUN_THETAS = st.one_of(
+    st.floats(-math.pi / 2, math.pi / 2),
+    st.sampled_from((0.0, -0.0, math.pi / 2, -math.pi / 2, 1.5707963, -1.2, 0.3)))
+# 35 m is the bistatic separation, where Asymptotic raises
+_RUN_RANGES = st.one_of(st.floats(1e-3, 1e6), st.sampled_from((35.0, 0.05, 10.0, 5e3)))
+
+
+@st.composite
+def _bound_runs(draw):
+    """A mode, topology, geometry, noise config and a run of targets that
+    share theta (a range sweep) or r (an angle sweep)."""
+    mode, topology = draw(st.sampled_from(Mode)), draw(st.sampled_from(Topology))
+    m = draw(st.sampled_from((1, 3, 9, 65, 1025)))
+    geom = (bi_geom(m, draw(st.sampled_from((1, 8))), 35.0) if topology is BI
+            else mono_geom(m))
+    cfg = NoiseAndPowerConfig.from_snr(draw(st.sampled_from(_RUN_SNR_DB)))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        r = draw(_RUN_RANGES)
+        locations = [(draw(_RUN_THETAS), r) for _ in range(n)]
+    else:
+        th = draw(_RUN_THETAS)
+        locations = [(th, draw(_RUN_RANGES)) for _ in range(n)]
+    return mode, topology, geom, cfg, [target(r, th) for th, r in locations]
+
+
+def _outcome(evaluate, targets):
+    """Each result's bits, identifiability, method and warnings, or the
+    error the evaluation raised."""
+    try:
+        results = evaluate(targets)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+    return [(np.array([res.crb_theta, res.crb_range]).tobytes(), res.identifiable,
+             res.method, res.warnings) for res in results]
+
+
+def _one_by_one(evaluate, targets):
+    """The one-target runs' outcomes in order, up to the first that raises."""
+    out = []
+    for tgt in targets:
+        alone = _outcome(evaluate, (tgt,))
+        if isinstance(alone, tuple):
+            return alone
+        out += alone
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(drawn=_bound_runs())
+def test_run_evaluators_equal_their_one_target_calls(drawn):
+    mode, topology, geom, cfg, targets = drawn
+    evaluators = [lambda ts: crb_farfield_upw(geom, ts, CARRIER, cfg, mode, topology)]
+    evaluators += [lambda ts, reg=reg: crb_asymptotic(geom, ts, CARRIER, cfg, reg, mode, topology)
+                   for reg in AsymptoticRegime]
+    if topology is MONO:
+        evaluators.append(lambda ts: crb_taylor(geom, ts, CARRIER, cfg, mode))
+    for evaluate in evaluators:
+        assert _outcome(evaluate, targets) == _one_by_one(evaluate, targets)
+

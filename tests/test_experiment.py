@@ -418,6 +418,18 @@ def test_a_config_listing_both_fim_methods_evaluates_each_point_once(monkeypatch
             res.crb_theta for res in exact]
 
 
+def test_every_method_has_one_run_evaluator():
+    # one table from CrbMethod to a run's evaluator, with no fallthrough:
+    # each entry's one-point run gives one result labelled with its method
+    assert set(experiment._EVALUATORS) == set(CrbMethod)
+    for mode in Mode:
+        (scn, ncfg, _), = validate_config(mono_cfg(mode=mode, sweep=SweepSpec(
+            axis="M", values=(9,))))
+        for method, evaluate in experiment._EVALUATORS.items():
+            results = evaluate([scn.target], scn, ncfg, "LargeAperture")
+            assert [res.method for res in results] == [method]
+
+
 def test_both_fim_methods_share_rows_in_any_listed_order():
     both = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16, 1)),
                     methods=("NumericalFim", "ClosedForm", "ExactSum"))

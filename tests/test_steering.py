@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CARRIER,
+    SPACING,
     bi_geom,
     factor_partials,
     kron_partials,
@@ -18,13 +21,14 @@ from conftest import (
     target,
     transmit_response,
 )
-from nfcrb.errors import DomainError
+from nfcrb.errors import DegenerateGeometryError, DomainError
 from nfcrb.experiment import csv_text, presets, run_experiment, validate_config
 from nfcrb.geometry import Mode, Topology
 from nfcrb.steering import (
     PhaseFactor,
     build_observation,
     direction_sine_derivs,
+    phase_derivs,
     steering_factors,
 )
 
@@ -317,3 +321,70 @@ def test_bounds_never_form_the_steering_values(name, monkeypatch):
     with pytest.raises(AssertionError, match="bound path"):
         transmit_response(mono_geom(9), target(10.0, 0.3)).values
     assert csv_text(cfg, run_experiment(cfg)) == want
+
+
+# --- the transmit-element guard -----------------------------------------------------
+
+def _refused_element_by_element(geom, th, r) -> bool:
+    """The guard as each element's float (r_m/r)^2 = 1 - 2 u sin(theta) + u^2
+    decides it, u = m d_tx/r: a location is refused unless every element's
+    is positive."""
+    u = geom.tx_indices() * geom.tx_spacing / r
+    rm2 = (1.0 - 2.0 * (u * math.sin(th))) + u * u
+    return not rm2.min() > 0.0
+
+
+def _ulps(x, n):
+    """x moved n ulps up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+@st.composite
+def _near_endfire(draw):
+    """A geometry and one to three locations near theta = +-pi/2: on a
+    transmit element, a few ulps beside one, or anywhere along the aperture,
+    at angles from pi/2 itself out past the scalar bound's edge."""
+    geom = mono_geom(draw(st.sampled_from((3, 9, 65, 1025, 100_001))))
+    half = geom.num_tx // 2
+    locations = []
+    for _ in range(draw(st.integers(1, 3))):
+        on = draw(st.integers(1, half)) * SPACING
+        r = draw(st.one_of(st.just(on), st.integers(-4, 4).map(lambda n: _ulps(on, n)),
+                           st.floats(1e-3, 2.0 * half * SPACING)))
+        reach = 1.0 + half * SPACING / r
+        offset = draw(st.one_of(
+            st.just(0.0),
+            st.integers(1, 64).map(lambda n: math.pi / 2 - _ulps(math.pi / 2, -n)),
+            # either side of the scalar bound, cos^2 ~ 2^-47 (1 + U)^2, and
+            # down to where sin(theta) rounds to 1
+            st.floats(-62.0, -40.0).map(lambda e: 2.0 ** (e / 2.0) * reach),
+            st.integers(-170, -20).map(lambda e: 10.0 ** (e / 10.0))))
+        locations.append((draw(st.sampled_from((1.0, -1.0))) * (math.pi / 2 - offset), r))
+    return geom, locations
+
+
+def _guard_raises(thetas, ranges, geom) -> bool:
+    try:
+        phase_derivs(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC, thetas, ranges)
+    except DegenerateGeometryError as exc:
+        assert str(exc) == "target coincides with a transmit element"
+        return True
+    return False
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(drawn=_near_endfire())
+def test_element_guard_refuses_what_each_element_refuses(drawn):
+    # the guard clears a location from two scalars, cos(theta) and U, and
+    # forms the per-element expression only where they do not clear it; the
+    # refused set must be the per-element expression's, at a lone location
+    # and over a block
+    geom, locations = drawn
+    refused = [_refused_element_by_element(geom, th, r) for th, r in locations]
+    for (th, r), want in zip(locations, refused):
+        assert _guard_raises(th, r, geom) == want, (th, r)
+    if len(locations) > 1:
+        thetas, ranges = zip(*locations)
+        assert _guard_raises(thetas, ranges, geom) == any(refused)
