@@ -28,6 +28,7 @@ from .estimator import (
     monte_carlo_rmse,
 )
 from .experiment import (
+    CrbMethod,
     ExperimentConfig,
     MonteCarloConfig,
     SweepSpec,
@@ -40,7 +41,6 @@ from .experiment import (
     serialize_config,
 )
 from .fim import (
-    CrbMethod,
     CrbResult,
     FimMatrix,
     IntermediateParams,

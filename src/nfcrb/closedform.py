@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .errors import DomainError, SingularGeometryError
 from .geometry import (
@@ -19,7 +20,6 @@ from .geometry import (
     epsilon_tx,
 )
 from .fim import (
-    CrbMethod,
     CrbResult,
     IntermediateParams,
     NoiseAndPowerConfig,
@@ -33,6 +33,7 @@ from .fim import (
 _PI_SQ = math.pi ** 2
 _PI_CUBE = math.pi ** 3
 _HALF_PI = math.pi / 2
+_MIN_NORMAL = sys.float_info.min
 
 
 def _split_prefactor(cfg: NoiseAndPowerConfig) -> tuple:
@@ -146,14 +147,14 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
         if geom.array_separation <= 0.0:
             raise DomainError("bistatic bounds require array_separation > 0")
         if mode is Mode.PHASED:
-            return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM)
+            return CrbResult.unidentifiable()
     eps = _transmit_eps(geom, tgt)
     a_pow, a_ov, c_pow, r_pow, r_ov, rx_a, rx_s, rx_k = _closed_sums(geom, tgt, carrier, eps)
     warnings = _model_warnings(geom, tgt, eps)
     if geom.num_tx < 2:
         # no transmit baseline: monostatic information vanishes and the
         # receive-only bistatic block is rank one, exactly in both cases
-        return CrbResult.unidentifiable(CrbMethod.CLOSED_FORM, warnings)
+        return CrbResult.unidentifiable(warnings)
     mant, pow2 = _split_prefactor(cfg)
     m = float(geom.num_tx)
     cross_ov = (a_ov.conjugate() * r_ov).real
@@ -170,7 +171,7 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
         # orthogonal waveforms see the information twice (transmit and
         # receive); halving the scale is exact
         scale = mant * m * 0.5 if mode is Mode.MIMO else mant
-    return _inverse_diagonal(aa, ee, ee, pp, CrbMethod.CLOSED_FORM, scale, warnings, pow2)
+    return _inverse_diagonal(aa, ee, ee, pp, scale, warnings, pow2)
 
 
 class AsymptoticRegime(enum.Enum):
@@ -179,23 +180,28 @@ class AsymptoticRegime(enum.Enum):
     SMALL_APERTURE = "SmallAperture"
 
 
-# asymptotic and Taylor formulas can leave their validity region: a bound
-# outside [0, inf) is never emitted as identifiable. Each evaluator checks
-# its bounds and builds an in-range result itself; a plane-wave or
-# small-aperture angle bound is kept for reference curves, flagged as
-# carrying no range information.
+# a plane-wave or small-aperture angle bound is kept for reference curves,
+# flagged as carrying no range information
 _NO_RANGE = ("no range information in this model",)
-# 2 gamma L = 1, so that each formula's prefactor 1/(2 gamma L) is 1. A
-# formula whose bounds leave [0, inf) at the configured gamma L but not at
-# this one was taken out by gamma L, not by its geometry: that result stays
-# identifiable, with its out-of-range bound, for run_experiment to refuse
-_UNIT_PREFACTOR = NoiseAndPowerConfig(snr_linear=0.5)
+_DROPPED = ("formula left its validity region; bound dropped",)
 
 
-def _guarded(method, warnings) -> CrbResult:
-    """The result of a bound that left [0, inf)."""
-    return CrbResult.unidentifiable(
-        method, warnings + ("formula left its validity region; bound dropped",))
+def _result(pow2: float, warnings: tuple, crb_t: float, crb_r: float | None = None) -> CrbResult:
+    """The result of an asymptotic, Taylor or plane-wave formula whose
+    bounds crb_t and crb_r (None: an angle-only model) were formed with the
+    mantissa of _split_prefactor. A formula is judged there, once: a bound
+    outside [0, inf) at that scale left its validity region and is dropped,
+    whatever gamma L is. The bounds are then multiplied by the power of two
+    pow2. A bound that this takes out of the normal float range is gamma
+    L's doing, and its result is marked identifiable, angle-only ones too,
+    for run_experiment to refuse."""
+    if not (0.0 <= crb_t < math.inf and (crb_r is None or 0.0 <= crb_r < math.inf)):
+        return CrbResult.unidentifiable(warnings + _DROPPED)
+    crb_t *= pow2
+    if crb_r is None:
+        return CrbResult(crb_t, math.inf, not _MIN_NORMAL <= crb_t < math.inf,
+                         warnings + _NO_RANGE)
+    return CrbResult(crb_t, crb_r * pow2, True, warnings)
 
 
 def crb_asymptotic(
@@ -229,7 +235,6 @@ def crb_asymptotic(
     d_t, d_r = geom.tx_spacing, geom.rx_spacing
     sep = geom.array_separation
     mant, pow2 = _split_prefactor(cfg)
-    method = CrbMethod.ASYMPTOTIC
     bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
     mimo = mode is Mode.MIMO
     # the left prefixes of the written products that no target changes
@@ -263,7 +268,7 @@ def crb_asymptotic(
 
         if bistatic:
             if mode is Mode.PHASED:
-                out.append(CrbResult.unidentifiable(method, warns))
+                out.append(CrbResult.unidentifiable(warns))
                 continue
             if sep <= 0.0:
                 raise DomainError("bistatic asymptotics require array_separation > 0")
@@ -273,28 +278,25 @@ def crb_asymptotic(
                 raise SingularGeometryError("target range equals the array separation")
             if regime is AsymptoticRegime.SMALL_APERTURE:
                 lever = (r / (sep - r)) ** 2
-                crb_t = pll3 / (pi_n * (rx_lever * lever * (n * n - 1.0) + tx_small)) * pow2
+                crb_t = pll3 / (pi_n * (rx_lever * lever * (n * n - 1.0) + tx_small))
                 warns = warns + ("range bound diverges in this regime",)
             else:
                 lever = rx_large / (3.0 * (sep - r) ** 2) + 4.0
-                crb_t = pll / (_PI_SQ * r * r * n * lever) * pow2
+                crb_t = pll / (_PI_SQ * r * r * n * lever)
                 warns = warns + ("range bound grows without limit with the aperture",)
-            out.append(CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
-                       if 0.0 <= crb_t < math.inf else CrbResult.unidentifiable(method, warns))
+            out.append(_result(pow2, warns, crb_t))
             continue
 
         # monostatic
         if abs(th) >= _HALF_PI:
             raise SingularGeometryError("asymptotic bounds are singular at theta = +-pi/2")
         if regime is AsymptoticRegime.SMALL_APERTURE:
-            crb_t = pll3 / (den_small * cth * cth) * pow2
             warns = warns + ("range bound diverges in this regime",)
-            out.append(CrbResult(crb_t, math.inf, False, method, warns + _NO_RANGE)
-                       if 0.0 <= crb_t < math.inf else CrbResult.unidentifiable(method, warns))
+            out.append(_result(pow2, warns, pll3 / (den_small * cth * cth)))
             continue
         if regime is AsymptoticRegime.INFINITE_APERTURE:
-            crb_t = pll_d * sth * sth / (den_inf * r ** 3 * cth) * pow2
-            crb_r = pll_d * cth / (den_inf * r) * pow2
+            crb_t = pll_d * sth * sth / (den_inf * r ** 3 * cth)
+            crb_r = pll_d * cth / (den_inf * r)
             if th == 0.0:
                 warns = warns + ("angle limit degenerates to 0 at boresight",)
         else:
@@ -310,14 +312,9 @@ def crb_asymptotic(
             num_r = lam2 * (
                 u * u + math.pi * u * c2th / cth - 4.0 * (log_t - 1.0) ** 2 * sth * sth)
             den = den_t * r * r * m if mimo else den_t * r * r * m * m
-            crb_t = mant * num_t / (den * core * cth * cth) * pow2
-            crb_r = mant * num_r / (den_r * core) * pow2
-        if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
-                crb_asymptotic(geom, (tgt,), carrier, _UNIT_PREFACTOR, regime, mode, topology)[0]
-                .identifiable):
-            out.append(CrbResult(crb_t, crb_r, True, method, warns))
-        else:
-            out.append(_guarded(method, warns))
+            crb_t = mant * num_t / (den * core * cth * cth)
+            crb_r = mant * num_r / (den_r * core)
+        out.append(_result(pow2, warns, crb_t, crb_r))
     return out
 
 
@@ -354,19 +351,14 @@ def crb_taylor(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> 
         if abs(th) >= _HALF_PI:
             raise SingularGeometryError("Taylor bounds are singular at theta = +-pi/2")
         if m < 3:
-            out.append(CrbResult.unidentifiable(CrbMethod.TAYLOR))
+            out.append(CrbResult.unidentifiable())
             continue
         cth = math.cos(th)
         quartic = (pi_dd * cth * cth) ** 2
         # range numerator shared by both modes
         inner = 15.0 * r * r + (d_t * math.sin(th)) ** 2 * m2_4
-        crb_t = num_t / (den_t * cth * cth) * pow2
-        crb_r = num_r * r * r * inner / (quartic * m_r * m2_1 * m2_4) * pow2
-        if 0.0 <= crb_t < math.inf and 0.0 <= crb_r < math.inf or cfg is not _UNIT_PREFACTOR and (
-                crb_taylor(geom, (tgt,), carrier, _UNIT_PREFACTOR, mode)[0].identifiable):
-            out.append(CrbResult(crb_t, crb_r, True, CrbMethod.TAYLOR))
-        else:
-            out.append(_guarded(CrbMethod.TAYLOR, ()))
+        out.append(_result(pow2, (), num_t / (den_t * cth * cth),
+                           num_r * r * r * inner / (quartic * m_r * m2_1 * m2_4)))
     return out
 
 
@@ -405,17 +397,14 @@ def crb_farfield_upw(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mod
         if abs(th) >= _HALF_PI:
             raise SingularGeometryError("plane-wave bounds are singular at theta = +-pi/2")
         if none:
-            out.append(CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW))
+            out.append(CrbResult.unidentifiable())
             continue
         cth = math.cos(th)
         denom = den * cth * cth
         if bistatic and denom <= 0.0:
-            out.append(CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW))
+            out.append(CrbResult.unidentifiable())
             continue
-        crb_t = num / denom * pow2
-        out.append(CrbResult(crb_t, math.inf, False, CrbMethod.FARFIELD_UPW, _NO_RANGE)
-                   if 0.0 <= crb_t < math.inf
-                   else CrbResult.unidentifiable(CrbMethod.FARFIELD_UPW))
+        out.append(_result(pow2, (), num / denom))
     return out
 
 

@@ -27,7 +27,6 @@ from .closedform import (
 from .errors import ConfigError, NfcrbError
 from .estimator import GridSpec, ObservationGridBuilder, monte_carlo_rmse
 from .fim import (
-    CrbMethod,
     CrbResult,
     NoiseAndPowerConfig,
     crb_exact_sum,
@@ -65,6 +64,19 @@ MAX_SWEEP_POINTS = 10_000
 # a point at the budget peaks near 3 GiB.
 MAX_ELEMENTS = 1_000_001
 MAX_COARSE_FACTOR_BYTES = 2 * 2**30
+
+
+class CrbMethod(enum.Enum):
+    """Bound evaluators; the values are the method names of configs and CSVs."""
+
+    CLOSED_FORM = "ClosedForm"
+    EXACT_SUM = "ExactSum"
+    NUMERICAL_FIM = "NumericalFim"
+    ASYMPTOTIC = "Asymptotic"
+    TAYLOR = "Taylor"
+    FARFIELD_UPW = "FarFieldUPW"
+
+
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
 
 METHOD_NAMES = tuple(m.value for m in CrbMethod)
@@ -289,18 +301,20 @@ def _snr_in_range(ncfg: NoiseAndPowerConfig) -> bool:
 
 
 def _first_out_of_range(method: CrbMethod, results) -> int | None:
-    """Index of the first result with a bound outside the normal float range
-    [sys.float_info.min, inf), else None: an identifiable bound of +inf, or
-    any bound below the range, 0 included, bar Asymptotic's, which is 0 at
-    boresight by the model. A non-identifiable bound of +inf is the absent
-    one."""
+    """Index of the first identifiable result with a bound outside the
+    normal float range [sys.float_info.min, inf), 0 included, bar
+    Asymptotic's, which is 0 at boresight by the model; else None. Every
+    evaluator marks a result identifiable where gamma L takes its bounds
+    out of that range, so a result that is not identifiable holds no bound
+    to refuse."""
     low, inf = sys.float_info.min, math.inf
     zero_ok = method is CrbMethod.ASYMPTOTIC
-    for i, (t, r, identifiable, _, _) in enumerate(results):
-        if zero_ok:
-            t, r = t or low, r or low
-        if not (low <= t < inf and low <= r < inf if identifiable else low <= t and low <= r):
-            return i
+    for i, (t, r, identifiable, _) in enumerate(results):
+        if identifiable:
+            if zero_ok:
+                t, r = t or low, r or low
+            if not (low <= t < inf and low <= r < inf):
+                return i
     return None
 
 
@@ -414,7 +428,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
 # Taylor, FarFieldUPW and Asymptotic form once per run what its targets
 # share. ClosedForm and NumericalFim evaluate target by target: NumericalFim
 # costs less so for a lone target (an M sweep's run), and run_experiment
-# uses it for both exact methods when a config lists both. Each looks its
+# evaluates it alone when a config lists both exact methods. Each looks its
 # bound function up as a module global at call time, so that a wrapper
 # installed on a module binding (a tracer) sees every call
 _EVALUATORS = {
@@ -470,9 +484,10 @@ def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPow
 @dataclass(frozen=True)
 class SweepTable:
     """What one sweep computed: validate_config's points, one CrbResult list
-    per cfg.methods entry (a result per point), and one RmseReport per point
-    when Monte Carlo runs (else None). Rows and cells are formed only on
-    read: rows() for callers that want dicts, csv_text for the file."""
+    per cfg.methods entry (a result per point; names one evaluation serves
+    share one list), and one RmseReport per point when Monte Carlo runs
+    (else None). Rows and cells are formed only on read: rows() for callers
+    that want dicts, csv_text for the file."""
 
     cfg: ExperimentConfig
     points: list
@@ -516,44 +531,33 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
     Each method is evaluated once per run: consecutive points that share
     one geometry and one noise object (validate_config builds each once).
     ExactSum and NumericalFim give the same bits, so a config that lists
-    both evaluates each run once, on NumericalFim's path, and gives
-    ExactSum copies relabelled EXACT_SUM. A bound outside the normal float
-    range is refused (_first_out_of_range) as soon as its method has run.
-    Monte Carlo, when configured, runs once per sweep point.
+    both evaluates NumericalFim alone, and both names read its results. A
+    bound outside the normal float range is refused (_first_out_of_range)
+    as soon as its method has run. Monte Carlo, when configured, runs once
+    per sweep point.
     """
     points = validate_config(cfg)
     methods = [CrbMethod(name) for name in cfg.methods]
-    shared = CrbMethod.NUMERICAL_FIM in methods
-    sources = [CrbMethod.NUMERICAL_FIM if shared and m is CrbMethod.EXACT_SUM else m
-               for m in methods]
-    # each source is evaluated at its first position, and a later position
-    # with the same source reads that one's results: resolved here once, so
-    # that no run hashes a CrbMethod (Enum.__hash__ runs in Python)
-    owners = [sources.index(source) for source in sources]
-    evaluators = [_EVALUATORS[source] for source in sources]
-    results = [[] for _ in methods]
+    if CrbMethod.NUMERICAL_FIM in methods:
+        methods = [CrbMethod.NUMERICAL_FIM if m is CrbMethod.EXACT_SUM else m for m in methods]
+    # one result list per evaluated method, in first-listed order
+    lists = {method: [] for method in methods}
+    evaluators = [(method, _EVALUATORS[method], out) for method, out in lists.items()]
     reports = [] if cfg.montecarlo else None
     for _, run in itertools.groupby(points, _run_key):
         run = list(run)
         scn, ncfg, _ = run[0]
         targets = [s.target for s, _, _ in run]
-        done = []
-        for i, (method, source, out) in enumerate(zip(methods, sources, results)):
-            if owners[i] == i:
-                res = evaluators[i](targets, scn, ncfg, cfg.asymptotic_regime)
-                bad = _first_out_of_range(source, res)
-                if bad is not None:
-                    raise _out_of_range_error(source, res[bad], run[bad])
-            else:
-                res = done[owners[i]]
-            done.append(res)
-            out += (res if source is method
-                    else [CrbResult(r.crb_theta, r.crb_range, r.identifiable, method,
-                                    r.warnings) for r in res])
+        for method, evaluate, out in evaluators:
+            res = evaluate(targets, scn, ncfg, cfg.asymptotic_regime)
+            bad = _first_out_of_range(method, res)
+            if bad is not None:
+                raise _out_of_range_error(method, res[bad], run[bad])
+            out += res
         # after the bounds, so that a refused run spends no trials
         if reports is not None:
             reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
-    return SweepTable(cfg, points, results, reports)
+    return SweepTable(cfg, points, [lists[method] for method in methods], reports)
 
 
 def _text_cell(text: str) -> str:

@@ -15,7 +15,6 @@ unidentifiable bound that says so.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -93,17 +92,6 @@ class FimMatrix:
         object.__setattr__(self, "reduced", q)
 
 
-class CrbMethod(enum.Enum):
-    """Bound evaluators; the values are the method names of configs and CSVs."""
-
-    CLOSED_FORM = "ClosedForm"
-    EXACT_SUM = "ExactSum"
-    NUMERICAL_FIM = "NumericalFim"
-    ASYMPTOTIC = "Asymptotic"
-    TAYLOR = "Taylor"
-    FARFIELD_UPW = "FarFieldUPW"
-
-
 @dataclass(frozen=True)
 class IntermediateParams:
     """The quadratic/overlap sums that the CRBs are built from.
@@ -134,19 +122,19 @@ class CrbResult(NamedTuple):
     """Bounds on angle (rad^2) and range (m^2) variance.
 
     Unidentifiable scenarios carry +inf bounds; warnings collect regime or
-    validity notes without changing values. A tuple record: immutable and
-    hashable, and built at tuple cost, which every bound row pays.
+    validity notes without changing values. Which method gave a result is
+    where it sits in a sweep table, not a field. A tuple record: immutable
+    and hashable, and built at tuple cost, which every bound row pays.
     """
 
     crb_theta: float
     crb_range: float
     identifiable: bool
-    method: CrbMethod
     warnings: tuple = ()
 
     @classmethod
-    def unidentifiable(cls, method: CrbMethod, warnings: tuple = ()) -> "CrbResult":
-        return cls(math.inf, math.inf, False, method, warnings)
+    def unidentifiable(cls, warnings: tuple = ()) -> "CrbResult":
+        return cls(math.inf, math.inf, False, warnings)
 
 
 def mode_energy_scale(cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode) -> float:
@@ -204,7 +192,7 @@ def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
     return FimMatrix(np.reshape(q, (2, 2)))
 
 
-def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings: tuple = (),
+def _inverse_diagonal(q00, q01, q10, q11, scale=1.0, warnings: tuple = (),
                       pow2=1.0) -> CrbResult:
     """scale times the diagonal of the inverse of [[q00, q01], [q10, q11]],
     times the power of two pow2 last, under the one identifiability rule of
@@ -220,21 +208,21 @@ def _inverse_diagonal(q00, q01, q10, q11, method: CrbMethod, scale=1.0, warnings
     block: its bounds lie beneath the normal range and are returned as 0,
     identifiable, which run_experiment refuses."""
     if q00 == math.inf or q11 == math.inf:
-        return CrbResult(0.0, 0.0, True, method, warnings)
+        return CrbResult(0.0, 0.0, True, warnings)
     fa = 2.0 ** -(math.frexp(q00)[1] // 2)
     fb = 2.0 ** -(math.frexp(q11)[1] // 2)
     q00, q01, q10, q11 = q00 * fa * fa, q01 * fa * fb, q10 * fa * fb, q11 * fb * fb
     det = q00 * q11 - q01 * q10
     if not det > DET_REL_TOL * q00 * q11:
-        return CrbResult.unidentifiable(method, warnings + (SINGULAR_WARNING,))
+        return CrbResult.unidentifiable(warnings + (SINGULAR_WARNING,))
     return CrbResult(scale * q11 * fa * fa / det * pow2, scale * q00 * fb * fb / det * pow2,
-                     True, method, warnings)
+                     True, warnings)
 
 
 def crb_from_fim(fim: FimMatrix) -> CrbResult:
     """Invert the 2x2 angle/range information fim.reduced."""
     (q00, q01), (q10, q11) = fim.reduced.tolist()
-    return _inverse_diagonal(q00, q01, q10, q11, CrbMethod.NUMERICAL_FIM)
+    return _inverse_diagonal(q00, q01, q10, q11)
 
 
 def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig):
@@ -293,6 +281,5 @@ def crb_exact_sum(
             w = work[:, :len(block)]
         q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r, w),
                            cfg, geom.num_tx, mode, in_place=True)
-        out += [_inverse_diagonal(*qj, CrbMethod.EXACT_SUM)
-                for qj in np.reshape(q, (4, -1)).T.tolist()]
+        out += [_inverse_diagonal(*qj) for qj in np.reshape(q, (4, -1)).T.tolist()]
     return out

@@ -1,12 +1,26 @@
 """Shared constants and helpers for the test suite."""
 
 import math
+import warnings
 
 import numpy as np
 
 from nfcrb.fim import mode_energy_scale
 from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
 from nfcrb.steering import build_observation
+
+# hypothesis reports a failing example through a module that imports
+# libcst, whose import warns that mypy_extensions.TypedDict is deprecated.
+# Under filterwarnings = ["error"] that warning, raised inside pytest's
+# report hook, aborts the whole run with INTERNALERROR before the example
+# is printed. Importing the module once here with deprecations ignored
+# keeps the error gate for every other warning.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis skips the report itself
+        pass
 
 # reference carrier used by most oracle values (wavelength pinned, not freq)
 WAVELENGTH = 0.1265

@@ -523,12 +523,18 @@ def test_low_snr_bounds_that_fit_a_float_are_printed(snr, sets, capsys):
     ("fig4", "scenario.snr_db=200", "scenario.time_bandwidth=1e300", "sweep.values=30"),
     ("fig4", "scenario.snr_db=3000", "sweep.values=30"),
     ("fig4", "scenario.snr_db=3000", "sweep.values=30", "methods.use=ExactSum"),
+    # angle-only bounds past the float range: a plane-wave and a
+    # small-aperture one, +inf at 5 kHz
+    ("fig2", "scenario.snr_db=-3075", "scenario.carrier_freq_hz=5e3", "sweep.values=2049",
+     "methods.use=FarFieldUPW"),
+    ("fig2", "scenario.snr_db=-3075", "scenario.carrier_freq_hz=5e3", "sweep.values=2049",
+     "methods.use=Asymptotic", "methods.asymptotic_regime=SmallAperture"),
 ], ids=["fig2-low", "fig2-low-taylor", "fig4-gamma-l-overflow", "fig4-high",
-        "fig4-high-exactsum"])
+        "fig4-high-exactsum", "fig2-low-farfield", "fig2-low-small-aperture"])
 def test_bounds_past_the_float_range_exit_2(sets, capsys):
     # at an extreme gamma L the bounds leave the normal float range: +inf,
-    # subnormal or 0 marked identifiable, or an overflowed block called
-    # singular, are refused, not printed
+    # subnormal or 0, marked identifiable by every evaluator (angle-only
+    # ones included), are refused, not printed
     name, *pairs = sets
     assert main(["preset", name, *(a for p in pairs for a in ("--set", p))]) == 2
     captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 regression anchors for every formula family, regime guards, and warnings."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from nfcrb.closedform import (
 )
 from nfcrb.errors import DomainError, SingularGeometryError
 from nfcrb.fim import (
-    CrbMethod,
     NoiseAndPowerConfig,
     crb_exact_sum,
     intermediates_exact,
@@ -97,7 +97,7 @@ def test_intermediates_guards():
 
 def test_mono_mimo_frozen_values():
     res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, MONO)
-    assert res.identifiable and res.method is CrbMethod.CLOSED_FORM
+    assert res.identifiable
     assert rel_err(res.crb_theta, 1.2478904911405165e-06) < 1e-12
     assert rel_err(res.crb_range, 0.5152209329023044) < 1e-12
 
@@ -364,7 +364,7 @@ def test_boresight_bound_guards():
 # --- run-shaped evaluators ------------------------------------------------------------
 
 # snr_db values that reach every path: -3070 and +3000 dB take bounds past
-# the float range (Taylor's unit-prefactor re-check, guarded formulas),
+# the float range (marked identifiable for refusal, or dropped formulas),
 # -3060 dB bounds that fit only through the split prefactor
 _RUN_SNR_DB = (-3070.0, -3060.0, -10.0, 0.0, 20.0, 3000.0)
 _RUN_THETAS = st.one_of(
@@ -394,14 +394,14 @@ def _bound_runs(draw):
 
 
 def _outcome(evaluate, targets):
-    """Each result's bits, identifiability, method and warnings, or the
-    error the evaluation raised."""
+    """Each result's bits, identifiability and warnings, or the error the
+    evaluation raised."""
     try:
         results = evaluate(targets)
     except Exception as exc:  # the error itself is compared
         return type(exc), str(exc)
     return [(np.array([res.crb_theta, res.crb_range]).tobytes(), res.identifiable,
-             res.method, res.warnings) for res in results]
+             res.warnings) for res in results]
 
 
 def _one_by_one(evaluate, targets):
@@ -415,15 +415,53 @@ def _one_by_one(evaluate, targets):
     return out
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(drawn=_bound_runs())
-def test_run_evaluators_equal_their_one_target_calls(drawn):
-    mode, topology, geom, cfg, targets = drawn
+def _run_evaluators(mode, topology, geom, cfg):
+    """Taylor (monostatic), FarFieldUPW and each Asymptotic regime, as
+    functions of a run of targets."""
     evaluators = [lambda ts: crb_farfield_upw(geom, ts, CARRIER, cfg, mode, topology)]
     evaluators += [lambda ts, reg=reg: crb_asymptotic(geom, ts, CARRIER, cfg, reg, mode, topology)
                    for reg in AsymptoticRegime]
     if topology is MONO:
         evaluators.append(lambda ts: crb_taylor(geom, ts, CARRIER, cfg, mode))
-    for evaluate in evaluators:
+    return evaluators
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(drawn=_bound_runs())
+def test_run_evaluators_equal_their_one_target_calls(drawn):
+    mode, topology, geom, cfg, targets = drawn
+    for evaluate in _run_evaluators(mode, topology, geom, cfg):
         assert _outcome(evaluate, targets) == _one_by_one(evaluate, targets)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(drawn=_bound_runs())
+def test_a_result_that_is_not_identifiable_holds_no_bound_to_refuse(drawn):
+    # the one range rule: where gamma L takes a bound out of the normal
+    # float range the result is marked identifiable, angle-only ones too, so
+    # run_experiment, which checks identifiable results only, refuses it; an
+    # unidentifiable result's angle bound is absent (+inf) or a normal float
+    mode, topology, geom, cfg, targets = drawn
+    for evaluate in _run_evaluators(mode, topology, geom, cfg):
+        try:
+            results = evaluate(targets)
+        except (DomainError, SingularGeometryError):
+            continue
+        for res in results:
+            if not res.identifiable:
+                assert (res.crb_theta == math.inf
+                        or sys.float_info.min <= res.crb_theta < math.inf), res
+
+
+def test_a_formula_is_judged_at_the_prefactor_mantissa():
+    # Taylor's range numerator at r = 1e77 m fits a float at prefactor 1
+    # (2 gamma L = 1) but overflows at 1.9, the mantissa of this gamma L's
+    # prefactor: the formula is judged at the mantissa, so the bound is
+    # dropped as having left its validity region, not kept for refusal
+    tgt = target(1e77, 0.3)
+    unit = crb_taylor(mono_geom(9), (tgt,), CARRIER, NoiseAndPowerConfig(0.5), Mode.MIMO)[0]
+    assert unit.identifiable and unit.crb_range < math.inf
+    res = crb_taylor(mono_geom(9), (tgt,), CARRIER, NoiseAndPowerConfig(0.5 / 1.9), Mode.MIMO)[0]
+    assert (res.crb_theta, res.crb_range, res.identifiable) == (math.inf, math.inf, False)
+    assert res.warnings == ("formula left its validity region; bound dropped",)
 

@@ -28,7 +28,6 @@ from nfcrb.errors import ConfigError, DegenerateGeometryError, DomainError
 from nfcrb.experiment import presets
 from nfcrb.fim import (
     _BLOCK_ELEMENTS,
-    CrbMethod,
     CrbResult,
     DET_REL_TOL,
     SINGULAR_WARNING,
@@ -214,7 +213,6 @@ def test_crb_from_fim_block_diagonal_case():
     assert res.identifiable
     assert res.crb_theta == pytest.approx(0.25)
     assert res.crb_range == pytest.approx(1.0 / 9.0)
-    assert res.method is CrbMethod.NUMERICAL_FIM
 
 
 def test_crb_from_fim_nuisance_coupling():
@@ -379,13 +377,15 @@ def test_theta_sweep_rows_equal_one_location_calls():
 
 
 def test_crb_result_is_an_immutable_hashable_record():
-    res = CrbResult(1.0, 2.0, True, CrbMethod.TAYLOR, ("note",))
+    # just the numbers: which method gave a result is where it sits
+    assert CrbResult._fields == ("crb_theta", "crb_range", "identifiable", "warnings")
+    res = CrbResult(1.0, 2.0, True, ("note",))
     with pytest.raises(AttributeError):
         res.crb_theta = 3.0
-    twin = CrbResult(1.0, 2.0, True, CrbMethod.TAYLOR, ("note",))
+    twin = CrbResult(1.0, 2.0, True, ("note",))
     assert res == twin and hash(res) == hash(twin)
-    assert res != res._replace(method=CrbMethod.CLOSED_FORM)
-    assert CrbResult(1.0, 2.0, True, CrbMethod.TAYLOR).warnings == ()
+    assert res != res._replace(warnings=())
+    assert CrbResult(1.0, 2.0, True).warnings == ()
 
 
 def test_observations_keep_their_derivatives_across_kernel_calls():
@@ -456,11 +456,6 @@ def test_exact_sum_frozen_values():
         assert rel_err(res.crb_range, cr) < 1e-12
 
 
-def _bound(res):
-    """Everything a CSV row takes from a CrbResult: all of it but method."""
-    return res.crb_theta, res.crb_range, res.identifiable, res.warnings
-
-
 def _numeric_fim(geom, tgt, cfg, mode, topology):
     return crb_from_fim(fim_numeric(build_observation(geom, tgt, CARRIER, mode, topology), cfg))
 
@@ -492,8 +487,7 @@ def test_exact_sum_equals_numeric_fim(mode, topology, geom, tgt):
     assert via_sum.identifiable is identifiable
     assert (SINGULAR_WARNING in via_sum.warnings) is not identifiable
     # one kernel, one reduction, one inversion: the same bits
-    assert _bound(via_sum) == _bound(via_fim)
-    assert (via_sum.method, via_fim.method) == (CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM)
+    assert via_sum == via_fim
 
 
 @pytest.mark.parametrize("mode,topology", PAIRS)
@@ -510,7 +504,7 @@ def test_blocked_exact_sum_run_equals_numeric_fim_per_location(mode, topology):
     run = crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
     assert len(run) == len(targets)
     for res, tgt in zip(run, targets):
-        assert _bound(res) == _bound(_numeric_fim(geom, tgt, CFG, mode, topology))
+        assert res == _numeric_fim(geom, tgt, CFG, mode, topology)
     if not bistatic:
         assert SINGULAR_WARNING in run[33].warnings
 
@@ -565,6 +559,6 @@ def test_exact_sum_rejects_bistatic_without_separation(mode):
 
 
 def test_unidentifiable_result_shape():
-    res = CrbResult.unidentifiable(CrbMethod.EXACT_SUM, ("note",))
+    res = CrbResult.unidentifiable(("note",))
     assert math.isinf(res.crb_theta) and math.isinf(res.crb_range)
     assert not res.identifiable and res.warnings == ("note",)

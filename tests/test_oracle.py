@@ -130,13 +130,13 @@ def _check(geom, tgt, carrier, cfg, mode, topology, rtol=RTOL):
     obs = build_observation(geom, tgt, carrier, mode, topology)
     where = (f"{mode.value}/{topology.value} M={geom.num_tx} N={geom.num_rx} "
              f"r={tgt.range_m!r} theta={tgt.angle_rad!r} ratio={ratio:.3e}")
-    for got in (crb_from_fim(fim_numeric(obs, cfg)),
-                crb_exact_sum(geom, (tgt,), carrier, cfg, mode, topology)[0]):
+    for method, got in (("NumericalFim", crb_from_fim(fim_numeric(obs, cfg))),
+                        ("ExactSum", crb_exact_sum(geom, (tgt,), carrier, cfg, mode, topology)[0])):
         if ratio < RATIO_BAND[0] or ratio > RATIO_BAND[1]:
-            assert got.identifiable == (ratio > RATIO_BAND[1]), (got.method, where)
+            assert got.identifiable == (ratio > RATIO_BAND[1]), (method, where)
         if ratio >= RATIO_ACCURATE:
-            assert abs(got.crb_theta / want_th - 1.0) < rtol, (got.method, where)
-            assert abs(got.crb_range / want_r - 1.0) < rtol, (got.method, where)
+            assert abs(got.crb_theta / want_th - 1.0) < rtol, (method, where)
+            assert abs(got.crb_range / want_r - 1.0) < rtol, (method, where)
     return ratio
 
 
