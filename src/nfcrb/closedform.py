@@ -186,22 +186,29 @@ _NO_RANGE = ("no range information in this model",)
 _DROPPED = ("formula left its validity region; bound dropped",)
 
 
+def _scaled(bound: float, pow2: float) -> float:
+    # a bound > 0 that pow2 takes to 0 is rounded up to the least subnormal:
+    # a formula's 0 is its model's (infinite aperture at boresight), not gamma L's
+    scaled = bound * pow2
+    return scaled if scaled or not bound else math.ulp(0.0)
+
+
 def _result(pow2: float, warnings: tuple, crb_t: float, crb_r: float | None = None) -> CrbResult:
     """The result of an asymptotic, Taylor or plane-wave formula whose
     bounds crb_t and crb_r (None: an angle-only model) were formed with the
     mantissa of _split_prefactor. A formula is judged there, once: a bound
     outside [0, inf) at that scale left its validity region and is dropped,
     whatever gamma L is. The bounds are then multiplied by the power of two
-    pow2. A bound that this takes out of the normal float range is gamma
-    L's doing, and its result is marked identifiable, angle-only ones too,
-    for run_experiment to refuse."""
+    pow2 (_scaled). A bound that this takes out of the normal float range is
+    gamma L's doing, and its result is marked identifiable, angle-only ones
+    too, for run_experiment to refuse."""
     if not (0.0 <= crb_t < math.inf and (crb_r is None or 0.0 <= crb_r < math.inf)):
         return CrbResult.unidentifiable(warnings + _DROPPED)
-    crb_t *= pow2
+    crb_t = _scaled(crb_t, pow2)
     if crb_r is None:
         return CrbResult(crb_t, math.inf, not _MIN_NORMAL <= crb_t < math.inf,
                          warnings + _NO_RANGE)
-    return CrbResult(crb_t, crb_r * pow2, True, warnings)
+    return CrbResult(crb_t, _scaled(crb_r, pow2), True, warnings)
 
 
 def crb_asymptotic(

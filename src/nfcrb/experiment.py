@@ -77,11 +77,9 @@ class CrbMethod(enum.Enum):
     FARFIELD_UPW = "FarFieldUPW"
 
 
-_PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM.value, CrbMethod.NUMERICAL_FIM.value))
+_PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM))
 
-METHOD_NAMES = tuple(m.value for m in CrbMethod)
 SWEEP_AXES = ("M", "theta", "r", "snr_db")
-REGIME_NAMES = tuple(r.value for r in AsymptoticRegime)
 ESTIMATOR_NAME = "MatchedFieldML"
 
 BASE_COLUMNS = (
@@ -178,10 +176,12 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.estimator != ESTIMATOR_NAME:
             raise ConfigError(f"montecarlo.estimator must be {ESTIMATOR_NAME}")
-        if self.trials < 1:
-            raise ConfigError("montecarlo.trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("montecarlo.master_seed must be >= 0")
+        # with the search grid's own bounds (GridSpec's), before any bound runs
+        for name, least in (("trials", 1), ("master_seed", 0), ("theta_points", 2),
+                            ("range_points", 2), ("refine_levels", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"montecarlo.{name} must be >= {least}, got {value}")
         # GridSpec.around clips a finite span to the domain, but a NaN or
         # infinite one would pass through its max/min unchecked
         for name in ("theta_halfspan_deg", "range_span_frac"):
@@ -211,28 +211,22 @@ class ExperimentConfig:
     mode: Mode = Mode.MIMO
     topology: Topology = Topology.MONOSTATIC
     sweep: SweepSpec
-    methods: tuple[str, ...] = field(metadata={"ini": "methods.use"})
-    asymptotic_regime: str = field(default="LargeAperture",
-                                   metadata={"ini": "methods.asymptotic_regime"})
+    methods: tuple[CrbMethod, ...] = field(metadata={"ini": "methods.use"})
+    asymptotic_regime: AsymptoticRegime = field(default=AsymptoticRegime.LARGE_APERTURE,
+                                                metadata={"ini": "methods.asymptotic_regime"})
     montecarlo: MonteCarloConfig | None = None
 
     def __post_init__(self):
         if not self.methods:
             raise ConfigError("methods.use must list at least one method")
-        seen = set()
-        for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ConfigError(
-                    f"unknown method {m!r}; valid: {', '.join(METHOD_NAMES)}"
-                )
-            if m in seen:
-                raise ConfigError(f"method {m!r} listed twice")
-            seen.add(m)
-        if self.asymptotic_regime not in REGIME_NAMES:
-            raise ConfigError(
-                f"asymptotic_regime must be one of {', '.join(REGIME_NAMES)}"
-            )
-        if CrbMethod.TAYLOR.value in self.methods and self.topology is not Topology.MONOSTATIC:
+        # the INI reader turns names into members; a Python caller passes members
+        if not (all(isinstance(m, CrbMethod) for m in self.methods)
+                and isinstance(self.asymptotic_regime, AsymptoticRegime)):
+            raise ConfigError("methods and asymptotic_regime take members, not names")
+        for i, m in enumerate(self.methods):
+            if m in self.methods[:i]:
+                raise ConfigError(f"method {m.value!r} listed twice")
+        if CrbMethod.TAYLOR in self.methods and self.topology is not Topology.MONOSTATIC:
             raise ConfigError("the Taylor method applies to monostatic sensing only")
         if self.topology is Topology.MONOSTATIC and self.separation_m != 0.0:
             raise ConfigError("monostatic topology requires separation_m = 0")
@@ -248,21 +242,18 @@ def _round_odd(m: int):
     return m + 1, (f"num_tx {m} is even; rounded up to {m + 1}",)
 
 
-def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig, topology: Topology) -> bool:
+def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig) -> bool:
     """Whether lambda^2 (the closed forms divide by it) and, unless both
     arrays are single elements, (k^2 sum (n d)^2)^2 over the transmit and
     the receive array are normal floats: that sum sets the size of an
     information entry, and the 2x2 determinant multiplies two of them. A
-    monostatic point receives on the transmit array, so it counts that
-    array twice. A spacing whose square underflows makes the sum 0 and is
-    refused, as its information is."""
+    monostatic geometry's receive array is its transmit array
+    (validate_config), so it counts that array twice. A spacing whose square
+    underflows makes the sum 0 and is refused, as its information is."""
     lam2 = carrier.wavelength * carrier.wavelength
     tx = g.num_tx * (g.num_tx * g.num_tx - 1) * g.tx_spacing * g.tx_spacing
-    if topology is Topology.MONOSTATIC:
-        rx, lone = tx, g.num_tx == 1
-    else:
-        rx = g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing
-        lone = g.num_tx == g.num_rx == 1
+    rx = g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing
+    lone = g.num_tx == g.num_rx == 1
     info = 4.0 * math.pi ** 2 / lam2 * ((tx + rx) / 12.0) if lam2 > 0.0 else math.inf
     return (sys.float_info.min <= lam2 < math.inf
             and (lone or sys.float_info.min <= info * info < math.inf))
@@ -303,10 +294,10 @@ def _snr_in_range(ncfg: NoiseAndPowerConfig) -> bool:
 def _first_out_of_range(method: CrbMethod, results) -> int | None:
     """Index of the first identifiable result with a bound outside the
     normal float range [sys.float_info.min, inf), 0 included, bar
-    Asymptotic's, which is 0 at boresight by the model; else None. Every
-    evaluator marks a result identifiable where gamma L takes its bounds
-    out of that range, so a result that is not identifiable holds no bound
-    to refuse."""
+    Asymptotic's 0, which is its model's (closedform._result); else None.
+    Every evaluator marks a result identifiable where gamma L takes its
+    bounds out of that range, so a result that is not identifiable holds
+    no bound to refuse."""
     low, inf = sys.float_info.min, math.inf
     zero_ok = method is CrbMethod.ASYMPTOTIC
     for i, (t, r, identifiable, _) in enumerate(results):
@@ -322,7 +313,7 @@ def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: Carrier
                     where: str):
     """The checks that depend on a point's geometry only: carrier range,
     element cap and Monte Carlo coarse-factor budget."""
-    if not _carrier_in_range(geom, carrier, cfg.topology):
+    if not _carrier_in_range(geom, carrier):
         spacings = (f"tx_spacing_m = {cfg.tx_spacing_m!r} (transmit and receive)"
                     if cfg.topology is Topology.MONOSTATIC else
                     f"tx_spacing_m = {cfg.tx_spacing_m!r} and rx_spacing_m = {cfg.rx_spacing_m!r}")
@@ -352,12 +343,12 @@ def validate_config(cfg: ExperimentConfig) -> list:
     shared by every point that has it. Even transmit counts of 2 or more
     round up to the next odd integer so the symmetric-index layout holds,
     with a warning on that point, and a count below 1 is refused before
-    rounding; monostatic scenarios receive on the transmit array, so N is
-    forced to M there. Each geometry is checked once (_check_geometry),
-    each noise config's 2 gamma L (_snr_in_range), each bistatic point's
-    receive terms (_receive_in_range), and with Monte Carlo each point's
-    search window (_window_in_range). Each distinct transmit count is
-    rounded, and each distinct snr_db keyed, once.
+    rounding; monostatic scenarios receive on the transmit array, so N and
+    d_rx are forced to M and d_tx there. Each geometry is checked once
+    (_check_geometry), each noise config's 2 gamma L (_snr_in_range), each
+    bistatic point's receive terms (_receive_in_range), and with Monte Carlo
+    each point's search window (_window_in_range). Each distinct transmit
+    count is rounded, and each distinct snr_db keyed, once.
     """
     axis = cfg.sweep.axis
     mono = cfg.topology is Topology.MONOSTATIC
@@ -392,7 +383,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
                     num_tx=num_tx,
                     num_rx=num_tx if mono else cfg.num_rx,
                     tx_spacing=cfg.tx_spacing_m,
-                    rx_spacing=cfg.rx_spacing_m,
+                    rx_spacing=cfg.tx_spacing_m if mono else cfg.rx_spacing_m,
                     array_separation=cfg.separation_m,
                 )
             tgt = TargetLocation(range_m=range_m, angle_rad=math.radians(angle_deg))
@@ -442,8 +433,7 @@ _EVALUATORS = {
             scn.geometry, t, scn.carrier, scn.mode, scn.topology), ncfg))
         for t in targets],
     CrbMethod.ASYMPTOTIC: lambda targets, scn, ncfg, regime: crb_asymptotic(
-        scn.geometry, targets, scn.carrier, ncfg, AsymptoticRegime(regime), scn.mode,
-        scn.topology),
+        scn.geometry, targets, scn.carrier, ncfg, regime, scn.mode, scn.topology),
     CrbMethod.TAYLOR: lambda targets, scn, ncfg, regime: crb_taylor(
         scn.geometry, targets, scn.carrier, ncfg, scn.mode),
     CrbMethod.FARFIELD_UPW: lambda targets, scn, ncfg, regime: crb_farfield_upw(
@@ -484,7 +474,7 @@ def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPow
 @dataclass(frozen=True)
 class SweepTable:
     """What one sweep computed: validate_config's points, one CrbResult list
-    per cfg.methods entry (a result per point; names one evaluation serves
+    per cfg.methods entry (a result per point; methods one evaluation serves
     share one list), and one RmseReport per point when Monte Carlo runs
     (else None). Rows and cells are formed only on read: rows() for callers
     that want dicts, csv_text for the file."""
@@ -514,10 +504,10 @@ class SweepTable:
                 "trials": rep.trials, "estimator": cfg.montecarlo.estimator,
                 "master_seed": rep.master_seed,
             }
-            for name, results in zip(cfg.methods, self.results):
+            for method, results in zip(cfg.methods, self.results):
                 res = results[i]
                 rows.append({
-                    "method": name, **point,
+                    "method": method.value, **point,
                     "crb_theta_rad2": res.crb_theta, "crb_r_m2": res.crb_range,
                     "identifiable": res.identifiable,
                     "warnings": "; ".join(warns + res.warnings), **mc,
@@ -531,13 +521,13 @@ def run_experiment(cfg: ExperimentConfig) -> SweepTable:
     Each method is evaluated once per run: consecutive points that share
     one geometry and one noise object (validate_config builds each once).
     ExactSum and NumericalFim give the same bits, so a config that lists
-    both evaluates NumericalFim alone, and both names read its results. A
+    both evaluates NumericalFim alone, and both methods read its results. A
     bound outside the normal float range is refused (_first_out_of_range)
     as soon as its method has run. Monte Carlo, when configured, runs once
     per sweep point.
     """
     points = validate_config(cfg)
-    methods = [CrbMethod(name) for name in cfg.methods]
+    methods = cfg.methods
     if CrbMethod.NUMERICAL_FIM in methods:
         methods = [CrbMethod.NUMERICAL_FIM if m is CrbMethod.EXACT_SUM else m for m in methods]
     # one result list per evaluated method, in first-listed order
@@ -623,7 +613,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
         "# near-field angle/range CRB sweep",
         f"# mode={cfg.mode.value} topology={cfg.topology.value} "
         f"axis={cfg.sweep.axis} points={len(table.points)}",
-        f"# methods={','.join(cfg.methods)}",
+        f"# methods={','.join(m.value for m in cfg.methods)}",
         "# units: theta_rad in radians (CLI angles are degrees); "
         "crb_theta in rad^2, crb_r in m^2" + (", both emitted as 10*log10" if db else ""),
     ]
@@ -639,7 +629,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
         )
     lines.append(",".join(cols))
 
-    heads = [f"{name},{cfg.mode.value},{cfg.topology.value}," for name in cfg.methods]
+    heads = [f"{m.value},{cfg.mode.value},{cfg.topology.value}," for m in cfg.methods]
     tails = (_mc_cells(cfg, table.reports) if table.reports is not None
              else itertools.repeat(""))
     # the warnings cell of each distinct (point notes, result notes) pair:
@@ -696,7 +686,7 @@ def _reader(kind):
             except (KeyError, ValueError):
                 pass
         if isinstance(kind, enum.EnumType):
-            raise ConfigError(f"{where} must be {' or '.join(m.value for m in kind)}")
+            raise ConfigError(f"{where} must be {' or '.join(m.value for m in kind)}, got {text!r}")
         if isinstance(kind, type):
             raise ConfigError(f"{where} = {raw!r} is not a valid {kind.__name__}")
         raise ConfigError(f"{where} {text!r} is not a number")
@@ -847,14 +837,16 @@ def _bistatic_mc(snr_db: float, refine_levels: int) -> ExperimentConfig:
         num_tx=65, num_rx=8, separation_m=35.0, target_range_m=18.0, target_angle_deg=0.0,
         snr_db=snr_db, time_bandwidth=16.0, topology=Topology.BISTATIC_NEAR_FAR_TX,
         sweep=SweepSpec(axis="M", values=(65, 257, 1025)),
-        methods=("ClosedForm", "ExactSum", "NumericalFim"),
+        methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM),
         montecarlo=MonteCarloConfig(estimator=ESTIMATOR_NAME, trials=500,
                                     master_seed=20260814, refine_levels=refine_levels),
     )
 
 
-_ALL_MONO = ("ClosedForm", "ExactSum", "NumericalFim", "Taylor", "FarFieldUPW")
-_CURVE_MONO = ("ClosedForm", "ExactSum", "Taylor", "FarFieldUPW")
+_ALL_MONO = (CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM,
+             CrbMethod.TAYLOR, CrbMethod.FARFIELD_UPW)
+_CURVE_MONO = (CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM, CrbMethod.TAYLOR,
+               CrbMethod.FARFIELD_UPW)
 
 
 _M_SWEEP = SweepSpec(axis="M", values=_MONO_M_VALUES)

@@ -199,7 +199,7 @@ def csv_text_oracle(cfg, rows, db=False):
         "# near-field angle/range CRB sweep\n",
         f"# mode={cfg.mode.value} topology={cfg.topology.value} "
         f"axis={cfg.sweep.axis} points={len(rows) // len(cfg.methods)}\n",
-        f"# methods={','.join(cfg.methods)}\n",
+        f"# methods={','.join(m.value for m in cfg.methods)}\n",
         "# units: theta_rad in radians (CLI angles are degrees); "
         "crb_theta in rad^2, crb_r in m^2"
         + (", both emitted as 10*log10" if db else "") + "\n",

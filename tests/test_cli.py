@@ -1,19 +1,29 @@
 """CLI behaviors: subcommands, exit codes, output routing, determinism."""
 
 import csv
+import dataclasses
+import enum
 import hashlib
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from typing import get_args, get_origin
 
 import pytest
 
 import nfcrb
 from nfcrb import experiment
 from nfcrb.cli import main
-from nfcrb.experiment import csv_text, presets, run_experiment
+from nfcrb.experiment import (
+    ExperimentConfig,
+    MonteCarloConfig,
+    SweepSpec,
+    csv_text,
+    presets,
+    run_experiment,
+)
 from nfcrb.fim import SINGULAR_WARNING
 
 SMALL_INI = """
@@ -236,6 +246,73 @@ def test_non_finite_search_window_exits_2(override, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error:")
     assert "must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("override,least", [
+    ("montecarlo.theta_points=1", 2),
+    ("montecarlo.range_points=0", 2),
+    ("montecarlo.refine_levels=-1", 0),
+])
+def test_invalid_search_grid_exits_2_before_any_bound_runs(override, least, monkeypatch,
+                                                           capsys):
+    # the grid's own bounds are checked with the config, not by the first
+    # point's GridSpec after the run's bounds were evaluated
+    ran = []
+    monkeypatch.setattr(experiment, "_EVALUATORS", {
+        method: lambda *args, method=method: ran.append(method)
+        for method in experiment._EVALUATORS})
+    assert main(["preset", "fig8", "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    key, value = override.split("=")
+    assert captured.err == f"config error: {key} must be >= {least}, got {value}\n"
+
+
+_OWNERS = {"scenario": ExperimentConfig, "methods": ExperimentConfig, "sweep": SweepSpec,
+           "montecarlo": MonteCarloConfig}
+
+
+def _enum_keys() -> list:
+    """(section, key, enum) of every INI key whose field holds enum members."""
+    out = []
+    for section, keys in experiment._SECTIONS.items():
+        kinds = {f.name: f.type for f in dataclasses.fields(_OWNERS[section])}
+        for key, (name, _, _) in keys.items():
+            kind = kinds.get(name)
+            if get_origin(kind) is tuple:
+                kind = get_args(kind)[0]
+            if isinstance(kind, enum.EnumType):
+                out.append((section, key, kind))
+    return out
+
+
+def test_every_enum_key_is_covered():
+    assert [(section, key) for section, key, _ in _enum_keys()] == [
+        ("scenario", "mode"), ("scenario", "topology"),
+        ("methods", "use"), ("methods", "asymptotic_regime")]
+
+
+@pytest.mark.parametrize("section,key,kind", _enum_keys(),
+                         ids=[f"{s}.{k}" for s, k, _ in _enum_keys()])
+def test_unknown_enum_value_exits_2_naming_key_value_and_members(section, key, kind, capsys):
+    assert main(["preset", "fig2", "--set", f"{section}.{key}=Sideways"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error:")
+    assert f"[{section}] {key}" in captured.err and "'Sideways'" in captured.err
+    assert all(member.value in captured.err for member in kind)
+
+
+def test_monostatic_rows_echo_the_receive_spacing_in_use(capsys):
+    # a monostatic point receives on its transmit array: d_rx_m is d_tx_m,
+    # whatever rx_spacing_m says, and no bound reads rx_spacing_m
+    argv = ["preset", "fig2", "--set", "sweep.values=9", "--set", "methods.use=ExactSum",
+            "--set", "scenario.tx_spacing_m=0.05"]
+    rows = []
+    for rx in ("0.0628", "0.01"):
+        assert main(argv + ["--set", f"scenario.rx_spacing_m={rx}"]) == 0
+        rows += _rows(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+    assert rows[0]["d_rx_m"] == rows[0]["d_tx_m"] == f"{0.05:.17g}"
 
 
 @pytest.mark.parametrize("override", [
@@ -529,8 +606,13 @@ def test_low_snr_bounds_that_fit_a_float_are_printed(snr, sets, capsys):
      "methods.use=FarFieldUPW"),
     ("fig2", "scenario.snr_db=-3075", "scenario.carrier_freq_hz=5e3", "sweep.values=2049",
      "methods.use=Asymptotic", "methods.asymptotic_regime=SmallAperture"),
+    # an infinite-aperture angle bound that gamma L takes beneath the
+    # subnormals off boresight, where the model's bound is not 0
+    ("fig2", "sweep.values=9", "scenario.snr_db=2910", "scenario.target_range_m=1e9",
+     "methods.use=Asymptotic", "methods.asymptotic_regime=InfiniteAperture"),
 ], ids=["fig2-low", "fig2-low-taylor", "fig4-gamma-l-overflow", "fig4-high",
-        "fig4-high-exactsum", "fig2-low-farfield", "fig2-low-small-aperture"])
+        "fig4-high-exactsum", "fig2-low-farfield", "fig2-low-small-aperture",
+        "fig2-high-infinite-aperture"])
 def test_bounds_past_the_float_range_exit_2(sets, capsys):
     # at an extreme gamma L the bounds leave the normal float range: +inf,
     # subnormal or 0, marked identifiable by every evaluator (angle-only
@@ -540,6 +622,18 @@ def test_bounds_past_the_float_range_exit_2(sets, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error:")
     assert "snr_db" in captured.err and "time_bandwidth" in captured.err
+
+
+def test_infinite_aperture_boresight_zero_is_the_models_at_any_gamma_l(capsys):
+    # at boresight the infinite-aperture angle limit is 0 by the model, not
+    # by gamma L: it is printed at the gamma L whose off-boresight 0 is refused
+    assert main(["preset", "fig2", "--set", "sweep.values=9", "--set", "scenario.snr_db=2910",
+                 "--set", "scenario.target_range_m=1e9", "--set", "scenario.target_angle_deg=0",
+                 "--set", "methods.use=Asymptotic",
+                 "--set", "methods.asymptotic_regime=InfiniteAperture"]) == 0
+    (row,) = _rows(capsys.readouterr().out)
+    assert (row["crb_theta_rad2"], row["identifiable"]) == ("0", "true")
+    assert "degenerates to 0 at boresight" in row["warnings"]
 
 
 def test_singular_information_says_why(capsys):

@@ -19,6 +19,7 @@ from nfcrb.estimator import (
     monte_carlo_rmse,
 )
 from nfcrb.experiment import (
+    CrbMethod,
     ExperimentConfig,
     SweepSpec,
     presets,
@@ -320,7 +321,8 @@ def test_monte_carlo_reaches_the_bound_off_the_presets(mode, topology, seed):
     cfg = ExperimentConfig(
         num_tx=17, num_rx=8, separation_m=35.0 if bistatic else 0.0, target_range_m=3.0,
         target_angle_deg=20.0, snr_db=30.0, mode=mode, topology=topology,
-        sweep=SweepSpec(axis="M", values=(17,)), methods=("ExactSum",), montecarlo=mc)
+        sweep=SweepSpec(axis="M", values=(17,)), methods=(CrbMethod.EXACT_SUM,),
+        montecarlo=mc)
     table = run_experiment(cfg)
     ((bound,),), (rep,) = table.results, table.reports
     band = 3.0 / math.sqrt(2 * rep.trials)

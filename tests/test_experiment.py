@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_text_oracle
 from nfcrb import experiment
-from nfcrb.closedform import crb_closed
+from nfcrb.closedform import AsymptoticRegime, crb_closed
 from nfcrb.errors import ConfigError
 from nfcrb.estimator import (
     GridSpec,
@@ -31,6 +31,7 @@ from nfcrb.experiment import (
     MAX_SWEEP_POINTS,
     MC_COLUMNS,
     PRESET_SUMMARIES,
+    CrbMethod,
     ExperimentConfig,
     MonteCarloConfig,
     SweepSpec,
@@ -71,7 +72,7 @@ def mono_cfg(**kw):
         carrier_freq_hz=2.37e9, snr_db=0.0, time_bandwidth=1.0,
         mode=Mode.MIMO, topology=Topology.MONOSTATIC,
         sweep=SweepSpec(axis="M", values=(9, 17)),
-        methods=("ClosedForm",),
+        methods=(CrbMethod.CLOSED_FORM,),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -150,11 +151,11 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         mono_cfg(methods=("Nonsense",))
     with pytest.raises(ConfigError):
-        mono_cfg(methods=("ClosedForm", "ClosedForm"))
+        mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.CLOSED_FORM))
     with pytest.raises(ConfigError):
         mono_cfg(asymptotic_regime="Sideways")
     with pytest.raises(ConfigError):
-        mono_cfg(methods=("Taylor",), topology=Topology.BISTATIC_NEAR_FAR_TX,
+        mono_cfg(methods=(CrbMethod.TAYLOR,), topology=Topology.BISTATIC_NEAR_FAR_TX,
                  separation_m=35.0)
     with pytest.raises(ConfigError):
         mono_cfg(separation_m=1.0)
@@ -165,6 +166,14 @@ def test_experiment_config_validation():
             MonteCarloConfig(estimator=name, trials=10, master_seed=0)
     with pytest.raises(ConfigError):
         MonteCarloConfig(estimator="MatchedFieldML", trials=0, master_seed=0)
+    for grid in (dict(theta_points=1), dict(range_points=0), dict(refine_levels=-1)):
+        with pytest.raises(ConfigError, match=f"montecarlo.{next(iter(grid))} must be >="):
+            MonteCarloConfig(estimator="MatchedFieldML", trials=10, master_seed=0, **grid)
+    # the INI reader turns names into members; a Python caller passes members
+    with pytest.raises(ConfigError, match="take members, not names"):
+        mono_cfg(methods=("ClosedForm",))
+    with pytest.raises(ConfigError, match="take members, not names"):
+        mono_cfg(asymptotic_regime="LargeAperture")
 
 
 def _only_point(cfg):
@@ -194,9 +203,10 @@ def test_materialize_axis_overrides():
 
 def test_materialize_bistatic_keeps_receiver_count():
     cfg = mono_cfg(topology=Topology.BISTATIC_NEAR_FAR_TX, separation_m=35.0,
-                   num_rx=8, sweep=SweepSpec(axis="M", values=(65,)))
+                   num_rx=8, rx_spacing_m=0.01, sweep=SweepSpec(axis="M", values=(65,)))
     scn, _, _ = _only_point(cfg)
     assert scn.geometry.num_tx == 65 and scn.geometry.num_rx == 8
+    assert scn.geometry.rx_spacing == 0.01
 
 
 def test_validate_config_reports_the_bad_point():
@@ -221,11 +231,11 @@ def test_validate_config_returns_each_point_materialized():
 
 
 @pytest.mark.parametrize("extra", [
-    dict(methods=("ClosedForm", "ExactSum")),
-    dict(methods=("NumericalFim",)),
+    dict(methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM)),
+    dict(methods=(CrbMethod.NUMERICAL_FIM,)),
     # an 11x11 grid keeps the coarse factor at the element cap (1.9 GB)
     # inside MAX_COARSE_FACTOR_BYTES, so the element cap is what is tested
-    dict(methods=("ClosedForm",), montecarlo=MonteCarloConfig(
+    dict(methods=(CrbMethod.CLOSED_FORM,), montecarlo=MonteCarloConfig(
         estimator="MatchedFieldML", trials=2, master_seed=5,
         theta_points=11, range_points=11)),
 ])
@@ -284,7 +294,7 @@ def test_coarse_factor_peak_is_half_again_the_factor_held():
 
 
 def test_receive_element_count_is_capped():
-    cfg = mono_cfg(methods=("ExactSum",), topology=Topology.BISTATIC_NEAR_FAR_TX,
+    cfg = mono_cfg(methods=(CrbMethod.EXACT_SUM,), topology=Topology.BISTATIC_NEAR_FAR_TX,
                    separation_m=35.0, num_rx=MAX_ELEMENTS + 1)
     with pytest.raises(ConfigError, match=f"{MAX_ELEMENTS + 1} receive elements exceed"):
         validate_config(cfg)
@@ -323,7 +333,7 @@ def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
 
 def test_run_experiment_row_layout():
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16)),
-                   methods=("ClosedForm", "ExactSum"))
+                   methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM))
     rows = run_experiment(cfg).rows()
     assert len(rows) == 4
     assert [r["method"] for r in rows] == ["ClosedForm", "ExactSum"] * 2
@@ -365,7 +375,7 @@ def test_runs_are_consecutive_points_that_share_a_geometry(monkeypatch):
     calls, _ = _count_exact_sum_calls(monkeypatch)
     # 16 rounds up to 17: one geometry, one run, the warning on M=16 only
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(16, 17)),
-                   methods=("ClosedForm", "ExactSum"))
+                   methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM))
     table = run_experiment(cfg)
     assert calls == [(17, 2)]
     rows = table.rows()
@@ -375,7 +385,8 @@ def test_runs_are_consecutive_points_that_share_a_geometry(monkeypatch):
         assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, rows, db=db)
     # a geometry seen again after another is a new run
     calls.clear()
-    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 17, 9)), methods=("ExactSum",))
+    cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 17, 9)),
+                   methods=(CrbMethod.EXACT_SUM,))
     table = run_experiment(cfg)
     assert calls == [(9, 1), (17, 1), (9, 1)]
     assert table.rows()[0] == table.rows()[2]
@@ -397,14 +408,14 @@ def test_a_config_listing_both_fim_methods_evaluates_each_point_once(monkeypatch
     monkeypatch.setattr(experiment, "build_observation", counted)
     cfg = replace(presets()[name], sweep=SweepSpec(
         axis="M", values=(9, 17, 33, 65, 129, 257, 513, 1025, 2049)))
-    assert {"ExactSum", "NumericalFim"} <= set(cfg.methods)
+    assert {CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM} <= set(cfg.methods)
     table = run_experiment(cfg)
     points = validate_config(cfg)
     assert calls == []
     assert observed == [(scn.geometry.num_tx, scn.target) for scn, _, _ in points]
-    exact = table.results[cfg.methods.index("ExactSum")]
+    exact = table.results[cfg.methods.index(CrbMethod.EXACT_SUM)]
     # both names read the one list that NumericalFim's evaluation filled
-    assert table.results[cfg.methods.index("NumericalFim")] is exact
+    assert table.results[cfg.methods.index(CrbMethod.NUMERICAL_FIM)] is exact
     for res, (scn, ncfg, _) in zip(exact, points, strict=True):
         alone = one_call(scn.geometry, (scn.target,), scn.carrier, ncfg,
                          scn.mode, scn.topology)[0]
@@ -424,23 +435,24 @@ def test_every_method_has_one_run_evaluator():
         (scn, ncfg, _), = validate_config(mono_cfg(mode=mode, sweep=SweepSpec(
             axis="M", values=(9,))))
         for method, evaluate in experiment._EVALUATORS.items():
-            results = evaluate([scn.target], scn, ncfg, "LargeAperture")
+            results = evaluate([scn.target], scn, ncfg, AsymptoticRegime.LARGE_APERTURE)
             assert [type(res) for res in results] == [CrbResult], method
 
 
 def test_both_fim_methods_share_rows_in_any_listed_order():
     both = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16, 1)),
-                    methods=("NumericalFim", "ClosedForm", "ExactSum"))
+                    methods=(CrbMethod.NUMERICAL_FIM, CrbMethod.CLOSED_FORM,
+                             CrbMethod.EXACT_SUM))
     table = run_experiment(both)
-    for name in ("NumericalFim", "ExactSum"):
-        alone = run_experiment(replace(both, methods=(name,)))
-        assert table.results[both.methods.index(name)] == alone.results[0]
+    for method in (CrbMethod.NUMERICAL_FIM, CrbMethod.EXACT_SUM):
+        alone = run_experiment(replace(both, methods=(method,)))
+        assert table.results[both.methods.index(method)] == alone.results[0]
 
 
 def test_run_experiment_repeats_mc_row_per_method():
     cfg = mono_cfg(
         sweep=SweepSpec(axis="snr_db", values=(0.0,)),
-        methods=("ClosedForm", "ExactSum"),
+        methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM),
         montecarlo=MonteCarloConfig(
             estimator="MatchedFieldML", trials=2, master_seed=5,
             theta_points=15, range_points=11, refine_levels=0),
@@ -461,7 +473,7 @@ def parse_csv(text):
 
 
 def test_csv_round_trips_floats_exactly():
-    cfg = mono_cfg(methods=("ClosedForm", "FarFieldUPW"))
+    cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.FARFIELD_UPW))
     table = run_experiment(cfg)
     rows = table.rows()
     text = csv_text(cfg, table)
@@ -478,7 +490,7 @@ def test_csv_round_trips_floats_exactly():
 
 
 def test_csv_db_columns():
-    cfg = mono_cfg(methods=("ClosedForm", "FarFieldUPW"),
+    cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.FARFIELD_UPW),
                    sweep=SweepSpec(axis="M", values=(9,)))
     table = run_experiment(cfg)
     text = csv_text(cfg, table, db=True)
@@ -494,7 +506,8 @@ def test_snr_db_cells_echo_the_configured_value():
     # 2.9999999999999991); the cells and rows give x as configured, -0 apart
     # from 0, and the bounds still read the linear SNR 10^(x/10)
     grid = tuple(0.5 * k for k in range(-60, 61)) + (-0.0,)
-    cfg = mono_cfg(sweep=SweepSpec(axis="snr_db", values=grid), methods=("ClosedForm",))
+    cfg = mono_cfg(sweep=SweepSpec(axis="snr_db", values=grid),
+                   methods=(CrbMethod.CLOSED_FORM,))
     table = run_experiment(cfg)
     assert [repr(row["snr_db"]) for row in table.rows()] == [repr(x) for x in grid]
     col = BASE_COLUMNS.index("snr_db")
@@ -553,7 +566,7 @@ def _point(geom, angle_rad, noise=None, warnings=()):
 def test_csv_text_formats_equal_scenario_cells_of_another_type_apart():
     # points whose scenarios compare equal but render differently (+0 and
     # -0) must not share their text
-    cfg = mono_cfg(methods=("ClosedForm",))
+    cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM,))
     geoms = [ArrayGeometry(9, 9, 0.0628, 0.0628, sep) for sep in (0.0, -0.0)]
     assert geoms[0] == geoms[1]
     points = [_point(geoms[0], 0.0), _point(geoms[1], -0.0)]
@@ -582,7 +595,7 @@ def _tables(draw):
     """A cfg and a SweepTable whose every column holds a value of its
     declared type; points draw their geometry and noise from small pools,
     so runs share them as validate_config's points do."""
-    methods = draw(st.lists(st.sampled_from(experiment.METHOD_NAMES),
+    methods = draw(st.lists(st.sampled_from(CrbMethod),
                             min_size=1, max_size=3, unique=True))
     mc = MonteCarloConfig(estimator="MatchedFieldML", trials=2, master_seed=5,
                           theta_halfspan_deg=draw(_positive), range_span_frac=draw(_positive))
@@ -633,13 +646,13 @@ def _golden_grid_text() -> str:
     out = []
     for mode, topology in itertools.product(Mode, Topology):
         bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
-        methods = tuple(m for m in experiment.METHOD_NAMES
-                        if m != "NumericalFim" and not (bistatic and m == "Taylor"))
+        methods = tuple(m for m in CrbMethod if m is not CrbMethod.NUMERICAL_FIM
+                        and not (bistatic and m is CrbMethod.TAYLOR))
         for num_tx, (snr_db, regime), (sweep, angle_deg), use in itertools.product(
-                (1, 3, 9, 1024), zip((-10.0, 0.0, 20.0), experiment.REGIME_NAMES),
+                (1, 3, 9, 1024), zip((-10.0, 0.0, 20.0), AsymptoticRegime),
                 ((SweepSpec(axis="theta", values=_GOLDEN_THETAS), 0.0),
                  (SweepSpec(axis="r", values=_GOLDEN_RANGES), -60.0)),
-                (methods, ("NumericalFim",))):
+                (methods, (CrbMethod.NUMERICAL_FIM,))):
             cfg = ExperimentConfig(
                 num_tx=num_tx, num_rx=8, separation_m=35.0 if bistatic else 0.0,
                 target_range_m=5.0, target_angle_deg=angle_deg, snr_db=snr_db,
@@ -692,7 +705,8 @@ def test_parse_config_text_defaults():
     assert cfg.num_rx == 1 and cfg.mode is Mode.MIMO
     assert cfg.topology is Topology.MONOSTATIC
     assert cfg.sweep.values == (9, 17)
-    assert cfg.methods == ("ClosedForm", "ExactSum")
+    assert cfg.methods == (CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM)
+    assert cfg.asymptotic_regime is AsymptoticRegime.LARGE_APERTURE
     assert cfg.montecarlo is None
 
 
@@ -828,18 +842,18 @@ def _sweeps(draw):
 @st.composite
 def _configs(draw):
     mono = draw(st.booleans())
-    names = [m for m in experiment.METHOD_NAMES if mono or m != "Taylor"]
+    names = [m for m in CrbMethod if mono or m is not CrbMethod.TAYLOR]
     optional = {
         "num_rx": st.integers(), "tx_spacing_m": _finite, "rx_spacing_m": _finite,
         "carrier_freq_hz": _finite, "snr_db": _finite, "time_bandwidth": _finite,
         "mode": st.sampled_from(Mode),
-        "asymptotic_regime": st.sampled_from(experiment.REGIME_NAMES),
+        "asymptotic_regime": st.sampled_from(AsymptoticRegime),
         "montecarlo": st.builds(
             MonteCarloConfig, estimator=st.just(experiment.ESTIMATOR_NAME),
             trials=st.integers(min_value=1), master_seed=st.integers(min_value=0),
-            theta_halfspan_deg=_span, theta_points=st.integers(),
-            range_span_frac=_span, range_points=st.integers(),
-            refine_levels=st.integers()),
+            theta_halfspan_deg=_span, theta_points=st.integers(min_value=2),
+            range_span_frac=_span, range_points=st.integers(min_value=2),
+            refine_levels=st.integers(min_value=0)),
     }
     if not mono:
         optional["separation_m"] = st.floats(min_value=1e-3, max_value=1e6)
