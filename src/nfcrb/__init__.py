@@ -3,6 +3,8 @@ uniform linear arrays: exact element-sum and closed-form bounds, asymptotic
 and far-field reference curves, waveform-level simulation, and a grid
 estimator for empirical verification."""
 
+import importlib
+
 from .closedform import (
     AsymptoticRegime,
     bistatic_range_crb_minimizer,
@@ -19,13 +21,6 @@ from .errors import (
     DomainError,
     NfcrbError,
     SingularGeometryError,
-)
-from .estimator import (
-    EstimateResult,
-    GridSpec,
-    ObservationGridBuilder,
-    RmseReport,
-    monte_carlo_rmse,
 )
 from .experiment import (
     CrbMethod,
@@ -62,14 +57,6 @@ from .geometry import (
     amplitude_model_valid,
     epsilon_tx,
 )
-from .signalsim import (
-    WaveformConfig,
-    mimo_chain_demo,
-    orthogonal_codes,
-    phased_chain_demo,
-    reflection_amplitude,
-    synth_snapshot,
-)
 from .steering import (
     ObservationVector,
     PhaseFactor,
@@ -80,3 +67,21 @@ from .steering import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo stack (the grid estimator, the snapshot simulator and,
+# through them, numpy.random) is imported on first access to one of its
+# names, so a bound-only run never loads it.
+_LAZY = {
+    **dict.fromkeys(("EstimateResult", "GridSpec", "ObservationGridBuilder", "RmseReport",
+                     "monte_carlo_rmse"), "estimator"),
+    **dict.fromkeys(("WaveformConfig", "mimo_chain_demo", "orthogonal_codes",
+                     "phased_chain_demo", "reflection_amplitude", "synth_snapshot"),
+                    "signalsim"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -193,6 +193,13 @@ def _scaled(bound: float, pow2: float) -> float:
     return scaled if scaled or not bound else math.ulp(0.0)
 
 
+def _quotient(num: float, den: float) -> float:
+    # num / den, or +inf (dropped by _result) where a nonzero num gives 0:
+    # a denominator past the float range must not read as the model's 0
+    q = num / den
+    return q if q or not num else math.inf
+
+
 def _result(pow2: float, warnings: tuple, crb_t: float, crb_r: float | None = None) -> CrbResult:
     """The result of an asymptotic, Taylor or plane-wave formula whose
     bounds crb_t and crb_r (None: an angle-only model) were formed with the
@@ -302,8 +309,12 @@ def crb_asymptotic(
             out.append(_result(pow2, warns, pll3 / (den_small * cth * cth)))
             continue
         if regime is AsymptoticRegime.INFINITE_APERTURE:
-            crb_t = pll_d * sth * sth / (den_inf * r ** 3 * cth)
-            crb_r = pll_d * cth / (den_inf * r)
+            try:
+                r3 = r ** 3
+            except OverflowError:  # float pow raises where the product gives inf
+                r3 = math.inf
+            crb_t = _quotient(pll_d * sth * sth, den_inf * r3 * cth)
+            crb_r = _quotient(pll_d * cth, den_inf * r)
             if th == 0.0:
                 warns = warns + ("angle limit degenerates to 0 at boresight",)
         else:
@@ -319,8 +330,8 @@ def crb_asymptotic(
             num_r = lam2 * (
                 u * u + math.pi * u * c2th / cth - 4.0 * (log_t - 1.0) ** 2 * sth * sth)
             den = den_t * r * r * m if mimo else den_t * r * r * m * m
-            crb_t = mant * num_t / (den * core * cth * cth)
-            crb_r = mant * num_r / (den_r * core)
+            crb_t = _quotient(mant * num_t, den * core * cth * cth)
+            crb_r = _quotient(mant * num_r, den_r * core)
         out.append(_result(pow2, warns, crb_t, crb_r))
     return out
 

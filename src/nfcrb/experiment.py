@@ -25,7 +25,6 @@ from .closedform import (
     crb_taylor,
 )
 from .errors import ConfigError, NfcrbError
-from .estimator import GridSpec, ObservationGridBuilder, monte_carlo_rmse
 from .fim import (
     CrbResult,
     NoiseAndPowerConfig,
@@ -326,11 +325,16 @@ def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: Carrier
         raise ConfigError(
             f"{where}: {geom.num_tx} transmit / {geom.num_rx} receive elements exceed "
             f"{MAX_ELEMENTS} for ExactSum, NumericalFim or Monte Carlo")
-    coarse = (ObservationGridBuilder(geom, carrier, cfg.mode, cfg.topology).location_bytes
-              * mc.theta_points * mc.range_points) if mc else 0
-    if coarse > MAX_COARSE_FACTOR_BYTES:
-        raise ConfigError(f"{where}: the Monte Carlo coarse factor needs {coarse} B, "
-                          f"over {MAX_COARSE_FACTOR_BYTES} B")
+    if mc:
+        # the estimator (and with it signalsim and numpy.random) loads only
+        # for a Monte Carlo run
+        from .estimator import ObservationGridBuilder
+
+        coarse = (ObservationGridBuilder(geom, carrier, cfg.mode, cfg.topology).location_bytes
+                  * mc.theta_points * mc.range_points)
+        if coarse > MAX_COARSE_FACTOR_BYTES:
+            raise ConfigError(f"{where}: the Monte Carlo coarse factor needs {coarse} B, "
+                              f"over {MAX_COARSE_FACTOR_BYTES} B")
 
 
 def validate_config(cfg: ExperimentConfig) -> list:
@@ -459,6 +463,8 @@ def _run_key(point) -> tuple:
 
 
 def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPowerConfig):
+    from .estimator import GridSpec, monte_carlo_rmse
+
     mc = cfg.montecarlo
     grid = GridSpec.around(
         scn.target,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import enum
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -359,6 +360,34 @@ def test_stray_sweep_start_exits_2(capsys):
     assert "not with values" in captured.err
 
 
+@pytest.mark.parametrize("overrides", [
+    # LargeAperture: den_t r^2 M overflows, so the angle bound read 0
+    ("scenario.target_range_m=1e160",),
+    # InfiniteAperture: r ** 3 raised OverflowError (exit 3)
+    ("scenario.target_range_m=1e110", "methods.asymptotic_regime=InfiniteAperture"),
+])
+def test_asymptotic_bound_past_float_range_is_dropped(overrides, capsys):
+    args = ["preset", "fig2", "--set", "sweep.values=9", "--set", "methods.use=Asymptotic"]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 0
+    (row,) = _rows(capsys.readouterr().out)
+    assert row["identifiable"] == "false"
+    assert row["crb_theta_rad2"] == row["crb_r_m2"] == "inf"
+    assert "formula left its validity region; bound dropped" in row["warnings"]
+
+
+def test_infinite_aperture_boresight_zero_survives_an_overflowed_cube(capsys):
+    # at boresight the angle limit is the model's 0 whatever r ** 3 gives
+    assert main(["preset", "fig2", "--set", "sweep.values=9", "--set", "methods.use=Asymptotic",
+                 "--set", "methods.asymptotic_regime=InfiniteAperture",
+                 "--set", "scenario.target_angle_deg=0",
+                 "--set", "scenario.target_range_m=1e110"]) == 0
+    (row,) = _rows(capsys.readouterr().out)
+    assert row["identifiable"] == "true" and row["crb_theta_rad2"] == "0"
+    assert 0.0 < float(row["crb_r_m2"]) < math.inf
+
+
 def test_taylor_range_bound_out_of_float_range_is_unidentifiable(capsys):
     assert main(["preset", "fig2", "--set", "sweep.values=9",
                  "--set", "scenario.target_range_m=1e200"]) == 0
@@ -669,6 +698,32 @@ def test_endfire_methods_agree_with_oracle(capsys):
     assert fim == exact
     assert fim["identifiable"] == "true"
     assert abs(float(fim["crb_theta_rad2"]) / 2.904086286106622e+27 - 1.0) < 1e-10
+
+
+MC_STACK = ("nfcrb.estimator", "nfcrb.signalsim", "numpy.random")
+
+
+def test_bound_presets_start_without_the_monte_carlo_stack():
+    # fig2-fig7 never import the estimator, the simulator or numpy's RNG;
+    # a Monte Carlo run loads all three on first use
+    script = f"""
+import contextlib, io, json, sys
+from nfcrb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["preset", f"fig{{i}}"]) for i in range(2, 8)]
+    bound_only = [m for m in {MC_STACK!r} if m in sys.modules]
+    codes.append(cli.main(["preset", "fig8", "--set", "montecarlo.trials=1",
+                           "--set", "montecarlo.theta_points=31",
+                           "--set", "montecarlo.range_points=21"]))
+print(json.dumps([codes, bound_only, [m for m in {MC_STACK!r} if m in sys.modules]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, bound_only, after_mc = json.loads(proc.stdout)
+    assert codes == [0] * 7
+    assert bound_only == []
+    assert after_mc == list(MC_STACK)
 
 
 def test_monte_carlo_coarse_factor_over_budget_exits_2():

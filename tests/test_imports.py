@@ -1,7 +1,9 @@
 """Every name a package or test module imports is used there, or marked
-`# noqa: F401` on its import line."""
+`# noqa: F401` on its import line; the Monte Carlo names `nfcrb` exports on
+first access are its submodules' own objects."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,30 @@ def test_the_gate_sees_an_unused_import():
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+LAZY_EXPORTS = {
+    "estimator": ("EstimateResult", "GridSpec", "ObservationGridBuilder", "RmseReport",
+                  "monte_carlo_rmse"),
+    "signalsim": ("WaveformConfig", "mimo_chain_demo", "orthogonal_codes",
+                  "phased_chain_demo", "reflection_amplitude", "synth_snapshot"),
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in LAZY_EXPORTS.items()
+                                         for n in names])
+def test_lazy_export_is_the_submodules_object(module, name):
+    scope = {}
+    exec(f"from nfcrb import {name}", scope)
+    assert scope[name] is getattr(importlib.import_module(f"nfcrb.{module}"), name)
+
+
+def test_every_lazy_table_entry_exists_in_its_module():
+    for name, module in nfcrb._LAZY.items():
+        assert hasattr(importlib.import_module(f"nfcrb.{module}"), name), name
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    assert not hasattr(nfcrb, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nfcrb.no_such_name
