@@ -89,8 +89,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        rows = run_experiment(cfg)
-        text = csv_text(cfg, rows, db=args.db)
+        table = run_experiment(cfg)
+        text = csv_text(cfg, table, db=args.db)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

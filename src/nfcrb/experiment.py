@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType
-from typing import get_args, get_origin
+from typing import NamedTuple, get_args, get_origin
 
 from .closedform import (
     AsymptoticRegime,
@@ -337,30 +337,40 @@ def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: Carrier
                               f"over {MAX_COARSE_FACTOR_BYTES} B")
 
 
+class SweepRun(NamedTuple):
+    """Sweep points that share one geometry, carrier and noise config, in
+    sweep order: every point of a theta or r sweep, or one point of an M or
+    snr_db sweep. note is the rounding note of an even transmit count, ()
+    if none, which each of the run's rows carries."""
+
+    geometry: ArrayGeometry
+    carrier: CarrierConfig
+    noise: NoiseAndPowerConfig
+    note: tuple
+    targets: list
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
     """Materialize every sweep point up front so bad values fail as config
     errors before any output is produced.
 
-    Returns the points' (scenario, noise_cfg, warnings) triples in sweep
-    order. Each distinct geometry (one per M after rounding), the carrier
-    and each distinct noise config (one per snr_db) is built once and
-    shared by every point that has it. Even transmit counts of 2 or more
-    round up to the next odd integer so the symmetric-index layout holds,
-    with a warning on that point, and a count below 1 is refused before
-    rounding; monostatic scenarios receive on the transmit array, so N and
-    d_rx are forced to M and d_tx there. Each geometry is checked once
-    (_check_geometry), each noise config's 2 gamma L (_snr_in_range), each
-    bistatic point's receive terms (_receive_in_range), and with Monte Carlo
-    each point's search window (_window_in_range). Each distinct transmit
-    count is rounded, and each distinct snr_db keyed, once.
+    Returns the sweep's runs (SweepRun) in sweep order. The axis decides
+    them: an M or snr_db point changes the geometry or the noise config, so
+    each is a run of its own, and a theta or r sweep moves the target alone,
+    so one run holds every point. The carrier is built once, a geometry per
+    M point (else once) and a noise config per snr_db point (else once).
+    Even transmit counts of 2 or more round up to the next odd integer so
+    the symmetric-index layout holds, with a note on that run, and a count
+    below 1 is refused before rounding; monostatic scenarios receive on the
+    transmit array, so N and d_rx are forced to M and d_tx there. Each
+    geometry is checked once (_check_geometry), each noise config's
+    2 gamma L (_snr_in_range), each point's target, each bistatic point's
+    receive terms (_receive_in_range), and with Monte Carlo each point's
+    search window (_window_in_range); a refusal names its sweep point.
     """
     axis = cfg.sweep.axis
     mono = cfg.topology is Topology.MONOSTATIC
-    geoms, noises, rounded, carrier = {}, {}, {}, None
-    # -0 dB is keyed apart from 0, so that each is echoed as configured; a
-    # sweep that does not vary snr_db keys its one value once
-    snr_key = cfg.snr_db if cfg.snr_db else repr(cfg.snr_db)
-    points = []
+    runs, geom, carrier, ncfg = [], None, None, None
     for v in cfg.sweep.points():
         num_tx, angle_deg, range_m, snr_db = (
             cfg.num_tx, cfg.target_angle_deg, cfg.target_range_m, cfg.snr_db)
@@ -374,16 +384,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
             range_m = float(v)
         else:
             snr_db = float(v)
-            snr_key = snr_db if snr_db else repr(snr_db)
-        odd = rounded.get(num_tx)
-        if odd is None:
-            odd = rounded[num_tx] = _round_odd(num_tx)
-        num_tx, warns = odd
+        new_geom = geom is None or axis == "M"
         try:
-            geom = geoms.get(num_tx)
-            new_geom = geom is None
             if new_geom:
-                geom = geoms[num_tx] = ArrayGeometry(
+                num_tx, note = _round_odd(num_tx)
+                geom = ArrayGeometry(
                     num_tx=num_tx,
                     num_rx=num_tx if mono else cfg.num_rx,
                     tx_spacing=cfg.tx_spacing_m,
@@ -392,15 +397,12 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 )
             tgt = TargetLocation(range_m=range_m, angle_rad=math.radians(angle_deg))
             carrier = carrier or CarrierConfig(carrier_freq=cfg.carrier_freq_hz)
-            ncfg = noises.get(snr_key)
-            if ncfg is None:
-                ncfg = noises[snr_key] = NoiseAndPowerConfig.from_snr(
-                    snr_db, time_bandwidth=cfg.time_bandwidth)
+            if ncfg is None or axis == "snr_db":
+                ncfg = NoiseAndPowerConfig.from_snr(snr_db, time_bandwidth=cfg.time_bandwidth)
                 if not _snr_in_range(ncfg):
                     raise ConfigError(
                         f"sweep point {axis}={v!r}: snr_db = {snr_db!r} and time_bandwidth = "
                         f"{cfg.time_bandwidth!r} put 2 gamma L past the normal float range")
-            scn = SensingScenario(geom, tgt, carrier, cfg.mode, cfg.topology)
         except ConfigError:
             raise
         except NfcrbError as exc:
@@ -413,147 +415,114 @@ def validate_config(cfg: ExperimentConfig) -> list:
         if cfg.montecarlo and not _window_in_range(geom, carrier, range_m, cfg.montecarlo):
             raise ConfigError(f"sweep point {axis}={v!r}: the Monte Carlo range window's "
                               "far edge is past the float range")
-        points.append((scn, ncfg, warns))
-    return points
+        if axis in ("M", "snr_db") or not runs:
+            runs.append(SweepRun(geom, carrier, ncfg, note, []))
+        runs[-1].targets.append(tgt)
+    return runs
 
 
-# one evaluator per method: (targets, scn, ncfg, regime) -> one result per
-# target of a run, points that share scn's geometry, carrier, mode and
-# topology and the noise config ncfg. ExactSum sums the run in blocks, and
-# Taylor, FarFieldUPW and Asymptotic form once per run what its targets
-# share. ClosedForm and NumericalFim evaluate target by target: NumericalFim
-# costs less so for a lone target (an M sweep's run), and run_experiment
-# evaluates it alone when a config lists both exact methods. Each looks its
-# bound function up as a module global at call time, so that a wrapper
-# installed on a module binding (a tracer) sees every call
+def _exact(run: SweepRun, cfg: ExperimentConfig) -> list:
+    """ExactSum's and NumericalFim's bounds over a run, which are the same
+    bits: a lone target (an M or snr_db sweep's run) on the per-location
+    path, which costs it less, and a longer run in crb_exact_sum's blocks."""
+    if len(run.targets) == 1:
+        obs = build_observation(run.geometry, run.targets[0], run.carrier, cfg.mode,
+                                cfg.topology)
+        return [crb_from_fim(fim_numeric(obs, run.noise))]
+    return crb_exact_sum(run.geometry, run.targets, run.carrier, run.noise, cfg.mode,
+                         cfg.topology)
+
+
+# one evaluator per method: (run, cfg) -> one result per target of the run.
+# ExactSum and NumericalFim share one, so run_experiment evaluates it once
+# for both names. crb_exact_sum sums a run in blocks, and Taylor,
+# FarFieldUPW and Asymptotic form once per run what its targets share;
+# ClosedForm evaluates target by target. Each looks its bound function up
+# as a module global at call time, so that a wrapper installed on a module
+# binding (a tracer) sees every call
 _EVALUATORS = {
-    CrbMethod.EXACT_SUM: lambda targets, scn, ncfg, regime: crb_exact_sum(
-        scn.geometry, targets, scn.carrier, ncfg, scn.mode, scn.topology),
-    CrbMethod.CLOSED_FORM: lambda targets, scn, ncfg, regime: [
-        crb_closed(scn.geometry, t, scn.carrier, ncfg, scn.mode, scn.topology)
-        for t in targets],
-    CrbMethod.NUMERICAL_FIM: lambda targets, scn, ncfg, regime: [
-        crb_from_fim(fim_numeric(build_observation(
-            scn.geometry, t, scn.carrier, scn.mode, scn.topology), ncfg))
-        for t in targets],
-    CrbMethod.ASYMPTOTIC: lambda targets, scn, ncfg, regime: crb_asymptotic(
-        scn.geometry, targets, scn.carrier, ncfg, regime, scn.mode, scn.topology),
-    CrbMethod.TAYLOR: lambda targets, scn, ncfg, regime: crb_taylor(
-        scn.geometry, targets, scn.carrier, ncfg, scn.mode),
-    CrbMethod.FARFIELD_UPW: lambda targets, scn, ncfg, regime: crb_farfield_upw(
-        scn.geometry, targets, scn.carrier, ncfg, scn.mode, scn.topology),
+    CrbMethod.EXACT_SUM: _exact,
+    CrbMethod.CLOSED_FORM: lambda run, cfg: [
+        crb_closed(run.geometry, t, run.carrier, run.noise, cfg.mode, cfg.topology)
+        for t in run.targets],
+    CrbMethod.NUMERICAL_FIM: _exact,
+    CrbMethod.ASYMPTOTIC: lambda run, cfg: crb_asymptotic(
+        run.geometry, run.targets, run.carrier, run.noise, cfg.asymptotic_regime, cfg.mode,
+        cfg.topology),
+    CrbMethod.TAYLOR: lambda run, cfg: crb_taylor(
+        run.geometry, run.targets, run.carrier, run.noise, cfg.mode),
+    CrbMethod.FARFIELD_UPW: lambda run, cfg: crb_farfield_upw(
+        run.geometry, run.targets, run.carrier, run.noise, cfg.mode, cfg.topology),
 }
 
 
-def _out_of_range_error(method: CrbMethod, res: CrbResult, point) -> ConfigError:
-    scn, ncfg, _ = point
+def _out_of_range_error(method: CrbMethod, res: CrbResult, run: SweepRun,
+                        tgt: TargetLocation) -> ConfigError:
+    ncfg = run.noise
     return ConfigError(
-        f"{method.value} at M = {scn.geometry.num_tx}, theta_rad = {scn.target.angle_rad!r}, "
-        f"r_m = {scn.target.range_m!r} gives crb_theta_rad2 = {res.crb_theta!r} and crb_r_m2 = "
+        f"{method.value} at M = {run.geometry.num_tx}, theta_rad = {tgt.angle_rad!r}, "
+        f"r_m = {tgt.range_m!r} gives crb_theta_rad2 = {res.crb_theta!r} and crb_r_m2 = "
         f"{res.crb_range!r}, outside the normal float range [{sys.float_info.min!r}, inf): "
         f"the bounds scale as 1/(gamma L), and snr_db = {ncfg.snr_db!r} with "
         f"time_bandwidth = {ncfg.time_bandwidth!r} is out of their range at this point")
 
 
-def _run_key(point) -> tuple:
-    # validate_config shares one geometry and one noise object among the
-    # points that have them, so a run is found by identity
-    scn, ncfg, _ = point
-    return id(scn.geometry), id(ncfg)
-
-
-def _run_point_mc(cfg: ExperimentConfig, scn: SensingScenario, ncfg: NoiseAndPowerConfig):
+def _run_point_mc(cfg: ExperimentConfig, run: SweepRun, tgt: TargetLocation):
     from .estimator import GridSpec, monte_carlo_rmse
 
     mc = cfg.montecarlo
+    scn = SensingScenario(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
     grid = GridSpec.around(
-        scn.target,
+        tgt,
         theta_halfspan_deg=mc.theta_halfspan_deg,
         theta_points=mc.theta_points,
         range_span_frac=mc.range_span_frac,
         range_points=mc.range_points,
         refine_levels=mc.refine_levels,
     )
-    return monte_carlo_rmse(scn, ncfg, grid, trials=mc.trials, master_seed=mc.master_seed)
+    return monte_carlo_rmse(scn, run.noise, grid, trials=mc.trials, master_seed=mc.master_seed)
 
 
 @dataclass(frozen=True)
 class SweepTable:
-    """What one sweep computed: validate_config's points, one CrbResult list
-    per cfg.methods entry (a result per point; methods one evaluation serves
-    share one list), and one RmseReport per point when Monte Carlo runs
-    (else None). Rows and cells are formed only on read: rows() for callers
-    that want dicts, csv_text for the file."""
+    """What one sweep computed: validate_config's runs, one CrbResult list
+    per cfg.methods entry (a result per point, in sweep order; methods one
+    evaluator serves share one list), and one RmseReport per point when
+    Monte Carlo runs (else None). csv_text forms its rows and cells."""
 
     cfg: ExperimentConfig
-    points: list
+    runs: list
     results: list
     reports: list | None = None
-
-    def rows(self) -> list:
-        """One dict per (sweep point x method), in sweep order, keyed and
-        ordered by the CSV columns (crb values linear); a Monte Carlo report
-        is repeated on each method row of its point."""
-        cfg, rows = self.cfg, []
-        for i, (scn, ncfg, warns) in enumerate(self.points):
-            geom, tgt = scn.geometry, scn.target
-            point = {
-                "mode": cfg.mode.value, "topology": cfg.topology.value,
-                "M": geom.num_tx, "N": geom.num_rx, "d_tx_m": geom.tx_spacing,
-                "d_rx_m": geom.rx_spacing, "R_m": geom.array_separation,
-                "theta_rad": tgt.angle_rad, "r_m": tgt.range_m,
-                "snr_db": ncfg.snr_db, "L": ncfg.time_bandwidth,
-            }
-            rep = self.reports[i] if self.reports is not None else None
-            mc = {} if rep is None else {
-                "rmse_theta_rad": rep.rmse_theta, "rmse_range_m": rep.rmse_range,
-                "trials": rep.trials, "estimator": cfg.montecarlo.estimator,
-                "master_seed": rep.master_seed,
-            }
-            for method, results in zip(cfg.methods, self.results):
-                res = results[i]
-                rows.append({
-                    "method": method.value, **point,
-                    "crb_theta_rad2": res.crb_theta, "crb_r_m2": res.crb_range,
-                    "identifiable": res.identifiable,
-                    "warnings": "; ".join(warns + res.warnings), **mc,
-                })
-        return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepTable:
     """Evaluate every method at every sweep point.
 
-    Each method is evaluated once per run: consecutive points that share
-    one geometry and one noise object (validate_config builds each once).
-    ExactSum and NumericalFim give the same bits, so a config that lists
-    both evaluates NumericalFim alone, and both methods read its results. A
-    bound outside the normal float range is refused (_first_out_of_range)
-    as soon as its method has run. Monte Carlo, when configured, runs once
-    per sweep point.
+    Each distinct evaluator runs once per run of validate_config's, and
+    every listed method it serves reads its one result list: ExactSum and
+    NumericalFim give the same bits and share one. A bound outside the
+    normal float range is refused (_first_out_of_range) as soon as its
+    evaluator has run. Monte Carlo, when configured, runs once per sweep
+    point.
     """
-    points = validate_config(cfg)
-    methods = cfg.methods
-    if CrbMethod.NUMERICAL_FIM in methods:
-        methods = [CrbMethod.NUMERICAL_FIM if m is CrbMethod.EXACT_SUM else m for m in methods]
-    # one result list per evaluated method, in first-listed order
-    lists = {method: [] for method in methods}
-    evaluators = [(method, _EVALUATORS[method], out) for method, out in lists.items()]
+    runs = validate_config(cfg)
+    # evaluator -> (first method it serves, its result list), in listed order
+    lists = {}
+    for method in cfg.methods:
+        lists.setdefault(_EVALUATORS[method], (method, []))
     reports = [] if cfg.montecarlo else None
-    for _, run in itertools.groupby(points, _run_key):
-        run = list(run)
-        scn, ncfg, _ = run[0]
-        targets = [s.target for s, _, _ in run]
-        for method, evaluate, out in evaluators:
-            res = evaluate(targets, scn, ncfg, cfg.asymptotic_regime)
+    for run in runs:
+        for evaluate, (method, out) in lists.items():
+            res = evaluate(run, cfg)
             bad = _first_out_of_range(method, res)
             if bad is not None:
-                raise _out_of_range_error(method, res[bad], run[bad])
+                raise _out_of_range_error(method, res[bad], run, run.targets[bad])
             out += res
         # after the bounds, so that a refused run spends no trials
         if reports is not None:
-            reports += [_run_point_mc(cfg, s, n) for s, n, _ in run]
-    return SweepTable(cfg, points, [lists[method] for method in methods], reports)
+            reports += [_run_point_mc(cfg, run, tgt) for tgt in run.targets]
+    return SweepTable(cfg, runs, [lists[_EVALUATORS[m]][1] for m in cfg.methods], reports)
 
 
 def _text_cell(text: str) -> str:
@@ -563,31 +532,25 @@ def _text_cell(text: str) -> str:
     return text
 
 
-def _scenario_cells(points) -> list:
-    """The M .. L cells of each point, one string per point. A run's
+def _point_cells(runs):
+    """The M .. L cells and the note of each point, in sweep order. A run's
     geometry cells are formatted once, and so are its noise config's (snr_db
     and L); a theta or r cell is formatted again only where its value's
     bits change, so a sweep formats its axis column per point and the other
     once. Equal values of one bit pattern print alike; 0.0 == -0.0 does not,
     so a zero is never reused."""
-    cells, geom, geom_cells, noise, noise_cells = [], None, "", None, ""
     th_prev = r_prev = None
-    for scn, ncfg, _ in points:
-        if scn.geometry is not geom:
-            geom = scn.geometry
-            geom_cells = (f"{geom.num_tx},{geom.num_rx},{geom.tx_spacing:.17g},"
-                          f"{geom.rx_spacing:.17g},{geom.array_separation:.17g}")
-        if ncfg is not noise:
-            noise = ncfg
-            noise_cells = f"{ncfg.snr_db:.17g},{ncfg.time_bandwidth:.17g}"
-        tgt = scn.target
-        th, r = tgt.angle_rad, tgt.range_m
-        if not (th is th_prev or th == th_prev != 0.0):
-            th_prev, th_cell = th, f"{th:.17g}"
-        if not (r is r_prev or r == r_prev != 0.0):
-            r_prev, r_cell = r, f"{r:.17g}"
-        cells.append(f"{geom_cells},{th_cell},{r_cell},{noise_cells}")
-    return cells
+    for geom, _, ncfg, note, targets in runs:
+        geom_cells = (f"{geom.num_tx},{geom.num_rx},{geom.tx_spacing:.17g},"
+                      f"{geom.rx_spacing:.17g},{geom.array_separation:.17g}")
+        noise_cells = f"{ncfg.snr_db:.17g},{ncfg.time_bandwidth:.17g}"
+        for tgt in targets:
+            th, r = tgt.angle_rad, tgt.range_m
+            if not (th is th_prev or th == th_prev != 0.0):
+                th_prev, th_cell = th, f"{th:.17g}"
+            if not (r is r_prev or r == r_prev != 0.0):
+                r_prev, r_cell = r, f"{r:.17g}"
+            yield f"{geom_cells},{th_cell},{r_cell},{noise_cells}", note
 
 
 def _mc_cells(cfg: ExperimentConfig, reports) -> list:
@@ -618,7 +581,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     lines = [
         "# near-field angle/range CRB sweep",
         f"# mode={cfg.mode.value} topology={cfg.topology.value} "
-        f"axis={cfg.sweep.axis} points={len(table.points)}",
+        f"axis={cfg.sweep.axis} points={sum(len(run.targets) for run in table.runs)}",
         f"# methods={','.join(m.value for m in cfg.methods)}",
         "# units: theta_rad in radians (CLI angles are degrees); "
         "crb_theta in rad^2, crb_r in m^2" + (", both emitted as 10*log10" if db else ""),
@@ -638,20 +601,19 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     heads = [f"{m.value},{cfg.mode.value},{cfg.topology.value}," for m in cfg.methods]
     tails = (_mc_cells(cfg, table.reports) if table.reports is not None
              else itertools.repeat(""))
-    # the warnings cell of each distinct (point notes, result notes) pair:
+    # the warnings cell of each distinct (run note, result notes) pair:
     # a sweep repeats few of them (every fig4-fig7 row has the rounding note)
     notes_cells = {}
-    for i, (cells, (_, _, warns), tail) in enumerate(
-            zip(_scenario_cells(table.points), table.points, tails)):
+    for i, ((cells, note), tail) in enumerate(zip(_point_cells(table.runs), tails)):
         for head, results in zip(heads, table.results):
             res = results[i]
             theta, rng = res.crb_theta, res.crb_range
             if db:
                 theta, rng = _db_of(theta), _db_of(rng)
-            notes = notes_cells.get((warns, res.warnings))
+            notes = notes_cells.get((note, res.warnings))
             if notes is None:
-                notes = notes_cells[warns, res.warnings] = _text_cell(
-                    "; ".join(warns + res.warnings))
+                notes = notes_cells[note, res.warnings] = _text_cell(
+                    "; ".join(note + res.warnings))
             lines.append(f"{head}{cells},{theta:.17g},{rng:.17g},"
                          f"{_BOOL_TEXT[res.identifiable]},{notes}{tail}")
     lines.append("")

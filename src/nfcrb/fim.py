@@ -159,19 +159,42 @@ def _centred_gram(psi: np.ndarray, out: np.ndarray | None = None) -> tuple:
 
 
 def _reduced_block(psi_a, psi_b, cfg: NoiseAndPowerConfig, tx_array_size: int, mode: Mode,
-                   in_place: bool = False) -> list:
+                   in_place: bool = False):
     """Entries (q00, q01, q10, q11) of the angle/range information with the
     amplitude projected out, from the factors' phase derivatives (see
     fim_numeric); arrays over the locations of a (2, P, len) psi. in_place
     centres each psi where it lies, which a caller whose psi is scratch may
     ask for. At an extreme gamma L an entry may overflow to +inf, which
-    _inverse_diagonal reads as information past the float range."""
+    _inverse_diagonal reads as information past the float range, and an
+    infinite scale turns a zero entry into NaN. Such entries say nothing of
+    singularity, so where one is not finite the unscaled Gram decides it,
+    by _inverse_diagonal's rule (_past_float_range)."""
     scale = 2.0 * mode_energy_scale(cfg, tx_array_size, mode)
     cent_a = _centred_gram(psi_a, psi_a if in_place else None)
     cent_b = cent_a if psi_b is psi_a else _centred_gram(psi_b, psi_b if in_place else None)
     len_a, len_b = psi_a.shape[-1], psi_b.shape[-1]
-    with np.errstate(over="ignore"):
-        return [scale * (len_a * qb + len_b * qa) for qa, qb in zip(cent_a, cent_b)]
+    gram = [len_a * qb + len_b * qa for qa, qb in zip(cent_a, cent_b)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = [scale * g for g in gram]
+        # a finite sum has finite terms: one scalar test at one location,
+        # one isfinite over a block
+        total = q[0] + q[1] + q[2] + q[3]
+    if not (math.isfinite(total) if total.ndim == 0 else np.isfinite(total).all()):
+        return _past_float_range(q, gram)
+    return q
+
+
+def _past_float_range(q, gram) -> np.ndarray:
+    """q as a (4, P) array, with the unscaled Gram in place of each
+    location whose entries are not all finite and whose Gram is singular.
+    Singularity does not depend on scale, so such a location gets the
+    verdict it has wherever its entries are in range; any other keeps its
+    overflowed entries."""
+    q, gram = np.reshape(q, (4, -1)), np.reshape(gram, (4, -1))
+    for j in np.flatnonzero(~np.isfinite(q).all(axis=0)):
+        if not _inverse_diagonal(*gram[:, j].tolist()).identifiable:
+            q[:, j] = gram[:, j]
+    return q
 
 
 def fim_numeric(obs: ObservationVector, cfg: NoiseAndPowerConfig) -> FimMatrix:
@@ -205,7 +228,8 @@ def _inverse_diagonal(q00, q01, q10, q11, scale=1.0, warnings: tuple = (),
     extreme SNR. Powers of two scale exactly: no bit of a bound moves while
     the unscaled arithmetic stays in the normal range. A q00 or q11 that
     overflowed to +inf is information past the float range, not a singular
-    block: its bounds lie beneath the normal range and are returned as 0,
+    block (_reduced_block has given a singular one its unscaled Gram): its
+    bounds lie beneath the normal range and are returned as 0,
     identifiable, which run_experiment refuses."""
     if q00 == math.inf or q11 == math.inf:
         return CrbResult(0.0, 0.0, True, warnings)
@@ -265,9 +289,7 @@ def crb_exact_sum(
     inverted by fim_numeric's and crb_from_fim's expressions, so each bound
     has NumericalFim's bits. A run of targets that share one geometry is
     summed in blocks of (P, len) rows of about _BLOCK_ELEMENTS elements,
-    each formed and centred in the same (4, P, len) workspace; a lone
-    target, or a one-location tail block, takes 1-D rows, which cost less
-    per call (an M sweep)."""
+    each formed and centred in the same (4, P, len) workspace."""
     out = []
     step = max(1, _BLOCK_ELEMENTS // max(geom.num_tx, geom.num_rx))
     # every block's transmit rows are formed and centred in this one buffer
@@ -275,11 +297,8 @@ def crb_exact_sum(
     for lo in range(0, len(targets), step):
         block = targets[lo:lo + step]
         th, r = zip(*((t.angle_rad, t.range_m) for t in block))
-        if len(block) == 1:
-            th, r, w = th[0], r[0], work[:, 0]
-        else:
-            w = work[:, :len(block)]
-        q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r, w),
+        q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r,
+                                         work[:, :len(block)]),
                            cfg, geom.num_tx, mode, in_place=True)
         out += [_inverse_diagonal(*qj) for qj in np.reshape(q, (4, -1)).T.tolist()]
     return out

@@ -184,13 +184,47 @@ def _oracle_cell(text: str) -> str:
     return text
 
 
-def csv_text_oracle(cfg, rows, db=False):
+def table_rows(table) -> list:
+    """One dict per (sweep point x method) of a SweepTable, in sweep order,
+    keyed and ordered by the CSV columns (crb values linear); a Monte Carlo
+    report is repeated on each method row of its point."""
+    cfg, rows, i = table.cfg, [], 0
+    for run in table.runs:
+        geom, ncfg = run.geometry, run.noise
+        for tgt in run.targets:
+            point = {
+                "mode": cfg.mode.value, "topology": cfg.topology.value,
+                "M": geom.num_tx, "N": geom.num_rx, "d_tx_m": geom.tx_spacing,
+                "d_rx_m": geom.rx_spacing, "R_m": geom.array_separation,
+                "theta_rad": tgt.angle_rad, "r_m": tgt.range_m,
+                "snr_db": ncfg.snr_db, "L": ncfg.time_bandwidth,
+            }
+            rep = table.reports[i] if table.reports is not None else None
+            mc = {} if rep is None else {
+                "rmse_theta_rad": rep.rmse_theta, "rmse_range_m": rep.rmse_range,
+                "trials": rep.trials, "estimator": cfg.montecarlo.estimator,
+                "master_seed": rep.master_seed,
+            }
+            for method, results in zip(cfg.methods, table.results):
+                res = results[i]
+                rows.append({
+                    "method": method.value, **point,
+                    "crb_theta_rad2": res.crb_theta, "crb_r_m2": res.crb_range,
+                    "identifiable": res.identifiable,
+                    "warnings": "; ".join(run.note + res.warnings), **mc,
+                })
+            i += 1
+    return rows
+
+
+def csv_text_oracle(cfg, table, db=False):
     """The CSV renderer as it was before its per-type fast path: every cell
-    through one isinstance chain and one generic quote scan. csv_text must
-    give the same bytes. The header counts the points the rows hold, one row
-    per point and method."""
+    of the table's rows (table_rows) through one isinstance chain and one
+    generic quote scan. csv_text must give the same bytes. The header
+    counts the points the rows hold, one row per point and method."""
     from nfcrb.experiment import BASE_COLUMNS, MC_COLUMNS, _db_of
 
+    rows = table_rows(table)
     cols = list(BASE_COLUMNS) + (list(MC_COLUMNS) if cfg.montecarlo else [])
     if db:
         cols[cols.index("crb_theta_rad2")] = "crb_theta_db"

@@ -23,6 +23,7 @@ from conftest import (
     intermediate_rel_errors,
     mono_geom,
     rel_err,
+    table_rows,
     target,
 )
 from nfcrb.closedform import (
@@ -341,7 +342,7 @@ def test_criterion_09_monte_carlo_respects_the_bound():
         if digest != MC_PRESET_DIGESTS[name]:
             ok = False
             details.append(f"{name} CSV sha256 {digest}")
-        rows = [r for r in table.rows() if r["method"] == "ClosedForm"]
+        rows = [r for r in table_rows(table) if r["method"] == "ClosedForm"]
         slack = 1.0 - 2.0 / math.sqrt(rows[0]["trials"])
         for row in rows:
             t_margin = row["rmse_theta_rad"] ** 2 / (row["crb_theta_rad2"] * slack)

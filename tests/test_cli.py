@@ -543,6 +543,18 @@ def test_out_of_range_carrier_exits_2(freq, method, capsys):
     assert f"carrier_freq_hz = {float(freq)!r} is out of range" in captured.err
 
 
+def test_out_of_range_bistatic_carrier_names_both_spacings(capsys):
+    # a bistatic point sums over a receive array of its own, so the refusal
+    # names its spacing beside the transmit one
+    assert main(["preset", "fig8", "--set", "montecarlo.enabled=false",
+                 "--set", "scenario.carrier_freq_hz=1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: sweep point M=65: carrier_freq_hz = 1e+308 is out of range")
+    assert "tx_spacing_m = 0.0628 and rx_spacing_m = 0.0628" in captured.err
+
+
 @pytest.mark.parametrize("overrides", [
     # Taylor divided by an underflowed quartic (exit 3)
     ["preset", "fig2", "--set", "scenario.tx_spacing_m=1e-170", "--set", "sweep.values=9"],
@@ -676,6 +688,21 @@ def test_singular_information_says_why(capsys):
         assert rows[method]["warnings"] == SINGULAR_WARNING
 
 
+def test_singular_block_keeps_its_verdict_past_the_float_range(capsys):
+    # fig8's point in phased mode observes the receive factor alone, whose
+    # Gram is rank one. At 3060 dB the scale 2 gamma L M overflowed to inf,
+    # inf times that Gram gave inf and NaN entries (with numpy's
+    # RuntimeWarning, which this suite turns into an error), and the block
+    # read as information past the float range (exit 2). The unscaled Gram
+    # decides, so the row is the one 0 dB gives
+    assert main(["preset", "fig8", "--set", "montecarlo.enabled=false",
+                 "--set", "scenario.mode=phased", "--set", "sweep.values=65",
+                 "--set", "methods.use=ExactSum", "--set", "scenario.snr_db=3060"]) == 0
+    (row,) = _rows(capsys.readouterr().out)
+    assert (row["crb_theta_rad2"], row["crb_r_m2"], row["identifiable"]) == ("inf", "inf", "false")
+    assert row["warnings"] == SINGULAR_WARNING
+
+
 def test_preset_csv_bytes_are_pinned(capsys):
     # sha256 of the preset CSVs: a change to the bound kernels that means to
     # keep every bit keeps these; one that moves a cell says which
@@ -750,6 +777,24 @@ def test_preset_command_runs_the_presets_config(name, capsys):
             args += ["--set", f"montecarlo.{key}={value}"]
     assert main(["preset", name, *args]) == 0
     assert capsys.readouterr().out == csv_text(cfg, run_experiment(cfg))
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["preset", "fig2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
+def test_set_adds_a_section_the_config_lacks(capsys):
+    # fig2 has no [montecarlo] block: --set adds one, which then lacks its
+    # other required keys
+    assert main(["preset", "fig2", "--set", "montecarlo.trials=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: [montecarlo] estimator is required\n"
 
 
 def test_unknown_preset_lists_every_preset(capsys):

@@ -189,15 +189,16 @@ def test_statistic_keeps_the_conjugated_factor_bits_on_the_preset_grids(num_tx):
     snapshots = []
     for name in ("fig8", "fig9"):
         cfg = presets()[name]
-        scn, ncfg, _ = next(p for p in validate_config(cfg) if p[0].geometry.num_tx == num_tx)
-        obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
-        snapshots += [synth_snapshot(obs, ncfg, seed=(cfg.montecarlo.master_seed, t))
+        run = next(run for run in validate_config(cfg) if run.geometry.num_tx == num_tx)
+        (tgt,) = run.targets
+        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
+        snapshots += [synth_snapshot(obs, run.noise, seed=(cfg.montecarlo.master_seed, t))
                       for t in range(2)]
     mc = cfg.montecarlo  # fig8 and fig9 share the window
     points = (31, 21) if num_tx == 1025 else (mc.theta_points, mc.range_points)
-    grid = GridSpec.around(scn.target, mc.theta_halfspan_deg, points[0],
+    grid = GridSpec.around(tgt, mc.theta_halfspan_deg, points[0],
                            mc.range_span_frac, points[1], 0)
-    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
+    builder = ObservationGridBuilder(run.geometry, run.carrier, cfg.mode, cfg.topology)
     th, ra = _paired_grid(grid.theta_values(), grid.range_values())
     for y in snapshots:
         assert_stat_bits(builder, y, th, ra)
@@ -328,7 +329,7 @@ def test_monte_carlo_reaches_the_bound_off_the_presets(mode, topology, seed):
     band = 3.0 / math.sqrt(2 * rep.trials)
     assert abs(rep.rmse_theta / math.sqrt(bound.crb_theta) - 1.0) <= band
     assert abs(rep.rmse_range / math.sqrt(bound.crb_range) - 1.0) <= band
-    grid = GridSpec.around(table.points[0][0].target, mc.theta_halfspan_deg, mc.theta_points,
+    grid = GridSpec.around(table.runs[0].targets[0], mc.theta_halfspan_deg, mc.theta_points,
                            mc.range_span_frac, mc.range_points, mc.refine_levels)
     final = 2.0 ** -mc.refine_levels
     assert grid.theta_step * final <= 0.2 * math.sqrt(bound.crb_theta)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_text_oracle
+from conftest import csv_text_oracle, table_rows
 from nfcrb import experiment
 from nfcrb.closedform import AsymptoticRegime, crb_closed
 from nfcrb.errors import ConfigError
@@ -34,6 +34,7 @@ from nfcrb.experiment import (
     CrbMethod,
     ExperimentConfig,
     MonteCarloConfig,
+    SweepRun,
     SweepSpec,
     SweepTable,
     apply_overrides,
@@ -177,36 +178,38 @@ def test_experiment_config_validation():
 
 
 def _only_point(cfg):
-    (point,) = validate_config(cfg)
-    return point
+    """The one run of a one-point sweep, and its one target."""
+    (run,) = validate_config(cfg)
+    (tgt,) = run.targets
+    return run, tgt
 
 
 def test_materialize_axis_overrides():
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(16,)))
-    scn, ncfg, warns = _only_point(cfg)
-    assert scn.geometry.num_tx == 17 and scn.geometry.num_rx == 17
-    assert warns and "rounded up to 17" in warns[0]
+    run, _ = _only_point(cfg)
+    assert run.geometry.num_tx == 17 and run.geometry.num_rx == 17
+    assert run.note and "rounded up to 17" in run.note[0]
     with pytest.raises(ConfigError, match="not an integer M"):
         validate_config(mono_cfg(sweep=SweepSpec(axis="M", values=(16.5,))))
 
-    scn, _, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="theta", values=(45.0,))))
-    assert scn.target.angle_rad == pytest.approx(math.radians(45.0))
-    scn, _, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="r", values=(25.0,))))
-    assert scn.target.range_m == 25.0
-    _, ncfg, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="snr_db", values=(7.0,))))
-    assert ncfg.snr_linear == pytest.approx(10.0 ** 0.7)
+    _, tgt = _only_point(mono_cfg(sweep=SweepSpec(axis="theta", values=(45.0,))))
+    assert tgt.angle_rad == pytest.approx(math.radians(45.0))
+    _, tgt = _only_point(mono_cfg(sweep=SweepSpec(axis="r", values=(25.0,))))
+    assert tgt.range_m == 25.0
+    run, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="snr_db", values=(7.0,))))
+    assert run.noise.snr_linear == pytest.approx(10.0 ** 0.7)
     # the axes not swept keep the scenario scalars
-    scn, ncfg, warns = _only_point(mono_cfg(sweep=SweepSpec(axis="r", values=(10.0,))))
-    assert scn.geometry.num_tx == 9 and warns == ()
-    assert scn.target.angle_rad == math.radians(30.0) and ncfg.snr_db == 0.0
+    run, tgt = _only_point(mono_cfg(sweep=SweepSpec(axis="r", values=(10.0,))))
+    assert run.geometry.num_tx == 9 and run.note == ()
+    assert tgt.angle_rad == math.radians(30.0) and run.noise.snr_db == 0.0
 
 
 def test_materialize_bistatic_keeps_receiver_count():
     cfg = mono_cfg(topology=Topology.BISTATIC_NEAR_FAR_TX, separation_m=35.0,
                    num_rx=8, rx_spacing_m=0.01, sweep=SweepSpec(axis="M", values=(65,)))
-    scn, _, _ = _only_point(cfg)
-    assert scn.geometry.num_tx == 65 and scn.geometry.num_rx == 8
-    assert scn.geometry.rx_spacing == 0.01
+    run, _ = _only_point(cfg)
+    assert run.geometry.num_tx == 65 and run.geometry.num_rx == 8
+    assert run.geometry.rx_spacing == 0.01
 
 
 def test_validate_config_reports_the_bad_point():
@@ -216,18 +219,21 @@ def test_validate_config_reports_the_bad_point():
 
 
 def test_validate_config_returns_each_point_materialized():
+    # the axis decides the runs: each point of an M or snr_db sweep is a run
+    # of its own, and one run holds every point of a theta or r sweep
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16, 17, 9)))
-    points = validate_config(cfg)
-    assert [scn.geometry.num_tx for scn, _, _ in points] == [9, 17, 17, 9]
-    assert [bool(warns) for _, _, warns in points] == [False, True, False, False]
-    # one geometry per M after rounding, one carrier and one noise config
-    geoms = [scn.geometry for scn, _, _ in points]
-    assert geoms[1] is geoms[2] and geoms[0] is geoms[3] and geoms[0] is not geoms[1]
-    assert all(scn.carrier is points[0][0].carrier for scn, _, _ in points)
-    assert all(ncfg is points[0][1] for _, ncfg, _ in points)
+    runs = validate_config(cfg)
+    assert [run.geometry.num_tx for run in runs] == [9, 17, 17, 9]
+    assert [bool(run.note) for run in runs] == [False, True, False, False]
+    assert [len(run.targets) for run in runs] == [1, 1, 1, 1]
+    assert all(run.noise.snr_db == 0.0 for run in runs)
     snr = validate_config(mono_cfg(sweep=SweepSpec(axis="snr_db", values=(0.0, 3.0, 0.0))))
-    assert snr[0][1] is snr[2][1] is not snr[1][1]
-    assert snr[0][0].geometry is snr[1][0].geometry
+    assert [run.noise.snr_db for run in snr] == [0.0, 3.0, 0.0]
+    assert [len(run.targets) for run in snr] == [1, 1, 1]
+    for axis, values in (("theta", (0.0, 45.0, 0.0)), ("r", (5.0, 10.0, 5.0))):
+        (run,) = validate_config(mono_cfg(sweep=SweepSpec(axis=axis, values=values)))
+        assert run.geometry.num_tx == 9 and run.note == ()
+        assert len(run.targets) == 3
 
 
 @pytest.mark.parametrize("extra", [
@@ -283,11 +289,11 @@ def test_coarse_factor_peak_is_half_again_the_factor_held():
     # in place over its 8 B real phase argument, so the peak is ~1.5x the
     # 16 B complex factor held (fig9 at M=257: 93 MB held)
     cfg = presets()["fig9"]
-    scn = next(p[0] for p in validate_config(cfg) if p[0].geometry.num_tx == 257)
+    run = next(run for run in validate_config(cfg) if run.geometry.num_tx == 257)
     mc = cfg.montecarlo
-    grid = GridSpec.around(scn.target, mc.theta_halfspan_deg, mc.theta_points,
+    grid = GridSpec.around(run.targets[0], mc.theta_halfspan_deg, mc.theta_points,
                            mc.range_span_frac, mc.range_points, mc.refine_levels)
-    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
+    builder = ObservationGridBuilder(run.geometry, run.carrier, cfg.mode, cfg.topology)
     held = builder.location_bytes * mc.theta_points * mc.range_points
     peak = _traced_peak(lambda: _PreparedMlSearch(builder, grid))
     assert peak < 1.6 * held, peak / held
@@ -334,12 +340,11 @@ def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
 def test_run_experiment_row_layout():
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16)),
                    methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM))
-    rows = run_experiment(cfg).rows()
+    rows = parse_csv(csv_text(cfg, run_experiment(cfg)))
     assert len(rows) == 4
     assert [r["method"] for r in rows] == ["ClosedForm", "ExactSum"] * 2
-    assert [r["M"] for r in rows] == [9, 9, 17, 17]
+    assert [r["M"] for r in rows] == ["9", "9", "17", "17"]
     assert all("rounded up" in r["warnings"] for r in rows[2:])
-    assert all("rmse_theta_rad" not in r for r in rows)
     assert list(rows[0]) == list(BASE_COLUMNS)
 
 
@@ -360,44 +365,49 @@ def test_exact_sum_runs_once_over_a_sweep_that_shares_its_geometry(monkeypatch):
     # rows keep sweep order with the values of one-target calls
     calls, one_call = _count_exact_sum_calls(monkeypatch)
     cfg = presets()["fig4"]
-    rows = [r for r in run_experiment(cfg).rows() if r["method"] == "ExactSum"]
+    table = run_experiment(cfg)
     assert calls == [(1025, 61)]
-    points = validate_config(cfg)
-    assert len(rows) == len(points)
-    for row, (scn, ncfg, _) in zip(rows, points):
-        alone = one_call(scn.geometry, (scn.target,), scn.carrier, ncfg,
-                         scn.mode, scn.topology)[0]
-        assert row["theta_rad"] == scn.target.angle_rad
-        assert (row["crb_theta_rad2"], row["crb_r_m2"]) == (alone.crb_theta, alone.crb_range)
+    (run,) = table.runs
+    assert run.targets == validate_config(cfg)[0].targets
+    exact = table.results[cfg.methods.index(CrbMethod.EXACT_SUM)]
+    assert len(exact) == len(run.targets) == 61
+    for res, tgt in zip(exact, run.targets):
+        alone = one_call(run.geometry, (tgt,), run.carrier, run.noise, cfg.mode,
+                         cfg.topology)[0]
+        assert (res.crb_theta, res.crb_range) == (alone.crb_theta, alone.crb_range)
 
 
-def test_runs_are_consecutive_points_that_share_a_geometry(monkeypatch):
+def test_each_m_point_is_a_run_of_its_own(monkeypatch):
     calls, _ = _count_exact_sum_calls(monkeypatch)
-    # 16 rounds up to 17: one geometry, one run, the warning on M=16 only
+    # 16 rounds up to 17, the next point's M, but stays a run of its own:
+    # the warning on M=16 only, and each lone target on the per-location
+    # path, never the blocked sum
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(16, 17)),
                    methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM))
     table = run_experiment(cfg)
-    assert calls == [(17, 2)]
-    rows = table.rows()
+    assert calls == []
+    assert [len(run.targets) for run in table.runs] == [1, 1]
+    rows = table_rows(table)
     assert [r["M"] for r in rows] == [17] * 4
     assert ["rounded up to 17" in r["warnings"] for r in rows] == [True, True, False, False]
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, rows, db=db)
-    # a geometry seen again after another is a new run
-    calls.clear()
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
+    # an M seen again after another gives the same row
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 17, 9)),
                    methods=(CrbMethod.EXACT_SUM,))
     table = run_experiment(cfg)
-    assert calls == [(9, 1), (17, 1), (9, 1)]
-    assert table.rows()[0] == table.rows()[2]
+    assert calls == []
+    rows = table_rows(table)
+    assert len(rows) == 3 and rows[0] == rows[2]
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3"])
 def test_a_config_listing_both_fim_methods_evaluates_each_point_once(monkeypatch, name):
-    # ExactSum and NumericalFim give the same bits, so a config that lists
-    # both runs NumericalFim's path once per point and ExactSum not at all
+    # ExactSum and NumericalFim give the same bits and share one evaluator,
+    # which takes an M sweep's lone targets by the per-location path: once
+    # per point, and crb_exact_sum not at all
     calls, one_call = _count_exact_sum_calls(monkeypatch)
     observed, build = [], experiment.build_observation
 
@@ -410,18 +420,18 @@ def test_a_config_listing_both_fim_methods_evaluates_each_point_once(monkeypatch
         axis="M", values=(9, 17, 33, 65, 129, 257, 513, 1025, 2049)))
     assert {CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM} <= set(cfg.methods)
     table = run_experiment(cfg)
-    points = validate_config(cfg)
+    runs = validate_config(cfg)
     assert calls == []
-    assert observed == [(scn.geometry.num_tx, scn.target) for scn, _, _ in points]
+    assert observed == [(run.geometry.num_tx, tgt) for run in runs for tgt in run.targets]
     exact = table.results[cfg.methods.index(CrbMethod.EXACT_SUM)]
-    # both names read the one list that NumericalFim's evaluation filled
+    # both names read the one list that the shared evaluation filled
     assert table.results[cfg.methods.index(CrbMethod.NUMERICAL_FIM)] is exact
-    for res, (scn, ncfg, _) in zip(exact, points, strict=True):
-        alone = one_call(scn.geometry, (scn.target,), scn.carrier, ncfg,
-                         scn.mode, scn.topology)[0]
+    for res, run in zip(exact, runs, strict=True):
+        alone = one_call(run.geometry, run.targets, run.carrier, run.noise,
+                         cfg.mode, cfg.topology)[0]
         # every field, the bounds to the bit
         assert res == alone
-    rows = table.rows()
+    rows = table_rows(table)
     for method in ("ExactSum", "NumericalFim"):
         assert [r["crb_theta_rad2"] for r in rows if r["method"] == method] == [
             res.crb_theta for res in exact]
@@ -429,13 +439,16 @@ def test_a_config_listing_both_fim_methods_evaluates_each_point_once(monkeypatch
 
 def test_every_method_has_one_run_evaluator():
     # one table from CrbMethod to a run's evaluator, with no fallthrough:
-    # each entry's one-point run gives one result
+    # each entry's one-point run gives one result, and the two exact
+    # methods, which give the same bits, share one evaluator
     assert set(experiment._EVALUATORS) == set(experiment.CrbMethod)
+    assert experiment._EVALUATORS[CrbMethod.EXACT_SUM] is \
+        experiment._EVALUATORS[CrbMethod.NUMERICAL_FIM]
     for mode in Mode:
-        (scn, ncfg, _), = validate_config(mono_cfg(mode=mode, sweep=SweepSpec(
-            axis="M", values=(9,))))
+        cfg = mono_cfg(mode=mode, sweep=SweepSpec(axis="M", values=(9,)))
+        (run,) = validate_config(cfg)
         for method, evaluate in experiment._EVALUATORS.items():
-            results = evaluate([scn.target], scn, ncfg, AsymptoticRegime.LARGE_APERTURE)
+            results = evaluate(run, cfg)
             assert [type(res) for res in results] == [CrbResult], method
 
 
@@ -457,12 +470,12 @@ def test_run_experiment_repeats_mc_row_per_method():
             estimator="MatchedFieldML", trials=2, master_seed=5,
             theta_points=15, range_points=11, refine_levels=0),
     )
-    rows = run_experiment(cfg).rows()
+    rows = parse_csv(csv_text(cfg, run_experiment(cfg)))
     assert len(rows) == 2
     assert list(rows[0]) == list(BASE_COLUMNS + MC_COLUMNS)
     for col in MC_COLUMNS:
         assert rows[0][col] == rows[1][col]
-    assert rows[0]["trials"] == 2 and rows[0]["master_seed"] == 5
+    assert rows[0]["trials"] == "2" and rows[0]["master_seed"] == "5"
 
 
 # --- CSV ---------------------------------------------------------------------------
@@ -475,7 +488,7 @@ def parse_csv(text):
 def test_csv_round_trips_floats_exactly():
     cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.FARFIELD_UPW))
     table = run_experiment(cfg)
-    rows = table.rows()
+    rows = table_rows(table)
     text = csv_text(cfg, table)
     assert text.startswith("# near-field angle/range CRB sweep\n")
     parsed = parse_csv(text)
@@ -509,15 +522,15 @@ def test_snr_db_cells_echo_the_configured_value():
     cfg = mono_cfg(sweep=SweepSpec(axis="snr_db", values=grid),
                    methods=(CrbMethod.CLOSED_FORM,))
     table = run_experiment(cfg)
-    assert [repr(row["snr_db"]) for row in table.rows()] == [repr(x) for x in grid]
+    assert [repr(row["snr_db"]) for row in table_rows(table)] == [repr(x) for x in grid]
     col = BASE_COLUMNS.index("snr_db")
     body = csv_text(cfg, table).splitlines()[5:]
     assert [line.split(",")[col] for line in body] == [f"{x:.17g}" for x in grid]
-    for (scn, ncfg, _), x, res in zip(table.points, grid, table.results[0]):
+    for run, x, res in zip(table.runs, grid, table.results[0], strict=True):
         linear = NoiseAndPowerConfig(10.0 ** (x / 10.0))
-        assert ncfg.snr_linear == linear.snr_linear and ncfg == linear
-        assert res == crb_closed(scn.geometry, scn.target, scn.carrier, linear,
-                                 scn.mode, scn.topology)
+        assert run.noise.snr_linear == linear.snr_linear and run.noise == linear
+        (tgt,) = run.targets
+        assert res == crb_closed(run.geometry, tgt, run.carrier, linear, cfg.mode, cfg.topology)
 
 
 def test_empty_sweep_is_refused():
@@ -555,12 +568,12 @@ def test_csv_text_matches_the_oracle_on_every_preset(name):
     cfg = _mc_small(presets()[name])
     table = run_experiment(cfg)
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
 
 
-def _point(geom, angle_rad, noise=None, warnings=()):
-    scn = SensingScenario(geom, TargetLocation(10.0, angle_rad), CarrierConfig(2.37e9))
-    return scn, noise or NoiseAndPowerConfig.from_snr(0.0), warnings
+def _run(geom, angle_rad):
+    return SweepRun(geom, CarrierConfig(2.37e9), NoiseAndPowerConfig.from_snr(0.0), (),
+                    [TargetLocation(10.0, angle_rad)])
 
 
 def test_csv_text_formats_equal_scenario_cells_of_another_type_apart():
@@ -569,11 +582,11 @@ def test_csv_text_formats_equal_scenario_cells_of_another_type_apart():
     cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM,))
     geoms = [ArrayGeometry(9, 9, 0.0628, 0.0628, sep) for sep in (0.0, -0.0)]
     assert geoms[0] == geoms[1]
-    points = [_point(geoms[0], 0.0), _point(geoms[1], -0.0)]
+    runs = [_run(geoms[0], 0.0), _run(geoms[1], -0.0)]
     res = CrbResult(0.0, -0.0, False)
-    table = SweepTable(cfg, points, [[res, res]])
+    table = SweepTable(cfg, runs, [[res, res]])
     text = csv_text(cfg, table)
-    assert text == csv_text_oracle(cfg, table.rows())
+    assert text == csv_text_oracle(cfg, table)
     d = f"{0.0628:.17g}"
     assert text.endswith(f"\nClosedForm,mimo,monostatic,9,9,{d},{d},0,0,10,0,1,0,-0,false,\n"
                          f"ClosedForm,mimo,monostatic,9,9,{d},{d},-0,-0,10,0,1,0,-0,false,\n")
@@ -593,8 +606,8 @@ _warnings = st.one_of(st.just(()), _texts)
 @st.composite
 def _tables(draw):
     """A cfg and a SweepTable whose every column holds a value of its
-    declared type; points draw their geometry and noise from small pools,
-    so runs share them as validate_config's points do."""
+    declared type; runs of up to three points draw their geometry and
+    noise from small pools, so that runs also share them."""
     methods = draw(st.lists(st.sampled_from(CrbMethod),
                             min_size=1, max_size=3, unique=True))
     mc = MonteCarloConfig(estimator="MatchedFieldML", trials=2, master_seed=5,
@@ -608,18 +621,18 @@ def _tables(draw):
         NoiseAndPowerConfig, _positive, st.floats(min_value=1.0, max_value=_MAX_FLOAT)),
         min_size=1, max_size=2))
     carrier = CarrierConfig(2.37e9)
-    points = [
-        (SensingScenario(draw(st.sampled_from(geoms)),
-                         TargetLocation(draw(_positive),
-                                        draw(st.floats(-math.pi / 2, math.pi / 2))),
-                         carrier),
-         draw(st.sampled_from(noises)), draw(_warnings))
-        for _ in range(draw(st.integers(0, 4)))]
+    runs = [
+        SweepRun(draw(st.sampled_from(geoms)), carrier, draw(st.sampled_from(noises)),
+                 draw(_warnings),
+                 [TargetLocation(draw(_positive), draw(st.floats(-math.pi / 2, math.pi / 2)))
+                  for _ in range(draw(st.integers(1, 3)))])
+        for _ in range(draw(st.integers(0, 3)))]
+    points = sum(len(run.targets) for run in runs)
     results = [[CrbResult(draw(_floats), draw(_floats), draw(st.booleans()), draw(_warnings))
-                for _ in points] for _ in methods]
+                for _ in range(points)] for _ in methods]
     reports = [RmseReport(draw(_floats), draw(_floats), draw(_ints), draw(_ints), draw(_ints))
-               for _ in points] if cfg.montecarlo else None
-    return cfg, SweepTable(cfg, points, results, reports)
+               for _ in range(points)] if cfg.montecarlo else None
+    return cfg, SweepTable(cfg, runs, results, reports)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -627,7 +640,7 @@ def _tables(draw):
 def test_csv_text_matches_the_oracle_on_any_cell(drawn):
     cfg, table = drawn
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table.rows(), db=db)
+        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
 
 
 # every bound method on every mode and topology, off the presets' inputs:

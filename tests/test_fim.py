@@ -460,8 +460,9 @@ def _numeric_fim(geom, tgt, cfg, mode, topology):
     return crb_from_fim(fim_numeric(build_observation(geom, tgt, CARRIER, mode, topology), cfg))
 
 
-# run_experiment evaluates a config that lists both methods once, on
-# NumericalFim's path, and gives ExactSum those bits
+# run_experiment evaluates both methods by one evaluator, a lone target on
+# NumericalFim's path and a longer run by crb_exact_sum, so the two paths
+# must give the same bits
 @pytest.mark.parametrize("mode,topology,geom,tgt", [
     (Mode.MIMO, Topology.MONOSTATIC, mono_geom(17), target(8.0, -0.6)),
     (Mode.PHASED, Topology.MONOSTATIC, mono_geom(33), target(25.0, 0.9)),
@@ -545,6 +546,24 @@ def test_bistatic_phased_unidentifiable():
     obs = build_observation(geom, tgt, CARRIER, Mode.PHASED,
                             Topology.BISTATIC_NEAR_FAR_TX)
     assert not crb_from_fim(fim_numeric(obs, CFG)).identifiable
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 3000.0, 3060.0])
+def test_singular_verdict_does_not_depend_on_gamma_l(snr_db):
+    # fig8's point in phased mode: the receive factor alone, a rank-one
+    # Gram. At 3060 dB the scale 2 gamma L M overflows to inf, and inf times
+    # that Gram held inf and NaN entries, read as information past the
+    # float range; the unscaled Gram decides at every gamma L, alone and
+    # in a block
+    geom, tgt = bi_geom(65, 8, 35.0), target(18.0, 0.0)
+    cfg = NoiseAndPowerConfig.from_snr(snr_db, time_bandwidth=16.0)
+    mode, topology = Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX
+    assert (2.0 * mode_energy_scale(cfg, 65, mode) == math.inf) is (snr_db > 3000.0)
+    singular = CrbResult.unidentifiable((SINGULAR_WARNING,))
+    assert _numeric_fim(geom, tgt, cfg, mode, topology) == singular
+    assert crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode, topology) == [singular]
+    assert crb_exact_sum(geom, (tgt, target(20.0, 0.3)), CARRIER, cfg, mode,
+                         topology) == [singular] * 2
 
 
 @pytest.mark.parametrize("mode", list(Mode))

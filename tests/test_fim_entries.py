@@ -13,8 +13,10 @@ from nfcrb.steering import build_observation
 
 @pytest.mark.parametrize("name", ["fig2", "fig3"])
 def test_entries_equal_the_eager_oracle_at_every_preset_point(name):
-    for scn, ncfg, _ in validate_config(presets()[name]):
-        obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
-        want, schur = kron_fim_oracle(obs, ncfg, scn.carrier)
-        got = fim_numeric(obs, ncfg).reduced
+    cfg = presets()[name]
+    for run in validate_config(cfg):
+        (tgt,) = run.targets
+        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
+        want, schur = kron_fim_oracle(obs, run.noise, run.carrier)
+        got = fim_numeric(obs, run.noise).reduced
         assert np.abs(got - schur).max() <= 1e-12 * np.abs(want[:2, :2]).max()

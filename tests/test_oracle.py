@@ -146,14 +146,15 @@ def test_band_brackets_the_verdict_threshold():
 
 def _preset_points(name, largest):
     cfg = presets()[name]
-    return [(scn, ncfg) for scn, ncfg, _ in validate_config(cfg)
-            if scn.geometry.num_tx <= largest]
+    return cfg, [(run, tgt) for run in validate_config(cfg) for tgt in run.targets
+                 if run.geometry.num_tx <= largest]
 
 
 @pytest.mark.parametrize("name,largest", [("fig2", 257), ("fig3", 257), ("fig8", 65)])
 def test_preset_points_match_oracle(name, largest):
-    for scn, ncfg in _preset_points(name, largest):
-        ratio = _check(scn.geometry, scn.target, scn.carrier, ncfg, scn.mode, scn.topology)
+    cfg, points = _preset_points(name, largest)
+    for run, tgt in points:
+        ratio = _check(run.geometry, tgt, run.carrier, run.noise, cfg.mode, cfg.topology)
         assert ratio >= RATIO_ACCURATE
 
 
@@ -182,9 +183,9 @@ def test_far_range_preset_point_is_identifiable_and_matches_oracle():
     # ExactSum's uncentred sums were 2.1e-5 off in range
     far = dataclasses.replace(presets()["fig2"], target_range_m=2000.0,
                               sweep=SweepSpec(axis="M", values=(257,)))
-    (scn, ncfg, _), = validate_config(far)
-    assert _check(scn.geometry, scn.target, scn.carrier, ncfg, scn.mode,
-                  scn.topology) > RATIO_BAND[1]
+    (run,) = validate_config(far)
+    assert _check(run.geometry, run.targets[0], run.carrier, run.noise, far.mode,
+                  far.topology) > RATIO_BAND[1]
 
 
 def test_exact_sum_worst_sweep_point_matches_oracle():

@@ -113,6 +113,21 @@ def test_full_cpi_delay_leaves_no_signal():
     assert np.all(y == 0.0)
 
 
+@pytest.mark.parametrize("shift", [1, -1, 3, -7])
+def test_partial_delay_keeps_the_overlap(shift):
+    # a zero-padded delay of s samples, either way, leaves S - |s| of the
+    # pulse's S samples under the matched filter
+    geom, tgt = mono_geom(5), target(9.0, 0.25)
+    wf = WaveformConfig(num_samples_per_cpi=8, bandwidth=1.0)
+
+    def filtered(s):
+        return phased_chain_demo(geom, tgt, CARRIER, wf, CFG, steer_at=tgt, seed=0,
+                                 include_noise=False, delay_mismatch_samples=s)
+
+    want = filtered(0) * ((8 - abs(shift)) / 8)
+    assert np.abs(filtered(shift) - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_phased_steering_mismatch_gain():
     geom, tgt = mono_geom(5), target(9.0, 0.25)
     off = target(9.0, 0.4)

@@ -301,11 +301,12 @@ def test_observation_values_are_the_kernel_values(mode, topology, num_tx):
 
 @pytest.mark.parametrize("name", ["fig2", "fig3"])
 def test_observation_values_at_every_preset_point(name):
-    for scn, _, _ in validate_config(presets()[name]):
-        obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode,
-                                scn.topology)
-        a, b = steering_factors(scn.geometry, scn.carrier, scn.mode, scn.topology,
-                                [scn.target.angle_rad], [scn.target.range_m])
+    cfg = presets()[name]
+    for run in validate_config(cfg):
+        (tgt,) = run.targets
+        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
+        a, b = steering_factors(run.geometry, run.carrier, cfg.mode, cfg.topology,
+                                [tgt.angle_rad], [tgt.range_m])
         assert np.array_equal(obs.g, np.kron(b[:, 0], a[:, 0]))
 
 
