@@ -27,6 +27,7 @@ from .experiment import (
     ExperimentConfig,
     MonteCarloConfig,
     SweepSpec,
+    Topology,
     csv_text,
     parse_config_file,
     parse_config_text,
@@ -53,7 +54,6 @@ from .geometry import (
     Mode,
     SensingScenario,
     TargetLocation,
-    Topology,
     amplitude_model_valid,
     epsilon_tx,
 )

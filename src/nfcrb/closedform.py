@@ -15,7 +15,6 @@ from .geometry import (
     CarrierConfig,
     Mode,
     TargetLocation,
-    Topology,
     amplitude_model_valid,
     epsilon_tx,
 )
@@ -99,7 +98,7 @@ def _closed_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
     range_im = (2.0 * math.pi / (lam * eps)) * (rise * cth * cth - sth * root_diff)
 
     rx_a = rx_s = rx_k = 0.0
-    if geom.array_separation > 0.0:
+    if not geom.is_monostatic:
         rx_a, rx_s, rx_k = receive_sums(geom, tgt, carrier)
     return (max(angle_power, 0.0), -1j * angle_im, cross_power, max(range_power, 0.0),
             1j * range_im, rx_a, rx_s, rx_k)
@@ -132,22 +131,20 @@ def _model_warnings(geom: ArrayGeometry, tgt: TargetLocation, eps: float) -> tup
     return tuple(w)
 
 
-def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topology: Topology) -> CrbResult:
-    """Closed-form bounds for any mode/topology pair.
+def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> CrbResult:
+    """Closed-form bounds for any mode on any geometry.
 
     Monostatic beamformed bounds are exactly 2/M times the
     orthogonal-waveform ones. Bistatic bounds (near-field transmit,
-    far-field receive) need array_separation > 0; beamformed bistatic data
-    leave a rank-one angle/range information block, so nothing is
-    identifiable there. The block is formed from the uncentred
-    intermediates (intermediates_closed's sums, read as plain scalars),
-    M sum(x y) - sum(x) sum(y) per entry.
+    far-field receive) are those of a geometry with array_separation > 0;
+    beamformed bistatic data leave a rank-one angle/range information
+    block, so nothing is identifiable there. The block is formed from the
+    uncentred intermediates (intermediates_closed's sums, read as plain
+    scalars), M sum(x y) - sum(x) sum(y) per entry.
     """
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
-        if geom.array_separation <= 0.0:
-            raise DomainError("bistatic bounds require array_separation > 0")
-        if mode is Mode.PHASED:
-            return CrbResult.unidentifiable()
+    bistatic = not geom.is_monostatic
+    if bistatic and mode is Mode.PHASED:
+        return CrbResult.unidentifiable()
     eps = _transmit_eps(geom, tgt)
     a_pow, a_ov, c_pow, r_pow, r_ov, rx_a, rx_s, rx_k = _closed_sums(geom, tgt, carrier, eps)
     warnings = _model_warnings(geom, tgt, eps)
@@ -158,7 +155,7 @@ def crb_closed(geom, tgt, carrier, cfg: NoiseAndPowerConfig, mode: Mode, topolog
     mant, pow2 = _split_prefactor(cfg)
     m = float(geom.num_tx)
     cross_ov = (a_ov.conjugate() * r_ov).real
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+    if bistatic:
         n = float(geom.num_rx)
         aa = m * rx_a + n * a_pow - (n / m) * abs(a_ov) ** 2
         pp = m * rx_s + n * r_pow - (n / m) * abs(r_ov) ** 2
@@ -225,7 +222,6 @@ def crb_asymptotic(
     cfg: NoiseAndPowerConfig,
     regime: AsymptoticRegime,
     mode: Mode,
-    topology: Topology,
 ) -> list:
     """Regime-limit bounds at each of the targets, in order.
 
@@ -249,7 +245,7 @@ def crb_asymptotic(
     d_t, d_r = geom.tx_spacing, geom.rx_spacing
     sep = geom.array_separation
     mant, pow2 = _split_prefactor(cfg)
-    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    bistatic = not geom.is_monostatic
     mimo = mode is Mode.MIMO
     # the left prefixes of the written products that no target changes
     md, pll, pll3, lam2 = m * d_t, mant * lam * lam, mant * 3.0 * lam * lam, lam * lam
@@ -284,8 +280,6 @@ def crb_asymptotic(
             if mode is Mode.PHASED:
                 out.append(CrbResult.unidentifiable(warns))
                 continue
-            if sep <= 0.0:
-                raise DomainError("bistatic asymptotics require array_separation > 0")
             if th != 0.0:
                 warns = warns + ("boresight-only formula evaluated off boresight",)
             if sep == r:
@@ -380,8 +374,7 @@ def crb_taylor(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> 
     return out
 
 
-def crb_farfield_upw(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mode,
-                     topology: Topology) -> list:
+def crb_farfield_upw(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mode) -> list:
     """Plane-wave reference bounds at each of the targets, in order: finite
     for angle, none for range.
 
@@ -399,7 +392,7 @@ def crb_farfield_upw(geom, targets, carrier, cfg: NoiseAndPowerConfig, mode: Mod
     d_t, d_r = geom.tx_spacing, geom.rx_spacing
     mant, pow2 = _split_prefactor(cfg)
     m2 = float(m) * m
-    bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
+    bistatic = not geom.is_monostatic
     # the left prefixes of the written products that no target changes
     num = mant * 3.0 * lam * lam
     if bistatic:

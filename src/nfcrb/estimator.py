@@ -19,14 +19,7 @@ import numpy as np
 from .closedform import crb_closed  # noqa: F401
 from .errors import ConfigError
 from .fim import NoiseAndPowerConfig
-from .geometry import (
-    ArrayGeometry,
-    CarrierConfig,
-    Mode,
-    SensingScenario,
-    TargetLocation,
-    Topology,
-)
+from .geometry import ArrayGeometry, CarrierConfig, Mode, SensingScenario, TargetLocation
 from .signalsim import synth_snapshot
 from .steering import build_observation, steering_factors
 
@@ -143,14 +136,12 @@ class ObservationGridBuilder:
         geom: ArrayGeometry,
         carrier: CarrierConfig,
         mode: Mode,
-        topology: Topology,
     ):
         self.geom = geom
         self.carrier = carrier
         self.mode = mode
-        self.topology = topology
-        # an empty evaluation runs the kernel's guards and fixes the layout
-        a, b = steering_factors(geom, carrier, mode, topology, (), ())
+        # an empty evaluation fixes the layout
+        a, b = steering_factors(geom, carrier, mode, (), ())
         self.tx_len, self.rx_len = len(a), len(b)
         # bytes per location of the factors a search holds: b shares a's
         # when aliased; an absent factor is a real row
@@ -162,7 +153,7 @@ class ObservationGridBuilder:
         A is (tx_len, P), B is (rx_len, P); an absent factor is a row of
         ones. Monostatic orthogonal-waveform sensing returns B aliased to A.
         """
-        return steering_factors(self.geom, self.carrier, self.mode, self.topology, thetas, ranges)
+        return steering_factors(self.geom, self.carrier, self.mode, thetas, ranges)
 
 
 def _paired_grid(thetas_axis: np.ndarray, ranges_axis: np.ndarray):
@@ -254,8 +245,8 @@ def monte_carlo_rmse(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode, scn.topology)
-    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode, scn.topology)
+    obs = build_observation(scn.geometry, scn.target, scn.carrier, scn.mode)
+    builder = ObservationGridBuilder(scn.geometry, scn.carrier, scn.mode)
     prepared = _PreparedMlSearch(builder, grid)
     tgt = scn.target
 

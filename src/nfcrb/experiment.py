@@ -32,14 +32,7 @@ from .fim import (
     crb_from_fim,
     fim_numeric,
 )
-from .geometry import (
-    ArrayGeometry,
-    CarrierConfig,
-    Mode,
-    SensingScenario,
-    TargetLocation,
-    Topology,
-)
+from .geometry import ArrayGeometry, CarrierConfig, Mode, SensingScenario, TargetLocation
 from .steering import build_observation
 
 # sweeps longer than this are refused before any point is generated; the
@@ -77,6 +70,16 @@ class CrbMethod(enum.Enum):
 
 
 _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM))
+
+
+class Topology(enum.Enum):
+    """Transmit/receive array placement, as configs and CSVs name it. The
+    config checks it against separation_m; below the config the geometry
+    decides it (ArrayGeometry.is_monostatic)."""
+
+    MONOSTATIC = "monostatic"
+    BISTATIC_NEAR_FAR_TX = "bistatic"
+
 
 SWEEP_AXES = ("M", "theta", "r", "snr_db")
 ESTIMATOR_NAME = "MatchedFieldML"
@@ -248,10 +251,13 @@ def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig) -> bool:
     information entry, and the 2x2 determinant multiplies two of them. A
     monostatic geometry's receive array is its transmit array
     (validate_config), so it counts that array twice. A spacing whose square
-    underflows makes the sum 0 and is refused, as its information is."""
+    underflows makes the sum 0 and is refused, as its information is. The
+    counts enter as floats, so that an M(M^2 - 1) past the float range is
+    +inf and refused, not an integer too large to convert."""
     lam2 = carrier.wavelength * carrier.wavelength
-    tx = g.num_tx * (g.num_tx * g.num_tx - 1) * g.tx_spacing * g.tx_spacing
-    rx = g.num_rx * (g.num_rx * g.num_rx - 1) * g.rx_spacing * g.rx_spacing
+    m, n = float(g.num_tx), float(g.num_rx)
+    tx = m * (m * m - 1.0) * g.tx_spacing * g.tx_spacing
+    rx = n * (n * n - 1.0) * g.rx_spacing * g.rx_spacing
     lone = g.num_tx == g.num_rx == 1
     info = 4.0 * math.pi ** 2 / lam2 * ((tx + rx) / 12.0) if lam2 > 0.0 else math.inf
     return (sys.float_info.min <= lam2 < math.inf
@@ -330,7 +336,7 @@ def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: Carrier
         # for a Monte Carlo run
         from .estimator import ObservationGridBuilder
 
-        coarse = (ObservationGridBuilder(geom, carrier, cfg.mode, cfg.topology).location_bytes
+        coarse = (ObservationGridBuilder(geom, carrier, cfg.mode).location_bytes
                   * mc.theta_points * mc.range_points)
         if coarse > MAX_COARSE_FACTOR_BYTES:
             raise ConfigError(f"{where}: the Monte Carlo coarse factor needs {coarse} B, "
@@ -426,11 +432,9 @@ def _exact(run: SweepRun, cfg: ExperimentConfig) -> list:
     bits: a lone target (an M or snr_db sweep's run) on the per-location
     path, which costs it less, and a longer run in crb_exact_sum's blocks."""
     if len(run.targets) == 1:
-        obs = build_observation(run.geometry, run.targets[0], run.carrier, cfg.mode,
-                                cfg.topology)
+        obs = build_observation(run.geometry, run.targets[0], run.carrier, cfg.mode)
         return [crb_from_fim(fim_numeric(obs, run.noise))]
-    return crb_exact_sum(run.geometry, run.targets, run.carrier, run.noise, cfg.mode,
-                         cfg.topology)
+    return crb_exact_sum(run.geometry, run.targets, run.carrier, run.noise, cfg.mode)
 
 
 # one evaluator per method: (run, cfg) -> one result per target of the run.
@@ -443,16 +447,14 @@ def _exact(run: SweepRun, cfg: ExperimentConfig) -> list:
 _EVALUATORS = {
     CrbMethod.EXACT_SUM: _exact,
     CrbMethod.CLOSED_FORM: lambda run, cfg: [
-        crb_closed(run.geometry, t, run.carrier, run.noise, cfg.mode, cfg.topology)
-        for t in run.targets],
+        crb_closed(run.geometry, t, run.carrier, run.noise, cfg.mode) for t in run.targets],
     CrbMethod.NUMERICAL_FIM: _exact,
     CrbMethod.ASYMPTOTIC: lambda run, cfg: crb_asymptotic(
-        run.geometry, run.targets, run.carrier, run.noise, cfg.asymptotic_regime, cfg.mode,
-        cfg.topology),
+        run.geometry, run.targets, run.carrier, run.noise, cfg.asymptotic_regime, cfg.mode),
     CrbMethod.TAYLOR: lambda run, cfg: crb_taylor(
         run.geometry, run.targets, run.carrier, run.noise, cfg.mode),
     CrbMethod.FARFIELD_UPW: lambda run, cfg: crb_farfield_upw(
-        run.geometry, run.targets, run.carrier, run.noise, cfg.mode, cfg.topology),
+        run.geometry, run.targets, run.carrier, run.noise, cfg.mode),
 }
 
 
@@ -471,7 +473,7 @@ def _run_point_mc(cfg: ExperimentConfig, run: SweepRun, tgt: TargetLocation):
     from .estimator import GridSpec, monte_carlo_rmse
 
     mc = cfg.montecarlo
-    scn = SensingScenario(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
+    scn = SensingScenario(run.geometry, tgt, run.carrier, cfg.mode)
     grid = GridSpec.around(
         tgt,
         theta_halfspan_deg=mc.theta_halfspan_deg,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
+from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation
 from .steering import ObservationVector, direction_sine_derivs, phase_derivs
 
 # relative determinant threshold below which the angle/range information
@@ -265,13 +265,13 @@ def receive_sums(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfi
 
 def intermediates_exact(geom: ArrayGeometry, tgt: TargetLocation, carrier: CarrierConfig) -> IntermediateParams:
     """The intermediates by direct summation over the elements: uncentred
-    moments of the transmit phase derivatives, with the constant -k that
-    phase_derivs leaves out put back into the range row, and the
+    moments of the transmit phase derivatives (the transmit rows of
+    orthogonal waveforms, which every geometry observes), with the constant
+    -k that phase_derivs leaves out put back into the range row, and the
     receive-side terms whenever the arrays are separated."""
-    t, r = phase_derivs(geom, carrier, Mode.MIMO, Topology.MONOSTATIC,
-                        tgt.angle_rad, tgt.range_m)[0]
+    t, r = phase_derivs(geom, carrier, Mode.MIMO, tgt.angle_rad, tgt.range_m)[0]
     r = r - 2.0 * math.pi / carrier.wavelength
-    rx = receive_sums(geom, tgt, carrier) if geom.array_separation > 0.0 else ()
+    rx = () if geom.is_monostatic else receive_sums(geom, tgt, carrier)
     return IntermediateParams(
         t @ t, -1j * np.add.reduce(t), t @ r, r @ r, -1j * np.add.reduce(r), *rx)
 
@@ -282,7 +282,6 @@ def crb_exact_sum(
     carrier: CarrierConfig,
     cfg: NoiseAndPowerConfig,
     mode: Mode,
-    topology: Topology,
 ) -> list:
     """CRBs at each of the targets, in order, by exact summation over the
     array elements: the centred Grams of phase_derivs' rows, reduced and
@@ -297,8 +296,7 @@ def crb_exact_sum(
     for lo in range(0, len(targets), step):
         block = targets[lo:lo + step]
         th, r = zip(*((t.angle_rad, t.range_m) for t in block))
-        q = _reduced_block(*phase_derivs(geom, carrier, mode, topology, th, r,
-                                         work[:, :len(block)]),
+        q = _reduced_block(*phase_derivs(geom, carrier, mode, th, r, work[:, :len(block)]),
                            cfg, geom.num_tx, mode, in_place=True)
         out += [_inverse_diagonal(*qj) for qj in np.reshape(q, (4, -1)).T.tolist()]
     return out

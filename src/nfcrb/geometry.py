@@ -33,13 +33,6 @@ class Mode(enum.Enum):
     PHASED = "phased"
 
 
-class Topology(enum.Enum):
-    """Transmit/receive array placement."""
-
-    MONOSTATIC = "monostatic"
-    BISTATIC_NEAR_FAR_TX = "bistatic"
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear transmit/receive arrays on a common axis.
@@ -47,7 +40,8 @@ class ArrayGeometry:
     num_tx must be odd so the transmit index set is integer-symmetric about
     the center element; num_rx may be even (half-integer symmetric indices).
     array_separation is the distance R between array centers; 0 means
-    monostatic (co-located arrays).
+    monostatic (co-located arrays), and is_monostatic is the one place that
+    decides a geometry's topology: every kernel and bound reads it there.
     """
 
     num_tx: int
@@ -121,7 +115,8 @@ class CarrierConfig:
 
 @dataclass(frozen=True)
 class SensingScenario:
-    """Bundle of geometry + target + carrier + operating mode/topology.
+    """Bundle of geometry + target + carrier + operating mode; the geometry
+    decides the topology.
 
     The single input record consumed by steering, FIM, closed-form, and
     simulation code.
@@ -131,11 +126,6 @@ class SensingScenario:
     target: TargetLocation
     carrier: CarrierConfig
     mode: Mode = Mode.MIMO
-    topology: Topology = Topology.MONOSTATIC
-
-    def __post_init__(self):
-        if self.topology is Topology.BISTATIC_NEAR_FAR_TX and self.geometry.array_separation <= 0:
-            raise DomainError("bistatic topology requires array_separation > 0")
 
 
 def epsilon_tx(geom: ArrayGeometry, tgt: TargetLocation) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .fim import NoiseAndPowerConfig, mode_energy_scale
-from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
+from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation
 from .steering import ObservationVector, steering_factors
 
 DEMO_MAX_ELEMENTS = 16
@@ -147,8 +147,7 @@ def _demo_scale_check(geom: ArrayGeometry):
 def _physical_factors(geom, tgt, carrier):
     # transmit and receive responses of the physical arrays, in the
     # orthogonal-waveform layout (monostatic: b is a)
-    topology = Topology.MONOSTATIC if geom.is_monostatic else Topology.BISTATIC_NEAR_FAR_TX
-    a, b = steering_factors(geom, carrier, Mode.MIMO, topology, [tgt.angle_rad], [tgt.range_m])
+    a, b = steering_factors(geom, carrier, Mode.MIMO, [tgt.angle_rad], [tgt.range_m])
     return a[:, 0], b[:, 0]
 
 
@@ -214,10 +213,8 @@ def phased_chain_demo(
     pulse = np.ones(waveforms.num_samples_per_cpi)
 
     a_true, b = _physical_factors(geom, tgt, carrier)
-    # the beam weights need the transmit response alone: the beamformed
-    # monostatic layout carries a only
-    a_steer = steering_factors(geom, carrier, Mode.PHASED, Topology.MONOSTATIC,
-                               [steer_at.angle_rad], [steer_at.range_m])[0][:, 0]
+    # the beam weights need the transmit response alone
+    a_steer = _physical_factors(geom, steer_at, carrier)[0]
     # ||a|| = sqrt(M) normalizes the beamformer to unit total power
     gain = a_true @ a_steer.conj() / math.sqrt(geom.num_tx)
     amp = math.sqrt(cfg.snr_linear * waveforms.bandwidth) * gain

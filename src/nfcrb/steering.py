@@ -22,14 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError
-from .geometry import (
-    ArrayGeometry,
-    CarrierConfig,
-    Mode,
-    TargetLocation,
-    Topology,
-)
+from .errors import DegenerateGeometryError
+from .geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +55,6 @@ class ObservationVector:
     a: PhaseFactor
     b: PhaseFactor
     mode: Mode
-    topology: Topology
     tx_array_size: int
 
     @property
@@ -102,7 +95,6 @@ def steering_factors(
     geom: ArrayGeometry,
     carrier: CarrierConfig,
     mode: Mode,
-    topology: Topology,
     thetas,
     ranges,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,18 +106,16 @@ def steering_factors(
     coefficient.
 
     Each factor is a (len, P) complex array. Orthogonal waveforms
-    observe both factors, with b aliased to a for monostatic sensing;
-    beamformed data keep a alone (monostatic) or b alone (bistatic). An
-    absent factor is a row of ones.
+    observe both factors, with b aliased to a for monostatic sensing (the
+    geometry's is_monostatic); beamformed data keep a alone (monostatic) or
+    b alone (bistatic). An absent factor is a row of ones.
     """
-    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
-        raise DomainError("bistatic observation requires array_separation > 0")
     lam = carrier.wavelength
     th = np.asarray(thetas, dtype=float)
     r = np.asarray(ranges, dtype=float)
     absent = np.ones((1, th.size))
 
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+    if not geom.is_monostatic:
         R = geom.array_separation
         nd = (geom.rx_indices() * geom.rx_spacing)[:, None]
         k_rx = 2j * math.pi / lam
@@ -145,7 +135,7 @@ def steering_factors(
     np.exp(a, out=a)
     if mode is Mode.PHASED:
         return a, absent
-    return a, (a if topology is Topology.MONOSTATIC else b)
+    return a, (a if geom.is_monostatic else b)
 
 
 # A location is clear of every transmit element when cos^2(theta) exceeds
@@ -169,7 +159,6 @@ def phase_derivs(
     geom: ArrayGeometry,
     carrier: CarrierConfig,
     mode: Mode,
-    topology: Topology,
     thetas,
     ranges,
     work: np.ndarray | None = None,
@@ -195,8 +184,6 @@ def phase_derivs(
     where lin > 0, so neither form cancels. The receive phase
     k n d_rx sin(phi) has d/d(theta, r) = k n d_rx d sin(phi)/d(theta, r).
     """
-    if topology is Topology.BISTATIC_NEAR_FAR_TX and geom.array_separation <= 0.0:
-        raise DomainError("bistatic observation requires array_separation > 0")
     k = 2.0 * math.pi / carrier.wavelength
     if np.isscalar(thetas):
         th, r = float(thetas), float(ranges)
@@ -224,7 +211,7 @@ def phase_derivs(
         sth, cth = np.array(sins)[:, None], np.array(coss)[:, None]
         cos_sq = [c * c for c in coss]
 
-    if topology is Topology.BISTATIC_NEAR_FAR_TX:
+    if not geom.is_monostatic:
         knd = k * (geom.rx_indices() * geom.rx_spacing)
         g_th, g_r = direction_sine_derivs(geom.array_separation, r, th)
         psi_b = np.array((g_th * knd, g_r * knd))
@@ -271,7 +258,7 @@ def phase_derivs(
     psi_a = np.divide(work[2:], rho, out=work[2:])
     if mode is Mode.PHASED:
         return psi_a, np.zeros((2, *locations, 1))
-    return psi_a, (psi_a if topology is Topology.MONOSTATIC else psi_b)
+    return psi_a, (psi_a if geom.is_monostatic else psi_b)
 
 
 def build_observation(
@@ -279,18 +266,17 @@ def build_observation(
     tgt: TargetLocation,
     carrier: CarrierConfig,
     mode: Mode,
-    topology: Topology,
 ) -> ObservationVector:
-    """The observation g = b (x) a for a mode/topology pair at the target:
+    """The observation g = b (x) a for a mode on the geometry at the target:
     the factors' phase derivatives from phase_derivs at this one location,
     their values formed on read by steering_factors."""
     th, r = tgt.angle_rad, tgt.range_m
-    psi_a, psi_b = phase_derivs(geom, carrier, mode, topology, th, r)
+    psi_a, psi_b = phase_derivs(geom, carrier, mode, th, r)
 
     def factor(i, psi):
         return PhaseFactor(psi, lambda: steering_factors(
-            geom, carrier, mode, topology, [th], [r])[i][:, 0])
+            geom, carrier, mode, [th], [r])[i][:, 0])
 
     a = factor(0, psi_a)
     b = a if psi_b is psi_a else factor(1, psi_b)
-    return ObservationVector(a, b, mode, topology, geom.num_tx)
+    return ObservationVector(a, b, mode, geom.num_tx)

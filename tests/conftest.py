@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 
 from nfcrb.fim import mode_energy_scale
-from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
+from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation
 from nfcrb.steering import build_observation
 
 # hypothesis reports a failing example through a module that imports
@@ -103,14 +103,15 @@ def target(range_m, angle_rad):
 
 def transmit_response(geom, tgt, carrier=CARRIER):
     """The transmit factor a at one location, with its phase derivatives
-    (beamformed monostatic data carry a alone)."""
-    return build_observation(geom, tgt, carrier, Mode.PHASED, Topology.MONOSTATIC).a
+    (orthogonal waveforms observe it on every geometry)."""
+    return build_observation(geom, tgt, carrier, Mode.MIMO).a
 
 
 def receive_response(geom, tgt, carrier=CARRIER):
-    """The far-field receive factor b at one location, with its phase
-    derivatives (beamformed bistatic data carry b alone)."""
-    return build_observation(geom, tgt, carrier, Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX).b
+    """The far-field receive factor b at one location of a bistatic
+    geometry, with its phase derivatives (beamformed bistatic data carry b
+    alone)."""
+    return build_observation(geom, tgt, carrier, Mode.PHASED).b
 
 
 def factor_partials(factor, range_constant=0.0):
@@ -129,18 +130,19 @@ def fresnel_distance(md, tgt):
     return r + (md * math.cos(th)) ** 2 / (2.0 * r) - md * math.sin(th)
 
 
-def range_constants(obs, carrier=CARRIER):
-    """The constants (c_a, c_b) that the range rows of obs.a and obs.b
-    leave out: -2 pi/lambda for a transmit factor, 0 otherwise."""
+def range_constants(obs, geom, carrier=CARRIER):
+    """The constants (c_a, c_b) that the range rows of obs.a and obs.b, an
+    observation on geom, leave out: -2 pi/lambda for a transmit factor, 0
+    otherwise. Only beamformed bistatic data have no transmit factor."""
     k_tx = -2.0 * math.pi / carrier.wavelength
-    has_tx = not (obs.mode is Mode.PHASED and obs.topology is Topology.BISTATIC_NEAR_FAR_TX)
+    has_tx = obs.mode is Mode.MIMO or geom.is_monostatic
     return (k_tx if has_tx else 0.0), (k_tx if obs.b is obs.a else 0.0)
 
 
-def kron_partials(obs, carrier=CARRIER):
-    """Partials of the Kronecker observation g = b (x) a with respect to
-    theta and r, by the product rule over the two factors."""
-    c_a, c_b = range_constants(obs, carrier)
+def kron_partials(obs, geom, carrier=CARRIER):
+    """Partials of the Kronecker observation g = b (x) a on geom with respect
+    to theta and r, by the product rule over the two factors."""
+    c_a, c_b = range_constants(obs, geom, carrier)
     a_th, a_r = factor_partials(obs.a, c_a)
     b_th, b_r = factor_partials(obs.b, c_b)
     g_theta = np.kron(b_th, obs.a.values) + np.kron(obs.b.values, a_th)
@@ -148,13 +150,13 @@ def kron_partials(obs, carrier=CARRIER):
     return g_theta, g_range
 
 
-def kron_fim_oracle(obs, cfg, carrier=CARRIER):
-    """The brute-force FIM over the length-M*N observation: the Jacobian of
-    w = kappa rho g at kappa = 1 as columns of the Kronecker vectors, then
-    (2/N0) Re{J^H J} at N0 = 1, and the Schur complement of its amplitude
-    block."""
+def kron_fim_oracle(obs, geom, cfg, carrier=CARRIER):
+    """The brute-force FIM over the length-M*N observation on geom: the
+    Jacobian of w = kappa rho g at kappa = 1 as columns of the Kronecker
+    vectors, then (2/N0) Re{J^H J} at N0 = 1, and the Schur complement of
+    its amplitude block."""
     root = math.sqrt(mode_energy_scale(cfg, obs.tx_array_size, obs.mode))
-    g_theta, g_range = kron_partials(obs, carrier)
+    g_theta, g_range = kron_partials(obs, geom, carrier)
     jac = np.column_stack([
         root * g_theta, root * g_range, root * obs.g, 1j * root * obs.g,
     ])

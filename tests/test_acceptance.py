@@ -37,7 +37,7 @@ from nfcrb.closedform import (
     intermediates_closed,
 )
 from nfcrb.cli import main as cli_main
-from nfcrb.experiment import csv_text, presets, run_experiment
+from nfcrb.experiment import Topology, csv_text, presets, run_experiment
 from nfcrb.fim import (
     NoiseAndPowerConfig,
     crb_exact_sum,
@@ -45,7 +45,7 @@ from nfcrb.fim import (
     fim_numeric,
     intermediates_exact,
 )
-from nfcrb.geometry import Mode, Topology
+from nfcrb.geometry import Mode
 from nfcrb.signalsim import (
     WaveformConfig,
     mimo_chain_demo,
@@ -85,8 +85,8 @@ def test_criterion_01_closed_form_vs_numerical_fim():
                           (mono, Mode.PHASED, Topology.MONOSTATIC),
                           (bi, Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)]
                 for geom, mode, topo in combos:
-                    closed = crb_closed(geom, tgt, CARRIER, CFG0, mode, topo)
-                    obs = build_observation(geom, tgt, CARRIER, mode, topo)
+                    closed = crb_closed(geom, tgt, CARRIER, CFG0, mode)
+                    obs = build_observation(geom, tgt, CARRIER, mode)
                     ref = crb_from_fim(fim_numeric(obs, CFG0))
                     # the tolerance is 1e-2 beyond the far-field midpoint floor
                     for axis, c, f in (("theta", closed.crb_theta, ref.crb_theta),
@@ -144,8 +144,8 @@ def test_criterion_03_phased_to_mimo_ratio():
         cfg = NoiseAndPowerConfig.from_snr(float(rng.uniform(-10.0, 20.0)),
                                            float(rng.uniform(1.0, 32.0)))
         geom = mono_geom(m)
-        mimo = crb_closed(geom, tgt, CARRIER, cfg, Mode.MIMO, Topology.MONOSTATIC)
-        ph = crb_closed(geom, tgt, CARRIER, cfg, Mode.PHASED, Topology.MONOSTATIC)
+        mimo = crb_closed(geom, tgt, CARRIER, cfg, Mode.MIMO)
+        ph = crb_closed(geom, tgt, CARRIER, cfg, Mode.PHASED)
         worst = max(worst,
                     rel_err(ph.crb_theta / mimo.crb_theta, 2.0 / m),
                     rel_err(ph.crb_range / mimo.crb_range, 2.0 / m))
@@ -169,13 +169,11 @@ def test_criterion_04_infinite_aperture_limit():
         r = m * SPACING / (ratio * math.cos(th))
         geom, tgt = mono_geom(m), target(r, th)
         for mode in (Mode.MIMO, Mode.PHASED):
-            closed = crb_closed(geom, tgt, CARRIER, CFG0, mode, Topology.MONOSTATIC)
+            closed = crb_closed(geom, tgt, CARRIER, CFG0, mode)
             large = crb_asymptotic(geom, (tgt,), CARRIER, CFG0,
-                                   AsymptoticRegime.LARGE_APERTURE,
-                                   mode, Topology.MONOSTATIC)[0]
+                                   AsymptoticRegime.LARGE_APERTURE, mode)[0]
             lim = crb_asymptotic(geom, (tgt,), CARRIER, CFG0,
-                                 AsymptoticRegime.INFINITE_APERTURE,
-                                 mode, Topology.MONOSTATIC)[0]
+                                 AsymptoticRegime.INFINITE_APERTURE, mode)[0]
             rt = rel_err(closed.crb_theta, large.crb_theta)
             rr = rel_err(closed.crb_range, large.crb_range)
             gaps[(mode, ratio)] = (rel_err(closed.crb_theta, lim.crb_theta),
@@ -194,11 +192,9 @@ def test_criterion_04_infinite_aperture_limit():
     for ratio, tol in ((1e3, 0.05), (1e4, 0.01)):
         r = m * SPACING / ratio
         tgt = target(r, 0.0)
-        closed = crb_closed(bi, tgt, CARRIER, CFG0, Mode.MIMO,
-                            Topology.BISTATIC_NEAR_FAR_TX)
+        closed = crb_closed(bi, tgt, CARRIER, CFG0, Mode.MIMO)
         lim = crb_asymptotic(bi, (tgt,), CARRIER, CFG0,
-                             AsymptoticRegime.LARGE_APERTURE,
-                             Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0]
+                             AsymptoticRegime.LARGE_APERTURE, Mode.MIMO)[0]
         rt = rel_err(closed.crb_theta, lim.crb_theta)
         details.append(f"bistatic boresight D/r={ratio:g}: theta {rt:.4e} (tol {tol:g})")
         if rt > tol:
@@ -217,9 +213,8 @@ def test_criterion_05_small_aperture_correction():
     band_ok, xi_ok = True, True
     for th in (0.0, math.pi / 6, math.pi / 3):
         tgt = target(r, th)
-        closed = crb_closed(geom, tgt, CARRIER, CFG0, Mode.MIMO, Topology.MONOSTATIC)
-        upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG0, Mode.MIMO,
-                               Topology.MONOSTATIC)[0]
+        closed = crb_closed(geom, tgt, CARRIER, CFG0, Mode.MIMO)
+        upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG0, Mode.MIMO)[0]
         ratio = closed.crb_theta / upw.crb_theta
         xi = 1.0  # the model's small-aperture angle factor: the plane-wave limit
         band_ok &= 0.6 < ratio <= 1.05
@@ -239,8 +234,7 @@ def test_criterion_06_taylor_angle_equals_plane_wave():
             tgt = target(10.0, th)
             for mode in (Mode.MIMO, Mode.PHASED):
                 tay = crb_taylor(geom, (tgt,), CARRIER, CFG0, mode)[0]
-                upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG0, mode,
-                                       Topology.MONOSTATIC)[0]
+                upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG0, mode)[0]
                 worst = max(worst, rel_err(tay.crb_theta, upw.crb_theta))
     ok, line = report(
         6, "quadratic-phase angle bound equals the plane-wave bound",
@@ -273,7 +267,7 @@ def _exact_sum_minimizer(m, n):
 
     def bound(x):
         return crb_exact_sum(geom, (target(m * SPACING / (2.0 * x), 0.0),), CARRIER,
-                             CFG0, Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0].crb_range
+                             CFG0, Mode.MIMO)[0].crb_range
     return _golden_min(bound, 3.0, 10.0, 1e-4)
 
 
@@ -301,20 +295,17 @@ def test_criterion_08_unidentifiable_guards():
         n = int(rng.integers(2, 17))
         geom = bi_geom(m, n, float(rng.uniform(20.0, 60.0)))
         tgt = target(float(rng.uniform(3.0, 15.0)), float(rng.uniform(-1.2, 1.2)))
-        closed = crb_closed(geom, tgt, CARRIER, CFG0, Mode.PHASED,
-                            Topology.BISTATIC_NEAR_FAR_TX)
-        exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG0, Mode.PHASED,
-                              Topology.BISTATIC_NEAR_FAR_TX)[0]
-        obs = build_observation(geom, tgt, CARRIER, Mode.PHASED,
-                                Topology.BISTATIC_NEAR_FAR_TX)
+        closed = crb_closed(geom, tgt, CARRIER, CFG0, Mode.PHASED)
+        exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG0, Mode.PHASED)[0]
+        obs = build_observation(geom, tgt, CARRIER, Mode.PHASED)
         fim = crb_from_fim(fim_numeric(obs, CFG0))
         ok &= not (closed.identifiable or exact.identifiable or fim.identifiable)
     single = mono_geom(1)
     tgt = target(10.0, 0.3)
     for mode in (Mode.MIMO, Mode.PHASED):
-        closed = crb_closed(single, tgt, CARRIER, CFG0, mode, Topology.MONOSTATIC)
-        exact = crb_exact_sum(single, (tgt,), CARRIER, CFG0, mode, Topology.MONOSTATIC)[0]
-        obs = build_observation(single, tgt, CARRIER, mode, Topology.MONOSTATIC)
+        closed = crb_closed(single, tgt, CARRIER, CFG0, mode)
+        exact = crb_exact_sum(single, (tgt,), CARRIER, CFG0, mode)[0]
+        obs = build_observation(single, tgt, CARRIER, mode)
         fim = crb_from_fim(fim_numeric(obs, CFG0))
         ok &= not (closed.identifiable or exact.identifiable or fim.identifiable)
     ok, line = report(
@@ -377,7 +368,7 @@ def test_criterion_10_chain_collapse_and_noise_level():
         else:
             got = phased_chain_demo(geom, tgt, CARRIER, wf, cfg, steer_at=tgt,
                                     seed=0, include_noise=False)
-        obs = build_observation(geom, tgt, CARRIER, mode, topo)
+        obs = build_observation(geom, tgt, CARRIER, mode)
         want = synth_snapshot(obs, cfg, seed=0, include_noise=False)
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
 

@@ -4,15 +4,20 @@ import csv
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from typing import get_args, get_origin
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nfcrb
 from nfcrb import experiment
@@ -879,3 +884,111 @@ def test_closed_forms_run_far_above_the_element_cap(capsys):
                  "--set", "methods.use=ClosedForm,Taylor,FarFieldUPW"]) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines() if ",1000000001," in ln]
     assert len(rows) == 3
+
+
+def test_transmit_count_past_the_float_range_exits_2(capsys):
+    # M (M^2 - 1) of M = 1e103 is past the float range: a config error that
+    # names the sweep point, not an int-to-float OverflowError (exit 3)
+    assert main(["preset", "fig2", "--set", "sweep.values=1e103",
+                 "--set", "methods.use=Asymptotic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: sweep point M=1e+103:")
+    assert "is out of range" in captured.err
+
+
+# --- the exit contract over whole configs ------------------------------------------
+
+# the model-domain refusals that README lists with exit 3: theta = +-90 deg
+# for each of four methods, d_tx >= r for ClosedForm, r = R for bistatic
+# Asymptotic and a target on the receive-array centre; and beside them a
+# target on a transmit element with ExactSum or NumericalFim
+EXIT_3_REFUSALS = frozenset(f"numerical failure: {text}\n" for text in (
+    "closed forms are singular at theta = +-pi/2",
+    "asymptotic bounds are singular at theta = +-pi/2",
+    "Taylor bounds are singular at theta = +-pi/2",
+    "plane-wave bounds are singular at theta = +-pi/2",
+    "element spacing must be smaller than the target range",
+    "target range equals the array separation",
+    "target coincides with the receive-array center",
+    "target coincides with a transmit element",
+))
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# each sweep axis's values, with theta's edges and signed zeros drawn often
+_AXIS_VALUES = {
+    "theta": st.one_of(st.sampled_from((90.0, -90.0, 0.0, -0.0)), st.floats(-90.0, 90.0)),
+    "r": _log_uniform(-4.0, 14.0),
+    "snr_db": st.floats(-3100.0, 3100.0),
+}
+
+
+@st.composite
+def _cli_overrides(draw):
+    """--set pairs that make fig2 any config without a [montecarlo] block:
+    mode, topology, M, N, spacings, r, theta, carrier, snr_db, L, a method
+    subset, the asymptotic regime and a 2-point sweep on a random axis. A
+    method set that sums over the elements draws M up to 4097; a closed-form
+    one, log-uniform to 1e300."""
+    methods = draw(st.lists(st.sampled_from([m.value for m in experiment.CrbMethod]),
+                            min_size=1, unique=True))
+    per_element = not {"ExactSum", "NumericalFim"}.isdisjoint(methods)
+    counts = (st.integers(1, 4097) if per_element
+              else st.floats(0.0, 300.0).map(lambda e: int(10.0 ** e)))
+    values = {**_AXIS_VALUES, "M": counts}
+    axis = draw(st.sampled_from(sorted(values)))
+    bistatic = draw(st.booleans())
+    scenario = {
+        "mode": draw(st.sampled_from(("mimo", "phased"))),
+        "topology": "bistatic" if bistatic else "monostatic",
+        "separation_m": draw(_log_uniform(-3.0, 6.0)) if bistatic else 0.0,
+        "num_tx": draw(counts),
+        "num_rx": draw(st.integers(1, 16)),
+        "tx_spacing_m": draw(_log_uniform(-9.0, 3.0)),
+        "rx_spacing_m": draw(_log_uniform(-9.0, 3.0)),
+        "target_range_m": draw(values["r"]),
+        "target_angle_deg": draw(values["theta"]),
+        "carrier_freq_hz": draw(_log_uniform(2.0, 16.0)),
+        "snr_db": draw(values["snr_db"]),
+        "time_bandwidth": draw(_log_uniform(0.0, 8.0)),
+    }
+    sets = [f"scenario.{key}={value if isinstance(value, str) else repr(value)}"
+            for key, value in scenario.items()]
+    sets += [f"methods.use={','.join(methods)}",
+             "methods.asymptotic_regime="
+             + draw(st.sampled_from([r.value for r in experiment.AsymptoticRegime])),
+             f"sweep.axis={axis}",
+             "sweep.values=" + ",".join(repr(draw(values[axis])) for _ in range(2))]
+    return [arg for pair in sets for arg in ("--set", pair)]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(sets=_cli_overrides())
+def test_any_bound_config_exits_by_the_contract(sets):
+    # exit 0 with every identifiable bound a normal float (Asymptotic's
+    # model 0 aside), exit 2 with a config error, or exit 3 from a listed
+    # refusal; never a warning and never a NaN cell
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["preset", "fig2", *sets])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("config error:"), err
+        return
+    if code == 3:
+        assert out == "" and err in EXIT_3_REFUSALS, err
+        return
+    assert code == 0 and err == "", (code, err)
+    low = sys.float_info.min
+    for row in _rows(out):
+        assert "nan" not in (cell.lower() for cell in row.values()), row
+        if row["identifiable"] == "true":
+            bounds = [float(row["crb_theta_rad2"]), float(row["crb_r_m2"])]
+            if row["method"] == "Asymptotic":
+                bounds = [b or low for b in bounds]
+            assert all(low <= b < math.inf for b in bounds), row

@@ -37,7 +37,8 @@ from nfcrb.fim import (
     intermediates_exact,
     mode_energy_scale,
 )
-from nfcrb.geometry import Mode, Topology
+from nfcrb.experiment import Topology
+from nfcrb.geometry import Mode
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
 MONO, BI = Topology.MONOSTATIC, Topology.BISTATIC_NEAR_FAR_TX
@@ -96,7 +97,7 @@ def test_intermediates_guards():
 # --- theorem-level bounds ---------------------------------------------------------
 
 def test_mono_mimo_frozen_values():
-    res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, MONO)
+    res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO)
     assert res.identifiable
     assert rel_err(res.crb_theta, 1.2478904911405165e-06) < 1e-12
     assert rel_err(res.crb_range, 0.5152209329023044) < 1e-12
@@ -106,62 +107,55 @@ def test_closed_tracks_exact_sum():
     caps = {17: (5e-3, 2.5e-2), 65: (5e-4, 2.5e-3), 1025: (2e-6, 3e-6)}
     for m, (cap_t, cap_r) in caps.items():
         geom, tgt = mono_geom(m), target(5.0, -0.9)
-        c = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, MONO)
-        e = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)[0]
+        c = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO)
+        e = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.MIMO)[0]
         assert rel_err(c.crb_theta, e.crb_theta) < cap_t
         assert rel_err(c.crb_range, e.crb_range) < cap_r
 
 
 def test_phased_is_two_over_m_times_mimo():
     geom, tgt = mono_geom(129), target(10.0, 0.5)
-    mimo = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, MONO)
-    phased = crb_closed(geom, tgt, CARRIER, CFG, Mode.PHASED, MONO)
+    mimo = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO)
+    phased = crb_closed(geom, tgt, CARRIER, CFG, Mode.PHASED)
     assert phased.crb_theta == pytest.approx(mimo.crb_theta * 2.0 / 129.0, rel=1e-14)
     assert phased.crb_range == pytest.approx(mimo.crb_range * 2.0 / 129.0, rel=1e-14)
 
 
 def test_bistatic_mimo_frozen_values_and_guard():
-    res = crb_closed(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, BI)
+    res = crb_closed(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO)
     assert rel_err(res.crb_theta, 2.0230877314595216e-05) < 1e-12
     assert rel_err(res.crb_range, 1.2803914978927584) < 1e-12
-    with pytest.raises(DomainError):
-        crb_closed(mono_geom(9), target(10.0, 0.0), CARRIER, CFG, Mode.MIMO, BI)
 
 
 def test_bistatic_phased_never_identifiable():
-    res = crb_closed(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG, Mode.PHASED, BI)
+    res = crb_closed(bi_geom(65, 8, 35.0), target(18.0, 0.3), CARRIER, CFG, Mode.PHASED)
     assert not res.identifiable
-    with pytest.raises(DomainError):
-        crb_closed(mono_geom(9), target(10.0, 0.0), CARRIER, CFG, Mode.PHASED, BI)
 
 
 def test_dispatcher_covers_all_pairs():
     mono, bi = mono_geom(17), bi_geom(17, 8, 35.0)
     tgt = target(18.0, 0.2)
-    assert crb_closed(mono, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC).identifiable
-    assert crb_closed(mono, tgt, CARRIER, CFG, Mode.PHASED, Topology.MONOSTATIC).identifiable
-    assert crb_closed(bi, tgt, CARRIER, CFG, Mode.MIMO,
-                      Topology.BISTATIC_NEAR_FAR_TX).identifiable
-    assert not crb_closed(bi, tgt, CARRIER, CFG, Mode.PHASED,
-                          Topology.BISTATIC_NEAR_FAR_TX).identifiable
+    assert crb_closed(mono, tgt, CARRIER, CFG, Mode.MIMO).identifiable
+    assert crb_closed(mono, tgt, CARRIER, CFG, Mode.PHASED).identifiable
+    assert crb_closed(bi, tgt, CARRIER, CFG, Mode.MIMO).identifiable
+    assert not crb_closed(bi, tgt, CARRIER, CFG, Mode.PHASED).identifiable
 
 
 def test_closed_form_single_element_unidentifiable():
     for mode in (Mode.MIMO, Mode.PHASED):
-        res = crb_closed(mono_geom(1), target(10.0, 0.3), CARRIER, CFG,
-                         mode, Topology.MONOSTATIC)
+        res = crb_closed(mono_geom(1), target(10.0, 0.3), CARRIER, CFG, mode)
         assert not res.identifiable
 
 
 def test_model_warnings():
     # spacing close to range
-    res = crb_closed(mono_geom(9), target(0.5, 0.0), CARRIER, CFG, Mode.MIMO, MONO)
+    res = crb_closed(mono_geom(9), target(0.5, 0.0), CARRIER, CFG, Mode.MIMO)
     assert any("lose accuracy" in w for w in res.warnings)
     # range close to the aperture
-    res = crb_closed(mono_geom(65), target(3.0, 0.0), CARRIER, CFG, Mode.MIMO, MONO)
+    res = crb_closed(mono_geom(65), target(3.0, 0.0), CARRIER, CFG, Mode.MIMO)
     assert any("strained" in w for w in res.warnings)
     # regular scenario carries none
-    res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO, MONO)
+    res = crb_closed(mono_geom(65), target(18.0, 0.3), CARRIER, CFG, Mode.MIMO)
     assert res.warnings == ()
 
 
@@ -169,7 +163,7 @@ def test_model_warnings():
 
 def test_large_aperture_frozen_value_and_regime_warning():
     res = crb_asymptotic(mono_geom(65), (target(18.0, 0.3),), CARRIER, CFG,
-                         AsymptoticRegime.LARGE_APERTURE, Mode.MIMO, Topology.MONOSTATIC)[0]
+                         AsymptoticRegime.LARGE_APERTURE, Mode.MIMO)[0]
     assert rel_err(res.crb_theta, 3.8090698088409075e-09) < 1e-12
     assert rel_err(res.crb_range, 2.919690027960027e-07) < 1e-12
     assert any("below the large-aperture regime" in w for w in res.warnings)
@@ -182,10 +176,9 @@ def test_closed_form_approaches_infinite_aperture_limit():
     for ratio in (1e3, 1e4):
         r = m * SPACING / (ratio * math.cos(th))
         geom, tgt = mono_geom(m), target(r, th)
-        cl = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)
+        cl = crb_closed(geom, tgt, CARRIER, CFG, Mode.MIMO)
         lim = crb_asymptotic(geom, (tgt,), CARRIER, CFG,
-                             AsymptoticRegime.INFINITE_APERTURE,
-                             Mode.MIMO, Topology.MONOSTATIC)[0]
+                             AsymptoticRegime.INFINITE_APERTURE, Mode.MIMO)[0]
         rels.append((rel_err(cl.crb_theta, lim.crb_theta),
                      rel_err(cl.crb_range, lim.crb_range)))
     assert rels[0][0] < 0.10 and rels[0][1] < 0.10
@@ -197,8 +190,8 @@ def test_small_aperture_matches_scaled_plane_wave():
     m = 1025
     geom, tgt = mono_geom(m), target(5000.0, math.pi / 6)
     small = crb_asymptotic(geom, (tgt,), CARRIER, CFG, AsymptoticRegime.SMALL_APERTURE,
-                           Mode.MIMO, Topology.MONOSTATIC)[0]
-    upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)[0]
+                           Mode.MIMO)[0]
+    upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG, Mode.MIMO)[0]
     # identical up to the discrete-vs-continuum factor (1 - 1/M^2)
     want = 1.0 - 1.0 / (m * m)
     assert small.crb_theta / upw.crb_theta == pytest.approx(want, rel=1e-12)
@@ -207,8 +200,7 @@ def test_small_aperture_matches_scaled_plane_wave():
 
 def test_infinite_aperture_boresight_warning():
     res = crb_asymptotic(mono_geom(65), (target(18.0, 0.0),), CARRIER, CFG,
-                         AsymptoticRegime.INFINITE_APERTURE, Mode.MIMO,
-                         Topology.MONOSTATIC)[0]
+                         AsymptoticRegime.INFINITE_APERTURE, Mode.MIMO)[0]
     assert res.crb_theta == 0.0
     assert any("degenerates" in w for w in res.warnings)
 
@@ -217,21 +209,18 @@ def test_bistatic_asymptotic_guards():
     geom = bi_geom(65, 8, 35.0)
     with pytest.raises(SingularGeometryError):
         crb_asymptotic(geom, (target(35.0, 0.0),), CARRIER, CFG,
-                       AsymptoticRegime.LARGE_APERTURE, Mode.MIMO,
-                       Topology.BISTATIC_NEAR_FAR_TX)[0]
+                       AsymptoticRegime.LARGE_APERTURE, Mode.MIMO)[0]
     res = crb_asymptotic(geom, (target(18.0, 0.2),), CARRIER, CFG,
-                         AsymptoticRegime.LARGE_APERTURE, Mode.MIMO,
-                         Topology.BISTATIC_NEAR_FAR_TX)[0]
+                         AsymptoticRegime.LARGE_APERTURE, Mode.MIMO)[0]
     assert any("off boresight" in w for w in res.warnings)
     assert not crb_asymptotic(geom, (target(18.0, 0.0),), CARRIER, CFG,
-                              AsymptoticRegime.LARGE_APERTURE, Mode.PHASED,
-                              Topology.BISTATIC_NEAR_FAR_TX)[0].identifiable
+                              AsymptoticRegime.LARGE_APERTURE, Mode.PHASED)[0].identifiable
 
 
 def test_asymptotic_endfire_rejected():
     with pytest.raises(SingularGeometryError):
         crb_asymptotic(mono_geom(65), (target(18.0, math.pi / 2),), CARRIER, CFG,
-                       AsymptoticRegime.LARGE_APERTURE, Mode.MIMO, Topology.MONOSTATIC)[0]
+                       AsymptoticRegime.LARGE_APERTURE, Mode.MIMO)[0]
 
 
 # --- Taylor bounds -----------------------------------------------------------------
@@ -252,8 +241,7 @@ def test_taylor_angle_equals_plane_wave_identically():
             tgt = target(10.0, th)
             for mode in (Mode.MIMO, Mode.PHASED):
                 tay = crb_taylor(mono_geom(m), (tgt,), CARRIER, CFG, mode)[0]
-                upw = crb_farfield_upw(mono_geom(m), (tgt,), CARRIER, CFG,
-                                       mode, Topology.MONOSTATIC)[0]
+                upw = crb_farfield_upw(mono_geom(m), (tgt,), CARRIER, CFG, mode)[0]
                 assert rel_err(tay.crb_theta, upw.crb_theta) < 1e-12
 
 
@@ -300,18 +288,15 @@ def test_taylor_needs_three_elements():
 # --- plane-wave reference ------------------------------------------------------------
 
 def test_plane_wave_frozen_values():
-    res = crb_farfield_upw(mono_geom(65), (target(18.0, 0.3),), CARRIER, CFG,
-                           Mode.MIMO, Topology.MONOSTATIC)[0]
+    res = crb_farfield_upw(mono_geom(65), (target(18.0, 0.3),), CARRIER, CFG, Mode.MIMO)[0]
     assert rel_err(res.crb_theta, 1.230476385605047e-06) < 1e-12
     assert math.isinf(res.crb_range) and not res.identifiable
     assert any("no range information" in w for w in res.warnings)
 
-    bi = crb_farfield_upw(bi_geom(65, 8, 35.0), (target(18.0, 0.3),), CARRIER, CFG,
-                          Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0]
+    bi = crb_farfield_upw(bi_geom(65, 8, 35.0), (target(18.0, 0.3),), CARRIER, CFG, Mode.MIMO)[0]
     assert rel_err(bi.crb_theta, 1.9701399372038817e-05) < 1e-12
     assert not crb_farfield_upw(bi_geom(65, 8, 35.0), (target(18.0, 0.3),), CARRIER,
-                                CFG, Mode.PHASED,
-                                Topology.BISTATIC_NEAR_FAR_TX)[0].identifiable
+                                CFG, Mode.PHASED)[0].identifiable
 
 
 def test_xi_correction_values_and_domain():
@@ -326,15 +311,14 @@ def test_xi_correction_values_and_domain():
         for th in (0.0, math.pi / 6, math.pi / 3, -1.2):
             tgt = target(r, th)
             for mode in (Mode.MIMO, Mode.PHASED):
-                exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
+                exact = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode)[0]
                 assert exact.identifiable
                 # discrete M(M^2-1) plane-wave bound -> continuum M^3 bound
-                upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
+                upw = crb_farfield_upw(geom, (tgt,), CARRIER, CFG, mode)[0]
                 continuum = upw.crb_theta * (1.0 - 1.0 / (m * m))
                 assert abs(exact.crb_theta / continuum - 1.0) <= 2e-4
                 small = crb_asymptotic(geom, (tgt,), CARRIER, CFG,
-                                       AsymptoticRegime.SMALL_APERTURE, mode,
-                                       Topology.MONOSTATIC)[0]
+                                       AsymptoticRegime.SMALL_APERTURE, mode)[0]
                 assert rel_err(small.crb_theta, exact.crb_theta) <= 2e-4
 
 
@@ -418,8 +402,8 @@ def _one_by_one(evaluate, targets):
 def _run_evaluators(mode, topology, geom, cfg):
     """Taylor (monostatic), FarFieldUPW and each Asymptotic regime, as
     functions of a run of targets."""
-    evaluators = [lambda ts: crb_farfield_upw(geom, ts, CARRIER, cfg, mode, topology)]
-    evaluators += [lambda ts, reg=reg: crb_asymptotic(geom, ts, CARRIER, cfg, reg, mode, topology)
+    evaluators = [lambda ts: crb_farfield_upw(geom, ts, CARRIER, cfg, mode)]
+    evaluators += [lambda ts, reg=reg: crb_asymptotic(geom, ts, CARRIER, cfg, reg, mode)
                    for reg in AsymptoticRegime]
     if topology is MONO:
         evaluators.append(lambda ts: crb_taylor(geom, ts, CARRIER, cfg, mode))

@@ -22,21 +22,21 @@ from nfcrb.experiment import (
     CrbMethod,
     ExperimentConfig,
     SweepSpec,
+    Topology,
     presets,
     run_experiment,
     validate_config,
 )
 from nfcrb.fim import NoiseAndPowerConfig
-from nfcrb.geometry import Mode, SensingScenario, Topology
+from nfcrb.geometry import Mode, SensingScenario
 from nfcrb.signalsim import synth_snapshot
 from nfcrb.steering import build_observation
 
 CFG10 = NoiseAndPowerConfig.from_snr(10.0)
 
 
-def scenario(geom, tgt, mode, topology):
-    return SensingScenario(geometry=geom, target=tgt, carrier=CARRIER,
-                           mode=mode, topology=topology)
+def scenario(geom, tgt, mode):
+    return SensingScenario(geometry=geom, target=tgt, carrier=CARRIER, mode=mode)
 
 
 def window(tgt, theta_points, range_points, refine_levels):
@@ -88,22 +88,15 @@ def test_grid_around_clips_to_domain():
                                       Topology.BISTATIC_NEAR_FAR_TX])
 def test_factor_matrices_match_observation_vectors(mode, topology):
     geom = mono_geom(9) if topology is Topology.MONOSTATIC else bi_geom(9, 8, 35.0)
-    builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
+    builder = ObservationGridBuilder(geom, CARRIER, mode)
     th = np.array([0.0, 0.21, -0.4])
     ra = np.array([8.0, 12.0, 20.0])
     a, b = builder.factor_matrices(th, ra)
     assert a.shape == (builder.tx_len, 3) and b.shape == (builder.rx_len, 3)
     for j in range(3):
         g = np.kron(b[:, j], a[:, j])
-        want = build_observation(geom, target(float(ra[j]), float(th[j])),
-                                 CARRIER, mode, topology).g
+        want = build_observation(geom, target(float(ra[j]), float(th[j])), CARRIER, mode).g
         assert np.max(np.abs(g - want)) < 1e-12
-
-
-def test_builder_rejects_bistatic_without_separation():
-    with pytest.raises(Exception):
-        ObservationGridBuilder(mono_geom(9), CARRIER, Mode.MIMO,
-                               Topology.BISTATIC_NEAR_FAR_TX)
 
 
 # --- matched-field search ----------------------------------------------------------
@@ -113,7 +106,7 @@ def test_builder_rejects_bistatic_without_separation():
                                       Topology.BISTATIC_NEAR_FAR_TX])
 def test_statistic_is_the_normalised_matched_field_power(mode, topology):
     geom = mono_geom(9) if topology is Topology.MONOSTATIC else bi_geom(9, 8, 35.0)
-    builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
+    builder = ObservationGridBuilder(geom, CARRIER, mode)
     rng = np.random.default_rng(2024)
     y = rng.standard_normal(builder.rx_len * builder.tx_len * 2).view(complex)
     ymat = y.reshape(builder.rx_len, builder.tx_len)
@@ -121,7 +114,7 @@ def test_statistic_is_the_normalised_matched_field_power(mode, topology):
     def brute(th, ra):
         out = []
         for t, r in zip(th.tolist(), ra.tolist()):
-            g = build_observation(geom, target(r, t), CARRIER, mode, topology).g
+            g = build_observation(geom, target(r, t), CARRIER, mode).g
             out.append(abs(np.vdot(g, y)) ** 2 / np.vdot(g, g).real)
         return np.array(out)
 
@@ -167,7 +160,7 @@ def test_statistic_keeps_the_conjugated_factor_bits(mode, topology):
     # |g^T y*| = |g^H y| holds bit for bit when the product and the
     # column sums conjugate exactly under conjugated operands
     geom = mono_geom(33) if topology is Topology.MONOSTATIC else bi_geom(33, 8, 35.0)
-    builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
+    builder = ObservationGridBuilder(geom, CARRIER, mode)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(builder.rx_len * builder.tx_len * 2).view(complex)
     assert_stat_bits(builder, y, rng.uniform(-1.2, 1.2, 300), rng.uniform(6.0, 40.0, 300))
@@ -191,37 +184,37 @@ def test_statistic_keeps_the_conjugated_factor_bits_on_the_preset_grids(num_tx):
         cfg = presets()[name]
         run = next(run for run in validate_config(cfg) if run.geometry.num_tx == num_tx)
         (tgt,) = run.targets
-        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
+        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode)
         snapshots += [synth_snapshot(obs, run.noise, seed=(cfg.montecarlo.master_seed, t))
                       for t in range(2)]
     mc = cfg.montecarlo  # fig8 and fig9 share the window
     points = (31, 21) if num_tx == 1025 else (mc.theta_points, mc.range_points)
     grid = GridSpec.around(tgt, mc.theta_halfspan_deg, points[0],
                            mc.range_span_frac, points[1], 0)
-    builder = ObservationGridBuilder(run.geometry, run.carrier, cfg.mode, cfg.topology)
+    builder = ObservationGridBuilder(run.geometry, run.carrier, cfg.mode)
     th, ra = _paired_grid(grid.theta_values(), grid.range_values())
     for y in snapshots:
         assert_stat_bits(builder, y, th, ra)
 
 
-def on_grid_recovery(mode, topology, geom):
+def on_grid_recovery(mode, geom):
     tgt = target(18.0, 0.3)
     grid = window(tgt, 41, 31, refine_levels=0)
-    obs = build_observation(geom, tgt, CARRIER, mode, topology)
+    obs = build_observation(geom, tgt, CARRIER, mode)
     y = synth_snapshot(obs, CFG10, seed=0, include_noise=False)
-    builder = ObservationGridBuilder(geom, CARRIER, mode, topology)
+    builder = ObservationGridBuilder(geom, CARRIER, mode)
     return _PreparedMlSearch(builder, grid).estimate(y), tgt
 
 
 def test_noiseless_on_grid_recovery_is_exact():
     # apertures large enough that the range lobe fits inside the window
     cases = [
-        (Mode.MIMO, Topology.MONOSTATIC, mono_geom(65)),
-        (Mode.PHASED, Topology.MONOSTATIC, mono_geom(65)),
-        (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(65, 8, 35.0)),
+        (Mode.MIMO, mono_geom(65)),
+        (Mode.PHASED, mono_geom(65)),
+        (Mode.MIMO, bi_geom(65, 8, 35.0)),
     ]
-    for mode, topology, geom in cases:
-        est, tgt = on_grid_recovery(mode, topology, geom)
+    for mode, geom in cases:
+        est, tgt = on_grid_recovery(mode, geom)
         assert est.theta == pytest.approx(tgt.angle_rad, abs=1e-12)
         assert est.range_m == pytest.approx(tgt.range_m, abs=1e-9)
         assert not est.ambiguous
@@ -230,8 +223,7 @@ def test_noiseless_on_grid_recovery_is_exact():
 def test_bistatic_phased_search_flags_ambiguity():
     # a single beamformed far-field receive vector constrains one direction
     # sine, so the statistic is constant along a curve crossing the window
-    est, _ = on_grid_recovery(Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX,
-                              bi_geom(9, 8, 35.0))
+    est, _ = on_grid_recovery(Mode.PHASED, bi_geom(9, 8, 35.0))
     assert est.ambiguous
 
 
@@ -239,9 +231,9 @@ def test_refinement_tightens_quantization():
     geom = mono_geom(17)
     tgt = target(18.0, 0.3)
     truth = target(18.037, 0.3012)   # off every grid node
-    obs = build_observation(geom, truth, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+    obs = build_observation(geom, truth, CARRIER, Mode.MIMO)
     y = synth_snapshot(obs, CFG10, seed=0, include_noise=False)
-    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO)
     errs = []
     for levels in (0, 2, 4):
         grid = window(tgt, 41, 31, refine_levels=levels)
@@ -255,10 +247,10 @@ def test_refinement_tightens_quantization():
 
 def test_noisy_recovery_rate_moderate_snr():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
-    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+    builder = ObservationGridBuilder(geom, CARRIER, Mode.MIMO)
     grid = window(tgt, 61, 41, refine_levels=0)
     search = _PreparedMlSearch(builder, grid)
-    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO)
     hits = 0
     trials = 60
     for t in range(trials):
@@ -272,7 +264,7 @@ def test_noisy_recovery_rate_moderate_snr():
 # --- Monte Carlo loop --------------------------------------------------------------
 
 def test_monte_carlo_is_deterministic():
-    scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
+    scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO)
     grid = window(scn.target, 21, 15, refine_levels=1)
     a = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=42)
     b = monte_carlo_rmse(scn, CFG10, grid, trials=8, master_seed=42)
@@ -282,7 +274,7 @@ def test_monte_carlo_is_deterministic():
 
 
 def test_monte_carlo_high_snr_pins_the_grid_center():
-    scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
+    scn = scenario(mono_geom(9), target(10.0, 0.2), Mode.MIMO)
     cfg = NoiseAndPowerConfig.from_snr(80.0)
     grid = window(scn.target, 21, 15, refine_levels=0)
     rep = monte_carlo_rmse(scn, cfg, grid, trials=6, master_seed=7)
@@ -291,14 +283,14 @@ def test_monte_carlo_high_snr_pins_the_grid_center():
 
 
 def test_monte_carlo_counts_the_ambiguous_trials():
-    scn = scenario(mono_geom(33), target(18.0, 0.3), Mode.MIMO, Topology.MONOSTATIC)
+    scn = scenario(mono_geom(33), target(18.0, 0.3), Mode.MIMO)
     cfg = NoiseAndPowerConfig.from_snr(0.0)
     grid = window(scn.target, 21, 15, refine_levels=1)
     rep = monte_carlo_rmse(scn, cfg, grid, trials=12, master_seed=9)
     # the same trials one estimate call at a time
-    obs = build_observation(scn.geometry, scn.target, CARRIER, scn.mode, scn.topology)
+    obs = build_observation(scn.geometry, scn.target, CARRIER, scn.mode)
     search = _PreparedMlSearch(
-        ObservationGridBuilder(scn.geometry, CARRIER, scn.mode, scn.topology), grid)
+        ObservationGridBuilder(scn.geometry, CARRIER, scn.mode), grid)
     flags = [search.estimate(synth_snapshot(obs, cfg, seed=(9, t))).ambiguous
              for t in range(12)]
     assert rep.ambiguous_trials == sum(flags)
@@ -337,7 +329,7 @@ def test_monte_carlo_reaches_the_bound_off_the_presets(mode, topology, seed):
 
 
 def test_monte_carlo_rejects_zero_trials():
-    scn = scenario(mono_geom(5), target(9.0, 0.2), Mode.MIMO, Topology.MONOSTATIC)
+    scn = scenario(mono_geom(5), target(9.0, 0.2), Mode.MIMO)
     grid = window(scn.target, 15, 11, refine_levels=0)
     with pytest.raises(ConfigError):
         monte_carlo_rmse(scn, CFG10, grid, trials=0, master_seed=3)

@@ -23,9 +23,8 @@ from conftest import (
     target,
     transmit_response,
 )
-from nfcrb.closedform import crb_closed
 from nfcrb.errors import ConfigError, DegenerateGeometryError, DomainError
-from nfcrb.experiment import presets
+from nfcrb.experiment import Topology, presets
 from nfcrb.fim import (
     _BLOCK_ELEMENTS,
     CrbResult,
@@ -40,7 +39,7 @@ from nfcrb.fim import (
     mode_energy_scale,
     receive_sums,
 )
-from nfcrb.geometry import ArrayGeometry, Mode, Topology
+from nfcrb.geometry import ArrayGeometry, Mode
 from nfcrb.steering import build_observation, phase_derivs
 
 CFG = NoiseAndPowerConfig.from_snr(0.0, 1.0)
@@ -87,13 +86,13 @@ def test_fim_matrix_validation():
 
 # --- numerical FIM vs finite-difference oracle ----------------------------------
 
-def fd_fim_oracle(geom, tgt, mode, topology, cfg):
+def fd_fim_oracle(geom, tgt, mode, cfg):
     """Independent FIM: mean vector differentiated by central differences,
     no analytic steering derivatives involved."""
     root = math.sqrt(mode_energy_scale(cfg, geom.num_tx, mode))
 
     def mean(th, r, kr, ki):
-        g = build_observation(geom, target(r, th), CARRIER, mode, topology).g
+        g = build_observation(geom, target(r, th), CARRIER, mode).g
         return (kr + 1j * ki) * root * g
 
     th0, r0 = tgt.angle_rad, tgt.range_m
@@ -122,9 +121,9 @@ def test_fim_numeric_matches_fd_oracle(mode, topology):
         geom, tgt = mono_geom(9), target(10.0, 0.3)
     else:
         geom, tgt = bi_geom(9, 8, 35.0), target(18.0, 0.3)
-    obs = build_observation(geom, tgt, CARRIER, mode, topology)
+    obs = build_observation(geom, tgt, CARRIER, mode)
     got = fim_numeric(obs, CFG).reduced
-    fd = fd_fim_oracle(geom, tgt, mode, topology, CFG)
+    fd = fd_fim_oracle(geom, tgt, mode, CFG)
     scale = np.abs(fd[:2, :2]).max()
     assert np.abs(got - schur_complement(fd)).max() < 1e-5 * scale
 
@@ -138,10 +137,10 @@ PAIRS = [(mode, topology) for mode in Mode for topology in Topology]
 def test_factored_fim_matches_kronecker_oracle(mode, topology, num_tx, num_rx):
     sep = 35.0 if topology is Topology.BISTATIC_NEAR_FAR_TX else 0.0
     geom = ArrayGeometry(num_tx, num_rx, 0.0628, 0.0628, sep)
-    obs = build_observation(geom, target(18.0, 0.3), CARRIER, mode, topology)
+    obs = build_observation(geom, target(18.0, 0.3), CARRIER, mode)
     cfg = NoiseAndPowerConfig(snr_linear=2.0, time_bandwidth=3.0)
     got = fim_numeric(obs, cfg)
-    want, schur = kron_fim_oracle(obs, cfg)
+    want, schur = kron_fim_oracle(obs, geom, cfg)
     # the oracle's complement cancels down from the scale of its angle/range
     # block; the factored one does not, so that scale bounds the difference
     assert np.abs(got.reduced - schur).max() <= 1e-12 * np.abs(want[:2, :2]).max()
@@ -152,7 +151,7 @@ def test_numeric_fim_memory_is_set_by_the_factors():
     geom, tgt = mono_geom(2049), target(10.0, math.pi / 6)
     tracemalloc.start()
     try:
-        obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+        obs = build_observation(geom, tgt, CARRIER, Mode.MIMO)
         res = crb_from_fim(fim_numeric(obs, CFG))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -169,7 +168,7 @@ def test_exact_sum_run_holds_one_workspace(mode, topology):
     workspace = 4 * min(61, _BLOCK_ELEMENTS // 1025) * 1025 * 8
 
     def call():
-        return crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
+        return crb_exact_sum(geom, targets, CARRIER, CFG, mode)
 
     call()
     tracemalloc.start()
@@ -189,8 +188,8 @@ def test_exact_sum_run_holds_one_workspace(mode, topology):
     (Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX, bi_geom(100001, 8, 35.0), target(18.0, 0.3)),
 ])
 def test_numeric_fim_reaches_extremely_large_arrays(mode, topology, geom, tgt):
-    via_sum = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, topology)[0]
-    obs = build_observation(geom, tgt, CARRIER, mode, topology)
+    via_sum = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode)[0]
+    obs = build_observation(geom, tgt, CARRIER, mode)
     via_fim = crb_from_fim(fim_numeric(obs, CFG))
     assert rel_err(via_fim.crb_theta, via_sum.crb_theta) < 1e-9
     assert rel_err(via_fim.crb_range, via_sum.crb_range) < 1e-9
@@ -198,7 +197,7 @@ def test_numeric_fim_reaches_extremely_large_arrays(mode, topology, geom, tgt):
 
 def test_fim_scales_with_power_and_noise():
     geom, tgt = mono_geom(9), target(10.0, 0.3)
-    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO, Topology.MONOSTATIC)
+    obs = build_observation(geom, tgt, CARRIER, Mode.MIMO)
     f1 = fim_numeric(obs, NoiseAndPowerConfig.from_snr(0.0)).reduced
     f2 = fim_numeric(obs, NoiseAndPowerConfig.from_snr(10.0)).reduced
     assert np.allclose(f2, 10.0 * f1, rtol=1e-12)
@@ -342,14 +341,14 @@ def test_exact_sum_over_a_run_equals_one_location_calls(drawn):
     mode, topology, geom, locations = drawn
     thetas, ranges = zip(*locations)
     targets = [target(r, th) for th, r in locations]
-    run_psi = phase_derivs(geom, CARRIER, mode, topology, thetas, ranges)
-    run = crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
+    run_psi = phase_derivs(geom, CARRIER, mode, thetas, ranges)
+    run = crb_exact_sum(geom, targets, CARRIER, CFG, mode)
     for j, tgt in enumerate(targets):
-        obs = build_observation(geom, tgt, CARRIER, mode, topology)
+        obs = build_observation(geom, tgt, CARRIER, mode)
         for over_run, alone in zip(run_psi, (obs.a.psi, obs.b.psi)):
             # bit for bit: a shared operand is the same float as the column
             assert over_run[:, j].tobytes() == alone.tobytes()
-        assert run[j] == crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, topology)[0]
+        assert run[j] == crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode)[0]
         # NumericalFim's expressions on the same derivatives: the same bits
         via_fim = crb_from_fim(fim_numeric(obs, CFG))
         assert (run[j].crb_theta, run[j].crb_range, run[j].identifiable) == (
@@ -365,15 +364,13 @@ def test_theta_sweep_rows_equal_one_location_calls():
     for mode, topology in PAIRS:
         bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
         geom = bi_geom(1025, 8, 35.0) if bistatic else mono_geom(1025)
-        run_psi = phase_derivs(geom, CARRIER, mode, topology, thetas, ranges)
-        run = crb_exact_sum(geom, [target(10.0, th) for th in thetas], CARRIER, CFG,
-                            mode, topology)
+        run_psi = phase_derivs(geom, CARRIER, mode, thetas, ranges)
+        run = crb_exact_sum(geom, [target(10.0, th) for th in thetas], CARRIER, CFG, mode)
         for j, th in enumerate(thetas):
-            alone = phase_derivs(geom, CARRIER, mode, topology, th, 10.0)
+            alone = phase_derivs(geom, CARRIER, mode, th, 10.0)
             for over_run, psi in zip(run_psi, alone):
                 assert over_run[:, j].tobytes() == psi.tobytes()
-            assert run[j] == crb_exact_sum(geom, (target(10.0, th),), CARRIER, CFG,
-                                           mode, topology)[0]
+            assert run[j] == crb_exact_sum(geom, (target(10.0, th),), CARRIER, CFG, mode)[0]
 
 
 def test_crb_result_is_an_immutable_hashable_record():
@@ -393,13 +390,12 @@ def test_observations_keep_their_derivatives_across_kernel_calls():
     # observation's psi is never part of such a buffer
     for mode, topology in PAIRS:
         g = bi_geom(1025, 8, 35.0) if topology is Topology.BISTATIC_NEAR_FAR_TX else mono_geom(1025)
-        first = build_observation(g, target(18.0, 0.3), CARRIER, mode, topology)
-        second = build_observation(g, target(40.0, -0.2), CARRIER, mode, topology)
+        first = build_observation(g, target(18.0, 0.3), CARRIER, mode)
+        second = build_observation(g, target(40.0, -0.2), CARRIER, mode)
         kept = [(f.psi.copy(), f.psi) for obs in (first, second) for f in (obs.a, obs.b)]
-        crb_exact_sum(g, [target(10.0 + j, 0.02 * j) for j in range(70)], CARRIER, CFG,
-                      mode, topology)
-        crb_exact_sum(g, (target(25.0, 0.4),), CARRIER, CFG, mode, topology)
-        build_observation(g, target(33.0, 0.5), CARRIER, mode, topology)
+        crb_exact_sum(g, [target(10.0 + j, 0.02 * j) for j in range(70)], CARRIER, CFG, mode)
+        crb_exact_sum(g, (target(25.0, 0.4),), CARRIER, CFG, mode)
+        build_observation(g, target(33.0, 0.5), CARRIER, mode)
         crb_from_fim(fim_numeric(first, CFG))
         for copy, psi in kept:
             assert np.array_equal(psi, copy)
@@ -410,15 +406,13 @@ def test_phase_derivs_refuse_a_target_on_an_element():
     # element m = 2 of nine sits at 0.1256 m on the array axis (theta = 90 deg)
     geom = mono_geom(9)
     with pytest.raises(DegenerateGeometryError, match="transmit element"):
-        phase_derivs(geom, CARRIER, Mode.MIMO, Topology.MONOSTATIC,
-                     [0.3, math.pi / 2], [10.0, 2 * SPACING])
+        phase_derivs(geom, CARRIER, Mode.MIMO, [0.3, math.pi / 2], [10.0, 2 * SPACING])
     for mode in Mode:
         with pytest.raises(DegenerateGeometryError, match="transmit element"):
             crb_exact_sum(geom, (target(10.0, 0.3), target(2 * SPACING, math.pi / 2)),
-                          CARRIER, CFG, mode, Topology.MONOSTATIC)
+                          CARRIER, CFG, mode)
         with pytest.raises(DegenerateGeometryError, match="transmit element"):
-            build_observation(geom, target(2 * SPACING, math.pi / 2), CARRIER,
-                              mode, Topology.MONOSTATIC)
+            build_observation(geom, target(2 * SPACING, math.pi / 2), CARRIER, mode)
 
 
 def test_receive_sums_are_steering_inner_products():
@@ -437,27 +431,24 @@ def test_receive_sums_are_steering_inner_products():
 
 def test_exact_sum_frozen_values():
     m, r, th, ct, cr = FROZEN[("mono", Mode.MIMO)]
-    res = crb_exact_sum(mono_geom(m), (target(r, th),), CARRIER, CFG,
-                        Mode.MIMO, Topology.MONOSTATIC)[0]
+    res = crb_exact_sum(mono_geom(m), (target(r, th),), CARRIER, CFG, Mode.MIMO)[0]
     assert rel_err(res.crb_theta, ct) < 1e-12
     assert rel_err(res.crb_range, cr) < 1e-12
 
     m, r, th, ct, cr = FROZEN[("mono", Mode.PHASED)]
-    res = crb_exact_sum(mono_geom(m), (target(r, th),), CARRIER, CFG,
-                        Mode.PHASED, Topology.MONOSTATIC)[0]
+    res = crb_exact_sum(mono_geom(m), (target(r, th),), CARRIER, CFG, Mode.PHASED)[0]
     assert rel_err(res.crb_theta, ct) < 1e-12
     assert rel_err(res.crb_range, cr) < 1e-12
 
     for key in ((("bi", 0.3)), (("bi", 0.0))):
         m, r, th, ct, cr = FROZEN[key]
-        res = crb_exact_sum(bi_geom(m, 8, 35.0), (target(r, th),), CARRIER, CFG,
-                            Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)[0]
+        res = crb_exact_sum(bi_geom(m, 8, 35.0), (target(r, th),), CARRIER, CFG, Mode.MIMO)[0]
         assert rel_err(res.crb_theta, ct) < 1e-12
         assert rel_err(res.crb_range, cr) < 1e-12
 
 
-def _numeric_fim(geom, tgt, cfg, mode, topology):
-    return crb_from_fim(fim_numeric(build_observation(geom, tgt, CARRIER, mode, topology), cfg))
+def _numeric_fim(geom, tgt, cfg, mode):
+    return crb_from_fim(fim_numeric(build_observation(geom, tgt, CARRIER, mode), cfg))
 
 
 # run_experiment evaluates both methods by one evaluator, a lone target on
@@ -479,8 +470,8 @@ def _numeric_fim(geom, tgt, cfg, mode, topology):
 ])
 def test_exact_sum_equals_numeric_fim(mode, topology, geom, tgt):
     cfg = NoiseAndPowerConfig.from_snr(5.0, time_bandwidth=2.0)
-    via_sum = crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode, topology)[0]
-    via_fim = _numeric_fim(geom, tgt, cfg, mode, topology)
+    via_sum = crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode)[0]
+    via_fim = _numeric_fim(geom, tgt, cfg, mode)
     # identifiable only with a transmit aperture in the observation (more
     # than one element, not beamformed bistatic) at a range it is not lost at
     beamformed_bistatic = mode is Mode.PHASED and topology is Topology.BISTATIC_NEAR_FAR_TX
@@ -502,28 +493,26 @@ def test_blocked_exact_sum_run_equals_numeric_fim_per_location(mode, topology):
     if not bistatic:
         targets[33] = target(1e200, 0.3)
     assert 3 <= _BLOCK_ELEMENTS // 1025 < len(targets)
-    run = crb_exact_sum(geom, targets, CARRIER, CFG, mode, topology)
+    run = crb_exact_sum(geom, targets, CARRIER, CFG, mode)
     assert len(run) == len(targets)
     for res, tgt in zip(run, targets):
-        assert res == _numeric_fim(geom, tgt, CFG, mode, topology)
+        assert res == _numeric_fim(geom, tgt, CFG, mode)
     if not bistatic:
         assert SINGULAR_WARNING in run[33].warnings
 
 
 def test_mode_ratio_is_two_over_m():
     geom, tgt = mono_geom(65), target(18.0, 0.3)
-    mimo = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.MIMO, Topology.MONOSTATIC)[0]
-    phased = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.PHASED, Topology.MONOSTATIC)[0]
+    mimo = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.MIMO)[0]
+    phased = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.PHASED)[0]
     assert phased.crb_theta / mimo.crb_theta == pytest.approx(2.0 / 65.0, rel=1e-12)
     assert phased.crb_range / mimo.crb_range == pytest.approx(2.0 / 65.0, rel=1e-12)
 
 
 def test_snr_scaling_is_exact():
     geom, tgt = mono_geom(17), target(10.0, 0.3)
-    lo = crb_exact_sum(geom, (tgt,), CARRIER, NoiseAndPowerConfig.from_snr(0.0),
-                       Mode.MIMO, Topology.MONOSTATIC)[0]
-    hi = crb_exact_sum(geom, (tgt,), CARRIER, NoiseAndPowerConfig.from_snr(10.0),
-                       Mode.MIMO, Topology.MONOSTATIC)[0]
+    lo = crb_exact_sum(geom, (tgt,), CARRIER, NoiseAndPowerConfig.from_snr(0.0), Mode.MIMO)[0]
+    hi = crb_exact_sum(geom, (tgt,), CARRIER, NoiseAndPowerConfig.from_snr(10.0), Mode.MIMO)[0]
     assert hi.crb_theta == pytest.approx(lo.crb_theta / 10.0, rel=1e-12)
     assert hi.crb_range == pytest.approx(lo.crb_range / 10.0, rel=1e-12)
 
@@ -532,19 +521,17 @@ def test_single_transmit_element_unidentifiable():
     geom = mono_geom(1)
     tgt = target(10.0, 0.3)
     for mode in (Mode.MIMO, Mode.PHASED):
-        res = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.MONOSTATIC)[0]
+        res = crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode)[0]
         assert not res.identifiable
-        obs = build_observation(geom, tgt, CARRIER, mode, Topology.MONOSTATIC)
+        obs = build_observation(geom, tgt, CARRIER, mode)
         assert not crb_from_fim(fim_numeric(obs, CFG)).identifiable
 
 
 def test_bistatic_phased_unidentifiable():
     geom, tgt = bi_geom(65, 8, 35.0), target(18.0, 0.3)
-    res = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.PHASED,
-                        Topology.BISTATIC_NEAR_FAR_TX)[0]
+    res = crb_exact_sum(geom, (tgt,), CARRIER, CFG, Mode.PHASED)[0]
     assert not res.identifiable
-    obs = build_observation(geom, tgt, CARRIER, Mode.PHASED,
-                            Topology.BISTATIC_NEAR_FAR_TX)
+    obs = build_observation(geom, tgt, CARRIER, Mode.PHASED)
     assert not crb_from_fim(fim_numeric(obs, CFG)).identifiable
 
 
@@ -560,21 +547,9 @@ def test_singular_verdict_does_not_depend_on_gamma_l(snr_db):
     mode, topology = Mode.PHASED, Topology.BISTATIC_NEAR_FAR_TX
     assert (2.0 * mode_energy_scale(cfg, 65, mode) == math.inf) is (snr_db > 3000.0)
     singular = CrbResult.unidentifiable((SINGULAR_WARNING,))
-    assert _numeric_fim(geom, tgt, cfg, mode, topology) == singular
-    assert crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode, topology) == [singular]
-    assert crb_exact_sum(geom, (tgt, target(20.0, 0.3)), CARRIER, cfg, mode,
-                         topology) == [singular] * 2
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-def test_exact_sum_rejects_bistatic_without_separation(mode):
-    geom, tgt = bi_geom(9, 8, 0.0), target(18.0, 0.3)
-    with pytest.raises(DomainError, match="array_separation > 0"):
-        crb_exact_sum(geom, (tgt,), CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
-    with pytest.raises(DomainError):
-        crb_closed(geom, tgt, CARRIER, CFG, mode, Topology.BISTATIC_NEAR_FAR_TX)
-    with pytest.raises(DomainError):
-        build_observation(geom, tgt, CARRIER, mode, Topology.BISTATIC_NEAR_FAR_TX)
+    assert _numeric_fim(geom, tgt, cfg, mode) == singular
+    assert crb_exact_sum(geom, (tgt,), CARRIER, cfg, mode) == [singular]
+    assert crb_exact_sum(geom, (tgt, target(20.0, 0.3)), CARRIER, cfg, mode) == [singular] * 2
 
 
 def test_unidentifiable_result_shape():

@@ -16,7 +16,7 @@ def test_entries_equal_the_eager_oracle_at_every_preset_point(name):
     cfg = presets()[name]
     for run in validate_config(cfg):
         (tgt,) = run.targets
-        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode, cfg.topology)
-        want, schur = kron_fim_oracle(obs, run.noise, run.carrier)
+        obs = build_observation(run.geometry, tgt, run.carrier, cfg.mode)
+        want, schur = kron_fim_oracle(obs, run.geometry, run.noise, run.carrier)
         got = fim_numeric(obs, run.noise).reduced
         assert np.abs(got - schur).max() <= 1e-12 * np.abs(want[:2, :2]).max()

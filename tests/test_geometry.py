@@ -27,7 +27,6 @@ from nfcrb.geometry import (
     Mode,
     SensingScenario,
     TargetLocation,
-    Topology,
     amplitude_model_valid,
     epsilon_tx,
 )
@@ -78,8 +77,7 @@ def test_tx_distance_matches_coordinate_oracle():
 def test_tx_distance_zero_when_target_sits_on_element():
     geom = ArrayGeometry(11, 11, 2.0, 2.0, 0.0)
     tgt = target(10.0, math.pi / 2)
-    a, _ = steering_factors(geom, CARRIER, Mode.PHASED, Topology.MONOSTATIC,
-                            [tgt.angle_rad], [tgt.range_m])
+    a, _ = steering_factors(geom, CARRIER, Mode.PHASED, [tgt.angle_rad], [tgt.range_m])
     assert a[10, 0] == 1.0   # r_m = 0: no phase
 
 
@@ -136,7 +134,7 @@ def test_transform_rejects_target_on_receive_center():
     geom = bi_geom(9, 8, 18.0)
     for mode in (Mode.MIMO, Mode.PHASED):
         with pytest.raises(DegenerateGeometryError):
-            steering_factors(geom, CARRIER, mode, Topology.BISTATIC_NEAR_FAR_TX, [0.0], [18.0])
+            steering_factors(geom, CARRIER, mode, [0.0], [18.0])
 
 
 def test_rx_distance_center_equals_transform_length():
@@ -261,9 +259,5 @@ def test_carrier_validation_and_roundtrip():
 
 
 def test_scenario_requires_separation_for_bistatic():
-    geom = mono_geom(9)
-    with pytest.raises(DomainError):
-        SensingScenario(geom, target(10.0, 0.0), CARRIER,
-                        Mode.MIMO, Topology.BISTATIC_NEAR_FAR_TX)
-    scn = SensingScenario(geom, target(10.0, 0.0), CARRIER)
-    assert scn.mode is Mode.MIMO and scn.topology is Topology.MONOSTATIC
+    scn = SensingScenario(mono_geom(9), target(10.0, 0.0), CARRIER)
+    assert scn.mode is Mode.MIMO and scn.geometry.is_monostatic

@@ -32,9 +32,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nfcrb.experiment import SweepSpec, presets, validate_config
+from nfcrb.experiment import SweepSpec, Topology, presets, validate_config
 from nfcrb.fim import DET_REL_TOL, NoiseAndPowerConfig, crb_exact_sum, crb_from_fim, fim_numeric
-from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation, Topology
+from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation
 from nfcrb.steering import build_observation
 
 DIGITS = 60
@@ -127,11 +127,11 @@ def oracle(geom, tgt, carrier, cfg, mode, topology):
 
 def _check(geom, tgt, carrier, cfg, mode, topology, rtol=RTOL):
     want_th, want_r, ratio = oracle(geom, tgt, carrier, cfg, mode, topology)
-    obs = build_observation(geom, tgt, carrier, mode, topology)
+    obs = build_observation(geom, tgt, carrier, mode)
     where = (f"{mode.value}/{topology.value} M={geom.num_tx} N={geom.num_rx} "
              f"r={tgt.range_m!r} theta={tgt.angle_rad!r} ratio={ratio:.3e}")
     for method, got in (("NumericalFim", crb_from_fim(fim_numeric(obs, cfg))),
-                        ("ExactSum", crb_exact_sum(geom, (tgt,), carrier, cfg, mode, topology)[0])):
+                        ("ExactSum", crb_exact_sum(geom, (tgt,), carrier, cfg, mode)[0])):
         if ratio < RATIO_BAND[0] or ratio > RATIO_BAND[1]:
             assert got.identifiable == (ratio > RATIO_BAND[1]), (method, where)
         if ratio >= RATIO_ACCURATE:

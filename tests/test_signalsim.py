@@ -9,7 +9,8 @@ import pytest
 from conftest import CARRIER, bi_geom, mono_geom, target, transmit_response
 from nfcrb.errors import ConfigError, DomainError
 from nfcrb.fim import NoiseAndPowerConfig, mode_energy_scale
-from nfcrb.geometry import Mode, Topology
+from nfcrb.experiment import Topology
+from nfcrb.geometry import Mode
 from nfcrb.signalsim import (
     DEMO_MAX_ELEMENTS,
     WaveformConfig,
@@ -52,16 +53,14 @@ def test_reflection_amplitude_scales():
 
 
 def test_synth_snapshot_noiseless_is_scaled_steering():
-    obs = build_observation(mono_geom(5), target(9.0, 0.25), CARRIER,
-                            Mode.MIMO, Topology.MONOSTATIC)
+    obs = build_observation(mono_geom(5), target(9.0, 0.25), CARRIER, Mode.MIMO)
     y = synth_snapshot(obs, CFG, seed=7, include_noise=False)
     rho = math.sqrt(mode_energy_scale(CFG, 5, Mode.MIMO))
     assert np.array_equal(y, rho * obs.g)
 
 
 def test_synth_snapshot_deterministic_in_seed():
-    obs = build_observation(mono_geom(5), target(9.0, 0.25), CARRIER,
-                            Mode.MIMO, Topology.MONOSTATIC)
+    obs = build_observation(mono_geom(5), target(9.0, 0.25), CARRIER, Mode.MIMO)
     a = synth_snapshot(obs, CFG, seed=(11, 0))
     b = synth_snapshot(obs, CFG, seed=(11, 0))
     c = synth_snapshot(obs, CFG, seed=(11, 1))
@@ -85,7 +84,7 @@ def test_chain_collapses_to_observation_model(mode, topology):
     else:
         got = phased_chain_demo(geom, tgt, CARRIER, wf, cfg, steer_at=tgt,
                                 seed=1, include_noise=False)
-    obs = build_observation(geom, tgt, CARRIER, mode, topology)
+    obs = build_observation(geom, tgt, CARRIER, mode)
     want = synth_snapshot(obs, cfg, seed=1, include_noise=False)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
