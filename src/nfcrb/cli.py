@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .errors import ConfigError, NfcrbError
 from .experiment import (
-    PRESET_SUMMARIES,
+    PRESETS,
     csv_text,
     parse_config_file,
     parse_config_text,
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "list-presets":
-        for name, summary in PRESET_SUMMARIES.items():
+        for name, (summary, _) in PRESETS.items():
             print(f"{name}  {summary}")
         return 0
 
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
 
     try:
         table = run_experiment(cfg)
-        text = csv_text(cfg, table, db=args.db)
+        text = csv_text(table, db=args.db)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

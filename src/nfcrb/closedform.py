@@ -215,6 +215,19 @@ def _result(pow2: float, warnings: tuple, crb_t: float, crb_r: float | None = No
     return CrbResult(crb_t, _scaled(crb_r, pow2), True, warnings)
 
 
+def _times_power(x: float, m: int, k: int) -> float:
+    """x m^k: x times the integer power m ** k where that power converts to
+    a float, else x times float(m) k times, since x m^k can be a float when
+    m ** k is not. Every factor is at least 1, so no product overflows
+    before the last."""
+    try:
+        return x * m ** k
+    except OverflowError:
+        for _ in range(k):
+            x *= float(m)
+        return x
+
+
 def crb_asymptotic(
     geom: ArrayGeometry,
     targets,
@@ -253,8 +266,8 @@ def crb_asymptotic(
         pi_n, rx_lever, tx_small = _PI_SQ * n, d_r * d_r, d_t * d_t * m * m
         rx_large = d_r * d_r * (n * n - 1.0)
     elif regime is AsymptoticRegime.SMALL_APERTURE:
-        den_small = (2.0 * _PI_SQ * d_t * d_t * m ** 3 if mimo
-                     else _PI_SQ * d_t * d_t * m ** 4)
+        den_small = (_times_power(2.0 * _PI_SQ * d_t * d_t, m, 3) if mimo
+                     else _times_power(_PI_SQ * d_t * d_t, m, 4))
     elif regime is AsymptoticRegime.INFINITE_APERTURE:
         pll_d = pll * d_t
         den_inf = 8.0 * _PI_CUBE if mimo else 4.0 * m * _PI_CUBE

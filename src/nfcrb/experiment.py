@@ -73,9 +73,9 @@ _PER_ELEMENT_METHODS = frozenset((CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM))
 
 
 class Topology(enum.Enum):
-    """Transmit/receive array placement, as configs and CSVs name it. The
-    config checks it against separation_m; below the config the geometry
-    decides it (ArrayGeometry.is_monostatic)."""
+    """Transmit/receive array placement, as CSVs name it. It is a fact of
+    the separation: ExperimentConfig.topology reads it off separation_m,
+    and below the config the geometry decides it (ArrayGeometry.is_monostatic)."""
 
     MONOSTATIC = "monostatic"
     BISTATIC_NEAR_FAR_TX = "bistatic"
@@ -90,6 +90,14 @@ BASE_COLUMNS = (
     "identifiable", "warnings",
 )
 MC_COLUMNS = ("rmse_theta_rad", "rmse_range_m", "trials", "estimator", "master_seed")
+
+
+def _is_finite(value: int | float) -> bool:
+    """Whether value is a finite float or an int that converts to one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -118,10 +126,11 @@ class SweepSpec:
             raise ConfigError("sweep start and stop are required with step or factor")
         if self.values is not None and (self.start is not None or self.stop is not None):
             raise ConfigError("sweep start and stop go with step or factor, not with values")
-        given = self.values if self.values is not None else (
-            self.start, self.stop, self.step, self.factor)
-        if not all(math.isfinite(v) for v in given if v is not None):
-            raise ConfigError("sweep values must be finite")
+        for key in ("values", "start", "stop", "step", "factor"):
+            given = getattr(self, key)
+            if given is not None and not all(map(_is_finite, given if key == "values"
+                                                 else (given,))):
+                raise ConfigError(f"sweep.{key} must be finite and fit a float")
         if self.step is not None:
             if self.step == 0.0 or (self.stop - self.start) * self.step < 0.0:
                 raise ConfigError("sweep.step must move start toward stop")
@@ -166,7 +175,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    estimator: str
+    """The Monte Carlo block: the ESTIMATOR_NAME search's trials, seed and grid."""
+
     trials: int
     master_seed: int
     theta_halfspan_deg: float = 5.0
@@ -176,8 +186,6 @@ class MonteCarloConfig:
     refine_levels: int = 3
 
     def __post_init__(self):
-        if self.estimator != ESTIMATOR_NAME:
-            raise ConfigError(f"montecarlo.estimator must be {ESTIMATOR_NAME}")
         # with the search grid's own bounds (GridSpec's), before any bound runs
         for name, least in (("trials", 1), ("master_seed", 0), ("theta_points", 2),
                             ("range_points", 2), ("refine_levels", 0)):
@@ -211,7 +219,6 @@ class ExperimentConfig:
     snr_db: float = 0.0
     time_bandwidth: float = 1.0
     mode: Mode = Mode.MIMO
-    topology: Topology = Topology.MONOSTATIC
     sweep: SweepSpec
     methods: tuple[CrbMethod, ...] = field(metadata={"ini": "methods.use"})
     asymptotic_regime: AsymptoticRegime = field(default=AsymptoticRegime.LARGE_APERTURE,
@@ -230,10 +237,12 @@ class ExperimentConfig:
                 raise ConfigError(f"method {m.value!r} listed twice")
         if CrbMethod.TAYLOR in self.methods and self.topology is not Topology.MONOSTATIC:
             raise ConfigError("the Taylor method applies to monostatic sensing only")
-        if self.topology is Topology.MONOSTATIC and self.separation_m != 0.0:
-            raise ConfigError("monostatic topology requires separation_m = 0")
-        if self.topology is not Topology.MONOSTATIC and self.separation_m <= 0.0:
-            raise ConfigError("bistatic topology requires separation_m > 0")
+
+    @property
+    def topology(self) -> Topology:
+        """MONOSTATIC iff separation_m is 0, the test ArrayGeometry.is_monostatic
+        applies to the same number."""
+        return Topology.MONOSTATIC if self.separation_m == 0.0 else Topology.BISTATIC_NEAR_FAR_TX
 
 
 def _round_odd(m: int):
@@ -244,24 +253,44 @@ def _round_odd(m: int):
     return m + 1, (f"num_tx {m} is even; rounded up to {m + 1}",)
 
 
-def _carrier_in_range(g: ArrayGeometry, carrier: CarrierConfig) -> bool:
-    """Whether lambda^2 (the closed forms divide by it) and, unless both
-    arrays are single elements, (k^2 sum (n d)^2)^2 over the transmit and
-    the receive array are normal floats: that sum sets the size of an
-    information entry, and the 2x2 determinant multiplies two of them. A
-    monostatic geometry's receive array is its transmit array
-    (validate_config), so it counts that array twice. A spacing whose square
-    underflows makes the sum 0 and is refused, as its information is. The
-    counts enter as floats, so that an M(M^2 - 1) past the float range is
-    +inf and refused, not an integer too large to convert."""
+def _count(n: int) -> float:
+    """An element count as a float, +inf past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
+def _range_fault(g: ArrayGeometry, carrier: CarrierConfig) -> tuple:
+    """What leaves the bounds' float range, () if nothing: lambda^2 (the
+    closed forms divide by it) and, unless both arrays are single elements,
+    (k^2 sum (n d)^2)^2 over the transmit and the receive array must be
+    normal floats, since that sum sets the size of an information entry and
+    the 2x2 determinant multiplies two of them. ("carrier",) where lambda^2
+    fails; where the sum does, the array it blames: ("tx",) for a monostatic
+    geometry, whose receive array is its transmit array (validate_config),
+    so the sum counts it twice; else the array of the larger term where the
+    sum overflows, ("tx",) or ("rx",), and ("tx", "rx") where it underflows.
+    A spacing whose square underflows makes the sum 0 and is refused, as
+    its information is. The counts enter as floats (_count), so that an
+    M(M^2 - 1) past the float range is +inf and refused, not an integer too
+    large to convert."""
     lam2 = carrier.wavelength * carrier.wavelength
-    m, n = float(g.num_tx), float(g.num_rx)
+    if not sys.float_info.min <= lam2 < math.inf:
+        return ("carrier",)
+    if g.num_tx == g.num_rx == 1:
+        return ()
+    m, n = _count(g.num_tx), _count(g.num_rx)
     tx = m * (m * m - 1.0) * g.tx_spacing * g.tx_spacing
     rx = n * (n * n - 1.0) * g.rx_spacing * g.rx_spacing
-    lone = g.num_tx == g.num_rx == 1
-    info = 4.0 * math.pi ** 2 / lam2 * ((tx + rx) / 12.0) if lam2 > 0.0 else math.inf
-    return (sys.float_info.min <= lam2 < math.inf
-            and (lone or sys.float_info.min <= info * info < math.inf))
+    info = 4.0 * math.pi ** 2 / lam2 * ((tx + rx) / 12.0)
+    if sys.float_info.min <= info * info < math.inf:
+        return ()
+    if g.is_monostatic:
+        return ("tx",)
+    if info * info == math.inf:
+        return ("tx",) if tx >= rx else ("rx",)
+    return ("tx", "rx")
 
 
 def _window_in_range(geom: ArrayGeometry, carrier: CarrierConfig, range_m: float,
@@ -316,15 +345,24 @@ def _first_out_of_range(method: CrbMethod, results) -> int | None:
 
 def _check_geometry(cfg: ExperimentConfig, geom: ArrayGeometry, carrier: CarrierConfig,
                     where: str):
-    """The checks that depend on a point's geometry only: carrier range,
-    element cap and Monte Carlo coarse-factor budget."""
-    if not _carrier_in_range(geom, carrier):
+    """The checks that depend on a point's geometry only: the bounds' float
+    range (_range_fault), element cap and Monte Carlo coarse-factor budget."""
+    fault = _range_fault(geom, carrier)
+    if fault == ("carrier",):
         spacings = (f"tx_spacing_m = {cfg.tx_spacing_m!r} (transmit and receive)"
-                    if cfg.topology is Topology.MONOSTATIC else
+                    if geom.is_monostatic else
                     f"tx_spacing_m = {cfg.tx_spacing_m!r} and rx_spacing_m = {cfg.rx_spacing_m!r}")
         raise ConfigError(
             f"{where}: carrier_freq_hz = {cfg.carrier_freq_hz!r} is out of range with "
             f"{spacings}: the bounds need lambda^2 and (k^2 sum (n d)^2)^2 normal floats")
+    if fault:
+        arrays = {"tx": f"num_tx with tx_spacing_m = {cfg.tx_spacing_m!r}"
+                        + (" (transmit and receive)" if geom.is_monostatic else ""),
+                  "rx": f"num_rx with rx_spacing_m = {cfg.rx_spacing_m!r}"}
+        raise ConfigError(
+            f"{where}: {' and '.join(arrays[a] for a in fault)} "
+            f"{'is' if len(fault) == 1 else 'are'} out of range at carrier_freq_hz = "
+            f"{cfg.carrier_freq_hz!r}: the bounds need (k^2 sum (n d)^2)^2 a normal float")
     mc = cfg.montecarlo
     per_element = mc is not None or not _PER_ELEMENT_METHODS.isdisjoint(cfg.methods)
     if per_element and max(geom.num_tx, geom.num_rx) > MAX_ELEMENTS:
@@ -381,7 +419,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
         num_tx, angle_deg, range_m, snr_db = (
             cfg.num_tx, cfg.target_angle_deg, cfg.target_range_m, cfg.snr_db)
         if axis == "M":
-            if float(v) != int(v):
+            if v != int(v):  # exact for an int past 2**53, as float(v) is not
                 raise ConfigError(f"sweep value {v!r} is not an integer M")
             num_tx = int(v)
         elif axis == "theta":
@@ -407,10 +445,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 ncfg = NoiseAndPowerConfig.from_snr(snr_db, time_bandwidth=cfg.time_bandwidth)
                 if not _snr_in_range(ncfg):
                     raise ConfigError(
-                        f"sweep point {axis}={v!r}: snr_db = {snr_db!r} and time_bandwidth = "
+                        f"snr_db = {snr_db!r} and time_bandwidth = "
                         f"{cfg.time_bandwidth!r} put 2 gamma L past the normal float range")
-        except ConfigError:
-            raise
         except NfcrbError as exc:
             raise ConfigError(f"sweep point {axis}={v!r}: {exc}") from exc
         if new_geom:
@@ -555,18 +591,18 @@ def _point_cells(runs):
             yield f"{geom_cells},{th_cell},{r_cell},{noise_cells}", note
 
 
-def _mc_cells(cfg: ExperimentConfig, reports) -> list:
+def _mc_cells(reports) -> list:
     """The Monte Carlo cells of each point, each with its leading comma."""
-    est = cfg.montecarlo.estimator
-    return [f",{rep.rmse_theta:.17g},{rep.rmse_range:.17g},{rep.trials},{est},"
+    return [f",{rep.rmse_theta:.17g},{rep.rmse_range:.17g},{rep.trials},{ESTIMATOR_NAME},"
             f"{rep.master_seed}" for rep in reports]
 
 
 _BOOL_TEXT = ("false", "true")
 
 
-def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
-    """Render a SweepTable as CSV with self-describing '#' header comments.
+def csv_text(table: SweepTable, db: bool = False) -> str:
+    """Render a SweepTable as CSV with self-describing '#' header comments;
+    the table's config (table.cfg) labels its rows.
 
     Comment lines carry the sweep and grid description so the file stands
     alone; they contain nothing run-dependent, keeping output byte-stable.
@@ -575,6 +611,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     and the fixed names as they are, and the free-text warnings column is
     the one that can need RFC 4180 quoting.
     """
+    cfg = table.cfg
     cols = list(BASE_COLUMNS) + (list(MC_COLUMNS) if cfg.montecarlo else [])
     if db:
         cols[cols.index("crb_theta_rad2")] = "crb_theta_db"
@@ -591,7 +628,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     if cfg.montecarlo:
         mc = cfg.montecarlo
         lines.append(
-            f"# montecarlo: estimator={mc.estimator} trials={mc.trials} "
+            f"# montecarlo: estimator={ESTIMATOR_NAME} trials={mc.trials} "
             f"master_seed={mc.master_seed} "
             f"grid={mc.theta_points}x{mc.range_points} "
             f"(theta +-{mc.theta_halfspan_deg:.17g} deg, "
@@ -601,7 +638,7 @@ def csv_text(cfg: ExperimentConfig, table: SweepTable, db: bool = False) -> str:
     lines.append(",".join(cols))
 
     heads = [f"{m.value},{cfg.mode.value},{cfg.topology.value}," for m in cfg.methods]
-    tails = (_mc_cells(cfg, table.reports) if table.reports is not None
+    tails = (_mc_cells(table.reports) if table.reports is not None
              else itertools.repeat(""))
     # the warnings cell of each distinct (run note, result notes) pair:
     # a sweep repeats few of them (every fig4-fig7 row has the rounding note)
@@ -805,11 +842,10 @@ def _mono(mode: Mode, sweep: SweepSpec, methods, num_tx=9):
 def _bistatic_mc(snr_db: float, refine_levels: int) -> ExperimentConfig:
     return ExperimentConfig(
         num_tx=65, num_rx=8, separation_m=35.0, target_range_m=18.0, target_angle_deg=0.0,
-        snr_db=snr_db, time_bandwidth=16.0, topology=Topology.BISTATIC_NEAR_FAR_TX,
-        sweep=SweepSpec(axis="M", values=(65, 257, 1025)),
+        snr_db=snr_db, time_bandwidth=16.0, sweep=SweepSpec(axis="M", values=(65, 257, 1025)),
         methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM, CrbMethod.NUMERICAL_FIM),
-        montecarlo=MonteCarloConfig(estimator=ESTIMATOR_NAME, trials=500,
-                                    master_seed=20260814, refine_levels=refine_levels),
+        montecarlo=MonteCarloConfig(trials=500, master_seed=20260814,
+                                    refine_levels=refine_levels),
     )
 
 
@@ -823,39 +859,35 @@ _M_SWEEP = SweepSpec(axis="M", values=_MONO_M_VALUES)
 _THETA_SWEEP = SweepSpec(axis="theta", start=-75.0, stop=75.0, step=2.5)
 _R_SWEEP = SweepSpec(axis="r", start=5.0, stop=500.0, factor=_GEOM_FACTOR)
 
-# name -> builder of that preset's config, so that a run builds only its own
-_PRESET_BUILDERS = {
-    "fig2": lambda: _mono(Mode.MIMO, _M_SWEEP, _ALL_MONO),
-    "fig3": lambda: _mono(Mode.PHASED, _M_SWEEP, _ALL_MONO),
-    "fig4": lambda: _mono(Mode.MIMO, _THETA_SWEEP, _CURVE_MONO, num_tx=1024),
-    "fig5": lambda: _mono(Mode.PHASED, _THETA_SWEEP, _CURVE_MONO, num_tx=1024),
-    "fig6": lambda: _mono(Mode.MIMO, _R_SWEEP, _CURVE_MONO, num_tx=1024),
-    "fig7": lambda: _mono(Mode.PHASED, _R_SWEEP, _CURVE_MONO, num_tx=1024),
-    "fig8": lambda: _bistatic_mc(snr_db=0.0, refine_levels=3),
-    "fig9": lambda: _bistatic_mc(snr_db=10.0, refine_levels=6),
+# name -> (summary, builder of that preset's config), so that a run builds
+# only its own
+PRESETS = {
+    "fig2": ("monostatic mimo: bounds vs element count (r=10 m, theta=30 deg)",
+             lambda: _mono(Mode.MIMO, _M_SWEEP, _ALL_MONO)),
+    "fig3": ("monostatic phased: bounds vs element count (r=10 m, theta=30 deg)",
+             lambda: _mono(Mode.PHASED, _M_SWEEP, _ALL_MONO)),
+    "fig4": ("monostatic mimo: bounds vs angle (M=1024->1025, r=10 m)",
+             lambda: _mono(Mode.MIMO, _THETA_SWEEP, _CURVE_MONO, num_tx=1024)),
+    "fig5": ("monostatic phased: bounds vs angle (M=1024->1025, r=10 m)",
+             lambda: _mono(Mode.PHASED, _THETA_SWEEP, _CURVE_MONO, num_tx=1024)),
+    "fig6": ("monostatic mimo: bounds vs range (M=1024->1025, theta=30 deg)",
+             lambda: _mono(Mode.MIMO, _R_SWEEP, _CURVE_MONO, num_tx=1024)),
+    "fig7": ("monostatic phased: bounds vs range (M=1024->1025, theta=30 deg)",
+             lambda: _mono(Mode.PHASED, _R_SWEEP, _CURVE_MONO, num_tx=1024)),
+    "fig8": ("bistatic mimo + ML Monte Carlo, snr 0 dB (N=8, r=18 m, R=35 m)",
+             lambda: _bistatic_mc(snr_db=0.0, refine_levels=3)),
+    "fig9": ("bistatic mimo + ML Monte Carlo, snr 10 dB, finer refinement",
+             lambda: _bistatic_mc(snr_db=10.0, refine_levels=6)),
 }
 
 
 def presets() -> dict:
     """Named configs reproducing each figure's data series."""
-    return {name: build() for name, build in _PRESET_BUILDERS.items()}
+    return {name: build() for name, (_, build) in PRESETS.items()}
 
 
 def preset(name: str) -> ExperimentConfig:
     """The config of one named preset, built alone."""
-    build = _PRESET_BUILDERS.get(name)
-    if build is None:
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(_PRESET_BUILDERS)}")
-    return build()
-
-
-PRESET_SUMMARIES = {
-    "fig2": "monostatic mimo: bounds vs element count (r=10 m, theta=30 deg)",
-    "fig3": "monostatic phased: bounds vs element count (r=10 m, theta=30 deg)",
-    "fig4": "monostatic mimo: bounds vs angle (M=1024->1025, r=10 m)",
-    "fig5": "monostatic phased: bounds vs angle (M=1024->1025, r=10 m)",
-    "fig6": "monostatic mimo: bounds vs range (M=1024->1025, theta=30 deg)",
-    "fig7": "monostatic phased: bounds vs range (M=1024->1025, theta=30 deg)",
-    "fig8": "bistatic mimo + ML Monte Carlo, snr 0 dB (N=8, r=18 m, R=35 m)",
-    "fig9": "bistatic mimo + ML Monte Carlo, snr 10 dB, finer refinement",
-}
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return PRESETS[name][1]()

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 
+from nfcrb.experiment import ESTIMATOR_NAME
 from nfcrb.fim import mode_energy_scale
 from nfcrb.geometry import ArrayGeometry, CarrierConfig, Mode, TargetLocation
 from nfcrb.steering import build_observation
@@ -204,7 +205,7 @@ def table_rows(table) -> list:
             rep = table.reports[i] if table.reports is not None else None
             mc = {} if rep is None else {
                 "rmse_theta_rad": rep.rmse_theta, "rmse_range_m": rep.rmse_range,
-                "trials": rep.trials, "estimator": cfg.montecarlo.estimator,
+                "trials": rep.trials, "estimator": ESTIMATOR_NAME,
                 "master_seed": rep.master_seed,
             }
             for method, results in zip(cfg.methods, table.results):
@@ -219,14 +220,14 @@ def table_rows(table) -> list:
     return rows
 
 
-def csv_text_oracle(cfg, table, db=False):
+def csv_text_oracle(table, db=False):
     """The CSV renderer as it was before its per-type fast path: every cell
     of the table's rows (table_rows) through one isinstance chain and one
     generic quote scan. csv_text must give the same bytes. The header
     counts the points the rows hold, one row per point and method."""
     from nfcrb.experiment import BASE_COLUMNS, MC_COLUMNS, _db_of
 
-    rows = table_rows(table)
+    cfg, rows = table.cfg, table_rows(table)
     cols = list(BASE_COLUMNS) + (list(MC_COLUMNS) if cfg.montecarlo else [])
     if db:
         cols[cols.index("crb_theta_rad2")] = "crb_theta_db"
@@ -243,7 +244,7 @@ def csv_text_oracle(cfg, table, db=False):
     if cfg.montecarlo:
         mc = cfg.montecarlo
         out.append(
-            f"# montecarlo: estimator={mc.estimator} trials={mc.trials} "
+            f"# montecarlo: estimator={ESTIMATOR_NAME} trials={mc.trials} "
             f"master_seed={mc.master_seed} "
             f"grid={mc.theta_points}x{mc.range_points} "
             f"(theta +-{_oracle_fmt(mc.theta_halfspan_deg)} deg, "

@@ -329,7 +329,7 @@ def test_criterion_09_monte_carlo_respects_the_bound():
     for name in ("fig8", "fig9"):
         cfg = presets()[name]
         table = run_experiment(cfg)
-        digest = hashlib.sha256(csv_text(cfg, table).encode()).hexdigest()
+        digest = hashlib.sha256(csv_text(table).encode()).hexdigest()
         if digest != MC_PRESET_DIGESTS[name]:
             ok = False
             details.append(f"{name} CSV sha256 {digest}")

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from typing import get_args, get_origin
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,7 +55,6 @@ num_rx = 8
 separation_m = 10.0
 target_range_m = 10.0
 target_angle_deg = 0.0
-topology = bistatic
 
 [sweep]
 axis = M
@@ -176,8 +177,7 @@ def test_seed_flag(small_config, tmp_path, capsys):
 
     mc = tmp_path / "mc.ini"
     mc.write_text(SMALL_INI.replace("values = 9, 17", "values = 9") + (
-        "\n[montecarlo]\nestimator = MatchedFieldML\ntrials = 2\n"
-        "master_seed = 1\ntheta_points = 15\nrange_points = 11\n"
+        "\n[montecarlo]\ntrials = 2\nmaster_seed = 1\ntheta_points = 15\nrange_points = 11\n"
         "refine_levels = 0\n"))
     assert main(["run", "--config", str(mc), "--seed", "999"]) == 0
     out = capsys.readouterr().out
@@ -188,8 +188,7 @@ def test_seed_flag(small_config, tmp_path, capsys):
 def test_negative_master_seed_exits_2_without_a_traceback(tmp_path):
     mc = tmp_path / "mc.ini"
     mc.write_text(SMALL_INI.replace("values = 9, 17", "values = 9") + (
-        "\n[montecarlo]\nestimator = MatchedFieldML\ntrials = 2\n"
-        "master_seed = -5\ntheta_points = 15\nrange_points = 11\n"))
+        "\n[montecarlo]\ntrials = 2\nmaster_seed = -5\ntheta_points = 15\nrange_points = 11\n"))
     for argv in (["preset", "fig8", "--seed", "-1"], ["run", "--config", str(mc)]):
         proc = subprocess.run([sys.executable, "-m", "nfcrb.cli", *argv],
                               capture_output=True, text=True, env=_child_env(), timeout=60)
@@ -199,6 +198,7 @@ def test_negative_master_seed_exits_2_without_a_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("override", [
+    # no key names the estimator: the matched-field search is the one there is
     "montecarlo.estimator=Capon",
     "montecarlo.capon_snapshots=64",
     "montecarlo.capon_loading=0.001",
@@ -294,8 +294,7 @@ def _enum_keys() -> list:
 
 def test_every_enum_key_is_covered():
     assert [(section, key) for section, key, _ in _enum_keys()] == [
-        ("scenario", "mode"), ("scenario", "topology"),
-        ("methods", "use"), ("methods", "asymptotic_regime")]
+        ("scenario", "mode"), ("methods", "use"), ("methods", "asymptotic_regime")]
 
 
 @pytest.mark.parametrize("section,key,kind", _enum_keys(),
@@ -342,7 +341,7 @@ def test_search_window_phase_out_of_float_range_exits_2(tmp_path, capsys):
     path.write_text(SMALL_INI.replace("num_tx = 9", "num_tx = 1\ncarrier_freq_hz = 1e162")
                     .replace("target_range_m = 10.0", "target_range_m = 1e154")
                     .replace("values = 9, 17", "values = 1")
-                    + "\n[montecarlo]\nestimator = MatchedFieldML\ntrials = 1\n"
+                    + "\n[montecarlo]\ntrials = 1\n"
                       "master_seed = 1\ntheta_points = 5\nrange_points = 5\n")
     assert main(["run", "--config", str(path)]) == 2
     captured = capsys.readouterr()
@@ -446,6 +445,19 @@ def test_readme_examples_run(tmp_path, capsys):
     assert out.count("\nNumericalFim,") == 3
     exec(_readme_block("python"), {})
     assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_readme_config_keys_are_schema_keys():
+    # every `key =` of README's INI example, on a line or in a `;` comment,
+    # is a key of its section: a key the schema dropped cannot stay documented
+    section, seen = None, []
+    for line in _readme_block("ini").splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            section = header.group(1)
+        seen += [(section, key) for key in re.findall(r"(\w+) = ", line)]
+    assert len(seen) > 20
+    assert [(s, k) for s, k in seen if k not in experiment._SECTIONS.get(s, {})] == []
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -770,7 +782,7 @@ def test_monte_carlo_coarse_factor_over_budget_exits_2():
     assert proc.stderr.startswith("config error:") and "coarse factor" in proc.stderr
 
 
-@pytest.mark.parametrize("name", list(experiment.PRESET_SUMMARIES))
+@pytest.mark.parametrize("name", list(experiment.PRESETS))
 def test_preset_command_runs_the_presets_config(name, capsys):
     # the command builds its one preset; it must be the config presets()
     # gives, run and rendered (Monte Carlo shrunk by --set and by replace)
@@ -781,7 +793,7 @@ def test_preset_command_runs_the_presets_config(name, capsys):
         for key, value in small.items():
             args += ["--set", f"montecarlo.{key}={value}"]
     assert main(["preset", name, *args]) == 0
-    assert capsys.readouterr().out == csv_text(cfg, run_experiment(cfg))
+    assert capsys.readouterr().out == csv_text(run_experiment(cfg))
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -799,7 +811,7 @@ def test_set_adds_a_section_the_config_lacks(capsys):
     assert main(["preset", "fig2", "--set", "montecarlo.trials=3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: [montecarlo] estimator is required\n"
+    assert captured.err == "config error: [montecarlo] master_seed is required\n"
 
 
 def test_unknown_preset_lists_every_preset(capsys):
@@ -852,7 +864,7 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
     capsys.readouterr()
     assert main(["preset", "fig2"]) == 0
     cfg = presets()["fig2"]
-    assert capsys.readouterr().out == csv_text(cfg, run_experiment(cfg))
+    assert capsys.readouterr().out == csv_text(run_experiment(cfg))
 
     assert main(["preset", "fig2", "--set", "sweep.values=9", "--db"]) == 0
     assert "crb_theta_db" in capsys.readouterr().out
@@ -893,8 +905,62 @@ def test_transmit_count_past_the_float_range_exits_2(capsys):
                  "--set", "methods.use=Asymptotic"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: sweep point M=1e+103:")
-    assert "is out of range" in captured.err
+    assert captured.err.startswith(
+        "config error: sweep point M=1e+103: num_tx with tx_spacing_m = 0.0628 (transmit and "
+        "receive) is out of range at carrier_freq_hz = 2370000000.0")
+    assert "carrier_freq_hz = 2370000000.0 is out of range" not in captured.err
+
+
+_HUGE_INT = repr(10**400)
+
+
+@pytest.mark.parametrize("sets,err", [
+    # the snr_db point of a sweep, which from_snr refused without naming it
+    (("fig2", "sweep.axis=snr_db", "sweep.values=0,4000"),
+     "sweep point snr_db=4000: snr_db = 4000.0 overflows the linear SNR"),
+    # integer literals past the float range: a traceback (exit 1) or an
+    # int-to-float OverflowError (exit 3) before
+    (("fig2", f"sweep.values={_HUGE_INT}1"), "sweep.values must be finite and fit a float"),
+    (("fig4", f"scenario.num_tx={_HUGE_INT}", "methods.use=ClosedForm"),
+     "sweep point theta=-75.0: num_tx with tx_spacing_m = 0.0628 (transmit and receive) "
+     "is out of range at carrier_freq_hz = 2370000000.0: the bounds need "
+     "(k^2 sum (n d)^2)^2 a normal float"),
+    (("fig8", "montecarlo.enabled=false", f"scenario.num_rx={_HUGE_INT}"),
+     "sweep point M=65: num_rx with rx_spacing_m = 0.0628 is out of range at "
+     "carrier_freq_hz = 2370000000.0: the bounds need (k^2 sum (n d)^2)^2 a normal float"),
+], ids=["snr-sweep-point", "huge-sweep-value", "huge-num-tx", "huge-bistatic-num-rx"])
+def test_refusals_name_the_key_at_fault(sets, err, capsys):
+    name, *pairs = sets
+    assert main(["preset", name, *(a for p in pairs for a in ("--set", p))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {err}\n"
+
+
+def test_master_seed_past_the_float_range_runs(capsys):
+    # the seed is an integer for numpy's SeedSequence, never a float
+    assert main(["preset", "fig8", "--set", "sweep.values=65", "--set", "montecarlo.trials=1",
+                 "--set", "montecarlo.theta_points=11", "--set", "montecarlo.range_points=11",
+                 "--set", f"montecarlo.master_seed={_HUGE_INT}"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 3 and all(row["master_seed"] == _HUGE_INT for row in rows)
+
+
+def test_phased_small_aperture_bound_at_a_huge_m(capsys):
+    # pi^2 d^2 M^4 is a float (~1e221) though the integer M^4 is not: the
+    # bound was an int-to-float OverflowError (exit 3). It must match a
+    # 50-digit evaluation of the same formula, 3 lambda^2 / (2 gamma L pi^2
+    # d^2 M^4 cos^2 theta) at gamma L = 1
+    assert main(["preset", "fig3", "--set", "sweep.values=1e80",
+                 "--set", "methods.use=Asymptotic",
+                 "--set", "methods.asymptotic_regime=SmallAperture",
+                 "--set", "scenario.tx_spacing_m=1e-50"]) == 0
+    (row,) = _rows(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(299_792_458) / mpmath.mpf(2.37e9)
+        ref = 3 * lam ** 2 / (2 * mpmath.pi ** 2 * mpmath.mpf(1e-50) ** 2
+                              * mpmath.mpf(int(row["M"])) ** 4
+                              * mpmath.cos(mpmath.radians(30)) ** 2)
+        assert abs(mpmath.mpf(row["crb_theta_rad2"]) / ref - 1) < 1e-12
 
 
 # --- the exit contract over whole configs ------------------------------------------
@@ -927,27 +993,33 @@ _AXIS_VALUES = {
 }
 
 
+def _or_huge(counts):
+    return st.integers(0, 7).flatmap(
+        lambda k: st.integers(2**1024, 2**1100) if k == 0 else counts)
+
+
 @st.composite
 def _cli_overrides(draw):
     """--set pairs that make fig2 any config without a [montecarlo] block:
-    mode, topology, M, N, spacings, r, theta, carrier, snr_db, L, a method
-    subset, the asymptotic regime and a 2-point sweep on a random axis. A
-    method set that sums over the elements draws M up to 4097; a closed-form
-    one, log-uniform to 1e300."""
+    mode, separation (0 or not: the topology), M, N, spacings, r, theta,
+    carrier, snr_db, L, a method subset, the asymptotic regime and a
+    2-point sweep on a random axis. A method set that sums over the
+    elements draws M up to 4097; a closed-form one, log-uniform to 1e300.
+    About one count in eight (M, num_tx or num_rx) is an integer literal
+    past the float range."""
     methods = draw(st.lists(st.sampled_from([m.value for m in experiment.CrbMethod]),
                             min_size=1, unique=True))
     per_element = not {"ExactSum", "NumericalFim"}.isdisjoint(methods)
-    counts = (st.integers(1, 4097) if per_element
-              else st.floats(0.0, 300.0).map(lambda e: int(10.0 ** e)))
+    counts = _or_huge(st.integers(1, 4097) if per_element
+                      else st.floats(0.0, 300.0).map(lambda e: int(10.0 ** e)))
     values = {**_AXIS_VALUES, "M": counts}
     axis = draw(st.sampled_from(sorted(values)))
     bistatic = draw(st.booleans())
     scenario = {
         "mode": draw(st.sampled_from(("mimo", "phased"))),
-        "topology": "bistatic" if bistatic else "monostatic",
         "separation_m": draw(_log_uniform(-3.0, 6.0)) if bistatic else 0.0,
         "num_tx": draw(counts),
-        "num_rx": draw(st.integers(1, 16)),
+        "num_rx": draw(_or_huge(st.integers(1, 16))),
         "tx_spacing_m": draw(_log_uniform(-9.0, 3.0)),
         "rx_spacing_m": draw(_log_uniform(-9.0, 3.0)),
         "target_range_m": draw(values["r"]),

@@ -313,7 +313,7 @@ def test_monte_carlo_reaches_the_bound_off_the_presets(mode, topology, seed):
     bistatic = topology is Topology.BISTATIC_NEAR_FAR_TX
     cfg = ExperimentConfig(
         num_tx=17, num_rx=8, separation_m=35.0 if bistatic else 0.0, target_range_m=3.0,
-        target_angle_deg=20.0, snr_db=30.0, mode=mode, topology=topology,
+        target_angle_deg=20.0, snr_db=30.0, mode=mode,
         sweep=SweepSpec(axis="M", values=(17,)), methods=(CrbMethod.EXACT_SUM,),
         montecarlo=mc)
     table = run_experiment(cfg)

@@ -30,7 +30,7 @@ from nfcrb.experiment import (
     MAX_ELEMENTS,
     MAX_SWEEP_POINTS,
     MC_COLUMNS,
-    PRESET_SUMMARIES,
+    PRESETS,
     CrbMethod,
     ExperimentConfig,
     MonteCarloConfig,
@@ -71,8 +71,7 @@ def mono_cfg(**kw):
         num_tx=9, num_rx=9, tx_spacing_m=0.0628, rx_spacing_m=0.0628,
         separation_m=0.0, target_range_m=10.0, target_angle_deg=30.0,
         carrier_freq_hz=2.37e9, snr_db=0.0, time_bandwidth=1.0,
-        mode=Mode.MIMO, topology=Topology.MONOSTATIC,
-        sweep=SweepSpec(axis="M", values=(9, 17)),
+        mode=Mode.MIMO, sweep=SweepSpec(axis="M", values=(9, 17)),
         methods=(CrbMethod.CLOSED_FORM,),
     )
     base.update(kw)
@@ -138,6 +137,8 @@ def test_sweep_size_is_capped_before_points_are_generated():
 @pytest.mark.parametrize("bad", [
     dict(values=(9, math.nan)), dict(values=(math.inf,)),
     dict(start=math.nan, stop=5.0, step=1.0), dict(start=1.0, stop=math.inf, factor=2.0),
+    # an int past the float range: refused, not an OverflowError from the check
+    dict(values=(9, 10**400 + 1)), dict(start=1, stop=10**400, step=1),
 ])
 def test_sweep_rejects_non_finite_values(bad):
     with pytest.raises(ConfigError, match="finite"):
@@ -155,26 +156,29 @@ def test_experiment_config_validation():
         mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.CLOSED_FORM))
     with pytest.raises(ConfigError):
         mono_cfg(asymptotic_regime="Sideways")
+    with pytest.raises(ConfigError, match="monostatic sensing only"):
+        mono_cfg(methods=(CrbMethod.TAYLOR,), separation_m=35.0)
     with pytest.raises(ConfigError):
-        mono_cfg(methods=(CrbMethod.TAYLOR,), topology=Topology.BISTATIC_NEAR_FAR_TX,
-                 separation_m=35.0)
-    with pytest.raises(ConfigError):
-        mono_cfg(separation_m=1.0)
-    with pytest.raises(ConfigError):
-        mono_cfg(topology=Topology.BISTATIC_NEAR_FAR_TX, separation_m=0.0)
-    for name in ("Magic", "Capon"):
-        with pytest.raises(ConfigError, match="must be MatchedFieldML"):
-            MonteCarloConfig(estimator=name, trials=10, master_seed=0)
-    with pytest.raises(ConfigError):
-        MonteCarloConfig(estimator="MatchedFieldML", trials=0, master_seed=0)
+        MonteCarloConfig(trials=0, master_seed=0)
     for grid in (dict(theta_points=1), dict(range_points=0), dict(refine_levels=-1)):
         with pytest.raises(ConfigError, match=f"montecarlo.{next(iter(grid))} must be >="):
-            MonteCarloConfig(estimator="MatchedFieldML", trials=10, master_seed=0, **grid)
+            MonteCarloConfig(trials=10, master_seed=0, **grid)
     # the INI reader turns names into members; a Python caller passes members
     with pytest.raises(ConfigError, match="take members, not names"):
         mono_cfg(methods=("ClosedForm",))
     with pytest.raises(ConfigError, match="take members, not names"):
         mono_cfg(asymptotic_regime="LargeAperture")
+
+
+def test_topology_is_read_from_the_separation():
+    # monostatic iff separation_m == 0, the test the geometry built from the
+    # same number applies; no config holds a topology of its own
+    assert "topology" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for sep in (0.0, -0.0, 1e-300, 35.0):
+        cfg = mono_cfg(separation_m=sep, num_rx=8)
+        (run,) = validate_config(replace(cfg, sweep=SweepSpec(axis="M", values=(9,))))
+        assert (cfg.topology is Topology.MONOSTATIC) == (sep == 0.0) \
+            == run.geometry.is_monostatic
 
 
 def _only_point(cfg):
@@ -191,6 +195,9 @@ def test_materialize_axis_overrides():
     assert run.note and "rounded up to 17" in run.note[0]
     with pytest.raises(ConfigError, match="not an integer M"):
         validate_config(mono_cfg(sweep=SweepSpec(axis="M", values=(16.5,))))
+    # an integer that a float cannot hold is still an integer M
+    run, _ = _only_point(mono_cfg(sweep=SweepSpec(axis="M", values=(2**53 + 1,))))
+    assert run.geometry.num_tx == 2**53 + 1
 
     _, tgt = _only_point(mono_cfg(sweep=SweepSpec(axis="theta", values=(45.0,))))
     assert tgt.angle_rad == pytest.approx(math.radians(45.0))
@@ -205,8 +212,7 @@ def test_materialize_axis_overrides():
 
 
 def test_materialize_bistatic_keeps_receiver_count():
-    cfg = mono_cfg(topology=Topology.BISTATIC_NEAR_FAR_TX, separation_m=35.0,
-                   num_rx=8, rx_spacing_m=0.01, sweep=SweepSpec(axis="M", values=(65,)))
+    cfg = mono_cfg(separation_m=35.0, num_rx=8, rx_spacing_m=0.01, sweep=SweepSpec(axis="M", values=(65,)))
     run, _ = _only_point(cfg)
     assert run.geometry.num_tx == 65 and run.geometry.num_rx == 8
     assert run.geometry.rx_spacing == 0.01
@@ -242,8 +248,7 @@ def test_validate_config_returns_each_point_materialized():
     # an 11x11 grid keeps the coarse factor at the element cap (1.9 GB)
     # inside MAX_COARSE_FACTOR_BYTES, so the element cap is what is tested
     dict(methods=(CrbMethod.CLOSED_FORM,), montecarlo=MonteCarloConfig(
-        estimator="MatchedFieldML", trials=2, master_seed=5,
-        theta_points=11, range_points=11)),
+        trials=2, master_seed=5, theta_points=11, range_points=11)),
 ])
 def test_per_element_methods_are_capped_at_validation(extra):
     # materializing a point is O(1) in M, so every point is checked before
@@ -300,8 +305,8 @@ def test_coarse_factor_peak_is_half_again_the_factor_held():
 
 
 def test_receive_element_count_is_capped():
-    cfg = mono_cfg(methods=(CrbMethod.EXACT_SUM,), topology=Topology.BISTATIC_NEAR_FAR_TX,
-                   separation_m=35.0, num_rx=MAX_ELEMENTS + 1)
+    cfg = mono_cfg(methods=(CrbMethod.EXACT_SUM,), separation_m=35.0,
+                   num_rx=MAX_ELEMENTS + 1)
     with pytest.raises(ConfigError, match=f"{MAX_ELEMENTS + 1} receive elements exceed"):
         validate_config(cfg)
 
@@ -340,7 +345,7 @@ def test_per_element_peaks_are_the_element_caps_basis(mode, topology):
 def test_run_experiment_row_layout():
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 16)),
                    methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM))
-    rows = parse_csv(csv_text(cfg, run_experiment(cfg)))
+    rows = parse_csv(csv_text(run_experiment(cfg)))
     assert len(rows) == 4
     assert [r["method"] for r in rows] == ["ClosedForm", "ExactSum"] * 2
     assert [r["M"] for r in rows] == ["9", "9", "17", "17"]
@@ -390,7 +395,7 @@ def test_each_m_point_is_a_run_of_its_own(monkeypatch):
     assert [r["M"] for r in rows] == [17] * 4
     assert ["rounded up to 17" in r["warnings"] for r in rows] == [True, True, False, False]
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
+        assert csv_text(table, db=db) == csv_text_oracle(table, db=db)
     # an M seen again after another gives the same row
     cfg = mono_cfg(sweep=SweepSpec(axis="M", values=(9, 17, 9)),
                    methods=(CrbMethod.EXACT_SUM,))
@@ -399,7 +404,7 @@ def test_each_m_point_is_a_run_of_its_own(monkeypatch):
     rows = table_rows(table)
     assert len(rows) == 3 and rows[0] == rows[2]
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
+        assert csv_text(table, db=db) == csv_text_oracle(table, db=db)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3"])
@@ -465,10 +470,9 @@ def test_run_experiment_repeats_mc_row_per_method():
         sweep=SweepSpec(axis="snr_db", values=(0.0,)),
         methods=(CrbMethod.CLOSED_FORM, CrbMethod.EXACT_SUM),
         montecarlo=MonteCarloConfig(
-            estimator="MatchedFieldML", trials=2, master_seed=5,
-            theta_points=15, range_points=11, refine_levels=0),
+            trials=2, master_seed=5, theta_points=15, range_points=11, refine_levels=0),
     )
-    rows = parse_csv(csv_text(cfg, run_experiment(cfg)))
+    rows = parse_csv(csv_text(run_experiment(cfg)))
     assert len(rows) == 2
     assert list(rows[0]) == list(BASE_COLUMNS + MC_COLUMNS)
     for col in MC_COLUMNS:
@@ -487,7 +491,7 @@ def test_csv_round_trips_floats_exactly():
     cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.FARFIELD_UPW))
     table = run_experiment(cfg)
     rows = table_rows(table)
-    text = csv_text(cfg, table)
+    text = csv_text(table)
     assert text.startswith("# near-field angle/range CRB sweep\n")
     parsed = parse_csv(text)
     assert len(parsed) == len(rows)
@@ -504,7 +508,7 @@ def test_csv_db_columns():
     cfg = mono_cfg(methods=(CrbMethod.CLOSED_FORM, CrbMethod.FARFIELD_UPW),
                    sweep=SweepSpec(axis="M", values=(9,)))
     table = run_experiment(cfg)
-    text = csv_text(cfg, table, db=True)
+    text = csv_text(table, db=True)
     parsed = parse_csv(text)
     assert "crb_theta_db" in parsed[0] and "crb_r_db" in parsed[0]
     assert float(parsed[0]["crb_theta_db"]) == pytest.approx(
@@ -522,7 +526,7 @@ def test_snr_db_cells_echo_the_configured_value():
     table = run_experiment(cfg)
     assert [repr(row["snr_db"]) for row in table_rows(table)] == [repr(x) for x in grid]
     col = BASE_COLUMNS.index("snr_db")
-    body = csv_text(cfg, table).splitlines()[5:]
+    body = csv_text(table).splitlines()[5:]
     assert [line.split(",")[col] for line in body] == [f"{x:.17g}" for x in grid]
     for run, x, res in zip(table.runs, grid, table.results[0], strict=True):
         linear = NoiseAndPowerConfig(10.0 ** (x / 10.0))
@@ -544,7 +548,7 @@ def test_csv_quotes_cells_with_commas():
     text_value = 'near, "very" near\nsecond line'
     (res,), = table.results
     table = replace(table, results=[[res._replace(warnings=(text_value,))]])
-    text = csv_text(cfg, table)
+    text = csv_text(table)
     # RFC 4180: the cell is quoted and its quotes are doubled
     assert ',"near, ""very"" near\nsecond line"\n' in text
     data = text[text.index("method,"):]
@@ -566,7 +570,7 @@ def test_csv_text_matches_the_oracle_on_every_preset(name):
     cfg = _mc_small(presets()[name])
     table = run_experiment(cfg)
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
+        assert csv_text(table, db=db) == csv_text_oracle(table, db=db)
 
 
 def _run(geom, angle_rad):
@@ -583,8 +587,8 @@ def test_csv_text_formats_equal_scenario_cells_of_another_type_apart():
     runs = [_run(geoms[0], 0.0), _run(geoms[1], -0.0)]
     res = CrbResult(0.0, -0.0, False)
     table = SweepTable(cfg, runs, [[res, res]])
-    text = csv_text(cfg, table)
-    assert text == csv_text_oracle(cfg, table)
+    text = csv_text(table)
+    assert text == csv_text_oracle(table)
     d = f"{0.0628:.17g}"
     assert text.endswith(f"\nClosedForm,mimo,monostatic,9,9,{d},{d},0,0,10,0,1,0,-0,false,\n"
                          f"ClosedForm,mimo,monostatic,9,9,{d},{d},-0,-0,10,0,1,0,-0,false,\n")
@@ -603,12 +607,12 @@ _warnings = st.one_of(st.just(()), _texts)
 
 @st.composite
 def _tables(draw):
-    """A cfg and a SweepTable whose every column holds a value of its
+    """A SweepTable whose every column holds a value of its
     declared type; runs of up to three points draw their geometry and
     noise from small pools, so that runs also share them."""
     methods = draw(st.lists(st.sampled_from(CrbMethod),
                             min_size=1, max_size=3, unique=True))
-    mc = MonteCarloConfig(estimator="MatchedFieldML", trials=2, master_seed=5,
+    mc = MonteCarloConfig(trials=2, master_seed=5,
                           theta_halfspan_deg=draw(_positive), range_span_frac=draw(_positive))
     cfg = mono_cfg(methods=tuple(methods), montecarlo=mc if draw(st.booleans()) else None)
     geoms = draw(st.lists(st.builds(
@@ -630,15 +634,14 @@ def _tables(draw):
                 for _ in range(points)] for _ in methods]
     reports = [RmseReport(draw(_floats), draw(_floats), draw(_ints), draw(_ints), draw(_ints))
                for _ in range(points)] if cfg.montecarlo else None
-    return cfg, SweepTable(cfg, runs, results, reports)
+    return SweepTable(cfg, runs, results, reports)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(drawn=_tables())
-def test_csv_text_matches_the_oracle_on_any_cell(drawn):
-    cfg, table = drawn
+@given(table=_tables())
+def test_csv_text_matches_the_oracle_on_any_cell(table):
     for db in (False, True):
-        assert csv_text(cfg, table, db=db) == csv_text_oracle(cfg, table, db=db)
+        assert csv_text(table, db=db) == csv_text_oracle(table, db=db)
 
 
 # every bound method on every mode and topology, off the presets' inputs:
@@ -667,10 +670,10 @@ def _golden_grid_text() -> str:
             cfg = ExperimentConfig(
                 num_tx=num_tx, num_rx=8, separation_m=35.0 if bistatic else 0.0,
                 target_range_m=5.0, target_angle_deg=angle_deg, snr_db=snr_db,
-                mode=mode, topology=topology, sweep=sweep, methods=use,
+                mode=mode, sweep=sweep, methods=use,
                 asymptotic_regime=regime)
             table = run_experiment(cfg)
-            out += [csv_text(cfg, table), csv_text(cfg, table, db=True)]
+            out += [csv_text(table), csv_text(table, db=True)]
     return "".join(out)
 
 
@@ -726,7 +729,9 @@ def test_parse_config_text_defaults():
     ("num_tx = 9", "num_tx = 9\nwavelength = 3", "unknown key"),
     ("num_tx = 9", "num_tx = nine", "not a valid int"),
     ("num_tx = 9", "num_tx = 9\nmode = duplex", "mode must be"),
-    ("num_tx = 9", "num_tx = 9\ntopology = circular", "topology must be"),
+    # the topology follows separation_m and the estimator is fixed: no key sets them
+    ("num_tx = 9", "num_tx = 9\ntopology = bistatic", r"unknown key \[scenario\] topology"),
+    ("", "[montecarlo]\nestimator = MatchedFieldML\n", r"unknown key \[montecarlo\] estimator"),
     ("values = 9, 17", "values = 9, banana", "not a number"),
 ])
 def test_parse_config_rejects(old, new, needle):
@@ -750,16 +755,13 @@ def test_parse_config_structural_requirements():
 
 
 def test_montecarlo_section_parsing():
-    mc_ini = GOOD_INI + ("[montecarlo]\nenabled = true\nestimator = MatchedFieldML\n"
-                         "trials = 4\nmaster_seed = 11\n")
+    mc_ini = GOOD_INI + "[montecarlo]\nenabled = true\ntrials = 4\nmaster_seed = 11\n"
     cfg = parse_config_text(mc_ini)
-    assert cfg.montecarlo == MonteCarloConfig(
-        estimator="MatchedFieldML", trials=4, master_seed=11)
+    assert cfg.montecarlo == MonteCarloConfig(trials=4, master_seed=11)
     off = parse_config_text(mc_ini.replace("enabled = true", "enabled = false"))
     assert off.montecarlo is None
     with pytest.raises(ConfigError, match=r"\[montecarlo\] master_seed is required"):
-        parse_config_text(GOOD_INI + "[montecarlo]\nestimator = MatchedFieldML\n"
-                                     "trials = 4\n")
+        parse_config_text(GOOD_INI + "[montecarlo]\ntrials = 4\n")
     with pytest.raises(ConfigError, match="not a valid bool"):
         parse_config_text(mc_ini.replace("enabled = true", "enabled = maybe"))
 
@@ -819,7 +821,7 @@ def test_each_config_field_is_one_ini_key():
     assert required == {
         ("scenario", "num_tx"), ("scenario", "target_range_m"),
         ("scenario", "target_angle_deg"), ("sweep", "axis"), ("methods", "use"),
-        ("montecarlo", "estimator"), ("montecarlo", "trials"), ("montecarlo", "master_seed"),
+        ("montecarlo", "trials"), ("montecarlo", "master_seed"),
     }
 
 
@@ -860,8 +862,7 @@ def _configs(draw):
         "mode": st.sampled_from(Mode),
         "asymptotic_regime": st.sampled_from(AsymptoticRegime),
         "montecarlo": st.builds(
-            MonteCarloConfig, estimator=st.just(experiment.ESTIMATOR_NAME),
-            trials=st.integers(min_value=1), master_seed=st.integers(min_value=0),
+            MonteCarloConfig, trials=st.integers(min_value=1), master_seed=st.integers(min_value=0),
             theta_halfspan_deg=_span, theta_points=st.integers(min_value=2),
             range_span_frac=_span, range_points=st.integers(min_value=2),
             refine_levels=st.integers(min_value=0)),
@@ -871,7 +872,6 @@ def _configs(draw):
     kw = draw(st.fixed_dictionaries({}, optional=optional))
     if not mono:
         kw.setdefault("separation_m", 1.0)
-        kw["topology"] = Topology.BISTATIC_NEAR_FAR_TX
     return ExperimentConfig(
         num_tx=draw(st.integers()), target_range_m=draw(_finite),
         target_angle_deg=draw(_finite), sweep=draw(_sweeps()),
@@ -888,19 +888,14 @@ def test_any_config_round_trips_through_ini(cfg):
 # --- presets -----------------------------------------------------------------------
 
 def test_preset_catalog():
+    # one table names the presets, in order, with their summaries and builders
     cat = presets()
-    assert sorted(cat) == [f"fig{i}" for i in range(2, 10)]
-    assert sorted(PRESET_SUMMARIES) == sorted(cat)
+    names = [f"fig{i}" for i in range(2, 10)]
+    assert list(cat) == list(PRESETS) == names
     for name, cfg in cat.items():
+        assert experiment.preset(name) == cfg
         validate_config(cfg)
         _assert_round_trip(cfg)
-
-
-def test_preset_tables_list_the_same_names_in_order():
-    names = list(PRESET_SUMMARIES)
-    assert list(presets()) == names == list(experiment._PRESET_BUILDERS)
-    for name, cfg in presets().items():
-        assert experiment.preset(name) == cfg
     with pytest.raises(ConfigError, match="unknown preset 'fig1'; available: "
                                           + ", ".join(names) + "$"):
         experiment.preset("fig1")

@@ -306,7 +306,7 @@ def test_observation_values_at_every_preset_point(name):
 @pytest.mark.parametrize("name", ["fig2", "fig3"])
 def test_bounds_never_form_the_steering_values(name, monkeypatch):
     cfg = presets()[name]
-    want = csv_text(cfg, run_experiment(cfg))
+    want = csv_text(run_experiment(cfg))
 
     def refuse(self):
         raise AssertionError("steering values formed on the bound path")
@@ -314,7 +314,7 @@ def test_bounds_never_form_the_steering_values(name, monkeypatch):
     monkeypatch.setattr(PhaseFactor, "values", property(refuse))
     with pytest.raises(AssertionError, match="bound path"):
         transmit_response(mono_geom(9), target(10.0, 0.3)).values
-    assert csv_text(cfg, run_experiment(cfg)) == want
+    assert csv_text(run_experiment(cfg)) == want
 
 
 # --- the transmit-element guard -----------------------------------------------------
